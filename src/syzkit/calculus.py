@@ -140,8 +140,8 @@ class ComplexBasis:
     """A holomorphic coframe dz_k (with conjugates) over a real frame.
 
     Stores both directions of the change of basis; the inverse is computed
-    exactly (field elimination for constant transitions, adjugate for
-    unit-determinant polynomial ones) and verified by a round trip.
+    exactly (field elimination for constant transitions, Newton-lifted and
+    verified for unit-determinant polynomial ones) and checked by a round trip.
     """
 
     def __init__(self, real_frame: FrameSpec, holo_forms: Sequence[tuple[str, Form]]):
@@ -228,10 +228,6 @@ class ComplexBasis:
         for i, g in enumerate(self.holo_frame.generators):
             images[i] = g.coord_expansion
         return substitute_generators(form, self.real_frame, images)
-
-    def conjugate_complex(self, form: Form) -> Form:
-        """Complex conjugation expressed on the holomorphic frame."""
-        return self.to_complex(self.from_complex(form).conjugate())
 
     def pq_project(self, form: Form, p: int, q: int) -> Form:
         return form.bidegree_project(p, q, (GenClass.FIBER_MIRROR, GenClass.BASE))

@@ -29,7 +29,18 @@ from .sustruct import SUStructure, check_iia, check_iib
 FIXTURE_SCHEMA = "syzkit-fixture-v1"
 REPORT_SCHEMA = "syzkit-report-v1"
 
-MAX_DEGREE = int(os.environ.get("SYZKIT_MAX_DEGREE", 4))
+DEFAULT_MAX_DEGREE = 4
+
+
+def _max_degree() -> int:
+    """The cohomology degree cap, read from SYZKIT_MAX_DEGREE when it is used."""
+    raw = os.environ.get("SYZKIT_MAX_DEGREE")
+    if raw is None:
+        return DEFAULT_MAX_DEGREE
+    try:
+        return int(raw)
+    except ValueError:
+        raise click.UsageError(f"SYZKIT_MAX_DEGREE must be an integer, got {raw!r}") from None
 
 
 def _emit(report: CheckReport, out: str | None, command: str, t0: float, extra: dict | None = None) -> None:
@@ -170,15 +181,16 @@ def cmd_verify(system: str, input_path: str, out: str | None):
 @click.option("--which", type=click.Choice(["bc", "ty", "mirror"]), required=True)
 @click.option("--p", "p", type=int, required=True)
 @click.option("--q", "q", type=int, required=True)
-@click.option("--degree", "degree", type=int, default=1)
+@click.option("--degree", "degree", type=click.IntRange(min=0), default=1)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_cohomology(k: int, side: str | None, which: str, p: int, q: int, degree: int, out: str | None):
     """Invariant-cohomology dimensions (and the mirror comparison) for the
     size-K family at coefficient degree <= degree."""
     t0 = time.time()
-    if degree > MAX_DEGREE:
+    cap = _max_degree()
+    if degree > cap:
         raise click.UsageError(
-            f"--degree {degree} exceeds cap {MAX_DEGREE} (set SYZKIT_MAX_DEGREE to raise)"
+            f"--degree {degree} exceeds cap {cap} (set SYZKIT_MAX_DEGREE to raise)"
         )
     wanted = {"bc": "xcheck", "ty": "x"}.get(which)
     if side is not None and wanted is not None and side != wanted:
@@ -187,6 +199,9 @@ def cmd_cohomology(k: int, side: str | None, which: str, p: int, q: int, degree:
         nd = nil.build(k)
     except ValueError as e:
         raise click.UsageError(str(e))
+    for name, v in (("--p", p), ("--q", q)):
+        if not 0 <= v <= nd.n:
+            raise click.UsageError(f"{name} {v} is outside 0..{nd.n} (n = {nd.n} at K={k})")
     pair = SemiflatPair(
         nd.n,
         base_vars=nd.base_vars,
@@ -224,7 +239,7 @@ def cmd_cohomology(k: int, side: str | None, which: str, p: int, q: int, degree:
 
 @main.command("proptest")
 @click.option("--suite", type=click.Choice(sorted(SUITES)), required=True)
-@click.option("--trials", type=int, default=100)
+@click.option("--trials", type=click.IntRange(min=1), default=100)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_proptest(suite: str, trials: int, seed: int, out: str | None):

@@ -253,8 +253,6 @@ class Form:
                     terms[m] = t
         return Form(self.frame, terms)
 
-    __xor__ = wedge
-
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
@@ -572,13 +570,3 @@ def frame_collect(form: Form, frame: FrameSpec) -> Form:
         if g.label in solved:
             images[i] = solved[g.label]
     return substitute_generators(form, frame, images)
-
-
-def brute_force_sign(perm: Sequence[int]) -> int:
-    """Permutation sign by counting inversions directly (test oracle)."""
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s

@@ -1,9 +1,12 @@
-"""Exact linear algebra over Q(i): fraction-free elimination, rank, kernel.
+"""Exact linear algebra over Q(i): fraction-free elimination, rank, kernel,
+and polynomial matrices.
 
 Two independent elimination routes are kept side by side: Bareiss
 (fraction-free over Gaussian integers after clearing denominators) and plain
 field elimination.  Pivoting is deterministic (first nonzero entry in row-major
-scan) so kernels and representatives are reproducible.
+scan) so kernels and representatives are reproducible.  Polynomial matrices
+get a division-free determinant and a Newton-lifted, verified inverse for
+unit determinants.
 """
 
 from __future__ import annotations
@@ -236,26 +239,56 @@ def poly_det(m: Sequence[Sequence[Poly]]) -> Poly:
     return prev.get((1 << n) - 1, Poly())
 
 
+def _poly_mat_mul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = Poly()
+            for x, brow in zip(row, b):
+                y = brow[j]
+                if x and y:
+                    acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _truncate(p: Poly, below: int) -> Poly:
+    """The terms of p of total degree < below."""
+    return Poly(p.vars, {e: c for e, c in p.terms.items() if sum(e) < below})
+
+
 def poly_matrix_inverse_unit_det(m: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
     """Inverse of a Poly matrix whose determinant is a nonzero constant.
 
-    Computed as adjugate / det, which stays polynomial exactly in this case.
+    Newton-lifted, verified.  X starts at the exact inverse of the constant
+    term m(0) and is lifted over the ideal of the variables by the Newton-Schulz
+    step X <- X (2I - m X) = X + X (I - m X), truncated below total degree 2D;
+    each step doubles the degree D below which X agrees with the power-series
+    inverse.  Each step is followed by the exact test m X == I, which
+    certifies that det m is a unit.  A polynomial inverse is an adjugate over
+    a constant, of degree at most (n - 1) * (max entry degree); once X holds
+    every degree up to that bound and the test still fails, no polynomial
+    inverse exists.  Raises ArithmeticError then, and when m(0) is singular.
     """
     n = len(m)
-    det = poly_det(m)
-    if not det.is_constant() or det.is_zero():
-        raise ArithmeticError(f"determinant {det} is not a nonzero constant")
-    dinv = ONE / det.constant_value()
-    out = [[Poly() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = poly_det(minor)
-            if (i + j) & 1:
-                cof = -cof
-            out[j][i] = cof * dinv
-    return out
+    if n == 0:
+        return []
+    const = [[p.terms.get((0,) * len(p.vars), ZERO) for p in row] for row in m]
+    x = [[Poly.constant(v) for v in row] for row in invert(const)]
+    bound = (n - 1) * max(p.degree() for row in m for p in row)
+    eye = [[Poly.constant(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    d = 1  # x agrees with the power-series inverse below total degree d
+    while True:
+        mx = _poly_mat_mul(m, x)
+        if mx == eye:
+            return x
+        if d > bound:
+            raise ArithmeticError(
+                f"no polynomial inverse: m X != I with X exact through degree {d - 1}, "
+                f"past the adjugate bound {bound}"
+            )
+        d *= 2
+        err = [[_truncate(eye[i][j] - mx[i][j], d) for j in range(n)] for i in range(n)]
+        x = [[p + _truncate(q, d) for p, q in zip(xr, cr)] for xr, cr in zip(x, _poly_mat_mul(x, err))]

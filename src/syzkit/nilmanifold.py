@@ -49,7 +49,13 @@ DEFAULT_MAX_K = 5
 
 
 def _max_k() -> int:
-    return int(os.environ.get("SYZKIT_MAX_K", DEFAULT_MAX_K))
+    raw = os.environ.get("SYZKIT_MAX_K")
+    if raw is None:
+        return DEFAULT_MAX_K
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"SYZKIT_MAX_K must be an integer, got {raw!r}") from None
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
@@ -57,8 +58,10 @@ class SUStructure:
     """A pair (omega, Omega) with optional polarization / complex-basis data.
 
     `Omega_factors`, when present, is the decomposition of Omega into complex
-    one-forms (times `prefactor`); the induced complex basis is built from it
-    when the transition is exactly invertible.
+    one-forms (times `prefactor`).  Given `holo_labels` to name them, the
+    induced complex basis is built from the factors on the first read of
+    `complex_basis`, and is None when the transition is not exactly
+    invertible.  A ready `complex_basis` passed in is used as it is.
     """
 
     def __init__(
@@ -72,6 +75,7 @@ class SUStructure:
         polarization: Optional[Polarization] = None,
         complex_basis: Optional[ComplexBasis] = None,
         mu: Optional[list[list[Poly]]] = None,
+        holo_labels: Optional[Sequence[str]] = None,
     ):
         if Omega is None and Omega_factors is None:
             raise ValueError("need Omega or its factors")
@@ -86,9 +90,20 @@ class SUStructure:
         self.Omega = Omega
         self.prefactor = prefactor
         self.polarization = polarization
-        self.complex_basis = complex_basis
+        self.holo_labels = None if holo_labels is None else list(holo_labels)
+        if complex_basis is not None:
+            self.complex_basis = complex_basis
         self.mu = mu
         self._conformal: Optional[ConformalFactor] = None
+
+    @cached_property
+    def complex_basis(self) -> Optional[ComplexBasis]:
+        if self.holo_labels is None or self.Omega_factors is None:
+            return None
+        try:
+            return ComplexBasis(self.frame, list(zip(self.holo_labels, self.Omega_factors)))
+        except BasisChangeError:
+            return None
 
     def conformal_factor(self) -> "ConformalFactor":
         if self._conformal is None:
@@ -144,16 +159,11 @@ class SUStructure:
         factors = None
         Omega = None
         pref = ONE
-        basis = None
+        labels = None
         if "Omega_factors" in obj:
             factors = [Form.from_json(f, frame) for f in obj["Omega_factors"]]
             pref = GaussianRational.from_json(obj["prefactor"])
-            try:
-                basis = ComplexBasis(
-                    frame, [(f"dz{k+1}", f) for k, f in enumerate(factors)]
-                )
-            except BasisChangeError:
-                basis = None
+            labels = [f"dz{k+1}" for k in range(len(factors))]
         else:
             Omega = Form.from_json(obj["Omega"], frame)
         return SUStructure(
@@ -164,7 +174,7 @@ class SUStructure:
             Omega_factors=factors,
             prefactor=pref,
             polarization=pol,
-            complex_basis=basis,
+            holo_labels=labels,
         )
 
 
@@ -423,12 +433,6 @@ def mirror_transform(pair: SemiflatPair, omega_check: Form) -> SUStructure:
         factors.append(f)
     pref = ONE if (n * (n - 1) // 2) % 2 == 0 else -ONE
 
-    basis = None
-    try:
-        basis = ComplexBasis(pair.frame_x, [(f"dw{k+1}", factors[k]) for k in range(n)])
-    except BasisChangeError:
-        basis = None
-
     omega = SymplecticData.darboux(pair.frame_x, GenClass.FIBER_X).omega
     phase = 0 if pref == ONE else 2
     return SUStructure(
@@ -438,8 +442,8 @@ def mirror_transform(pair: SemiflatPair, omega_check: Form) -> SUStructure:
         Omega_factors=factors,
         prefactor=pref,
         polarization=Polarization(GenClass.FIBER_X, phase),
-        complex_basis=basis,
         mu=mu,
+        holo_labels=[f"dw{k+1}" for k in range(n)],
     )
 
 

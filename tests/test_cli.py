@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from syzkit.calculus import ComplexBasis
 from syzkit.cli import main
 from syzkit.exterior import Form
 from syzkit.fourier import SemiflatPair
@@ -34,6 +35,12 @@ class TestNilCommand:
         assert res.exit_code != 0
         assert "at least 2" in res.output
 
+    def test_bad_k_cap_names_variable(self, runner, monkeypatch):
+        monkeypatch.setenv("SYZKIT_MAX_K", "five")
+        res = runner.invoke(main, ["nil", "--K", "3"])
+        assert res.exit_code == 2
+        assert "SYZKIT_MAX_K" in res.output
+
     def test_reports_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert runner.invoke(main, ["nil", "--K", "3", "--out", str(a)]).exit_code == 0
@@ -60,6 +67,21 @@ class TestVerifyCommand:
             main, ["verify", "--system", "iia", "--input", str(fixtures / "iia-K3.json")]
         )
         assert res.exit_code == 0, res.output
+
+    def test_iia_builds_no_complex_basis(self, runner, fixtures, monkeypatch):
+        built = []
+        init = ComplexBasis.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ComplexBasis, "__init__", counting_init)
+        res = runner.invoke(
+            main, ["verify", "--system", "iia", "--input", str(fixtures / "iia-K3.json")]
+        )
+        assert res.exit_code == 0, res.output
+        assert built == []
 
     def test_broken_fixture_fails_with_witness(self, runner, fixtures, tmp_path):
         doc = json.loads((fixtures / "iib-K3.json").read_text())
@@ -154,10 +176,56 @@ class TestCohomologyCommand:
         assert "cap" in res.output
 
 
+    def test_negative_degree_usage_error(self, runner):
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "3", "--which", "bc", "--p", "1", "--q", "1", "--degree", "-1"],
+        )
+        assert res.exit_code == 2
+        assert "--degree" in res.output
+
+    @pytest.mark.parametrize("p, q", [(9, 9), (4, 0), (1, -1)])
+    def test_bidegree_out_of_range_usage_error(self, runner, p, q):
+        # K=3 has n=3: (9, 9) once reported PASS with dim 0
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "3", "--which", "bc", "--p", str(p), "--q", str(q), "--degree", "0"],
+        )
+        assert res.exit_code == 2
+        assert "outside 0..3" in res.output
+
+    def test_bad_degree_cap_names_variable(self, runner, monkeypatch):
+        monkeypatch.setenv("SYZKIT_MAX_DEGREE", "abc")
+        assert runner.invoke(main, ["--help"]).exit_code == 0
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "3", "--which", "bc", "--p", "1", "--q", "1", "--degree", "0"],
+        )
+        assert res.exit_code == 2
+        assert "SYZKIT_MAX_DEGREE" in res.output
+
+    def test_degree_cap_read_at_use(self, runner, monkeypatch):
+        monkeypatch.setenv("SYZKIT_MAX_DEGREE", "0")
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "3", "--which", "bc", "--p", "1", "--q", "1", "--degree", "1"],
+        )
+        assert res.exit_code == 2
+        assert "exceeds cap 0" in res.output
+
+
 class TestProptestCommand:
     def test_suite_runs(self, runner):
         res = runner.invoke(main, ["proptest", "--suite", "ring-axioms", "--trials", "20", "--seed", "3"])
         assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials_usage_error(self, runner, trials):
+        # a zero-trial campaign once reported ok
+        res = runner.invoke(main, ["proptest", "--suite", "wedge", "--trials", trials])
+        assert res.exit_code == 2
+        assert "--trials" in res.output
+        assert "proptest: ok" not in res.output
 
     def test_reports_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -391,6 +391,31 @@ class TestDeformation:
             check_deformation_class(su, su.omega, "IIB")
 
 
+class TestLazyComplexBasis:
+    def test_mirror_basis_built_on_first_read(self, pair3):
+        su = mirror_transform(pair3, iwasawa_omega_check(pair3))
+        assert "complex_basis" not in vars(su)
+        flux, rep = flux_iib(su)
+        assert rep.passed
+        basis = vars(su)["complex_basis"]
+        assert basis.holo_labels == ["dw1", "dw2", "dw3"]
+        eager = ComplexBasis(su.frame, list(zip(basis.holo_labels, su.Omega_factors)))
+        ready = SUStructure(
+            su.n, su.frame, su.omega, Omega_factors=su.Omega_factors, prefactor=su.prefactor,
+            polarization=su.polarization, complex_basis=eager, mu=su.mu,
+        )
+        assert flux_iib(ready)[0].form == flux.form
+
+    def test_dependent_factors_give_no_basis(self, pair3):
+        obj = mirror_transform(pair3, iwasawa_omega_check(pair3)).to_json()
+        obj["Omega_factors"][1] = obj["Omega_factors"][0]
+        su = SUStructure.from_json(json.loads(json.dumps(obj)))
+        assert su.complex_basis is None
+        rep = check_iia(su)
+        assert not rep.passed
+        assert "conformal-factor-nonvanishing" in rep.failed_ids
+
+
 class TestSerialization:
     def test_roundtrip_iib(self, pair3):
         su = iwasawa_su_iib(pair3)
