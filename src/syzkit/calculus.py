@@ -90,8 +90,7 @@ class SymplecticData:
     @staticmethod
     def from_constant_omega(frame: FrameSpec, omega: Form) -> "SymplecticData":
         """Invert a constant-coefficient symplectic form exactly."""
-        size = len(frame)
-        mat = [[GaussianRational(0) for _ in range(size)] for _ in range(size)]
+        rows: list[dict[int, GaussianRational]] = [{} for _ in range(len(frame))]
         for mask, c in omega.terms.items():
             if mask.bit_count() != 2:
                 raise MissingPairing("omega must be a two-form")
@@ -99,10 +98,10 @@ class SymplecticData:
                 raise MissingPairing("omega has non-constant coefficients; supply a pairing")
             i, j = sorted(bits(mask))
             v = c.constant_value()
-            mat[i][j] = v
-            mat[j][i] = -v
+            rows[i][j] = v
+            rows[j][i] = -v
         try:
-            inv = linalg.invert(mat)
+            inv = linalg.invert(rows)
         except ArithmeticError as e:
             raise MissingPairing(f"omega is degenerate: {e}") from None
         pairing = [[Poly.constant(x) for x in row] for row in inv]
@@ -172,9 +171,9 @@ class ComplexBasis:
             for f in holo + anti
         ]
         if all(p.is_constant() for row in trans for p in row):
-            mat = [[p.constant_value() for p in row] for row in trans]
+            rows = [{j: p.constant_value() for j, p in enumerate(row) if p} for row in trans]
             try:
-                inv_c = linalg.invert(mat)
+                inv_c = linalg.invert(rows)
             except ArithmeticError as e:
                 raise BasisChangeError(str(e)) from None
             inv = [[Poly.constant(x) for x in row] for row in inv_c]

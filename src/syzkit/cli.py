@@ -43,6 +43,31 @@ def _max_degree() -> int:
         raise click.UsageError(f"SYZKIT_MAX_DEGREE must be an integer, got {raw!r}") from None
 
 
+# what a structurally malformed JSON document raises while it is parsed
+MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, ZeroDivisionError)
+
+
+def _read_object(path: str) -> dict:
+    """The JSON object in `path`; anything else is a usage error naming the file."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise click.UsageError(f"{path}: invalid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise click.UsageError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _malformed(path: str, what: str, e: Exception) -> click.UsageError:
+    if isinstance(e, KeyError):
+        cause = f"missing key {e.args[0]!r}"
+    elif isinstance(e, ZeroDivisionError):
+        cause = f"zero denominator ({e})"
+    else:
+        cause = f"{type(e).__name__}: {e}"
+    return click.UsageError(f"{path}: malformed {what}: {cause}")
+
+
 def _emit(report: CheckReport, out: str | None, command: str, t0: float, extra: dict | None = None) -> None:
     doc = {
         "schema": REPORT_SCHEMA,
@@ -128,15 +153,18 @@ def cmd_fm(input_path: str, direction: str, n: int, out: str | None):
     """Transform a form (JSON) across the standard rank-n pair."""
     t0 = time.time()
     pair = SemiflatPair(n)
-    obj = json.loads(Path(input_path).read_text())
+    obj = _read_object(input_path)
     frames = {
         tuple(g.label for g in f.generators): f
         for f in (pair.holo_frame, pair.frame_xc, pair.frame_x)
     }
-    key = tuple(obj.get("frame", ()))
-    if key not in frames:
-        raise click.UsageError(f"unknown frame labels {list(key)} for n={n}")
-    form = Form.from_json(obj, frames[key])
+    try:
+        key = tuple(obj.get("frame", ()))
+        if key not in frames:
+            raise click.UsageError(f"unknown frame labels {list(key)} for n={n}")
+        form = Form.from_json(obj, frames[key])
+    except MALFORMED as e:
+        raise _malformed(input_path, "form", e) from None
     bad = form.used_coeff_vars() - set(pair.base_vars)
     if bad:
         raise click.UsageError(f"coefficients depend on non-base variables {sorted(bad)}")
@@ -165,10 +193,13 @@ def cmd_fm(input_path: str, direction: str, n: int, out: str | None):
 def cmd_verify(system: str, input_path: str, out: str | None):
     """Run the supersymmetry-system checks on a structure fixture."""
     t0 = time.time()
-    obj = json.loads(Path(input_path).read_text())
+    obj = _read_object(input_path)
     if obj.get("schema") != FIXTURE_SCHEMA:
         raise click.UsageError(f"expected schema {FIXTURE_SCHEMA}")
-    su = SUStructure.from_json(obj)
+    try:
+        su = SUStructure.from_json(obj)
+    except MALFORMED as e:
+        raise _malformed(input_path, "fixture", e) from None
     rep = check_iia(su) if system == "iia" else check_iib(su)
     rep.config = {"system": system, "n": su.n}
     _emit(rep, out, "verify", t0)
@@ -184,8 +215,10 @@ def cmd_verify(system: str, input_path: str, out: str | None):
 @click.option("--degree", "degree", type=click.IntRange(min=0), default=1)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_cohomology(k: int, side: str | None, which: str, p: int, q: int, degree: int, out: str | None):
-    """Invariant-cohomology dimensions (and the mirror comparison) for the
-    size-K family at coefficient degree <= degree."""
+    """Cohomology dimensions (and the mirror comparison) of the flat
+    semi-flat pair, written with the size-K family's variable names, at
+    coefficient degree <= degree.  This is not the nilmanifold's cohomology:
+    the dimensions are per-degree data and grow with the degree."""
     t0 = time.time()
     cap = _max_degree()
     if degree > cap:

@@ -10,11 +10,11 @@ such (per-D data, no asymptotic claims).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import linalg
-from .coeffring import GaussianRational, ONE, ZERO, Poly, exponent_vectors
-from .exterior import Form, FrameSpec, GenClass, bits
+from .coeffring import GaussianRational, ONE, Poly, exponent_vectors
+from .exterior import Form, FrameSpec, GenClass
 from .calculus import ComplexBasis, SymplecticData, d_lambda, dolbeault, exterior_d
 from .reports import CheckReport
 
@@ -29,7 +29,11 @@ class SpanEscape(ValueError):
 
 class FiniteComplex:
     """Monomial basis of invariant forms with coefficient degree <= D,
-    together with named operators acting inside the span."""
+    together with named operators acting inside the span.
+
+    Each operator is applied once to each basis element, when the complex is
+    built: that pass checks that the span is closed and keeps every image as
+    a sparse vector in `images[op][i]`."""
 
     def __init__(
         self,
@@ -37,8 +41,6 @@ class FiniteComplex:
         D: int,
         operators: dict[str, Callable[[Form], Form]],
         split: tuple[GenClass, GenClass],
-        invariance: Optional[Callable[[Form], Form]] = None,
-        invariance_extra_vars: Sequence[str] = (),
     ):
         if D < 0:
             raise ValueError("degree bound must be nonnegative")
@@ -54,10 +56,10 @@ class FiniteComplex:
             for e in self.exps:
                 self.basis.append((mask, e))
         self.pos = {key: i for i, key in enumerate(self.basis)}
-        self._verify_closure()
-        self.invariant_basis: Optional[list[Form]] = None
-        if invariance is not None:
-            self.invariant_basis = self._solve_invariance(invariance, invariance_extra_vars)
+        self.images: dict[str, list[linalg.Vec]] = {
+            name: [self.vectorize(op(self.basis_form(i))) for i in range(len(self.basis))]
+            for name, op in self.operators.items()
+        }
 
     # -- vectorization -------------------------------------------------------
 
@@ -65,29 +67,29 @@ class FiniteComplex:
         mask, e = self.basis[idx]
         return Form(self.frame, {mask: Poly(self.vars, {e: ONE})})
 
-    def vectorize(self, form: Form) -> list[GaussianRational]:
-        v = [ZERO] * len(self.basis)
+    def vectorize(self, form: Form) -> linalg.Vec:
+        """The sparse vector of `form`, keyed by basis index."""
+        v: linalg.Vec = {}
         for mask, poly in form.terms.items():
             p = poly.in_universe(self.vars) if poly.vars != self.vars else poly
             if set(p.vars) != set(self.vars):
                 raise SpanEscape(f"coefficients use variables outside {self.vars}", form)
             for e, c in p.terms.items():
-                key = (mask, e)
-                if key not in self.pos:
+                i = self.pos.get((mask, e))
+                if i is None:
                     raise SpanEscape(
                         f"term of coefficient degree {sum(e)} escapes the degree-{self.D} span",
                         form,
                     )
-                v[self.pos[key]] = c
+                v[i] = c
         return v
 
-    def form_of(self, vec: Sequence[GaussianRational]) -> Form:
-        out = Form.zero(self.frame)
-        for i, c in enumerate(vec):
-            if c:
-                mask, e = self.basis[i]
-                out = out + Form(self.frame, {mask: Poly(self.vars, {e: c})})
-        return out
+    def form_of(self, vec: Mapping[int, GaussianRational]) -> Form:
+        terms: dict[int, dict[tuple[int, ...], GaussianRational]] = {}
+        for i in sorted(vec):
+            mask, e = self.basis[i]
+            terms.setdefault(mask, {})[e] = vec[i]
+        return Form(self.frame, {mask: Poly(self.vars, t) for mask, t in terms.items()})
 
     # -- structure ------------------------------------------------------------
 
@@ -105,70 +107,19 @@ class FiniteComplex:
     def apply(self, op: str, form: Form) -> Form:
         return self.operators[op](form)
 
-    def matrix_on_slot(self, op: str, from_idx: Sequence[int], to_idx: Optional[Sequence[int]] = None):
-        """Columns are op(basis element); rows restricted to `to_idx` when
-        given (after checking nothing leaks outside it)."""
-        cols = []
-        for i in from_idx:
-            img = self.vectorize(self.apply(op, self.basis_form(i)))
-            cols.append(img)
+    def matrix_on_slot(
+        self, op: str, from_idx: Sequence[int], to_idx: Optional[Sequence[int]] = None
+    ) -> list[linalg.Vec]:
+        """Sparse columns, one per basis element of `from_idx`: its image
+        under op, keyed by basis index, or by position in `to_idx` when given
+        (after checking nothing leaks outside it)."""
+        cols = [self.images[op][i] for i in from_idx]
         if to_idx is None:
-            rows = range(len(self.basis))
-        else:
-            keep = set(to_idx)
-            for img in cols:
-                for r, c in enumerate(img):
-                    if c and r not in keep:
-                        raise SpanEscape(f"operator {op} leaks outside the target slot")
-            rows = list(to_idx)
-        return [[col[r] for col in cols] for r in rows]
-
-    def _verify_closure(self) -> None:
-        for name, op in self.operators.items():
-            for i in range(len(self.basis)):
-                self.vectorize(op(self.basis_form(i)))
-
-    def _solve_invariance(self, pullback, extra_vars: Sequence[str]) -> list[Form]:
-        all_vars = tuple(sorted(set(self.vars) | set(extra_vars)))
-        rows: dict[tuple, int] = {}
-        cols = []
-        for i in range(len(self.basis)):
-            f = self.basis_form(i)
-            diff = pullback(f) - f
-            entries: dict[int, GaussianRational] = {}
-            for mask, poly in diff.terms.items():
-                p = poly.in_universe(all_vars) if poly.vars != all_vars else poly
-                for e, c in p.terms.items():
-                    key = (mask, e)
-                    if key not in rows:
-                        rows[key] = len(rows)
-                    entries[rows[key]] = c
-            cols.append(entries)
-        mat = [[ZERO] * len(self.basis) for _ in range(len(rows))]
-        for j, entries in enumerate(cols):
-            for r, c in entries.items():
-                mat[r][j] = c
-        kernel = linalg.nullspace(mat) if rows else [
-            [ONE if k == j else ZERO for k in range(len(self.basis))]
-            for j in range(len(self.basis))
-        ]
-        out = [self.form_of(v) for v in kernel]
-        # closure of the invariant span under every operator
-        if out:
-            span_cols = [self.vectorize(f) for f in out]
-            base_rank = linalg.rank(_columns_to_matrix(span_cols))
-            for name, op in self.operators.items():
-                for f in out:
-                    ext = span_cols + [self.vectorize(op(f))]
-                    if linalg.rank(_columns_to_matrix(ext)) != base_rank:
-                        raise SpanEscape(f"operator {name} leaves the invariant span", op(f))
-        return out
-
-
-def _columns_to_matrix(cols: list[list[GaussianRational]]):
-    if not cols:
-        return []
-    return [[col[r] for col in cols] for r in range(len(cols[0]))]
+            return cols
+        at = {r: k for k, r in enumerate(to_idx)}
+        if any(r not in at for col in cols for r in col):
+            raise SpanEscape(f"operator {op} leaks outside the target slot")
+        return [{at[r]: c for r, c in col.items()} for col in cols]
 
 
 @dataclass
@@ -198,31 +149,22 @@ def _quotient_report(
     image_from: tuple[int, int],
 ) -> CohomologyReport:
     slot = cpx.slot(p, q)
-    stacked = []
-    for op in kernel_ops:
-        stacked.extend(cpx.matrix_on_slot(op, slot))
-    if stacked:
-        ker = linalg.nullspace(stacked)
-    else:
-        ker = [[ONE if k == j else ZERO for k in range(len(slot))] for j in range(len(slot))]
-    src = cpx.slot(*image_from)
-    im_cols = []
-    if src:
-        m = cpx.matrix_on_slot(image_op, src, slot)
-        for j in range(len(src)):
-            im_cols.append([m[r][j] for r in range(len(slot))])
-    rank_im = linalg.rank(_columns_to_matrix(im_cols)) if im_cols else 0
-    dim = len(ker) - rank_im
-
+    # one column per slot element: its images under every kernel operator, stacked
+    size = len(cpx.basis)
+    stacked = [
+        {k * size + r: c for k, op in enumerate(kernel_ops) for r, c in cpx.images[op][i].items()}
+        for i in slot
+    ]
+    ker = linalg.nullspace(stacked)
+    im_cols = cpx.matrix_on_slot(image_op, cpx.slot(*image_from), slot)
     pivots = linalg.column_space_pivots(im_cols + ker)
-    reps = []
-    for piv in pivots:
-        if piv >= len(im_cols):
-            v = ker[piv - len(im_cols)]
-            full = [ZERO] * len(cpx.basis)
-            for k, idx in enumerate(slot):
-                full[idx] = v[k]
-            reps.append(cpx.form_of(full))
+    rank_im = sum(1 for piv in pivots if piv < len(im_cols))
+    dim = len(ker) - rank_im
+    reps = [
+        cpx.form_of({slot[k]: c for k, c in ker[piv - len(im_cols)].items()})
+        for piv in pivots
+        if piv >= len(im_cols)
+    ]
     if len(reps) != dim:
         raise ArithmeticError("representative count disagrees with the computed dimension")
     ranks = {f"ker({'+'.join(kernel_ops)})": len(ker), f"rank({image_op})": rank_im}
@@ -232,7 +174,7 @@ def _quotient_report(
 # -- concrete complexes ------------------------------------------------------
 
 
-def bc_complex(basis: ComplexBasis, D: int, invariance=None, invariance_extra_vars=()) -> FiniteComplex:
+def bc_complex(basis: ComplexBasis, D: int) -> FiniteComplex:
     """Complex-side complex on the dz/dzb monomial frame with d and del-dbar."""
 
     def d_op(f: Form) -> Form:
@@ -248,8 +190,6 @@ def bc_complex(basis: ComplexBasis, D: int, invariance=None, invariance_extra_va
         D,
         {"d": d_op, "deldbar": deldbar},
         (GenClass.FIBER_MIRROR, GenClass.BASE),
-        invariance=invariance,
-        invariance_extra_vars=invariance_extra_vars,
     )
 
 
@@ -302,24 +242,20 @@ def mirror_compare(
     rep.add("dims-equal", bc_rep.dim == ty_rep.dim, f"bc={bc_rep.dim} ty={ty_rep.dim}")
 
     slot = ty.slot(n - p, q)
-    src = ty.slot(n - p + 1, q - 1)
-    im_cols = []
-    if src:
-        m = ty.matrix_on_slot("ddlambda", src, slot)
-        for j in range(len(src)):
-            im_cols.append([m[r][j] for r in range(len(slot))])
+    im_cols = ty.matrix_on_slot("ddlambda", ty.slot(n - p + 1, q - 1), slot)
+    at = {r: k for k, r in enumerate(slot)}
     mapped_cols = []
     for f in bc_rep.representatives:
         g = transform(f)
         rep.add(f"image-d-closed[{len(mapped_cols)}]", ty.apply("d", g).is_zero(), g)
         rep.add(f"image-dlambda-closed[{len(mapped_cols)}]", ty.apply("dlambda", g).is_zero(), g)
         vec = ty.vectorize(g)
-        for i, c in enumerate(vec):
-            if c and i not in set(slot):
-                raise SpanEscape("transformed representative leaves the mirror slot", g)
-        mapped_cols.append([vec[i] for i in slot])
-    base_rank = linalg.rank(_columns_to_matrix(im_cols)) if im_cols else 0
-    tot_rank = linalg.rank(_columns_to_matrix(im_cols + mapped_cols)) if (im_cols or mapped_cols) else 0
+        if any(r not in at for r in vec):
+            raise SpanEscape("transformed representative leaves the mirror slot", g)
+        mapped_cols.append({at[r]: c for r, c in vec.items()})
+    pivots = linalg.column_space_pivots(im_cols + mapped_cols)
+    base_rank = sum(1 for piv in pivots if piv < len(im_cols))
+    tot_rank = len(pivots)
     rep.add(
         "images-independent-mod-exact",
         tot_rank == base_rank + len(mapped_cols),

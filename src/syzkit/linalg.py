@@ -1,210 +1,147 @@
-"""Exact linear algebra over Q(i): fraction-free elimination, rank, kernel,
-and polynomial matrices.
+"""Exact linear algebra over Q(i): one sparse elimination core, and
+polynomial matrices.
 
-Two independent elimination routes are kept side by side: Bareiss
-(fraction-free over Gaussian integers after clearing denominators) and plain
-field elimination.  Pivoting is deterministic (first nonzero entry in row-major
-scan) so kernels and representatives are reproducible.  Polynomial matrices
-get a division-free determinant and a Newton-lifted, verified inverse for
-unit determinants.
+A vector is a dict from index to `GaussianRational`; absent entries are zero.
+Matrices are passed as lists of such vectors: `nullspace`, `solve` and
+`column_space_pivots` take the columns that callers build (one per basis
+element or unknown), `rank` takes rows or columns alike.  Each vector is
+reduced into an echelon basis keyed by its leading (smallest) index; one
+back-substitution then gives the reduced row echelon form.  The reduced form
+is unique, so ranks, pivots, kernels and solutions do not depend on the order
+in which rows arrive.
+
+Polynomial matrices get a division-free determinant and a Newton-lifted,
+verified inverse for unit determinants.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Sequence
+import heapq
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .coeffring import GaussianRational, ONE, ZERO, Poly
 
-Matrix = list[list[GaussianRational]]
+Vec = dict[int, GaussianRational]
 
 
-def copy_matrix(m: Sequence[Sequence[GaussianRational]]) -> Matrix:
-    return [list(row) for row in m]
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = ONE
-    return m
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    out = zeros(len(a), len(b[0]))
-    for i, row in enumerate(a):
-        for k, x in enumerate(row):
-            if not x:
+def _reduce(echelon: Mapping[int, Vec], vec: Mapping[int, GaussianRational]) -> Vec:
+    """vec minus its multiples of the echelon rows: no entry is left in a
+    pivot column.  Each row has a leading 1 at its key and no entry left of it."""
+    v = {k: x for k, x in vec.items() if x}
+    heap = [k for k in v if k in echelon]
+    heapq.heapify(heap)
+    while heap:
+        c = heapq.heappop(heap)
+        f = v.pop(c, None)
+        if f is None:
+            continue
+        for k, y in echelon[c].items():
+            if k == c:
                 continue
-            br = b[k]
-            for j, y in enumerate(br):
-                if y:
-                    out[i][j] = out[i][j] + x * y
-    return out
+            s = v.get(k)
+            if s is None:
+                v[k] = -(f * y)
+                if k in echelon:
+                    heapq.heappush(heap, k)
+            else:
+                s = s - f * y
+                if s:
+                    v[k] = s
+                else:
+                    del v[k]
+    return v
 
 
-def _clear_denominators(m: Matrix) -> Matrix:
-    out = []
-    for row in m:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.re.denominator // _gcd(lcm, x.re.denominator)
-            lcm = lcm * x.im.denominator // _gcd(lcm, x.im.denominator)
-        out.append([x * lcm for x in row])
-    return out
+def _insert(echelon: dict[int, Vec], vec: Mapping[int, GaussianRational]) -> bool:
+    """Add vec to the echelon basis; False when it already lies in the span."""
+    v = _reduce(echelon, vec)
+    if not v:
+        return False
+    lead = min(v)
+    inv = ONE / v[lead]
+    echelon[lead] = {k: x * inv for k, x in v.items()}
+    return True
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def bareiss_echelon(m: Sequence[Sequence[GaussianRational]]) -> tuple[Matrix, list[int]]:
-    """Fraction-free row echelon form; returns (echelon, pivot columns).
-
-    Rows are scaled to Gaussian integers first; every division in the
-    Bareiss update is exact in Z[i].
-    """
-    a = _clear_denominators(copy_matrix(m))
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    piv_cols: list[int] = []
-    r = 0
-    prev = ONE
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                num = a[i][j] * pivot - a[i][c] * a[r][j]
-                q = num / prev
-                _assert_gaussian_integer(q)
-                a[i][j] = q
-            a[i][c] = ZERO
-        prev = pivot
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, piv_cols
-
-
-def _assert_gaussian_integer(x: GaussianRational) -> None:
-    if x.re.denominator != 1 or x.im.denominator != 1:
-        raise ArithmeticError("Bareiss division was not exact")
-
-
-def rank_bareiss(m: Sequence[Sequence[GaussianRational]]) -> int:
-    if not m or not m[0]:
-        return 0
-    _, piv = bareiss_echelon(m)
-    return len(piv)
-
-
-def rref(m: Sequence[Sequence[GaussianRational]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form by plain field elimination."""
-    a = copy_matrix(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, piv_cols
-
-
-def rank(m: Sequence[Sequence[GaussianRational]]) -> int:
-    if not m or not m[0]:
-        return 0
-    return len(rref(m)[1])
-
-
-def nullspace(m: Sequence[Sequence[GaussianRational]]) -> list[list[GaussianRational]]:
-    """Basis of the right kernel, one vector per free column (deterministic)."""
-    if not m:
-        return []
-    cols = len(m[0])
-    red, piv = rref(m)
-    piv_set = set(piv)
-    basis = []
-    for free in range(cols):
-        if free in piv_set:
-            continue
-        v = [ZERO] * cols
-        v[free] = ONE
-        for r, pc in enumerate(piv):
-            v[pc] = -red[r][free]
-        basis.append(v)
+def _echelon(vectors: Iterable[Mapping[int, GaussianRational]]) -> dict[int, Vec]:
+    """An echelon basis of the span of `vectors`, keyed by leading column."""
+    basis: dict[int, Vec] = {}
+    for v in vectors:
+        _insert(basis, v)
     return basis
 
 
-def solve(m: Sequence[Sequence[GaussianRational]], b: Sequence[GaussianRational]) -> Optional[list[GaussianRational]]:
-    """One exact solution of m x = b, or None if inconsistent."""
-    if not m:
-        return [] if not any(b) else None
-    cols = len(m[0])
-    aug = [list(row) + [bv] for row, bv in zip(m, b)]
-    red, piv = rref(aug)
-    for r in range(len(red)):
-        if all(not x for x in red[r][:cols]) and red[r][cols]:
-            return None
-    x = [ZERO] * cols
-    for r, pc in enumerate(piv):
-        if pc == cols:
-            return None
-        x[pc] = red[r][cols]
-    return x
+def reduced_echelon(rows: Iterable[Mapping[int, GaussianRational]]) -> dict[int, Vec]:
+    """The reduced row echelon form, as pivot column -> row, pivots ascending."""
+    red: dict[int, Vec] = {}
+    for c, row in sorted(_echelon(rows).items(), reverse=True):
+        red[c] = {c: ONE, **_reduce(red, {k: x for k, x in row.items() if k != c})}
+    return dict(sorted(red.items()))
 
 
-def column_space_pivots(columns: list[list[GaussianRational]]) -> list[int]:
-    """Indices of columns forming a basis of the span (in input order)."""
-    if not columns:
-        return []
-    rows = len(columns[0])
-    mat = [[columns[j][i] for j in range(len(columns))] for i in range(rows)]
-    _, piv = rref(mat)
-    return piv
+def rref(m: Sequence[Sequence[GaussianRational]]) -> tuple[list[list[GaussianRational]], list[int]]:
+    """Reduced row echelon form of a dense matrix through the sparse core:
+    (its rows, zero rows last; the pivot columns).  Nothing in the package
+    calls it; the span table in `perfbench/spans.py` traces this name."""
+    cols = len(m[0]) if m else 0
+    red = reduced_echelon({j: x for j, x in enumerate(row) if x} for row in m)
+    rows = [[row.get(j, ZERO) for j in range(cols)] for row in red.values()]
+    return rows + [[ZERO] * cols for _ in range(len(m) - len(rows))], list(red)
 
 
-def invert(m: Sequence[Sequence[GaussianRational]]) -> Matrix:
-    n = len(m)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
-    red, piv = rref(aug)
-    if piv[:n] != list(range(n)):
+def rank(vectors: Iterable[Mapping[int, GaussianRational]]) -> int:
+    """Rank of the matrix whose rows (or, equally, columns) are `vectors`."""
+    return len(_echelon(vectors))
+
+
+def _rows(columns: Iterable[Mapping[int, GaussianRational]]) -> list[Vec]:
+    """The nonzero rows of the matrix with these columns."""
+    rows: dict[int, Vec] = {}
+    for j, col in enumerate(columns):
+        for r, x in col.items():
+            rows.setdefault(r, {})[j] = x
+    return list(rows.values())
+
+
+def nullspace(columns: Sequence[Mapping[int, GaussianRational]]) -> list[Vec]:
+    """Basis of the kernel of the matrix with these columns: one vector per
+    free column, in column order."""
+    red = reduced_echelon(_rows(columns))
+    kernel = {c: {c: ONE} for c in range(len(columns)) if c not in red}
+    for pc, row in red.items():
+        for c, x in row.items():
+            if c != pc:
+                kernel[c][pc] = -x
+    return list(kernel.values())
+
+
+def solve(
+    columns: Sequence[Mapping[int, GaussianRational]], b: Mapping[int, GaussianRational]
+) -> Optional[Vec]:
+    """x with sum_j x_j columns[j] = b and every free unknown 0, or None if
+    there is none."""
+    n = len(columns)
+    red = reduced_echelon(_rows([*columns, b]))
+    if n in red:
+        return None
+    return {pc: row[n] for pc, row in red.items() if n in row}
+
+
+def column_space_pivots(columns: Iterable[Mapping[int, GaussianRational]]) -> list[int]:
+    """Indices of the columns outside the span of the columns before them:
+    a basis of the span, in input order."""
+    basis: dict[int, Vec] = {}
+    return [j for j, col in enumerate(columns) if _insert(basis, col)]
+
+
+def invert(rows: Sequence[Mapping[int, GaussianRational]]) -> list[list[GaussianRational]]:
+    """Inverse of a square matrix given by sparse rows, as dense rows (given
+    the columns instead, it returns the columns of the inverse)."""
+    n = len(rows)
+    red = reduced_echelon({**row, n + i: ONE} for i, row in enumerate(rows))
+    if any(c not in red for c in range(n)):
         raise ArithmeticError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[red[i].get(n + j, ZERO) for j in range(n)] for i in range(n)]
 
 
 # -- polynomial matrices ---------------------------------------------------
@@ -275,7 +212,7 @@ def poly_matrix_inverse_unit_det(m: Sequence[Sequence[Poly]]) -> list[list[Poly]
     n = len(m)
     if n == 0:
         return []
-    const = [[p.terms.get((0,) * len(p.vars), ZERO) for p in row] for row in m]
+    const = [{j: c for j, p in enumerate(row) if (c := p.terms.get((0,) * len(p.vars)))} for row in m]
     x = [[Poly.constant(v) for v in row] for row in invert(const)]
     bound = (n - 1) * max(p.degree() for row in m for p in row)
     eye = [[Poly.constant(1 if i == j else 0) for j in range(n)] for i in range(n)]

@@ -595,19 +595,11 @@ def _solve_primitive_11(
         entries_of(wk1_c.wedge(gen_form), 1, entries)
         col_vecs.append(entries)
 
-    nrows = len(rows_index)
-    mat = [[ZERO] * len(unknowns) for _ in range(nrows)]
-    for j, entries in enumerate(col_vecs):
-        for i, v in entries.items():
-            mat[i][j] = v
-    b = [ZERO] * nrows
-    for i, v in rhs_entries.items():
-        b[i] = v
-    sol = linalg.solve(mat, b)
+    sol = linalg.solve(col_vecs, rhs_entries)
     if sol is None:
         return None
     beta = Form.zero(hf)
-    for (m, e), x in zip(unknowns, sol):
-        if x:
-            beta = beta + Form(hf, {m: Poly(uvars, {tuple(e): x})})
+    for j in sorted(sol):
+        m, e = unknowns[j]
+        beta = beta + Form(hf, {m: Poly(uvars, {tuple(e): sol[j]})})
     return basis.from_complex(beta)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,15 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
         assert res.exit_code != 0
 
+    def test_fixture_missing_key_usage_error(self, runner, tmp_path):
+        # once a KeyError traceback
+        f = tmp_path / "nofr.json"
+        f.write_text(json.dumps({"schema": "syzkit-fixture-v1"}))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert "nofr.json" in res.output
+        assert "missing key 'frame'" in res.output
+
 
 class TestFmCommand:
     def test_forward_constant(self, runner, tmp_path):
@@ -150,6 +160,28 @@ class TestFmCommand:
         assert res.exit_code != 0
         assert "non-base" in res.output
 
+    @pytest.mark.parametrize("case, cause", [
+        pytest.param("zero-denominator", "zero denominator", id="zero-denominator"),
+        pytest.param("missing-coeff", "missing key 'coeff'", id="missing-coeff"),
+        pytest.param("top-level-list", "expected a JSON object", id="top-level-list"),
+        pytest.param("invalid-json", "invalid JSON", id="invalid-json"),
+    ])
+    def test_malformed_input_usage_error(self, runner, tmp_path, case, cause):
+        # each case once gave a traceback (ZeroDivisionError, KeyError,
+        # AttributeError, JSONDecodeError)
+        doc = Form.gen(SemiflatPair(2).holo_frame, "dz1").to_json()
+        if case == "zero-denominator":
+            doc["terms"][0]["coeff"]["terms"][0]["re"] = [1, 0]
+        elif case == "missing-coeff":
+            del doc["terms"][0]["coeff"]
+        text = {"top-level-list": json.dumps([doc]), "invalid-json": '{"frame": ['}.get(case, json.dumps(doc))
+        src = tmp_path / f"{case}.json"
+        src.write_text(text)
+        res = runner.invoke(main, ["fm", "--input", str(src), "--direction", "fwd", "--n", "2"])
+        assert res.exit_code == 2, res.output
+        assert f"{case}.json" in res.output
+        assert cause in res.output
+
     def test_wrong_side_rejected(self, runner, tmp_path):
         pair = SemiflatPair(2)
         src = tmp_path / "x.json"
@@ -166,6 +198,20 @@ class TestCohomologyCommand:
         )
         assert res.exit_code == 0, res.output
         assert "bc=19 ty=19" in res.output
+
+    def test_representative_bytes_pinned(self, runner, tmp_path):
+        # the digest the benchmark records for cohomology-21-D1.json: a change
+        # to any representative changes it
+        out = tmp_path / "cohomology-21-D1.json"
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "3", "--which", "mirror", "--p", "2", "--q", "1", "--degree", "1",
+             "--out", str(out)],
+        )
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "76b361c9592527e83188cd2809bbd614f4fca2774b62399cea242b2fd784ac30"
+        )
 
     def test_degree_cap(self, runner):
         res = runner.invoke(

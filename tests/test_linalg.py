@@ -1,9 +1,9 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
+from syzkit import cohomology as coh
 from syzkit import linalg
 from syzkit import nilmanifold as nil
 from syzkit.coeffring import GaussianRational, ONE, ZERO, Poly
@@ -15,6 +15,109 @@ from syzkit.sustruct import mirror_transform
 
 def rand_matrix(rng, rows, cols):
     return [[random_scalar(rng) for _ in range(cols)] for _ in range(rows)]
+
+
+def dense_rref(m, cols):
+    """Independent oracle: dense reduced row echelon form by plain field
+    elimination, the first nonzero entry of each column as its pivot."""
+    a = [list(row) for row in m]
+    rows = len(a)
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = ONE / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+    return a, piv_cols
+
+
+def oracle_nullspace(m, cols):
+    red, piv = dense_rref(m, cols)
+    basis = []
+    for free in range(cols):
+        if free in piv:
+            continue
+        v = [ZERO] * cols
+        v[free] = ONE
+        for r, pc in enumerate(piv):
+            v[pc] = -red[r][free]
+        basis.append(v)
+    return basis
+
+
+def oracle_solve(m, b, cols):
+    red, piv = dense_rref([list(row) + [bv] for row, bv in zip(m, b)], cols + 1)
+    if cols in piv:
+        return None
+    x = [ZERO] * cols
+    for r, pc in enumerate(piv):
+        x[pc] = red[r][cols]
+    return x
+
+
+def sparse(v):
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def dense(v, n):
+    return [v.get(i, ZERO) for i in range(n)]
+
+
+def columns_of(m, cols):
+    return [sparse([row[j] for row in m]) for j in range(cols)]
+
+
+def mat_vec(m, x):
+    return [sum((a * v for a, v in zip(row, x)), ZERO) for row in m]
+
+
+def mat_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def identity(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def sparse_entry(rng):
+    return random_scalar(rng) if rng.random() < 0.6 else ZERO
+
+
+MATRIX_KINDS = ("tall", "wide", "rank-deficient", "zero-lines")
+
+
+def random_kind_matrix(rng, kind):
+    """A sparse matrix with non-integer Gaussian-rational entries of the given kind."""
+    if kind == "tall":
+        rows, cols = rng.randint(4, 7), rng.randint(1, 3)
+    elif kind == "wide":
+        rows, cols = rng.randint(1, 3), rng.randint(4, 7)
+    else:
+        rows, cols = rng.randint(2, 6), rng.randint(2, 6)
+    if kind == "rank-deficient":
+        k = rng.randint(1, min(rows, cols) - 1)
+        left = [[sparse_entry(rng) for _ in range(k)] for _ in range(rows)]
+        right = [[sparse_entry(rng) for _ in range(cols)] for _ in range(k)]
+        return mat_mul(left, right), cols
+    m = [[sparse_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero-lines":
+        zr, zc = rng.randrange(rows), rng.randrange(cols)
+        m[zr] = [ZERO] * cols
+        for row in m:
+            row[zc] = ZERO
+    return m, cols
 
 
 def det_permutation_expansion(m):
@@ -66,7 +169,7 @@ def random_unit_det_matrix(rng, n):
     and a constant invertible matrix: its determinant is a nonzero constant."""
     while True:
         c = [[GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]
-        if linalg.rank(c) == n:
+        if linalg.rank([sparse(row) for row in c]) == n:
             break
     out = [[Poly.constant(x) for x in row] for row in c]
     for lower in (False, True):
@@ -80,17 +183,21 @@ def random_unit_det_matrix(rng, n):
     return out
 
 
-def mirror_transition(k):
-    """The polynomial change of basis (holomorphic factors and their
-    conjugates against the real generators) of the size-k mirror structure."""
+def flat_pair_with_nil_labels(k):
     nd = nil.build(k)
-    pair = SemiflatPair(
+    return nd, SemiflatPair(
         nd.n,
         base_vars=nd.base_vars,
         fiber_x_labels=[f"dthc{i}{j}" for i, j in nd.pairs],
         fiber_mirror_labels=[f"dth{i}{j}" for i, j in nd.pairs],
         holo_labels=[f"dz{i}{j}" for i, j in nd.pairs],
     )
+
+
+def mirror_transition(k):
+    """The polynomial change of basis (holomorphic factors and their
+    conjugates against the real generators) of the size-k mirror structure."""
+    nd, pair = flat_pair_with_nil_labels(k)
     su = mirror_transform(pair, nil.omega_hermitian(nd).transport(pair.frame_xc))
     forms = su.Omega_factors + [f.conjugate() for f in su.Omega_factors]
     cols = sorted({next(bits(mask)) for f in forms for mask in f.terms})
@@ -99,22 +206,49 @@ def mirror_transition(k):
 
 class TestElimination:
     @pytest.mark.parametrize("seed", range(30))
-    def test_bareiss_and_field_ranks_agree(self, seed):
+    def test_core_matches_dense_oracle(self, seed):
         rng = random.Random(seed)
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = rand_matrix(rng, rows, cols)
-        assert linalg.rank_bareiss(m) == linalg.rank(m)
+        m, cols = random_kind_matrix(rng, MATRIX_KINDS[seed % len(MATRIX_KINDS)])
+        red, piv = dense_rref(m, cols)
+        core = linalg.reduced_echelon([sparse(row) for row in m])
+        assert list(core) == piv
+        assert [dense(core[c], cols) for c in piv] == red[:len(piv)]
+        assert linalg.rref(m) == (red, piv)
+        shuffled = [sparse(row) for row in m]
+        rng.shuffle(shuffled)
+        assert linalg.reduced_echelon(shuffled) == core
+        assert linalg.rank([sparse(row) for row in m]) == len(piv)
+        assert linalg.rank(columns_of(m, cols)) == len(piv)
+        assert linalg.column_space_pivots(columns_of(m, cols)) == piv
+        assert [dense(v, cols) for v in linalg.nullspace(columns_of(m, cols))] == oracle_nullspace(m, cols)
+        x = [sparse_entry(rng) for _ in range(cols)]
+        for b in (mat_vec(m, x), [sparse_entry(rng) for _ in m]):
+            want = oracle_solve(m, b, cols)
+            got = linalg.solve(columns_of(m, cols), sparse(b))
+            assert (got if got is None else dense(got, cols)) == want
+        assert oracle_solve(m, mat_vec(m, x), cols) is not None
+
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, rows, cols):
+        columns = [{} for _ in range(cols)]
+        assert linalg.reduced_echelon({} for _ in range(rows)) == {}
+        assert linalg.rref([[] for _ in range(rows)]) == ([[] for _ in range(rows)], [])
+        assert linalg.rank(columns) == 0
+        assert linalg.column_space_pivots(columns) == []
+        assert [dense(v, cols) for v in linalg.nullspace(columns)] == identity(cols)
+        assert linalg.solve(columns, {}) == {}
+        assert linalg.solve(columns, {0: ONE}) is None
+        assert linalg.invert([]) == []
 
     @pytest.mark.parametrize("seed", range(20))
     def test_nullspace_vectors_annihilate(self, seed):
         rng = random.Random(100 + seed)
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
         m = rand_matrix(rng, rows, cols)
-        basis = linalg.nullspace(m)
-        assert len(basis) == cols - linalg.rank(m)
+        basis = linalg.nullspace(columns_of(m, cols))
+        assert len(basis) == cols - linalg.rank([sparse(row) for row in m])
         for v in basis:
-            for row in m:
-                assert sum((a * b for a, b in zip(row, v)), ZERO) == ZERO
+            assert mat_vec(m, dense(v, cols)) == [ZERO] * rows
 
     @pytest.mark.parametrize("seed", range(20))
     def test_solve_consistency(self, seed):
@@ -122,37 +256,56 @@ class TestElimination:
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = rand_matrix(rng, rows, cols)
         x = [random_scalar(rng) for _ in range(cols)]
-        b = [sum((a * v for a, v in zip(row, x)), ZERO) for row in m]
-        sol = linalg.solve(m, b)
+        b = mat_vec(m, x)
+        sol = linalg.solve(columns_of(m, cols), sparse(b))
         assert sol is not None
-        for row, bv in zip(m, b):
-            assert sum((a * v for a, v in zip(row, sol)), ZERO) == bv
+        assert mat_vec(m, dense(sol, cols)) == b
 
     def test_solve_inconsistent(self):
-        m = [[ONE], [ONE]]
-        assert linalg.solve(m, [ONE, GaussianRational(2)]) is None
+        assert linalg.solve([{0: ONE, 1: ONE}], {0: ONE, 1: GaussianRational(2)}) is None
 
     def test_invert_roundtrip(self):
         rng = random.Random(5)
         for _ in range(10):
             n = rng.randint(1, 4)
             while True:
-                m = rand_matrix(rng, n, n)
-                if linalg.rank(m) == n:
+                m = [[sparse_entry(rng) for _ in range(n)] for _ in range(n)]
+                if linalg.rank([sparse(row) for row in m]) == n:
                     break
-            inv = linalg.invert(m)
-            prod = linalg.mat_mul(m, inv)
-            assert prod == linalg.identity(n)
+            inv = linalg.invert([sparse(row) for row in m])
+            assert mat_mul(m, inv) == identity(n)
+            red, _ = dense_rref([row + e for row, e in zip(m, identity(n))], 2 * n)
+            assert inv == [row[n:] for row in red]
 
-    def test_bareiss_divisions_exact_on_rationals(self):
-        rng = random.Random(9)
-        m = [[GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
-                               Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
-              for _ in range(5)] for _ in range(4)]
-        ech, piv = linalg.bareiss_echelon(m)
-        for row in ech:
-            for x in row:
-                assert x.re.denominator == 1 and x.im.denominator == 1
+    def test_invert_singular_rejected(self):
+        with pytest.raises(ArithmeticError, match="singular"):
+            linalg.invert([{0: ONE, 1: ONE}, {0: GaussianRational(2), 1: GaussianRational(2)}])
+
+
+class TestOperatorMatrices:
+    def test_core_matches_dense_oracle_on_k3_operator_matrices(self):
+        # the matrices behind `cohomology --K 3 --degree 1` on the (2,1) slot:
+        # d d^Lambda arriving from (3,0), and d and d^Lambda leaving (2,1)
+        _, pair = flat_pair_with_nil_labels(3)
+        ty = coh.ty_complex(pair.frame_x, 1)
+        slot = ty.slot(2, 1)
+        ranks = []
+        for columns in (
+            ty.matrix_on_slot("ddlambda", ty.slot(3, 0), slot),
+            ty.matrix_on_slot("d", slot),
+            ty.matrix_on_slot("dlambda", slot),
+        ):
+            cols = len(columns)
+            m = [[col.get(r, ZERO) for col in columns] for r in sorted(set().union(*columns))]
+            red, piv = dense_rref(m, cols)
+            ranks.append(len(piv))
+            core = linalg.reduced_echelon([sparse(row) for row in m])
+            assert list(core) == piv
+            assert [dense(core[c], cols) for c in piv] == red[:len(piv)]
+            assert linalg.rank(columns) == len(piv)
+            assert linalg.column_space_pivots(columns) == piv
+            assert [dense(v, cols) for v in linalg.nullspace(columns)] == oracle_nullspace(m, cols)
+        assert ranks[1] > 0 and ranks[2] > 0
 
 
 class TestPolyMatrices:
