@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .coeffring import GaussianRational, I, ONE, Poly, P_ONE
+from .coeffring import GaussianRational, Poly, P_ONE
 from .exterior import (
     Form,
     FrameMismatch,
@@ -139,8 +139,9 @@ class ComplexBasis:
     """A holomorphic coframe dz_k (with conjugates) over a real frame.
 
     Stores both directions of the change of basis; the inverse is computed
-    exactly (field elimination for constant transitions, Newton-lifted and
-    verified for unit-determinant polynomial ones) and checked by a round trip.
+    exactly (Newton-lifted from the inverse of the constant term and verified,
+    so a constant transition returns after the first check) and checked by a
+    round trip.
     """
 
     def __init__(self, real_frame: FrameSpec, holo_forms: Sequence[tuple[str, Form]]):
@@ -170,18 +171,10 @@ class ComplexBasis:
             [f.terms.get(1 << c, Poly()) for c in cols]
             for f in holo + anti
         ]
-        if all(p.is_constant() for row in trans for p in row):
-            rows = [{j: p.constant_value() for j, p in enumerate(row) if p} for row in trans]
-            try:
-                inv_c = linalg.invert(rows)
-            except ArithmeticError as e:
-                raise BasisChangeError(str(e)) from None
-            inv = [[Poly.constant(x) for x in row] for row in inv_c]
-        else:
-            try:
-                inv = linalg.poly_matrix_inverse_unit_det(trans)
-            except ArithmeticError as e:
-                raise BasisChangeError(str(e)) from None
+        try:
+            inv = linalg.poly_matrix_inverse_unit_det(trans)
+        except ArithmeticError as e:
+            raise BasisChangeError(str(e)) from None
 
         gens = []
         for k, lab in enumerate(self.holo_labels):

@@ -19,7 +19,6 @@ import click
 from . import cohomology as cohmod
 from . import nilmanifold as nil
 from .calculus import exterior_d
-from .coeffring import GaussianRational
 from .exterior import Form, FrameMismatch, GenClass
 from .fourier import SemiflatPair
 from .proptest import SUITES
@@ -118,22 +117,16 @@ def cmd_nil(k: int, out: str | None):
     )
     rep.add("dual-pairing-identity", ok)
 
-    su_b = nil.build_iib_side(nd)
-    if nd.n >= 3:
-        wk = Form.scalar(nd.x_coord, 1)
-        for _ in range(nd.n - 2):
-            wk = wk.wedge(su_b.omega)
-        d_wk = exterior_d(wk)
-        rep.add("d-omega-power-n-minus-2-nonzero", not d_wk.is_zero())
-
     mirror_rep, arts = nil.check_mirror_pair(nd)
+    if nd.n >= 3:
+        d_wk = exterior_d(arts.su_iib.omega_power(nd.n - 2))
+        rep.add("d-omega-power-n-minus-2-nonzero", not d_wk.is_zero())
     rep.extend(mirror_rep)
 
     if out:
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
-        su_a = arts.su_mirror
-        for name, su in (("iib", su_b), ("iia", su_a)):
+        for name, su in (("iib", arts.su_iib), ("iia", arts.su_mirror)):
             doc = {"schema": FIXTURE_SCHEMA, "kind": "su-structure", "K": k}
             doc.update(su.to_json())
             (outdir / f"{name}-K{k}.json").write_text(
@@ -147,7 +140,7 @@ def cmd_nil(k: int, out: str | None):
 @main.command("fm")
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
 @click.option("--direction", type=click.Choice(["fwd", "back"]), required=True)
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=click.IntRange(min=1), required=True)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_fm(input_path: str, direction: str, n: int, out: str | None):
     """Transform a form (JSON) across the standard rank-n pair."""
@@ -235,13 +228,7 @@ def cmd_cohomology(k: int, side: str | None, which: str, p: int, q: int, degree:
     for name, v in (("--p", p), ("--q", q)):
         if not 0 <= v <= nd.n:
             raise click.UsageError(f"{name} {v} is outside 0..{nd.n} (n = {nd.n} at K={k})")
-    pair = SemiflatPair(
-        nd.n,
-        base_vars=nd.base_vars,
-        fiber_x_labels=[f"dthc{i}{j}" for i, j in nd.pairs],
-        fiber_mirror_labels=[f"dth{i}{j}" for i, j in nd.pairs],
-        holo_labels=[f"dz{i}{j}" for i, j in nd.pairs],
-    )
+    pair = nil.semiflat_pair(nd)
     rep = CheckReport("cohomology", config={
         "K": k, "side": side or wanted or "both", "which": which,
         "p": p, "q": q, "D": degree,

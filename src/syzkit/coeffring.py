@@ -99,9 +99,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
@@ -443,9 +440,7 @@ class Poly:
         return Poly(vs, terms)
 
 
-P_ZERO = Poly()
 P_ONE = Poly.constant(1)
-P_I = Poly.constant(I)
 
 
 def exponent_vectors(nvars: int, max_total: int) -> list[tuple[int, ...]]:
@@ -504,9 +499,6 @@ class PolyRatio:
         if self.num == self.den * c:
             return c
         raise ValueError(f"ratio is not constant: ({self.num})/({self.den})")
-
-    def inverse(self) -> "PolyRatio":
-        return PolyRatio(self.den, self.num)
 
     def __mul__(self, other):
         if isinstance(other, PolyRatio):

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .coeffring import GaussianRational, ONE, Poly, P_ONE, Scalarish
+from .coeffring import GaussianRational, ONE, Poly, P_ONE
 
 Coefflike = Union[int, Fraction, GaussianRational, Poly]
 
@@ -92,7 +92,7 @@ class FrameSpec:
         for i, g in enumerate(gens):
             if g.paired_base_var is not None:
                 self._base_one_forms[g.paired_base_var] = Form.gen(self, g.label)
-        self._collect_images: Optional[dict[int, Form]] = None
+        self._collect_images: Optional[dict[str, Form]] = None
 
     # frames are compared structurally so that reconstructed frames interoperate
     def _signature(self):
@@ -276,14 +276,6 @@ class Form:
 
     def part(self, k: int) -> "Form":
         return Form(self.frame, {m: p for m, p in self.terms.items() if m.bit_count() == k})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def top_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(m.bit_count() for m in self.terms)
 
     def leg_count(self, cls: GenClass) -> set[int]:
         cm = self.frame.class_mask(cls)
@@ -560,10 +552,7 @@ def _collect_images(frame: FrameSpec) -> dict[str, Form]:
 def frame_collect(form: Form, frame: FrameSpec) -> Form:
     """Inverse of frame_expand: rewrite a coordinate form in a frame basis."""
     if frame._collect_images is None:
-        by_label = _collect_images(frame)
-        frame._collect_images = {  # cached; keyed by coordinate-frame index later
-            lab: f for lab, f in by_label.items()
-        }
+        frame._collect_images = _collect_images(frame)
     solved = frame._collect_images
     images = {}
     for i, g in enumerate(form.frame.generators):

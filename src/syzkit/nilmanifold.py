@@ -14,24 +14,21 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional
+from dataclasses import dataclass
 
 from .calculus import exterior_d
-from .coeffring import GaussianRational, I, ONE, Poly, P_ONE
+from .coeffring import GaussianRational, I, Poly
 from .exterior import (
     Form,
     FrameSpec,
     GenClass,
     Generator,
-    bits,
     frame_collect,
     frame_expand,
     substitute_generators,
 )
 from .fourier import SemiflatPair
-from .reports import PASS, CheckReport
+from .reports import CheckReport
 from .sustruct import (
     Polarization,
     SUStructure,
@@ -42,7 +39,6 @@ from .sustruct import (
     mirror_transform,
     proportional_to,
 )
-from .calculus import ComplexBasis
 
 
 DEFAULT_MAX_K = 5
@@ -73,9 +69,6 @@ class NilData:
     fc_forms: dict[tuple[int, int], Form]
     gamma_var_subst: dict[str, Poly]
     gamma_x_images: dict[int, Form]
-
-    def pair_label(self, p: tuple[int, int], prefix: str) -> str:
-        return f"{prefix}{p[0]}{p[1]}"
 
 
 def build(K: int) -> NilData:
@@ -265,49 +258,44 @@ def omega_canonical(nd: NilData) -> Form:
     return w
 
 
-def big_omega_iia(nd: NilData) -> tuple[list[Form], Form]:
-    """Factors fc_jk + i e_jk (dictionary order) and their product, expanded
-    on the symplectic-side coordinates."""
-    factors = []
-    prod = Form.scalar(nd.xc_coord, 1)
-    for p in nd.pairs:
-        f = nd.fc_forms[p] + nd.e_forms[p].transport(nd.xc_coord) * I
-        factors.append(f)
-        prod = prod.wedge(f)
-    return factors, prod
-
-
 def build_iib_side(nd: NilData) -> SUStructure:
     """Complex side: holomorphic volume form in the coordinates z_ij =
     th_ij + i r_ij, Hermitian form sum f ^ e."""
-    factors = []
-    for i, j in nd.pairs:
-        factors.append(
-            Form.gen(nd.x_coord, f"dth{i}{j}") + Form.gen(nd.x_coord, f"dr{i}{j}") * I
-        )
-    basis = ComplexBasis(
-        nd.x_coord,
-        [(f"dz{i}{j}", f) for (i, j), f in zip(nd.pairs, factors)],
-    )
+    factors = [
+        Form.gen(nd.x_coord, f"dth{i}{j}") + Form.gen(nd.x_coord, f"dr{i}{j}") * I
+        for i, j in nd.pairs
+    ]
     return SUStructure(
         nd.n,
         nd.x_coord,
         omega_hermitian(nd),
         Omega_factors=factors,
-        complex_basis=basis,
+        holo_labels=[f"dz{i}{j}" for i, j in nd.pairs],
     )
 
 
 def build_iia_side(nd: NilData) -> SUStructure:
-    """Symplectic side: canonical symplectic form, volume form wedge of
-    fc + i e, fiber polarization."""
-    factors, prod = big_omega_iia(nd)
+    """Symplectic side: canonical symplectic form, volume form wedge of the
+    factors fc_jk + i e_jk (dictionary order), fiber polarization."""
+    factors = [nd.fc_forms[p] + nd.e_forms[p].transport(nd.xc_coord) * I for p in nd.pairs]
     return SUStructure(
         nd.n,
         nd.xc_coord,
         omega_canonical(nd),
         Omega_factors=factors,
         polarization=Polarization(GenClass.FIBER_X, None),
+    )
+
+
+def semiflat_pair(nd: NilData) -> SemiflatPair:
+    """The flat semi-flat pair of rank n written with the family's labels:
+    fibers dthc_ij / dth_ij over the base r_ij, holomorphic one-forms dz_ij."""
+    return SemiflatPair(
+        nd.n,
+        base_vars=nd.base_vars,
+        fiber_x_labels=[f"dthc{i}{j}" for i, j in nd.pairs],
+        fiber_mirror_labels=[f"dth{i}{j}" for i, j in nd.pairs],
+        holo_labels=[f"dz{i}{j}" for i, j in nd.pairs],
     )
 
 
@@ -327,13 +315,7 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
     product, both supersymmetry systems, and the flux correspondence."""
     rep = CheckReport("mirror-pair", config={"K": nd.K, "n": nd.n})
     n = nd.n
-    pair = SemiflatPair(
-        n,
-        base_vars=nd.base_vars,
-        fiber_x_labels=[f"dthc{i}{j}" for i, j in nd.pairs],
-        fiber_mirror_labels=[f"dth{i}{j}" for i, j in nd.pairs],
-        holo_labels=[f"dz{i}{j}" for i, j in nd.pairs],
-    )
+    pair = semiflat_pair(nd)
     su_b = build_iib_side(nd)
     rep.extend(check_iib(su_b))
 
@@ -346,8 +328,7 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
     rep.add("volume-form-integral-vs-closed-form", omega_fm == su_a.Omega,
             omega_fm - su_a.Omega)
 
-    _, omega_iia_nil = big_omega_iia(nd)
-    c = proportional_to(omega_fm, omega_iia_nil.transport(pair.frame_x))
+    c = proportional_to(omega_fm, build_iia_side(nd).Omega.transport(pair.frame_x))
     pref = GaussianRational(1 if (n * (n - 1) // 2) % 2 == 0 else -1)
     rep.add("volume-form-matches-frame-product", c == pref,
             f"constant {c}, expected {pref}")

@@ -6,7 +6,6 @@ timestamps or timings (the CLI prints wall-clock times to stdout only).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,17 +53,6 @@ class CheckReport:
     @property
     def failed_ids(self) -> list[str]:
         return [i.id for i in self.items if i.status == FAIL]
-
-    def to_json(self):
-        return {
-            "name": self.name,
-            "config": self.config,
-            "items": [i.to_json() for i in self.items],
-            "passed": self.passed,
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
 
     def summary_lines(self) -> list[str]:
         lines = []

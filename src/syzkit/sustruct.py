@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import factorial
 from typing import Optional, Sequence
 
 from . import linalg
@@ -31,13 +32,12 @@ from .coeffring import (
     ONE,
     Poly,
     PolyRatio,
-    P_ONE,
     ZERO,
     exponent_vectors,
 )
 from .exterior import Form, FrameSpec, GenClass, bits
 from .fourier import SemiflatPair
-from .reports import FAIL, PASS, UNDETERMINED, CheckReport
+from .reports import PASS, UNDETERMINED, CheckReport
 
 QUARTER_UNITS = (GaussianRational(1), I, GaussianRational(-1), -I)
 
@@ -55,13 +55,14 @@ class FluxCurrent:
 
 
 class SUStructure:
-    """A pair (omega, Omega) with optional polarization / complex-basis data.
+    """A pair (omega, Omega) with optional polarization data.
 
-    `Omega_factors`, when present, is the decomposition of Omega into complex
-    one-forms (times `prefactor`).  Given `holo_labels` to name them, the
-    induced complex basis is built from the factors on the first read of
-    `complex_basis`, and is None when the transition is not exactly
-    invertible.  A ready `complex_basis` passed in is used as it is.
+    Omega is `prefactor` times the wedge of `Omega_factors`, its decomposition
+    into complex one-forms; the product is formed once, here.  Given
+    `holo_labels` to name the factors, the induced complex basis is built
+    from them on the first read of `complex_basis`, and is None when the
+    transition is not exactly invertible.  `omega_power(k)` wedges each power
+    of omega once and keeps it.
     """
 
     def __init__(
@@ -69,41 +70,44 @@ class SUStructure:
         n: int,
         frame: FrameSpec,
         omega: Form,
-        Omega: Optional[Form] = None,
-        Omega_factors: Optional[Sequence[Form]] = None,
+        Omega_factors: Sequence[Form],
         prefactor: GaussianRational = ONE,
         polarization: Optional[Polarization] = None,
-        complex_basis: Optional[ComplexBasis] = None,
         mu: Optional[list[list[Poly]]] = None,
         holo_labels: Optional[Sequence[str]] = None,
     ):
-        if Omega is None and Omega_factors is None:
-            raise ValueError("need Omega or its factors")
         self.n = n
         self.frame = frame
         self.omega = omega
-        self.Omega_factors = list(Omega_factors) if Omega_factors is not None else None
-        if Omega is None:
-            Omega = Form.scalar(frame, prefactor)
-            for f in self.Omega_factors:
-                Omega = Omega.wedge(f)
+        self.Omega_factors = list(Omega_factors)
+        Omega = Form.scalar(frame, prefactor)
+        for f in self.Omega_factors:
+            Omega = Omega.wedge(f)
         self.Omega = Omega
         self.prefactor = prefactor
         self.polarization = polarization
         self.holo_labels = None if holo_labels is None else list(holo_labels)
-        if complex_basis is not None:
-            self.complex_basis = complex_basis
         self.mu = mu
         self._conformal: Optional[ConformalFactor] = None
+        self._omega_powers = [Form.scalar(frame, 1), omega]
 
     @cached_property
     def complex_basis(self) -> Optional[ComplexBasis]:
-        if self.holo_labels is None or self.Omega_factors is None:
+        if self.holo_labels is None:
             return None
         try:
             return ComplexBasis(self.frame, list(zip(self.holo_labels, self.Omega_factors)))
         except BasisChangeError:
             return None
+
+    def omega_power(self, k: int) -> Form:
+        """omega^k (omega^0 = 1); each power is wedged once, on first use."""
+        if k < 0:
+            raise ValueError("omega power must be non-negative")
+        powers = self._omega_powers
+        while len(powers) <= k:
+            powers.append(powers[-1].wedge(self.omega))
+        return powers[k]
 
     def conformal_factor(self) -> "ConformalFactor":
         if self._conformal is None:
@@ -122,7 +126,7 @@ class SUStructure:
                 "fiber_class": self.polarization.fiber_class.value,
                 "phase_quarter": self.polarization.phase_quarter,
             }
-        out = {
+        return {
             "n": self.n,
             "frame": {
                 "labels": [g.label for g in self.frame.generators],
@@ -132,13 +136,9 @@ class SUStructure:
             },
             "omega": self.omega.to_json(),
             "polarization": pol,
+            "Omega_factors": [f.to_json() for f in self.Omega_factors],
+            "prefactor": self.prefactor.to_json(),
         }
-        if self.Omega_factors is not None:
-            out["Omega_factors"] = [f.to_json() for f in self.Omega_factors]
-            out["prefactor"] = self.prefactor.to_json()
-        else:
-            out["Omega"] = self.Omega.to_json()
-        return out
 
     @staticmethod
     def from_json(obj) -> "SUStructure":
@@ -149,6 +149,8 @@ class SUStructure:
         for lab, cls, paired in zip(fr["labels"], fr["classes"], fr["paired"]):
             gens.append(Generator(lab, GenClass(cls), paired_base_var=paired))
         frame = FrameSpec(gens, fr["base_vars"], obj["n"])
+        if obj["n"] < 1:
+            raise ValueError(f"n must be at least 1, got {obj['n']}")
         omega = Form.from_json(obj["omega"], frame)
         pol = None
         if obj.get("polarization"):
@@ -156,25 +158,15 @@ class SUStructure:
                 GenClass(obj["polarization"]["fiber_class"]),
                 obj["polarization"].get("phase_quarter"),
             )
-        factors = None
-        Omega = None
-        pref = ONE
-        labels = None
-        if "Omega_factors" in obj:
-            factors = [Form.from_json(f, frame) for f in obj["Omega_factors"]]
-            pref = GaussianRational.from_json(obj["prefactor"])
-            labels = [f"dz{k+1}" for k in range(len(factors))]
-        else:
-            Omega = Form.from_json(obj["Omega"], frame)
+        factors = [Form.from_json(f, frame) for f in obj["Omega_factors"]]
         return SUStructure(
             obj["n"],
             frame,
             omega,
-            Omega=Omega,
             Omega_factors=factors,
-            prefactor=pref,
+            prefactor=GaussianRational.from_json(obj["prefactor"]),
             polarization=pol,
-            holo_labels=labels,
+            holo_labels=[f"dz{k+1}" for k in range(len(factors))],
         )
 
 
@@ -213,20 +205,12 @@ def conformal_factor(s: SUStructure) -> ConformalFactor:
     if len(s.frame) != 2 * s.n:
         raise ValueError("frame must have exactly 2n one-form generators")
     oo = s.Omega.wedge(s.Omega.conjugate())
-    wn = s.omega
-    fact = 1
-    for k in range(2, s.n + 1):
-        wn = wn.wedge(s.omega)
-        fact *= k
-    wn = wn * Fraction(1, fact)
+    wn = s.omega_power(s.n) * Fraction(1, factorial(s.n))
     den = _top_coefficient(s.frame, wn)
     if den.is_zero():
         raise ValueError("omega is degenerate: omega^n = 0")
     num = _top_coefficient(s.frame, oo)
-    i_n = ONE
-    for _ in range(s.n):
-        i_n = i_n * I
-    return ConformalFactor(PolyRatio(num, den * i_n))
+    return ConformalFactor(PolyRatio(num, den * I ** s.n))
 
 
 def proportional_to(form: Form, candidate: Form) -> Optional[GaussianRational]:
@@ -274,10 +258,7 @@ def check_iib(s: SUStructure) -> CheckReport:
     rep.extend(check_su(s))
     dO = exterior_d(s.Omega)
     rep.add("d-Omega-vanishes", dO.is_zero(), dO)
-    wk = Form.scalar(s.frame, 1)
-    for _ in range(s.n - 1):
-        wk = wk.wedge(s.omega)
-    dw = exterior_d(wk)
+    dw = exterior_d(s.omega_power(s.n - 1))
     rep.add("d-omega-power-n-minus-1-vanishes", dw.is_zero(), dw)
     return rep
 
@@ -520,14 +501,10 @@ def check_deformation_class(
             rep.add_status("lefschetz-primitive-decomposition", UNDETERMINED,
                            "no complex basis available")
             return rep
-        wk = Form.scalar(s.frame, 1)
-        for _ in range(n - 2):
-            wk = wk.wedge(s.omega)
-        wk1 = wk.wedge(s.omega)
         if degree_bound is None:
             degree_bound = max((p.degree() for p in delta.terms.values()), default=0)
             degree_bound = max(degree_bound, 0)
-        beta = _solve_primitive_11(s, delta, wk, wk1, degree_bound)
+        beta = _solve_primitive_11(s, delta, s.omega_power(n - 2), s.omega_power(n - 1), degree_bound)
         rep.add("lefschetz-primitive-decomposition", beta is not None,
                 f"no primitive (1,1) beta with omega^{n-2}^beta = delta "
                 f"(coefficient degree <= {degree_bound})")

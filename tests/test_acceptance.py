@@ -86,13 +86,7 @@ def test_criterion_4_mirror_su_structures():
     ok = True
     for K in (3, 4):
         nd = nil.build(K)
-        pair = SemiflatPair(
-            nd.n,
-            base_vars=nd.base_vars,
-            fiber_x_labels=[f"dthc{i}{j}" for i, j in nd.pairs],
-            fiber_mirror_labels=[f"dth{i}{j}" for i, j in nd.pairs],
-            holo_labels=[f"dz{i}{j}" for i, j in nd.pairs],
-        )
+        pair = nil.semiflat_pair(nd)
         su_b = nil.build_iib_side(nd)
         su_a = mirror_transform(pair, nil.omega_hermitian(nd).transport(pair.frame_xc))
         ok &= check_iib(su_b).passed
@@ -109,7 +103,6 @@ def test_criterion_5_flux_correspondence(pair3):
     factors = [
         Form.gen(frame, f"dtc{k}") + Form.gen(frame, f"dr{k}") * I for k in (1, 2, 3)
     ]
-    from syzkit.calculus import ComplexBasis
     from syzkit.sustruct import SUStructure
 
     su_b = SUStructure(
@@ -117,7 +110,7 @@ def test_criterion_5_flux_correspondence(pair3):
         frame,
         su_b_omega,
         Omega_factors=factors,
-        complex_basis=ComplexBasis(frame, [(f"dz{k}", f) for k, f in enumerate(factors, 1)]),
+        holo_labels=["dz1", "dz2", "dz3"],
     )
     su_a = mirror_transform(pair3, su_b_omega)
     rho_a, _ = flux_iia(su_a)
@@ -204,13 +197,7 @@ def test_criterion_8_cohomology_mirror():
                 expect = comb(n, p) * comb(n, q)
                 ok &= rep.passed and bcr.dim == expect and tyr.dim == expect
     nd = nil.build(3)
-    pair = SemiflatPair(
-        nd.n,
-        base_vars=nd.base_vars,
-        fiber_x_labels=[f"dthc{i}{j}" for i, j in nd.pairs],
-        fiber_mirror_labels=[f"dth{i}{j}" for i, j in nd.pairs],
-        holo_labels=[f"dz{i}{j}" for i, j in nd.pairs],
-    )
+    pair = nil.semiflat_pair(nd)
     baselines = {(0, 1, 1): 9, (0, 2, 2): 9, (1, 1, 1): 19, (1, 2, 2): 30,
                  (2, 1, 1): 28, (2, 2, 2): 58}
     for D in (0, 1, 2):

@@ -104,6 +104,25 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
         assert res.exit_code != 0
 
+    def test_unfactored_volume_form_usage_error(self, runner, fixtures, tmp_path):
+        # a volume form is read only as its factors
+        doc = json.loads((fixtures / "iib-K3.json").read_text())
+        doc["Omega"] = doc.pop("Omega_factors")
+        f = tmp_path / "omega.json"
+        f.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert "missing key 'Omega_factors'" in res.output
+
+    def test_nonpositive_n_usage_error(self, runner, fixtures, tmp_path):
+        doc = json.loads((fixtures / "iib-K3.json").read_text())
+        doc["n"] = 0
+        f = tmp_path / "n0.json"
+        f.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert "n must be at least 1" in res.output
+
     def test_fixture_missing_key_usage_error(self, runner, tmp_path):
         # once a KeyError traceback
         f = tmp_path / "nofr.json"
@@ -181,6 +200,16 @@ class TestFmCommand:
         assert res.exit_code == 2, res.output
         assert f"{case}.json" in res.output
         assert cause in res.output
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_rank_usage_error(self, runner, tmp_path, n):
+        # once a ValueError traceback from SemiflatPair
+        src = tmp_path / "one.json"
+        src.write_text(json.dumps(Form.scalar(SemiflatPair(1).holo_frame, 1).to_json()))
+        res = runner.invoke(main, ["fm", "--input", str(src), "--direction", "fwd", "--n", n])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "--n" in res.output
 
     def test_wrong_side_rejected(self, runner, tmp_path):
         pair = SemiflatPair(2)

@@ -13,14 +13,7 @@ from syzkit.fourier import SemiflatPair
 @pytest.fixture(scope="module")
 def flat_k3_setting():
     nd = nil.build(3)
-    pair = SemiflatPair(
-        nd.n,
-        base_vars=nd.base_vars,
-        fiber_x_labels=[f"dthc{i}{j}" for i, j in nd.pairs],
-        fiber_mirror_labels=[f"dth{i}{j}" for i, j in nd.pairs],
-        holo_labels=[f"dz{i}{j}" for i, j in nd.pairs],
-    )
-    return nd, pair
+    return nd, nil.semiflat_pair(nd)
 
 
 class TestComplexConstruction:

@@ -8,7 +8,6 @@ from syzkit import linalg
 from syzkit import nilmanifold as nil
 from syzkit.coeffring import GaussianRational, ONE, ZERO, Poly
 from syzkit.exterior import bits
-from syzkit.fourier import SemiflatPair
 from syzkit.randgen import random_poly, random_scalar
 from syzkit.sustruct import mirror_transform
 
@@ -185,13 +184,7 @@ def random_unit_det_matrix(rng, n):
 
 def flat_pair_with_nil_labels(k):
     nd = nil.build(k)
-    return nd, SemiflatPair(
-        nd.n,
-        base_vars=nd.base_vars,
-        fiber_x_labels=[f"dthc{i}{j}" for i, j in nd.pairs],
-        fiber_mirror_labels=[f"dth{i}{j}" for i, j in nd.pairs],
-        holo_labels=[f"dz{i}{j}" for i, j in nd.pairs],
-    )
+    return nd, nil.semiflat_pair(nd)
 
 
 def mirror_transition(k):

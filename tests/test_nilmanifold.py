@@ -230,7 +230,7 @@ class TestMirrorPair:
 
     def test_volume_form_constant(self, nd3):
         rep, arts = nil.check_mirror_pair(nd3)
-        _, omega_nil = nil.big_omega_iia(nd3)
+        omega_nil = nil.build_iia_side(nd3).Omega
         from syzkit.sustruct import proportional_to
 
         c = proportional_to(
