@@ -7,7 +7,6 @@ from .exterior import (
     FrameSpec,
     GenClass,
     Generator,
-    NonTriangularFrame,
     frame_collect,
     frame_expand,
     koszul_sign,
@@ -48,7 +47,7 @@ from . import cohomology, linalg, nilmanifold
 __all__ = [
     "GaussianRational", "I", "ONE", "ZERO", "Poly", "PolyRatio",
     "Form", "FrameSpec", "GenClass", "Generator",
-    "FrameMismatch", "NonTriangularFrame",
+    "FrameMismatch",
     "frame_collect", "frame_expand", "koszul_sign", "substitute_generators",
     "BasisChangeError", "ComplexBasis", "MissingPairing", "SymplecticData",
     "d_lambda", "dolbeault", "dual_lefschetz", "exterior_d", "lefschetz",

@@ -14,22 +14,24 @@ from typing import Optional, Sequence
 from . import linalg
 from .coeffring import GaussianRational, Poly, P_ONE
 from .exterior import (
+    BasisChangeError,
     Form,
     FrameMismatch,
     FrameSpec,
     GenClass,
     Generator,
     bits,
+    frame_collect,
+    frame_expand,
     substitute_generators,
 )
+
+# the (p, q) split of the dz/dzb frame: p legs on dz, q legs on dzb
+HOLO_SPLIT = (GenClass.FIBER_MIRROR, GenClass.BASE)
 
 
 class MissingPairing(ValueError):
     """The dual Lefschetz operator needs an exact inverse pairing."""
-
-
-class BasisChangeError(ValueError):
-    """A complex change of basis failed or is not exactly invertible."""
 
 
 def exterior_d(form: Form) -> Form:
@@ -138,10 +140,10 @@ def d_lambda(form: Form, s: SymplecticData) -> Form:
 class ComplexBasis:
     """A holomorphic coframe dz_k (with conjugates) over a real frame.
 
-    Stores both directions of the change of basis; the inverse is computed
-    exactly (Newton-lifted from the inverse of the constant term and verified,
-    so a constant transition returns after the first check) and checked by a
-    round trip.
+    The dz/dzb frame carries the forms as coordinate expansions on the real
+    frame, so the two directions of the change of basis are `frame_collect`
+    (through the frame's verified polynomial inverse) and `frame_expand`; a
+    round trip of every generator checks both at construction.
     """
 
     def __init__(self, real_frame: FrameSpec, holo_forms: Sequence[tuple[str, Form]]):
@@ -151,30 +153,11 @@ class ComplexBasis:
         self.anti_labels = [lab + "b" for lab, _ in holo_forms]
         holo = [f for _, f in holo_forms]
         anti = [f.conjugate() for f in holo]
-
-        used: set[int] = set()
         for f in holo + anti:
             if f.frame != real_frame:
                 raise BasisChangeError("basis forms must live on the real frame")
             if f.degrees() not in ({1}, set()):
                 raise BasisChangeError("basis forms must be one-forms")
-            for m in f.terms:
-                used.add(next(bits(m)))
-        cols = sorted(used)
-        if len(cols) != 2 * self.nz:
-            raise BasisChangeError(
-                f"basis spans {len(cols)} real generators, expected {2 * self.nz}"
-            )
-        self._cols = cols
-
-        trans = [
-            [f.terms.get(1 << c, Poly()) for c in cols]
-            for f in holo + anti
-        ]
-        try:
-            inv = linalg.poly_matrix_inverse_unit_det(trans)
-        except ArithmeticError as e:
-            raise BasisChangeError(str(e)) from None
 
         gens = []
         for k, lab in enumerate(self.holo_labels):
@@ -182,18 +165,6 @@ class ComplexBasis:
         for k, lab in enumerate(self.anti_labels):
             gens.append(Generator(lab, GenClass.FRAME, anti[k], leg_class=GenClass.BASE))
         self.holo_frame = FrameSpec(gens, real_frame.base_vars, real_frame.n)
-
-        # real generator -> combination of dz/dzb
-        self._real_images: dict[int, Form] = {}
-        for ci, c in enumerate(cols):
-            img = Form.zero(self.holo_frame)
-            for k in range(2 * self.nz):
-                p = inv[ci][k]
-                if p.is_zero():
-                    continue
-                lab = self.holo_labels[k] if k < self.nz else self.anti_labels[k - self.nz]
-                img = img + Form.gen(self.holo_frame, lab) * p
-            self._real_images[c] = img
 
         for v in real_frame.base_vars:
             dv = real_frame.base_one_form(v)
@@ -203,8 +174,8 @@ class ComplexBasis:
             de = exterior_d((holo + anti)[k])
             self.holo_frame._set_structure(lab, self.to_complex(de))
 
-        for c in cols:
-            probe = Form.gen(real_frame, real_frame.generators[c].label)
+        for g in real_frame.generators:
+            probe = Form.gen(real_frame, g.label)
             if self.from_complex(self.to_complex(probe)) != probe:
                 raise BasisChangeError("round trip through the complex basis failed")
         for lab in self.holo_labels + self.anti_labels:
@@ -213,25 +184,10 @@ class ComplexBasis:
                 raise BasisChangeError("round trip through the complex basis failed")
 
     def to_complex(self, form: Form) -> Form:
-        return substitute_generators(form, self.holo_frame, self._real_images)
+        return frame_collect(form, self.holo_frame)
 
     def from_complex(self, form: Form) -> Form:
-        images = {}
-        for i, g in enumerate(self.holo_frame.generators):
-            images[i] = g.coord_expansion
-        return substitute_generators(form, self.real_frame, images)
-
-    def pq_project(self, form: Form, p: int, q: int) -> Form:
-        return form.bidegree_project(p, q, (GenClass.FIBER_MIRROR, GenClass.BASE))
-
-    def pq_components(self, form: Form) -> dict[tuple[int, int], Form]:
-        hm = self.holo_frame.class_mask(GenClass.FIBER_MIRROR)
-        am = self.holo_frame.class_mask(GenClass.BASE)
-        out: dict[tuple[int, int], Form] = {}
-        for m, c in form.terms.items():
-            key = ((m & hm).bit_count(), (m & am).bit_count())
-            out[key] = out.get(key, Form.zero(self.holo_frame)) + Form(self.holo_frame, {m: c})
-        return out
+        return frame_expand(form, self.real_frame)
 
 
 def dolbeault(form: Form, basis: ComplexBasis) -> tuple[Form, Form]:
@@ -246,10 +202,10 @@ def dolbeault(form: Form, basis: ComplexBasis) -> tuple[Form, Form]:
         raise BasisChangeError("form lives on neither the real nor the complex frame")
     del_part = Form.zero(basis.holo_frame)
     dbar_part = Form.zero(basis.holo_frame)
-    for (p, q), comp in basis.pq_components(form).items():
+    for (p, q), comp in form.bidegree_components(HOLO_SPLIT).items():
         dc = exterior_d(comp)
-        a = basis.pq_project(dc, p + 1, q)
-        b = basis.pq_project(dc, p, q + 1)
+        a = dc.bidegree_project(p + 1, q, HOLO_SPLIT)
+        b = dc.bidegree_project(p, q + 1, HOLO_SPLIT)
         if a + b != dc:
             raise BasisChangeError("d leaves the adjacent bidegrees; basis not integrable")
         del_part = del_part + a

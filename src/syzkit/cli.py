@@ -193,6 +193,8 @@ def cmd_verify(system: str, input_path: str, out: str | None):
         su = SUStructure.from_json(obj)
     except MALFORMED as e:
         raise _malformed(input_path, "fixture", e) from None
+    if system == "iia" and su.polarization is None:
+        raise click.UsageError(f"{input_path}: --system iia needs a fixture with a polarization")
     rep = check_iia(su) if system == "iia" else check_iib(su)
     rep.config = {"system": system, "n": su.n}
     _emit(rep, out, "verify", t0)
@@ -200,14 +202,13 @@ def cmd_verify(system: str, input_path: str, out: str | None):
 
 @main.command("cohomology")
 @click.option("--K", "k", type=int, required=True)
-@click.option("--side", type=click.Choice(["x", "xcheck"]), default=None,
-              help="x = symplectic side (ty), xcheck = complex side (bc); inferred from --which")
-@click.option("--which", type=click.Choice(["bc", "ty", "mirror"]), required=True)
+@click.option("--which", type=click.Choice(["bc", "ty", "mirror"]), required=True,
+              help="bc = complex side (xcheck), ty = symplectic side (x), mirror = both")
 @click.option("--p", "p", type=int, required=True)
 @click.option("--q", "q", type=int, required=True)
 @click.option("--degree", "degree", type=click.IntRange(min=0), default=1)
 @click.option("--out", type=click.Path(), default=None)
-def cmd_cohomology(k: int, side: str | None, which: str, p: int, q: int, degree: int, out: str | None):
+def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | None):
     """Cohomology dimensions (and the mirror comparison) of the flat
     semi-flat pair, written with the size-K family's variable names, at
     coefficient degree <= degree.  This is not the nilmanifold's cohomology:
@@ -218,9 +219,6 @@ def cmd_cohomology(k: int, side: str | None, which: str, p: int, q: int, degree:
         raise click.UsageError(
             f"--degree {degree} exceeds cap {cap} (set SYZKIT_MAX_DEGREE to raise)"
         )
-    wanted = {"bc": "xcheck", "ty": "x"}.get(which)
-    if side is not None and wanted is not None and side != wanted:
-        raise click.UsageError(f"--which {which} lives on --side {wanted}")
     try:
         nd = nil.build(k)
     except ValueError as e:
@@ -230,7 +228,7 @@ def cmd_cohomology(k: int, side: str | None, which: str, p: int, q: int, degree:
             raise click.UsageError(f"{name} {v} is outside 0..{nd.n} (n = {nd.n} at K={k})")
     pair = nil.semiflat_pair(nd)
     rep = CheckReport("cohomology", config={
-        "K": k, "side": side or wanted or "both", "which": which,
+        "K": k, "side": {"bc": "xcheck", "ty": "x"}.get(which, "both"), "which": which,
         "p": p, "q": q, "D": degree,
     })
     extra: dict = {}

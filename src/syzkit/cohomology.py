@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import linalg
 from .coeffring import GaussianRational, ONE, Poly, exponent_vectors
 from .exterior import Form, FrameSpec, GenClass
-from .calculus import ComplexBasis, SymplecticData, d_lambda, dolbeault, exterior_d
+from .calculus import HOLO_SPLIT, ComplexBasis, SymplecticData, d_lambda, dolbeault, exterior_d
 from .reports import CheckReport
 
 
@@ -94,15 +94,8 @@ class FiniteComplex:
     # -- structure ------------------------------------------------------------
 
     def slot(self, p: int, q: int) -> list[int]:
-        m1 = self.frame.class_mask(self.split[0])
-        m2 = self.frame.class_mask(self.split[1])
-        out = []
-        for i, (mask, _) in enumerate(self.basis):
-            if mask & ~(m1 | m2):
-                continue
-            if (mask & m1).bit_count() == p and (mask & m2).bit_count() == q:
-                out.append(i)
-        return out
+        bidegree = self.frame.bidegree
+        return [i for i, (mask, _) in enumerate(self.basis) if bidegree(mask, self.split) == (p, q)]
 
     def apply(self, op: str, form: Form) -> Form:
         return self.operators[op](form)
@@ -189,7 +182,7 @@ def bc_complex(basis: ComplexBasis, D: int) -> FiniteComplex:
         basis.holo_frame,
         D,
         {"d": d_op, "deldbar": deldbar},
-        (GenClass.FIBER_MIRROR, GenClass.BASE),
+        HOLO_SPLIT,
     )
 
 

@@ -11,7 +11,8 @@ import enum
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .coeffring import GaussianRational, ONE, Poly, P_ONE
+from . import linalg
+from .coeffring import GaussianRational, Poly, P_ONE
 
 Coefflike = Union[int, Fraction, GaussianRational, Poly]
 
@@ -20,8 +21,8 @@ class FrameMismatch(ValueError):
     """Operands live on different frames."""
 
 
-class NonTriangularFrame(ValueError):
-    """Frame expansions cannot be inverted by unit-pivot substitution."""
+class BasisChangeError(ValueError):
+    """A change of coframe is not exactly invertible."""
 
 
 class GenClass(enum.Enum):
@@ -89,9 +90,12 @@ class FrameSpec:
         self.index = {g.label: i for i, g in enumerate(gens)}
         self._d_gen: list[Optional[Form]] = [None] * len(gens)
         self._base_one_forms: dict[str, Form] = {}
+        self._class_masks: dict[GenClass, int] = {}
         for i, g in enumerate(gens):
             if g.paired_base_var is not None:
                 self._base_one_forms[g.paired_base_var] = Form.gen(self, g.label)
+            if g.leg_class is not None:
+                self._class_masks[g.leg_class] = self._class_masks.get(g.leg_class, 0) | 1 << i
         self._collect_images: Optional[dict[str, Form]] = None
 
     # frames are compared structurally so that reconstructed frames interoperate
@@ -119,11 +123,16 @@ class FrameSpec:
         return f"FrameSpec([{', '.join(g.label for g in self.generators)}], n={self.n})"
 
     def class_mask(self, cls: GenClass) -> int:
-        m = 0
-        for i, g in enumerate(self.generators):
-            if g.leg_class is cls:
-                m |= 1 << i
-        return m
+        return self._class_masks.get(cls, 0)
+
+    def bidegree(self, mask: int, split: tuple[GenClass, GenClass]) -> Optional[tuple[int, int]]:
+        """(p, q): the legs of a monomial in split[0] and in split[1], or None
+        when it has a leg in neither class."""
+        m1 = self._class_masks.get(split[0], 0)
+        m2 = self._class_masks.get(split[1], 0)
+        if mask & ~(m1 | m2):
+            return None
+        return (mask & m1).bit_count(), (mask & m2).bit_count()
 
     def gens_of_class(self, cls: GenClass) -> list[int]:
         return [i for i, g in enumerate(self.generators) if g.leg_class is cls]
@@ -284,15 +293,20 @@ class Form:
     def bidegree_project(self, p: int, q: int, split: tuple[GenClass, GenClass]) -> "Form":
         """Component with exactly p legs of split[0] and q legs of split[1]
         (and no legs outside the two classes)."""
-        m1 = self.frame.class_mask(split[0])
-        m2 = self.frame.class_mask(split[1])
-        out = {}
+        bidegree = self.frame.bidegree
+        return Form(
+            self.frame, {m: c for m, c in self.terms.items() if bidegree(m, split) == (p, q)}
+        )
+
+    def bidegree_components(self, split: tuple[GenClass, GenClass]) -> dict[tuple[int, int], "Form"]:
+        """The nonzero (p, q) components under the split; they sum to self."""
+        groups: dict[tuple[int, int], dict[int, Poly]] = {}
         for m, c in self.terms.items():
-            if m & ~(m1 | m2):
-                continue
-            if (m & m1).bit_count() == p and (m & m2).bit_count() == q:
-                out[m] = c
-        return Form(self.frame, out)
+            pq = self.frame.bidegree(m, split)
+            if pq is None:
+                raise ValueError("form has legs outside the bidegree split")
+            groups.setdefault(pq, {})[m] = c
+        return {pq: Form(self.frame, terms) for pq, terms in groups.items()}
 
     # -- operations --------------------------------------------------------
 
@@ -482,71 +496,56 @@ def substitute_generators(
 
 def frame_expand(form: Form, coord_frame: FrameSpec | None = None) -> Form:
     """Replace every frame-class generator by its coordinate expansion."""
-    frames = [
-        g.coord_expansion.frame
-        for g in form.frame.generators
-        if g.gclass is GenClass.FRAME and g.coord_expansion is not None
-    ]
     if coord_frame is None:
+        frames = [
+            g.coord_expansion.frame
+            for g in form.frame.generators
+            if g.gclass is GenClass.FRAME and g.coord_expansion is not None
+        ]
         if not frames:
             return form
         coord_frame = frames[0]
     images = {}
     for i, g in enumerate(form.frame.generators):
-        if g.gclass is GenClass.FRAME:
-            images[i] = g.coord_expansion.transport(coord_frame)
-        else:
+        if g.gclass is not GenClass.FRAME:
             images[i] = Form.gen(coord_frame, g.label)
+        elif g.coord_expansion.frame == coord_frame:
+            images[i] = g.coord_expansion
+        else:
+            images[i] = g.coord_expansion.transport(coord_frame)
     return substitute_generators(form, coord_frame, images)
 
 
 def _collect_images(frame: FrameSpec) -> dict[str, Form]:
-    """Express each coordinate generator as a combination of frame generators.
+    """Each coordinate generator as a combination of the frame's generators.
 
-    Solves the (permuted-unitriangular) system by repeated substitution of
-    expansions with a single unresolved coordinate and a constant unit pivot.
+    The frame's one-form expansions give a square transition matrix (rows:
+    frame generators, columns: the coordinate frame's generators); its
+    polynomial inverse is exact and verified, so a coframe whose determinant
+    is not a nonzero constant is rejected.
     """
-    pending = []
-    for i, g in enumerate(frame.generators):
-        if g.gclass is not GenClass.FRAME or g.coord_expansion is None:
-            raise NonTriangularFrame(f"{g.label!r} has no coordinate expansion")
-        pending.append((i, g))
-    solved: dict[str, Form] = {}
-    progress = True
-    while pending and progress:
-        progress = False
-        still = []
-        for i, g in pending:
-            exp = g.coord_expansion
-            unknown = []
-            for m in exp.terms:
-                lab = exp.frame.generators[next(bits(m))].label
-                if lab not in solved:
-                    unknown.append((m, lab))
-            if len(unknown) != 1:
-                still.append((i, g))
-                continue
-            m0, lab0 = unknown[0]
-            pivot = exp.terms[m0]
-            if not pivot.is_constant():
-                still.append((i, g))
-                continue
-            c0 = pivot.constant_value()
-            # lab0 = (g - sum_{solved} c * solved[lab]) / c0
-            acc = Form.gen(frame, g.label)
-            for m, c in exp.terms.items():
-                if m == m0:
-                    continue
-                lab = exp.frame.generators[next(bits(m))].label
-                acc = acc - solved[lab] * c
-            solved[lab0] = acc * (ONE / c0)
-            progress = True
-        pending = still
-    if pending:
-        raise NonTriangularFrame(
-            "cannot invert expansions of " + ", ".join(g.label for _, g in pending)
+    expansions = []
+    for g in frame.generators:
+        exp = g.coord_expansion
+        if g.gclass is not GenClass.FRAME or exp is None:
+            raise BasisChangeError(f"{g.label!r} has no coordinate expansion")
+        if exp.degrees() not in ({1}, set()):
+            raise BasisChangeError(f"the expansion of {g.label!r} is not a one-form")
+        expansions.append(exp)
+    coord = expansions[0].frame if expansions else frame
+    if any(exp.frame != coord for exp in expansions) or len(coord) != len(frame):
+        raise BasisChangeError(
+            f"{len(frame)} frame generators do not expand on one coordinate frame of the same size"
         )
-    return solved
+    trans = [[exp.terms.get(1 << c, Poly()) for c in range(len(coord))] for exp in expansions]
+    try:
+        inv = linalg.poly_matrix_inverse_unit_det(trans)
+    except ArithmeticError as e:
+        raise BasisChangeError(f"cannot invert the expansions of {frame!r}: {e}") from None
+    return {
+        g.label: Form(frame, {1 << k: p for k, p in enumerate(row)})
+        for g, row in zip(coord.generators, inv)
+    }
 
 
 def frame_collect(form: Form, frame: FrameSpec) -> Form:

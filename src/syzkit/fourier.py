@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .calculus import (
+    HOLO_SPLIT,
     ComplexBasis,
     SymplecticData,
     d_lambda,
@@ -112,7 +113,7 @@ class SemiflatPair:
         phi = self.to_complex_side(form)
         self._check_invariant(phi)
         out = Form.zero(self.frame_x)
-        for (p, q), comp in self.basis_xc.pq_components(phi).items():
+        for (p, q), comp in phi.bidegree_components(HOLO_SPLIT).items():
             switched = polarization_switch(comp, self.frame_xc, GenClass.FIBER_MIRROR)
             lifted = switched.transport(self.frame_corr)
             integrated = lifted.wedge(self._exp_plus).pushforward(GenClass.FIBER_MIRROR)

@@ -16,7 +16,7 @@ import os
 import warnings
 from dataclasses import dataclass
 
-from .calculus import exterior_d
+from .calculus import SymplecticData, exterior_d
 from .coeffring import GaussianRational, I, Poly
 from .exterior import (
     Form,
@@ -41,7 +41,7 @@ from .sustruct import (
 )
 
 
-DEFAULT_MAX_K = 5
+DEFAULT_MAX_K = 4
 
 
 def _max_k() -> int:
@@ -251,13 +251,6 @@ def omega_hermitian(nd: NilData) -> Form:
     return w
 
 
-def omega_canonical(nd: NilData) -> Form:
-    w = Form.zero(nd.xc_coord)
-    for i, j in nd.pairs:
-        w = w + Form.monomial(nd.xc_coord, [f"dthc{i}{j}", f"dr{i}{j}"])
-    return w
-
-
 def build_iib_side(nd: NilData) -> SUStructure:
     """Complex side: holomorphic volume form in the coordinates z_ij =
     th_ij + i r_ij, Hermitian form sum f ^ e."""
@@ -281,7 +274,7 @@ def build_iia_side(nd: NilData) -> SUStructure:
     return SUStructure(
         nd.n,
         nd.xc_coord,
-        omega_canonical(nd),
+        SymplecticData.darboux(nd.xc_coord, GenClass.FIBER_X).omega,
         Omega_factors=factors,
         polarization=Polarization(GenClass.FIBER_X, None),
     )

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .calculus import (
+    HOLO_SPLIT,
     BasisChangeError,
     ComplexBasis,
     MissingPairing,
@@ -533,12 +534,7 @@ def _solve_primitive_11(
 ) -> Optional[Form]:
     basis = s.complex_basis
     hf = basis.holo_frame
-    monos = []
-    hm = hf.class_mask(GenClass.FIBER_MIRROR)
-    am = hf.class_mask(GenClass.BASE)
-    for mask in range(1 << len(hf)):
-        if (mask & hm).bit_count() == 1 and (mask & am).bit_count() == 1 and mask & ~(hm | am) == 0:
-            monos.append(mask)
+    monos = [mask for mask in range(1 << len(hf)) if hf.bidegree(mask, HOLO_SPLIT) == (1, 1)]
     uvars = tuple(sorted(s.frame.base_vars))
     exps = exponent_vectors(len(uvars), degree_bound)
     unknowns = [(m, e) for m in monos for e in exps]

@@ -123,6 +123,16 @@ class TestVerifyCommand:
         assert res.exit_code == 2, res.output
         assert "n must be at least 1" in res.output
 
+    def test_iia_without_polarization_usage_error(self, runner, fixtures):
+        # once a ValueError traceback from check_iia
+        res = runner.invoke(
+            main, ["verify", "--system", "iia", "--input", str(fixtures / "iib-K3.json")]
+        )
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "iib-K3.json" in res.output
+        assert "polarization" in res.output
+
     def test_fixture_missing_key_usage_error(self, runner, tmp_path):
         # once a KeyError traceback
         f = tmp_path / "nofr.json"
@@ -250,6 +260,24 @@ class TestCohomologyCommand:
         assert res.exit_code != 0
         assert "cap" in res.output
 
+
+    def test_side_option_removed(self, runner, tmp_path):
+        # --side only validated or mislabelled; the side follows from --which
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "2", "--side", "x", "--which", "mirror", "--p", "1", "--q", "1",
+             "--degree", "0"],
+        )
+        assert res.exit_code == 2
+        assert "--side" in res.output
+        out = tmp_path / "bc.json"
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "2", "--which", "bc", "--p", "1", "--q", "1", "--degree", "0",
+             "--out", str(out)],
+        )
+        assert res.exit_code == 0, res.output
+        assert json.loads(out.read_text())["config"]["side"] == "xcheck"
 
     def test_negative_degree_usage_error(self, runner):
         res = runner.invoke(

@@ -1,17 +1,19 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from syzkit.coeffring import GaussianRational, I, Poly
+from syzkit import calculus
+from syzkit.coeffring import GaussianRational, I, ONE, Poly
 from syzkit.exterior import (
+    BasisChangeError,
     Form,
     FrameMismatch,
     FrameSpec,
     GenClass,
     Generator,
-    NonTriangularFrame,
     bits,
     frame_collect,
     frame_expand,
@@ -22,6 +24,33 @@ from syzkit.randgen import random_form
 from syzkit import nilmanifold as nil
 
 from conftest import brute_perm_sign, subsets
+
+
+def collect_by_unit_pivot(frame):
+    """Oracle for frame_collect on permuted-unitriangular frames: solve for
+    each coordinate generator by repeated substitution of the expansions that
+    have a single unresolved coordinate with a constant unit pivot."""
+    pending = list(frame.generators)
+    solved = {}
+    while pending:
+        still = []
+        for g in pending:
+            exp = g.coord_expansion
+            label = {m: exp.frame.generators[next(bits(m))].label for m in exp.terms}
+            unknown = [m for m in exp.terms if label[m] not in solved]
+            if len(unknown) != 1 or not exp.terms[unknown[0]].is_constant():
+                still.append(g)
+                continue
+            m0 = unknown[0]
+            # coord_0 = (g - sum_{solved} c * solved[coord]) / c_0
+            acc = Form.gen(frame, g.label)
+            for m, c in exp.terms.items():
+                if m != m0:
+                    acc = acc - solved[label[m]] * c
+            solved[label[m0]] = acc * (ONE / exp.terms[m0].constant_value())
+        assert len(still) < len(pending), "no expansion has a unit pivot left"
+        pending = still
+    return solved
 
 
 class TestKoszulSign:
@@ -224,21 +253,56 @@ class TestFrameExpandCollect:
         a = random_form(rng, nd.x_coord, max_terms=3)
         assert frame_expand(frame_collect(a, nd.x_frame), nd.x_coord) == a
 
-    def test_non_triangular_frame_rejected(self, pair1):
-        f = pair1.frame_xc
-        # dz and its conjugate both lead with the fiber generator: no unit pivot order
-        dz = Form.gen(f, "dtc1") + Form.gen(f, "dr1") * I
-        dzb = Form.gen(f, "dtc1") - Form.gen(f, "dr1") * I
-        bad = FrameSpec(
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_collect_matches_unit_pivot_oracle(self, K):
+        nd = nil.build(K)
+        for frame, coord in ((nd.x_frame, nd.x_coord), (nd.xc_frame, nd.xc_coord)):
+            oracle = collect_by_unit_pivot(frame)
+            assert set(oracle) == {g.label for g in coord.generators}
+            for lab, want in oracle.items():
+                assert frame_collect(Form.gen(coord, lab), frame) == want, lab
+
+    @staticmethod
+    def two_generator_frame(real, w, wb):
+        return FrameSpec(
             [
-                Generator("w", GenClass.FRAME, dz, leg_class=GenClass.FIBER_MIRROR),
-                Generator("wb", GenClass.FRAME, dzb, leg_class=GenClass.BASE),
+                Generator("w", GenClass.FRAME, w, leg_class=GenClass.FIBER_MIRROR),
+                Generator("wb", GenClass.FRAME, wb, leg_class=GenClass.BASE),
             ],
-            f.base_vars,
+            real.base_vars,
             1,
         )
-        with pytest.raises(NonTriangularFrame):
-            frame_collect(Form.gen(f, "dtc1"), bad)
+
+    def test_dz_frame_collects(self, pair1):
+        # dz and its conjugate both lead with dtc1, so no unit-pivot order
+        # exists; the transition [[1, i], [1, -i]] is still invertible over Q(i)
+        f = pair1.frame_xc
+        dz = Form.gen(f, "dtc1") + Form.gen(f, "dr1") * I
+        dzb = Form.gen(f, "dtc1") - Form.gen(f, "dr1") * I
+        frame = self.two_generator_frame(f, dz, dzb)
+        w, wb = Form.gen(frame, "w"), Form.gen(frame, "wb")
+        half = GaussianRational(Fraction(1, 2))
+        assert frame_collect(Form.gen(f, "dtc1"), frame) == (w + wb) * half
+        assert frame_collect(Form.gen(f, "dr1"), frame) == (w - wb) * (-I * half)
+        rng = random.Random(1400)
+        for _ in range(10):
+            a = random_form(rng, f, max_terms=3)
+            assert frame_expand(frame_collect(a, frame), f) == a
+
+    @pytest.mark.parametrize("case", ["repeated-expansion", "r1-dtc1", "one-plus-r1-dtc1"])
+    def test_non_invertible_frame_rejected(self, pair1, case):
+        f = pair1.frame_xc
+        r1 = Poly.variable("r1")
+        dz = Form.gen(f, "dtc1") + Form.gen(f, "dr1") * I
+        w, wb = {
+            "repeated-expansion": (dz, dz),
+            "r1-dtc1": (Form.gen(f, "dtc1") * r1, Form.gen(f, "dr1")),
+            "one-plus-r1-dtc1": (Form.gen(f, "dtc1") * (1 + r1), Form.gen(f, "dr1")),
+        }[case]
+        frame = self.two_generator_frame(f, w, wb)
+        with pytest.raises(BasisChangeError):
+            frame_collect(Form.gen(f, "dtc1"), frame)
+        assert calculus.BasisChangeError is BasisChangeError
 
 
 class TestTransportAndJson:

@@ -28,6 +28,12 @@ class TestBuild:
         with pytest.raises(ValueError):
             nil.build(99)
 
+    def test_default_cap_is_four(self, monkeypatch):
+        # K=5 does not finish inside the budgets the CLI is run with
+        monkeypatch.delenv("SYZKIT_MAX_K", raising=False)
+        with pytest.raises(ValueError, match="exceeds the configured cap 4"):
+            nil.build(5)
+
     def test_cost_warning_at_cap(self, monkeypatch):
         monkeypatch.setenv("SYZKIT_MAX_K", "5")
         with pytest.warns(RuntimeWarning):
