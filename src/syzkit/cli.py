@@ -220,13 +220,12 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
             f"--degree {degree} exceeds cap {cap} (set SYZKIT_MAX_DEGREE to raise)"
         )
     try:
-        nd = nil.build(k)
+        pair = nil.semiflat_pair(k)
     except ValueError as e:
         raise click.UsageError(str(e))
     for name, v in (("--p", p), ("--q", q)):
-        if not 0 <= v <= nd.n:
-            raise click.UsageError(f"{name} {v} is outside 0..{nd.n} (n = {nd.n} at K={k})")
-    pair = nil.semiflat_pair(nd)
+        if not 0 <= v <= pair.n:
+            raise click.UsageError(f"{name} {v} is outside 0..{pair.n} (n = {pair.n} at K={k})")
     rep = CheckReport("cohomology", config={
         "K": k, "side": {"bc": "xcheck", "ty": "x"}.get(which, "both"), "which": which,
         "p": p, "q": q, "D": degree,

@@ -5,6 +5,15 @@ bounded total degree; all the operators in use lower the coefficient degree,
 so the span closes.  Ranks and kernels come from the deterministic exact
 elimination in `linalg`; dimensions at a given degree bound are reported as
 such (per-D data, no asymptotic claims).
+
+Only the primitive operators are applied to the basis: d and the dual
+Lefschetz operator Lambda on the symplectic side, d on the complex side.  The
+composites are exact sparse products of their stored images:
+d^Lambda = d.Lambda - Lambda.d, d d^Lambda = d.d^Lambda, del and dbar are the
+(p+1,q) and (p,q+1) rows of d on the dz/dzb frame, and del-dbar = del.dbar.
+The closure pass proves that every primitive image lies in the span, and
+`vectorize` is linear and injective there, so each product column is the
+vector of the composite applied to that basis element.
 """
 
 from __future__ import annotations
@@ -14,8 +23,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from . import linalg
 from .coeffring import GaussianRational, ONE, Poly, exponent_vectors
-from .exterior import Form, FrameSpec, GenClass
-from .calculus import HOLO_SPLIT, ComplexBasis, SymplecticData, d_lambda, dolbeault, exterior_d
+from .exterior import BasisChangeError, Form, FrameSpec, GenClass
+from .calculus import HOLO_SPLIT, ComplexBasis, SymplecticData, dual_lefschetz, exterior_d
 from .reports import CheckReport
 
 
@@ -27,13 +36,33 @@ class SpanEscape(ValueError):
         self.witness = witness
 
 
+def product(*terms: tuple[int, Sequence[linalg.Vec], Sequence[linalg.Vec]]) -> list[linalg.Vec]:
+    """Sparse columns of the sum of sign * (outer . inner) over the terms
+    (sign, outer, inner): column i of outer . inner is the image under
+    `outer` of the vector inner[i], the sum of inner[i][k] * outer[k]."""
+    out = []
+    for i in range(len(terms[0][2])):
+        acc: linalg.Vec = {}
+        for sign, outer, inner in terms:
+            for k, b in inner[i].items():
+                if sign < 0:
+                    b = -b
+                for r, a in outer[k].items():
+                    c = acc.get(r)
+                    acc[r] = b * a if c is None else c + b * a
+        out.append({r: c for r, c in acc.items() if c})
+    return out
+
+
 class FiniteComplex:
     """Monomial basis of invariant forms with coefficient degree <= D,
     together with named operators acting inside the span.
 
-    Each operator is applied once to each basis element, when the complex is
-    built: that pass checks that the span is closed and keeps every image as
-    a sparse vector in `images[op][i]`."""
+    Each operator passed in is applied once to each basis element, when the
+    complex is built: that pass checks that the span is closed and keeps every
+    image as a sparse vector in `images[op][i]`.  The concrete complexes pass
+    only their primitive operators and store each composite as an exact
+    product of those images (`product`); `apply` reads the stored columns."""
 
     def __init__(
         self,
@@ -47,7 +76,6 @@ class FiniteComplex:
         self.frame = frame
         self.D = D
         self.split = split
-        self.operators = dict(operators)
         self.vars = tuple(sorted(frame.base_vars))
         self.exps = exponent_vectors(len(self.vars), D)
         self.basis: list[tuple[int, tuple[int, ...]]] = []
@@ -58,7 +86,7 @@ class FiniteComplex:
         self.pos = {key: i for i, key in enumerate(self.basis)}
         self.images: dict[str, list[linalg.Vec]] = {
             name: [self.vectorize(op(self.basis_form(i))) for i in range(len(self.basis))]
-            for name, op in self.operators.items()
+            for name, op in operators.items()
         }
 
     # -- vectorization -------------------------------------------------------
@@ -98,7 +126,8 @@ class FiniteComplex:
         return [i for i, (mask, _) in enumerate(self.basis) if bidegree(mask, self.split) == (p, q)]
 
     def apply(self, op: str, form: Form) -> Form:
-        return self.operators[op](form)
+        """op applied to a form of the span, through the stored columns."""
+        return self.form_of(product((1, self.images[op], [self.vectorize(form)]))[0])
 
     def matrix_on_slot(
         self, op: str, from_idx: Sequence[int], to_idx: Optional[Sequence[int]] = None
@@ -167,44 +196,55 @@ def _quotient_report(
 # -- concrete complexes ------------------------------------------------------
 
 
+def dolbeault_split(
+    cpx: FiniteComplex, d_cols: Sequence[linalg.Vec]
+) -> tuple[list[linalg.Vec], list[linalg.Vec]]:
+    """(del, dbar): the (p+1,q) and (p,q+1) rows of each column of d, where
+    column i is the image of the (p,q) basis element i.  Any other row means
+    d leaves the adjacent bidegrees, so the basis is not integrable."""
+    bidegree = [cpx.frame.bidegree(mask, cpx.split) for mask, _ in cpx.basis]
+    dl: list[linalg.Vec] = []
+    db: list[linalg.Vec] = []
+    for i, col in enumerate(d_cols):
+        p, q = bidegree[i]
+        a: linalg.Vec = {}
+        b: linalg.Vec = {}
+        for r, c in col.items():
+            if bidegree[r] == (p + 1, q):
+                a[r] = c
+            elif bidegree[r] == (p, q + 1):
+                b[r] = c
+            else:
+                raise BasisChangeError("d leaves the adjacent bidegrees; basis not integrable")
+        dl.append(a)
+        db.append(b)
+    return dl, db
+
+
 def bc_complex(basis: ComplexBasis, D: int) -> FiniteComplex:
-    """Complex-side complex on the dz/dzb monomial frame with d and del-dbar."""
-
-    def d_op(f: Form) -> Form:
-        return exterior_d(f)
-
-    def deldbar(f: Form) -> Form:
-        _, db = dolbeault(f, basis)
-        dl, _ = dolbeault(db, basis)
-        return dl
-
-    return FiniteComplex(
-        basis.holo_frame,
-        D,
-        {"d": d_op, "deldbar": deldbar},
-        HOLO_SPLIT,
-    )
+    """Complex-side complex on the dz/dzb monomial frame: d applied to the
+    basis, and del-dbar = del . dbar from the split of its images."""
+    cpx = FiniteComplex(basis.holo_frame, D, {"d": exterior_d}, HOLO_SPLIT)
+    dl, db = dolbeault_split(cpx, cpx.images["d"])
+    cpx.images["deldbar"] = product((1, dl, db))
+    return cpx
 
 
 def ty_complex(frame: FrameSpec, D: int, fiber_class: GenClass = GenClass.FIBER_X) -> FiniteComplex:
-    """Symplectic-side complex with d, d^Lambda and their composite."""
+    """Symplectic-side complex: d and Lambda (Darboux pairing) applied to the
+    basis; d^Lambda = d . Lambda - Lambda . d and d d^Lambda = d . d^Lambda
+    taken from their images.  Lambda's images are kept only until then."""
     symp = SymplecticData.darboux(frame, fiber_class)
-
-    def d_op(f: Form) -> Form:
-        return exterior_d(f)
-
-    def dl_op(f: Form) -> Form:
-        return d_lambda(f, symp)
-
-    def ddl_op(f: Form) -> Form:
-        return exterior_d(d_lambda(f, symp))
-
-    return FiniteComplex(
+    cpx = FiniteComplex(
         frame,
         D,
-        {"d": d_op, "dlambda": dl_op, "ddlambda": ddl_op},
+        {"d": exterior_d, "lambda": lambda f: dual_lefschetz(f, symp)},
         (fiber_class, GenClass.BASE),
     )
+    d, lam = cpx.images["d"], cpx.images.pop("lambda")
+    dl = product((1, d, lam), (-1, lam, d))
+    cpx.images.update({"dlambda": dl, "ddlambda": product((1, d, dl))})
+    return cpx
 
 
 def bott_chern(cpx: FiniteComplex, p: int, q: int) -> CohomologyReport:
@@ -240,11 +280,11 @@ def mirror_compare(
     mapped_cols = []
     for f in bc_rep.representatives:
         g = transform(f)
-        rep.add(f"image-d-closed[{len(mapped_cols)}]", ty.apply("d", g).is_zero(), g)
-        rep.add(f"image-dlambda-closed[{len(mapped_cols)}]", ty.apply("dlambda", g).is_zero(), g)
         vec = ty.vectorize(g)
         if any(r not in at for r in vec):
             raise SpanEscape("transformed representative leaves the mirror slot", g)
+        rep.add(f"image-d-closed[{len(mapped_cols)}]", ty.apply("d", g).is_zero(), g)
+        rep.add(f"image-dlambda-closed[{len(mapped_cols)}]", ty.apply("dlambda", g).is_zero(), g)
         mapped_cols.append({at[r]: c for r, c in vec.items()})
     pivots = linalg.column_space_pivots(im_cols + mapped_cols)
     base_rank = sum(1 for piv in pivots if piv < len(im_cols))

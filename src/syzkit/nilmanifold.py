@@ -71,8 +71,9 @@ class NilData:
     gamma_x_images: dict[int, Form]
 
 
-def build(K: int) -> NilData:
-    """Construct all frames and the lattice action for matrix size K."""
+def _family_pairs(K: int) -> list[tuple[int, int]]:
+    """The index pairs i < j of matrix size K in dictionary order, after the
+    size checks every size-K construction makes (K >= 2, K <= SYZKIT_MAX_K)."""
     if K < 2:
         raise ValueError("matrix size must be at least 2")
     cap = _max_k()
@@ -81,14 +82,18 @@ def build(K: int) -> NilData:
             f"K={K} exceeds the configured cap {cap} (set SYZKIT_MAX_K to raise it); "
             f"the 2n-generator algebra grows as 4^n with n = K(K-1)/2"
         )
+    return [(i, j) for i in range(1, K + 1) for j in range(i + 1, K + 1)]
+
+
+def build(K: int) -> NilData:
+    """Construct all frames and the lattice action for matrix size K."""
+    pairs = _family_pairs(K)
     if K >= 5:
         warnings.warn(
             f"K={K} gives n={K*(K-1)//2}; expanding omega^(n-1) is expensive",
             RuntimeWarning,
             stacklevel=2,
         )
-    pairs = [(i, j) for i in range(1, K + 1) for j in range(i + 1, K + 1)]
-    pairs.sort()
     n = len(pairs)
     rv = [f"r{i}{j}" for i, j in pairs]
 
@@ -280,15 +285,17 @@ def build_iia_side(nd: NilData) -> SUStructure:
     )
 
 
-def semiflat_pair(nd: NilData) -> SemiflatPair:
-    """The flat semi-flat pair of rank n written with the family's labels:
-    fibers dthc_ij / dth_ij over the base r_ij, holomorphic one-forms dz_ij."""
+def semiflat_pair(K: int) -> SemiflatPair:
+    """The flat semi-flat pair of rank n = K(K-1)/2 written with the size-K
+    family's labels: fibers dthc_ij / dth_ij over the base r_ij, holomorphic
+    one-forms dz_ij.  It needs only the labels, not the nilmanifold frames."""
+    pairs = _family_pairs(K)
     return SemiflatPair(
-        nd.n,
-        base_vars=nd.base_vars,
-        fiber_x_labels=[f"dthc{i}{j}" for i, j in nd.pairs],
-        fiber_mirror_labels=[f"dth{i}{j}" for i, j in nd.pairs],
-        holo_labels=[f"dz{i}{j}" for i, j in nd.pairs],
+        len(pairs),
+        base_vars=[f"r{i}{j}" for i, j in pairs],
+        fiber_x_labels=[f"dthc{i}{j}" for i, j in pairs],
+        fiber_mirror_labels=[f"dth{i}{j}" for i, j in pairs],
+        holo_labels=[f"dz{i}{j}" for i, j in pairs],
     )
 
 
@@ -308,7 +315,7 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
     product, both supersymmetry systems, and the flux correspondence."""
     rep = CheckReport("mirror-pair", config={"K": nd.K, "n": nd.n})
     n = nd.n
-    pair = semiflat_pair(nd)
+    pair = semiflat_pair(nd.K)
     su_b = build_iib_side(nd)
     rep.extend(check_iib(su_b))
 

@@ -86,7 +86,7 @@ def test_criterion_4_mirror_su_structures():
     ok = True
     for K in (3, 4):
         nd = nil.build(K)
-        pair = nil.semiflat_pair(nd)
+        pair = nil.semiflat_pair(nd.K)
         su_b = nil.build_iib_side(nd)
         su_a = mirror_transform(pair, nil.omega_hermitian(nd).transport(pair.frame_xc))
         ok &= check_iib(su_b).passed
@@ -196,8 +196,7 @@ def test_criterion_8_cohomology_mirror():
                 rep, bcr, tyr = coh.mirror_compare(ty, bc, p, q, pair.fm_forward)
                 expect = comb(n, p) * comb(n, q)
                 ok &= rep.passed and bcr.dim == expect and tyr.dim == expect
-    nd = nil.build(3)
-    pair = nil.semiflat_pair(nd)
+    pair = nil.semiflat_pair(3)
     baselines = {(0, 1, 1): 9, (0, 2, 2): 9, (1, 1, 1): 19, (1, 2, 2): 30,
                  (2, 1, 1): 28, (2, 2, 2): 58}
     for D in (0, 1, 2):

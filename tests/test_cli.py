@@ -316,6 +316,47 @@ class TestCohomologyCommand:
         assert res.exit_code == 2
         assert "exceeds cap 0" in res.output
 
+    def test_k1_usage_error(self, runner):
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "1", "--which", "bc", "--p", "0", "--q", "0", "--degree", "0"],
+        )
+        assert res.exit_code == 2
+        assert "at least 2" in res.output
+
+    def test_k_above_cap_usage_error(self, runner, monkeypatch):
+        monkeypatch.setenv("SYZKIT_MAX_K", "2")
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "3", "--which", "bc", "--p", "1", "--q", "1", "--degree", "0"],
+        )
+        assert res.exit_code == 2
+        assert "exceeds the configured cap 2" in res.output
+
+    def test_bad_k_cap_names_variable(self, runner, monkeypatch):
+        monkeypatch.setenv("SYZKIT_MAX_K", "five")
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "3", "--which", "bc", "--p", "1", "--q", "1", "--degree", "0"],
+        )
+        assert res.exit_code == 2
+        assert "SYZKIT_MAX_K" in res.output
+
+    def test_builds_no_nilmanifold(self, runner, monkeypatch):
+        # the flat pair needs only the family's labels, not its frames
+        from syzkit import nilmanifold
+
+        def no_build(k):
+            raise AssertionError("cohomology built the nilmanifold")
+
+        monkeypatch.setattr(nilmanifold, "build", no_build)
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "3", "--which", "mirror", "--p", "1", "--q", "1", "--degree", "0"],
+        )
+        assert res.exit_code == 0, res.output
+        assert "bc=9 ty=9" in res.output
+
 
 class TestProptestCommand:
     def test_suite_runs(self, runner):

@@ -4,16 +4,17 @@ import pytest
 
 from syzkit import cohomology as coh
 from syzkit import nilmanifold as nil
-from syzkit.calculus import exterior_d
+from syzkit import calculus
+from syzkit.calculus import SymplecticData, d_lambda, dolbeault, exterior_d
 from syzkit.coeffring import GaussianRational, ONE, Poly
-from syzkit.exterior import Form, GenClass
+from syzkit.exterior import BasisChangeError, Form, GenClass
 from syzkit.fourier import SemiflatPair
 
 
 @pytest.fixture(scope="module")
 def flat_k3_setting():
     nd = nil.build(3)
-    return nd, nil.semiflat_pair(nd)
+    return nd, nil.semiflat_pair(nd.K)
 
 
 class TestComplexConstruction:
@@ -53,6 +54,80 @@ class TestComplexConstruction:
     def test_negative_degree_rejected(self, pair2):
         with pytest.raises(ValueError):
             coh.ty_complex(pair2.frame_x, -1)
+
+
+# the Form-level composites: the route the complexes took before their
+# composite images became products of the primitive ones, kept as the oracle
+
+
+def oracle_ddlambda(f, symp):
+    return exterior_d(d_lambda(f, symp))
+
+
+def oracle_deldbar(f, basis):
+    _, dbar_f = dolbeault(f, basis)
+    del_dbar_f, _ = dolbeault(dbar_f, basis)
+    return del_dbar_f
+
+
+def flat_pair(case):
+    kind, size = case
+    return SemiflatPair(size) if kind == "n" else nil.semiflat_pair(size)
+
+
+class TestComposedOperators:
+    CASES = [(("n", n), D) for n in (1, 2, 3) for D in (0, 1)] + [(("K", 3), D) for D in (0, 1, 2)]
+
+    @pytest.mark.parametrize("case, D", CASES, ids=[f"{k}{s}-D{D}" for (k, s), D in CASES])
+    def test_products_match_form_level_oracle(self, case, D):
+        pair = flat_pair(case)
+        ty = coh.ty_complex(pair.frame_x, D)
+        symp = SymplecticData.darboux(pair.frame_x, GenClass.FIBER_X)
+        for i in range(len(ty.basis)):
+            f = ty.basis_form(i)
+            assert ty.images["dlambda"][i] == ty.vectorize(d_lambda(f, symp))
+            assert ty.images["ddlambda"][i] == ty.vectorize(oracle_ddlambda(f, symp))
+        bc = coh.bc_complex(pair.basis_xc, D)
+        dl, db = coh.dolbeault_split(bc, bc.images["d"])
+        for i in range(len(bc.basis)):
+            f = bc.basis_form(i)
+            del_f, dbar_f = dolbeault(f, pair.basis_xc)
+            assert dl[i] == bc.vectorize(del_f)
+            assert db[i] == bc.vectorize(dbar_f)
+            assert bc.images["deldbar"][i] == bc.vectorize(oracle_deldbar(f, pair.basis_xc))
+
+    def test_only_primitives_applied_to_the_basis(self, pair2, monkeypatch):
+        calls = {"exterior_d": 0, "d_lambda": 0, "dolbeault": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(coh, "exterior_d", counting("exterior_d", exterior_d))
+        for name, fn in (("d_lambda", d_lambda), ("dolbeault", dolbeault)):
+            monkeypatch.setattr(calculus, name, counting(name, fn))
+            monkeypatch.setattr(coh, name, counting(name, fn), raising=False)
+        ty = coh.ty_complex(pair2.frame_x, 1)
+        assert calls == {"exterior_d": len(ty.basis), "d_lambda": 0, "dolbeault": 0}
+        bc = coh.bc_complex(pair2.basis_xc, 1)
+        assert calls == {"exterior_d": len(ty.basis) + len(bc.basis), "d_lambda": 0, "dolbeault": 0}
+
+    def test_split_rejects_non_adjacent_bidegree(self, pair1):
+        bc = coh.bc_complex(pair1.basis_xc, 0)
+        at = {bc.frame.bidegree(mask, bc.split): i for i, (mask, _) in enumerate(bc.basis)}
+        cols = [{} for _ in bc.basis]
+        # the (0,0) element: a (1,0) and a (0,1) row split into del and dbar
+        cols[at[(0, 0)]] = {at[(1, 0)]: ONE, at[(0, 1)]: GaussianRational(0, 2)}
+        dl, db = coh.dolbeault_split(bc, cols)
+        assert dl[at[(0, 0)]] == {at[(1, 0)]: ONE}
+        assert db[at[(0, 0)]] == {at[(0, 1)]: GaussianRational(0, 2)}
+        # a (1,1) row two steps away is not a del or dbar row
+        cols[at[(0, 0)]] = {at[(1, 0)]: ONE, at[(1, 1)]: ONE}
+        with pytest.raises(BasisChangeError):
+            coh.dolbeault_split(bc, cols)
 
 
 class TestFlatTables:
