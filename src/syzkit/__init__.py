@@ -27,8 +27,6 @@ from .calculus import (
 )
 from .fourier import IntertwiningReport, SemiflatPair, sign_of_concatenation
 from .sustruct import (
-    ConformalFactor,
-    FluxCurrent,
     Polarization,
     SUStructure,
     check_deformation_class,
@@ -53,7 +51,7 @@ __all__ = [
     "d_lambda", "dolbeault", "dual_lefschetz", "exterior_d", "lefschetz",
     "polarization_switch", "polarization_unswitch",
     "IntertwiningReport", "SemiflatPair", "sign_of_concatenation",
-    "ConformalFactor", "FluxCurrent", "Polarization", "SUStructure",
+    "Polarization", "SUStructure",
     "check_deformation_class", "check_hermitian_at", "check_iia", "check_iib",
     "check_su", "conformal_factor", "flux_iia", "flux_iib",
     "mirror_transform", "proportional_to",

@@ -2,8 +2,10 @@
 Dolbeault pair in a complex basis, and the polarization switch.
 
 d acts through the stored frame data: coefficients are differentiated against
-the base variables (each paired with a one-form), and frame generators with
-structure equations contribute their stored differentials.
+the base variables (each paired with a one-form), and frame generators
+contribute their structure equations.  `coframe` is the one builder of a frame
+of one-forms over another frame: it derives the frame's base one-forms and
+structure equations from the generators' expansions.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .exterior import (
     bits,
     frame_collect,
     frame_expand,
-    substitute_generators,
 )
 
 # the (p, q) split of the dz/dzb frame: p legs on dz, q legs on dzb
@@ -62,6 +63,23 @@ def exterior_d(form: Form) -> Form:
             piece = dg.wedge(rest)
             out = out + (piece if below % 2 == 0 else -piece)
     return out
+
+
+def coframe(generators: Sequence[Generator], coord: FrameSpec) -> FrameSpec:
+    """The frame of the one-forms `generators`, each expanded on `coord`.
+
+    Each base one-form of `coord` and each generator's d (the derivative of
+    its expansion) are collected into the frame, so d on the frame agrees
+    with d on `coord`; `coord` may itself be such a frame.
+    """
+    frame = FrameSpec(generators, coord.base_vars, coord.n)
+    for v in coord.base_vars:
+        dv = coord.base_one_form(v)
+        if dv is not None:
+            frame._set_base_one_form(v, frame_collect(dv, frame))
+    for g in frame.generators:
+        frame._set_structure(g.label, frame_collect(exterior_d(g.coord_expansion), frame))
+    return frame
 
 
 class SymplecticData:
@@ -140,10 +158,11 @@ def d_lambda(form: Form, s: SymplecticData) -> Form:
 class ComplexBasis:
     """A holomorphic coframe dz_k (with conjugates) over a real frame.
 
-    The dz/dzb frame carries the forms as coordinate expansions on the real
-    frame, so the two directions of the change of basis are `frame_collect`
-    (through the frame's verified polynomial inverse) and `frame_expand`; a
-    round trip of every generator checks both at construction.
+    The dz/dzb frame is a `coframe` over the real frame (the forms are its
+    generators' expansions), so the two directions of the change of basis are
+    `frame_collect` (through the frame's verified polynomial inverse) and
+    `frame_expand`; a round trip of every generator checks both at
+    construction.
     """
 
     def __init__(self, real_frame: FrameSpec, holo_forms: Sequence[tuple[str, Form]]):
@@ -164,15 +183,7 @@ class ComplexBasis:
             gens.append(Generator(lab, GenClass.FRAME, holo[k], leg_class=GenClass.FIBER_MIRROR))
         for k, lab in enumerate(self.anti_labels):
             gens.append(Generator(lab, GenClass.FRAME, anti[k], leg_class=GenClass.BASE))
-        self.holo_frame = FrameSpec(gens, real_frame.base_vars, real_frame.n)
-
-        for v in real_frame.base_vars:
-            dv = real_frame.base_one_form(v)
-            if dv is not None:
-                self.holo_frame._set_base_one_form(v, self.to_complex(dv))
-        for k, lab in enumerate(self.holo_labels + self.anti_labels):
-            de = exterior_d((holo + anti)[k])
-            self.holo_frame._set_structure(lab, self.to_complex(de))
+        self.holo_frame = coframe(gens, real_frame)
 
         for g in real_frame.generators:
             probe = Form.gen(real_frame, g.label)
@@ -213,36 +224,27 @@ def dolbeault(form: Form, basis: ComplexBasis) -> tuple[Form, Form]:
     return del_part, dbar_part
 
 
+def _switch_index(holo_frame: FrameSpec, target: FrameSpec, fiber_class: GenClass) -> dict[int, int]:
+    """dz_k -> the k-th fiber generator and dzb_k -> the k-th base generator
+    of `target`, as generator positions."""
+    holo = holo_frame.gens_of_class(GenClass.FIBER_MIRROR)
+    anti = holo_frame.gens_of_class(GenClass.BASE)
+    fibers = target.gens_of_class(fiber_class)
+    bases = target.gens_of_class(GenClass.BASE)
+    if len(holo) != len(fibers) or len(anti) != len(bases):
+        raise FrameMismatch("generator counts do not match the target frame")
+    return dict(zip(holo + anti, fibers + bases))
+
+
 def polarization_switch(form: Form, target: FrameSpec, fiber_class: GenClass = GenClass.FIBER_MIRROR) -> Form:
     """Send dz_k to the k-th fiber generator and dzb_k to the k-th base
     generator, preserving coefficients and monomial order."""
-    frame = form.frame
-    if any(g.gclass is not GenClass.FRAME for g in frame.generators):
+    if any(g.gclass is not GenClass.FRAME for g in form.frame.generators):
         raise FrameMismatch("polarization switch expects a dz/dzb monomial basis")
-    fibers = target.gens_of_class(fiber_class)
-    bases = target.gens_of_class(GenClass.BASE)
-    holo = [i for i, g in enumerate(frame.generators) if g.leg_class is GenClass.FIBER_MIRROR]
-    anti = [i for i, g in enumerate(frame.generators) if g.leg_class is GenClass.BASE]
-    if len(holo) != len(fibers) or len(anti) != len(bases):
-        raise FrameMismatch("generator counts do not match the target frame")
-    images = {}
-    for k, i in enumerate(holo):
-        images[i] = Form.gen(target, target.generators[fibers[k]].label)
-    for k, i in enumerate(anti):
-        images[i] = Form.gen(target, target.generators[bases[k]].label)
-    return substitute_generators(form, target, images)
+    return form.relabel(target, _switch_index(form.frame, target, fiber_class))
 
 
 def polarization_unswitch(form: Form, holo_frame: FrameSpec, fiber_class: GenClass) -> Form:
     """Inverse switch: k-th fiber generator to dz_k, k-th base generator to dzb_k."""
-    frame = form.frame
-    fibers = frame.gens_of_class(fiber_class)
-    bases = frame.gens_of_class(GenClass.BASE)
-    holo = [i for i, g in enumerate(holo_frame.generators) if g.leg_class is GenClass.FIBER_MIRROR]
-    anti = [i for i, g in enumerate(holo_frame.generators) if g.leg_class is GenClass.BASE]
-    images = {}
-    for k, i in enumerate(fibers):
-        images[i] = Form.gen(holo_frame, holo_frame.generators[holo[k]].label)
-    for k, i in enumerate(bases):
-        images[i] = Form.gen(holo_frame, holo_frame.generators[anti[k]].label)
-    return substitute_generators(form, holo_frame, images)
+    index = _switch_index(holo_frame, form.frame, fiber_class)
+    return form.relabel(holo_frame, {t: h for h, t in index.items()})

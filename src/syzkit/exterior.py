@@ -50,7 +50,7 @@ class Generator:
                 raise ValueError(f"frame generator {label!r} needs a coordinate expansion")
             if leg_class is None:
                 classes = {
-                    coord_expansion.frame.generators[i].gclass
+                    coord_expansion.frame.generators[i].leg_class
                     for mask in coord_expansion.terms
                     for i in bits(mask)
                 }
@@ -143,7 +143,7 @@ class FrameSpec:
     def d_of_generator(self, i: int) -> Optional["Form"]:
         return self._d_gen[i]
 
-    # builders call these once before the frame is shared
+    # `calculus.coframe` calls these once, before the frame is shared
     def _set_structure(self, label: str, d_form: "Form") -> None:
         self._d_gen[self.index[label]] = d_form
 
@@ -380,19 +380,28 @@ class Form:
 
     def transport(self, frame: FrameSpec) -> "Form":
         """Re-express on another frame by matching generator labels."""
+        target = frame.index
+        return self.relabel(
+            frame, {i: target[g.label] for i, g in enumerate(self.frame.generators) if g.label in target}
+        )
+
+    def relabel(self, frame: FrameSpec, index: Mapping[int, int]) -> "Form":
+        """Move generator i to generator index[i] of `frame`, coefficients
+        unchanged; no monomial may change its generator order (so no sign)."""
         out = {}
         for m, c in self.terms.items():
             nm = 0
-            labels = [self.frame.generators[i].label for i in bits(m)]
-            idxs = []
-            for lab in labels:
-                if lab not in frame.index:
-                    raise FrameMismatch(f"generator {lab!r} missing from target frame")
-                idxs.append(frame.index[lab])
-            if idxs != sorted(idxs):
-                raise FrameMismatch("target frame reorders generators")
-            for i in idxs:
-                nm |= 1 << i
+            last = -1
+            for i in bits(m):
+                j = index.get(i)
+                if j is None:
+                    raise FrameMismatch(
+                        f"generator {self.frame.generators[i].label!r} missing from target frame"
+                    )
+                if j <= last:
+                    raise FrameMismatch("target frame reorders generators")
+                nm |= 1 << j
+                last = j
             out[nm] = c
         return Form(frame, out)
 
@@ -465,21 +474,14 @@ class Form:
         return out
 
 
-def substitute_generators(
-    form: Form,
-    target: FrameSpec,
-    images: Mapping[int, Form],
-    coeff_map: Callable[[Poly], Poly] | None = None,
-) -> Form:
+def substitute_generators(form: Form, target: FrameSpec, images: Mapping[int, Form]) -> Form:
     """Algebra map determined by generator images (one-forms on `target`).
 
     Every generator used by `form` must have an image; coefficients are
-    carried over (optionally transformed first).
+    carried over.
     """
     out = Form.zero(target)
     for m, c in form.terms.items():
-        if coeff_map is not None:
-            c = coeff_map(c)
         term = Form.scalar(target, c)
         for i in bits(m):
             img = images.get(i)
@@ -494,25 +496,14 @@ def substitute_generators(
     return out
 
 
-def frame_expand(form: Form, coord_frame: FrameSpec | None = None) -> Form:
-    """Replace every frame-class generator by its coordinate expansion."""
-    if coord_frame is None:
-        frames = [
-            g.coord_expansion.frame
-            for g in form.frame.generators
-            if g.gclass is GenClass.FRAME and g.coord_expansion is not None
-        ]
-        if not frames:
-            return form
-        coord_frame = frames[0]
-    images = {}
-    for i, g in enumerate(form.frame.generators):
-        if g.gclass is not GenClass.FRAME:
-            images[i] = Form.gen(coord_frame, g.label)
-        elif g.coord_expansion.frame == coord_frame:
-            images[i] = g.coord_expansion
-        else:
-            images[i] = g.coord_expansion.transport(coord_frame)
+def frame_expand(form: Form, coord_frame: FrameSpec) -> Form:
+    """Replace every generator by its expansion on `coord_frame` (a used
+    generator with no expansion there is a FrameMismatch)."""
+    images = {
+        i: g.coord_expansion
+        for i, g in enumerate(form.frame.generators)
+        if g.coord_expansion is not None and g.coord_expansion.frame == coord_frame
+    }
     return substitute_generators(form, coord_frame, images)
 
 

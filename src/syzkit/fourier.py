@@ -9,7 +9,7 @@ fidelity is the whole point of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -23,8 +23,8 @@ from .calculus import (
     polarization_switch,
     polarization_unswitch,
 )
-from .coeffring import GaussianRational, I, ONE, Poly, P_ONE
-from .exterior import Form, FrameMismatch, FrameSpec, GenClass, Generator, bits
+from .coeffring import GaussianRational, I
+from .exterior import Form, FrameMismatch, FrameSpec, GenClass, Generator
 
 
 class SemiflatPair:
@@ -86,7 +86,6 @@ class SemiflatPair:
         f2i = Form.zero(self.frame_corr)
         for k in range(n):
             f2i = f2i + Form.monomial(self.frame_corr, [tc[k], tx[k]])
-        self.curvature_over_2i = f2i
         self._exp_plus = f2i.exp_nilpotent()
         self._exp_minus = (-f2i).exp_nilpotent()
         self.darboux_x = SymplecticData.darboux(self.frame_x, GenClass.FIBER_X)
@@ -114,8 +113,7 @@ class SemiflatPair:
         self._check_invariant(phi)
         out = Form.zero(self.frame_x)
         for (p, q), comp in phi.bidegree_components(HOLO_SPLIT).items():
-            switched = polarization_switch(comp, self.frame_xc, GenClass.FIBER_MIRROR)
-            lifted = switched.transport(self.frame_corr)
+            lifted = polarization_switch(comp, self.frame_corr, GenClass.FIBER_MIRROR)
             integrated = lifted.wedge(self._exp_plus).pushforward(GenClass.FIBER_MIRROR)
             res = integrated.transport(self.frame_x)
             fibs = res.leg_count(GenClass.FIBER_X) - {self.n - p}
@@ -133,8 +131,7 @@ class SemiflatPair:
         self._check_invariant(form)
         lifted = form.transport(self.frame_corr)
         integrated = lifted.wedge(self._exp_minus).pushforward(GenClass.FIBER_X)
-        dropped = integrated.transport(self.frame_xc)
-        return polarization_unswitch(dropped, self.holo_frame, GenClass.FIBER_MIRROR)
+        return polarization_unswitch(integrated, self.holo_frame, GenClass.FIBER_MIRROR)
 
     def fm_roundtrip_sign(self) -> int:
         return -1 if (self.n * (self.n - 1) // 2) % 2 else 1

@@ -7,7 +7,10 @@ K(K-1)/2 of them).  The tangent-bundle side carries the complex structure
 that gets dualized); the cotangent-bundle side carries the canonical
 symplectic form (fiber coordinates thc_ij, engine class FIBER_X).  The
 lattice acts by affine maps whose coefficients are the symbols a_ij; frame
-invariance is checked as a polynomial identity in both r and a.
+invariance is checked as a polynomial identity in both r and a.  Both
+invariant frames are `calculus.coframe`s over their coordinate frames, so
+their structure equations are derived; `structure_equations` checks the
+closed forms de = -e^e and df = -e^f against d of the expansions.
 """
 
 from __future__ import annotations
@@ -16,14 +19,13 @@ import os
 import warnings
 from dataclasses import dataclass
 
-from .calculus import SymplecticData, exterior_d
+from .calculus import SymplecticData, coframe, exterior_d
 from .coeffring import GaussianRational, I, Poly
 from .exterior import (
     Form,
     FrameSpec,
     GenClass,
     Generator,
-    frame_collect,
     frame_expand,
     substitute_generators,
 )
@@ -59,11 +61,10 @@ class NilData:
     K: int
     n: int
     pairs: list[tuple[int, int]]
-    base_vars: list[str]
     x_coord: FrameSpec         # complex side TB/L: dth + dr
     xc_coord: FrameSpec        # symplectic side T*B/L*: dthc + dr
-    x_frame: FrameSpec         # f, e frame generators with structure equations
-    xc_frame: FrameSpec        # fc, e frame generators with structure equations
+    x_frame: FrameSpec         # f, e: a coframe over x_coord
+    xc_frame: FrameSpec        # fc, e: a coframe over xc_coord
     e_forms: dict[tuple[int, int], Form]
     f_forms: dict[tuple[int, int], Form]
     fc_forms: dict[tuple[int, int], Form]
@@ -131,45 +132,16 @@ def build(K: int) -> NilData:
             fc = fc + Form.gen(xc_coord, f"dthc{i}{k}") * Poly.variable(f"r{i}{j}")
         fc_forms[(j, k)] = fc
 
-    x_frame = FrameSpec(
+    x_frame = coframe(
         [Generator(f"f{i}{j}", GenClass.FRAME, f_forms[(i, j)]) for i, j in pairs]
         + [Generator(f"e{i}{j}", GenClass.FRAME, e_forms[(i, j)]) for i, j in pairs],
-        rv,
-        n,
+        x_coord,
     )
-    xc_frame = FrameSpec(
+    xc_frame = coframe(
         [Generator(f"fc{i}{j}", GenClass.FRAME, fc_forms[(i, j)]) for i, j in pairs]
         + [Generator(f"e{i}{j}", GenClass.FRAME, e_forms[(i, j)].transport(xc_coord)) for i, j in pairs],
-        rv,
-        n,
+        xc_coord,
     )
-
-    # structure equations: de_{ij} = -sum e_{ik}^e_{kj}, df_{ij} = -sum e_{ik}^f_{kj};
-    # dfc is collected from the coordinate computation (it may have r-dependent
-    # coefficients for K >= 4)
-    for i, j in pairs:
-        de = Form.zero(x_frame)
-        df = Form.zero(x_frame)
-        for k in range(i + 1, j):
-            de = de - Form.gen(x_frame, f"e{i}{k}").wedge(Form.gen(x_frame, f"e{k}{j}"))
-            df = df - Form.gen(x_frame, f"e{i}{k}").wedge(Form.gen(x_frame, f"f{k}{j}"))
-        x_frame._set_structure(f"e{i}{j}", de)
-        x_frame._set_structure(f"f{i}{j}", df)
-    for v, p in zip(rv, pairs):
-        i, j = p
-        dr_in_frame = frame_collect(Form.gen(x_coord, f"dr{i}{j}"), x_frame)
-        x_frame._set_base_one_form(v, dr_in_frame)
-    for i, j in pairs:
-        de = Form.zero(xc_frame)
-        for k in range(i + 1, j):
-            de = de - Form.gen(xc_frame, f"e{i}{k}").wedge(Form.gen(xc_frame, f"e{k}{j}"))
-        xc_frame._set_structure(f"e{i}{j}", de)
-    for v, p in zip(rv, pairs):
-        i, j = p
-        xc_frame._set_base_one_form(v, frame_collect(Form.gen(xc_coord, f"dr{i}{j}"), xc_frame))
-    for i, j in pairs:
-        d_coord = exterior_d(fc_forms[(i, j)])
-        xc_frame._set_structure(f"fc{i}{j}", frame_collect(d_coord, xc_frame))
 
     # lattice action r'_{ik} = r_{ik} + sum_{i<j<k} a_{ij} r_{jk} + a_{ik},
     # th'_{ik} = th_{ik} + sum a_{ij} th_{jk}
@@ -192,7 +164,6 @@ def build(K: int) -> NilData:
         K=K,
         n=n,
         pairs=pairs,
-        base_vars=rv,
         x_coord=x_coord,
         xc_coord=xc_coord,
         x_frame=x_frame,
@@ -208,12 +179,8 @@ def build(K: int) -> NilData:
 def gamma_pullback(nd: NilData, form: Form) -> Form:
     """Pull a coordinate form on the complex side back along the symbolic
     lattice action (coefficients and differentials both move)."""
-    return substitute_generators(
-        form,
-        nd.x_coord,
-        nd.gamma_x_images,
-        coeff_map=lambda p: p.subst(nd.gamma_var_subst),
-    )
+    moved = form.map_coefficients(lambda p: p.subst(nd.gamma_var_subst))
+    return substitute_generators(moved, nd.x_coord, nd.gamma_x_images)
 
 
 def check_gamma_invariance(nd: NilData) -> CheckReport:
@@ -227,15 +194,21 @@ def check_gamma_invariance(nd: NilData) -> CheckReport:
 
 
 def structure_equations(nd: NilData) -> CheckReport:
-    """Differentiate the coordinate expansions and compare with the stored
-    frame structure equations."""
+    """Differentiate the coordinate expansions and compare with the structure
+    equations de_ij = -sum_k e_ik ^ e_kj and df_ij = -sum_k e_ik ^ f_kj, and
+    with the derived dfc_ij stored on the symplectic-side frame."""
     rep = CheckReport("structure-equations", config={"K": nd.K})
+    x = nd.x_frame
     for i, j in nd.pairs:
-        for name, coord, frame in (
-            (f"e{i}{j}", nd.e_forms[(i, j)], nd.x_frame),
-            (f"f{i}{j}", nd.f_forms[(i, j)], nd.x_frame),
+        de = Form.zero(x)
+        df = Form.zero(x)
+        for k in range(i + 1, j):
+            de = de - Form.gen(x, f"e{i}{k}").wedge(Form.gen(x, f"e{k}{j}"))
+            df = df - Form.gen(x, f"e{i}{k}").wedge(Form.gen(x, f"f{k}{j}"))
+        for name, coord, claimed in (
+            (f"e{i}{j}", nd.e_forms[(i, j)], de),
+            (f"f{i}{j}", nd.f_forms[(i, j)], df),
         ):
-            claimed = frame.d_of_generator(frame.index[name])
             got = exterior_d(coord)
             want = frame_expand(claimed, nd.x_coord)
             rep.add(f"d-{name}", got == want, got - want)
@@ -319,7 +292,7 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
     su_b = build_iib_side(nd)
     rep.extend(check_iib(su_b))
 
-    w = omega_hermitian(nd).transport(pair.frame_xc)
+    w = su_b.omega.transport(pair.frame_xc)
     su_a = mirror_transform(pair, w)
     rep.extend(check_iia(su_a))
 
@@ -335,7 +308,7 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
 
     f_a = su_a.conformal_factor()
     f_b = su_b.conformal_factor()
-    prod_ok = (f_a.ratio * f_b.ratio) == GaussianRational(2) ** (2 * n)
+    prod_ok = (f_a * f_b) == GaussianRational(2) ** (2 * n)
     rep.add("conformal-product", prod_ok, f"F={f_a} Fcheck={f_b}")
 
     flux_a, rep_a = flux_iia(su_a)
@@ -343,9 +316,9 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
     flux_b, rep_b = flux_iib(su_b)
     rep.extend(rep_b)
 
-    ft_rho = pair.fm_backward(flux_a.form)
+    ft_rho = pair.fm_backward(flux_a)
     ft_rho_real = pair.basis_xc.from_complex(ft_rho).transport(nd.x_coord)
-    want = flux_b.form * (GaussianRational(2) ** (2 * n + 2))
+    want = flux_b * (GaussianRational(2) ** (2 * n + 2))
     rep.add("flux-correspondence", ft_rho_real == want, ft_rho_real - want)
 
     arts = MirrorArtifacts(
@@ -353,8 +326,8 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
         su_iib=su_b,
         su_mirror=su_a,
         omega_iib=w,
-        rho_a=flux_a.form,
-        rho_b=flux_b.form,
+        rho_a=flux_a,
+        rho_b=flux_b,
         ft_of_rho_a=ft_rho_real,
     )
     return rep, arts

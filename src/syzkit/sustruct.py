@@ -49,12 +49,6 @@ class Polarization:
     phase_quarter: Optional[int] = None  # e^{i theta} = i^phase_quarter
 
 
-@dataclass
-class FluxCurrent:
-    form: Form
-    side: str  # "IIA" | "IIB"
-
-
 class SUStructure:
     """A pair (omega, Omega) with optional polarization data.
 
@@ -89,7 +83,7 @@ class SUStructure:
         self.polarization = polarization
         self.holo_labels = None if holo_labels is None else list(holo_labels)
         self.mu = mu
-        self._conformal: Optional[ConformalFactor] = None
+        self._conformal: Optional[PolyRatio] = None
         self._omega_powers = [Form.scalar(frame, 1), omega]
 
     @cached_property
@@ -110,7 +104,7 @@ class SUStructure:
             powers.append(powers[-1].wedge(self.omega))
         return powers[k]
 
-    def conformal_factor(self) -> "ConformalFactor":
+    def conformal_factor(self) -> PolyRatio:
         if self._conformal is None:
             self._conformal = conformal_factor(self)
         return self._conformal
@@ -171,22 +165,6 @@ class SUStructure:
         )
 
 
-@dataclass
-class ConformalFactor:
-    ratio: PolyRatio
-
-    @property
-    def is_constant(self) -> bool:
-        return self.ratio.is_constant()
-
-    @property
-    def constant_value(self) -> GaussianRational:
-        return self.ratio.constant_value()
-
-    def __str__(self):
-        return str(self.ratio)
-
-
 def _top_coefficient(frame: FrameSpec, form: Form) -> Poly:
     top = (1 << len(frame)) - 1
     for mask, c in form.terms.items():
@@ -195,7 +173,7 @@ def _top_coefficient(frame: FrameSpec, form: Form) -> Poly:
     return form.terms.get(top, Poly())
 
 
-def conformal_factor(s: SUStructure) -> ConformalFactor:
+def conformal_factor(s: SUStructure) -> PolyRatio:
     """Solve Omega ^ conj(Omega) = i^n F omega^n / n! for F, exactly.
 
     The i^n normalization is fixed once and for all; variant conventions
@@ -211,7 +189,7 @@ def conformal_factor(s: SUStructure) -> ConformalFactor:
     if den.is_zero():
         raise ValueError("omega is degenerate: omega^n = 0")
     num = _top_coefficient(s.frame, oo)
-    return ConformalFactor(PolyRatio(num, den * I ** s.n))
+    return PolyRatio(num, den * I ** s.n)
 
 
 def proportional_to(form: Form, candidate: Form) -> Optional[GaussianRational]:
@@ -244,12 +222,12 @@ def check_su(s: SUStructure) -> CheckReport:
         rep.add("conformal-factor-defined", False, e)
         return rep
     rep.add("conformal-factor-defined", True)
-    if cf.is_constant:
-        v = cf.constant_value
-        rep.add("conformal-factor-nonvanishing", bool(v), cf.ratio)
+    if cf.is_constant():
+        v = cf.constant_value()
+        rep.add("conformal-factor-nonvanishing", bool(v), cf)
         rep.add_status("conformal-factor-constant", PASS, str(v))
     else:
-        rep.add_status("conformal-factor-nonvanishing", UNDETERMINED, cf.ratio)
+        rep.add_status("conformal-factor-nonvanishing", UNDETERMINED, cf)
     return rep
 
 
@@ -312,18 +290,18 @@ def _check_special_phase(rep: CheckReport, s: SUStructure, pure_fiber: Form) -> 
 
 def _scale_by_inverse_conformal(s: SUStructure, form: Form) -> Form:
     cf = s.conformal_factor()
-    if cf.is_constant:
-        v = cf.constant_value
+    if cf.is_constant():
+        v = cf.constant_value()
         if not v:
             raise ValueError("conformal factor vanishes")
         return form * (ONE / v)
-    num, den = cf.ratio.num, cf.ratio.den
+    num, den = cf.num, cf.den
     if num.is_constant():
         return form * (den * (ONE / num.constant_value()))
     raise ValueError("non-constant conformal factor without exact inverse")
 
 
-def flux_iib(s: SUStructure, candidate: Optional[Form] = None) -> tuple[FluxCurrent, CheckReport]:
+def flux_iib(s: SUStructure, candidate: Optional[Form] = None) -> tuple[Form, CheckReport]:
     """2i del dbar (F^{-1} omega), with an optional proportionality witness."""
     if s.complex_basis is None:
         raise ValueError("IIB flux needs the complex basis")
@@ -332,7 +310,6 @@ def flux_iib(s: SUStructure, candidate: Optional[Form] = None) -> tuple[FluxCurr
     _, dbar = dolbeault(arg, s.complex_basis)
     ddbar, rest = dolbeault(dbar, s.complex_basis)
     rho = s.complex_basis.from_complex(ddbar) * (I * 2)
-    flux = FluxCurrent(rho, "IIB")
     d_rho = exterior_d(rho)
     rep.add("flux-closed", d_rho.is_zero(), d_rho)
     if candidate is not None:
@@ -340,10 +317,10 @@ def flux_iib(s: SUStructure, candidate: Optional[Form] = None) -> tuple[FluxCurr
         rep.add("flux-proportional-to-candidate", c is not None, rho)
         if c is not None:
             rep.add_status("flux-proportionality-constant", PASS, str(c))
-    return flux, rep
+    return rho, rep
 
 
-def flux_iia(s: SUStructure, candidate: Optional[Form] = None) -> tuple[FluxCurrent, CheckReport]:
+def flux_iia(s: SUStructure, candidate: Optional[Form] = None) -> tuple[Form, CheckReport]:
     """-i d d^Lambda (F (pi^{n-1,1} Omega + pi^{0,n} Omega)) for Darboux omega."""
     if s.polarization is None:
         raise ValueError("IIA flux needs a polarization")
@@ -353,14 +330,13 @@ def flux_iia(s: SUStructure, candidate: Optional[Form] = None) -> tuple[FluxCurr
     rep = CheckReport("flux-iia")
     cf = s.conformal_factor()
     part = s.pq_project(s.n - 1, 1) + s.pq_project(0, s.n)
-    if cf.is_constant:
-        arg = part * cf.constant_value
-    elif cf.ratio.den.is_constant():
-        arg = part * (cf.ratio.num * (ONE / cf.ratio.den.constant_value()))
+    if cf.is_constant():
+        arg = part * cf.constant_value()
+    elif cf.den.is_constant():
+        arg = part * (cf.num * (ONE / cf.den.constant_value()))
     else:
         raise ValueError("conformal factor is not exactly representable")
     rho = exterior_d(d_lambda(arg, symp)) * (-I)
-    flux = FluxCurrent(rho, "IIA")
     d_rho = exterior_d(rho)
     rep.add("flux-closed", d_rho.is_zero(), d_rho)
     if candidate is not None:
@@ -368,7 +344,7 @@ def flux_iia(s: SUStructure, candidate: Optional[Form] = None) -> tuple[FluxCurr
         rep.add("flux-proportional-to-candidate", c is not None, rho)
         if c is not None:
             rep.add_status("flux-proportionality-constant", PASS, str(c))
-    return flux, rep
+    return rho, rep
 
 
 def mirror_transform(pair: SemiflatPair, omega_check: Form) -> SUStructure:

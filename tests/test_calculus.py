@@ -17,11 +17,70 @@ from syzkit.calculus import (
     polarization_unswitch,
 )
 from syzkit.coeffring import GaussianRational, I, Poly
-from syzkit.exterior import Form, GenClass, frame_collect, frame_expand
+from syzkit.exterior import (
+    Form,
+    FrameMismatch,
+    GenClass,
+    Generator,
+    bits,
+    frame_collect,
+    frame_expand,
+    substitute_generators,
+)
+from syzkit.fourier import SemiflatPair
 from syzkit.randgen import random_complex_side_form, random_form, random_poly
 from syzkit import nilmanifold as nil
 
 from conftest import iwasawa_omega_check
+
+
+def switch_by_wedging(form, target, fiber_class):
+    """Oracle for polarization_switch: the algebra map that sends dz_k to the
+    k-th fiber generator and dzb_k to the k-th base generator of `target`,
+    applied by wedging the single-generator images in monomial order."""
+    frame = form.frame
+    fibers = target.gens_of_class(fiber_class)
+    bases = target.gens_of_class(GenClass.BASE)
+    holo = [i for i, g in enumerate(frame.generators) if g.leg_class is GenClass.FIBER_MIRROR]
+    anti = [i for i, g in enumerate(frame.generators) if g.leg_class is GenClass.BASE]
+    images = {}
+    for k, i in enumerate(holo):
+        images[i] = Form.gen(target, target.generators[fibers[k]].label)
+    for k, i in enumerate(anti):
+        images[i] = Form.gen(target, target.generators[bases[k]].label)
+    return substitute_generators(form, target, images)
+
+
+def unswitch_by_wedging(form, holo_frame, fiber_class):
+    """Oracle for polarization_unswitch, by wedging as above."""
+    frame = form.frame
+    fibers = frame.gens_of_class(fiber_class)
+    bases = frame.gens_of_class(GenClass.BASE)
+    holo = [i for i, g in enumerate(holo_frame.generators) if g.leg_class is GenClass.FIBER_MIRROR]
+    anti = [i for i, g in enumerate(holo_frame.generators) if g.leg_class is GenClass.BASE]
+    images = {}
+    for k, i in enumerate(fibers):
+        images[i] = Form.gen(holo_frame, holo_frame.generators[holo[k]].label)
+    for k, i in enumerate(bases):
+        images[i] = Form.gen(holo_frame, holo_frame.generators[anti[k]].label)
+    return substitute_generators(form, holo_frame, images)
+
+
+def transport_by_labels(form, frame):
+    """Oracle for Form.transport: look each monomial's labels up in the
+    target frame, rejecting a missing label or a reordered monomial."""
+    out = {}
+    for m, c in form.terms.items():
+        idxs = []
+        for i in bits(m):
+            lab = form.frame.generators[i].label
+            if lab not in frame.index:
+                raise FrameMismatch(f"generator {lab!r} missing from target frame")
+            idxs.append(frame.index[lab])
+        if idxs != sorted(idxs):
+            raise FrameMismatch("target frame reorders generators")
+        out[sum(1 << i for i in idxs)] = c
+    return Form(frame, out)
 
 
 class TestExteriorD:
@@ -229,3 +288,68 @@ class TestPolarizationSwitch:
         back = polarization_unswitch(s, pair3.holo_frame, GenClass.FIBER_MIRROR)
         assert back == a
         assert s.degrees() == a.degrees()
+
+
+class TestRelabelMatchesOracles:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_switch_and_unswitch(self, n):
+        pair = SemiflatPair(n)
+        rng = random.Random(1700 + n)
+        for target in (pair.frame_xc, pair.frame_corr):
+            for _ in range(15):
+                a = random_complex_side_form(rng, pair)
+                s = polarization_switch(a, target, GenClass.FIBER_MIRROR)
+                assert s == switch_by_wedging(a, target, GenClass.FIBER_MIRROR)
+                back = polarization_unswitch(s, pair.holo_frame, GenClass.FIBER_MIRROR)
+                assert back == unswitch_by_wedging(s, pair.holo_frame, GenClass.FIBER_MIRROR)
+                assert back == a
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_transport(self, n):
+        pair = SemiflatPair(n)
+        rng = random.Random(1800 + n)
+        for side in (pair.frame_x, pair.frame_xc):
+            for _ in range(15):
+                a = random_form(rng, side, max_terms=4)
+                lifted = a.transport(pair.frame_corr)
+                assert lifted == transport_by_labels(a, pair.frame_corr)
+                assert lifted.transport(side) == transport_by_labels(lifted, side) == a
+
+    def test_missing_and_reordering_targets_rejected(self, pair2):
+        # dth1 is not on the complex side; the swapped map reorders dth1 ^ dth2
+        with pytest.raises(FrameMismatch, match="missing"):
+            Form.gen(pair2.frame_x, "dth1").transport(pair2.frame_xc)
+        with pytest.raises(FrameMismatch, match="reorders"):
+            Form.monomial(pair2.frame_x, ["dth1", "dth2"]).relabel(pair2.frame_x, {0: 1, 1: 0})
+
+    def test_unswitch_checks_generator_counts(self, pair2, pair3):
+        a = Form.gen(pair3.frame_xc, "dtc1")
+        with pytest.raises(FrameMismatch, match="counts"):
+            polarization_unswitch(a, pair2.holo_frame, GenClass.FIBER_MIRROR)
+
+
+class TestCoframe:
+    def test_complex_basis_over_the_invariant_frame(self):
+        # dz_ij = f_ij + i e_ij is a coframe over the nilmanifold's coframe:
+        # its derived structure equations make d commute with frame_expand
+        nd = nil.build(3)
+        x = nd.x_frame
+        holo = [
+            (f"dz{i}{j}", Form.gen(x, f"f{i}{j}") + Form.gen(x, f"e{i}{j}") * I)
+            for i, j in nd.pairs
+        ]
+        b = ComplexBasis(x, holo)
+        rng = random.Random(1900)
+        for _ in range(10):
+            a = random_form(rng, b.holo_frame, max_terms=2, complex_ok=False)
+            assert b.from_complex(exterior_d(a)) == exterior_d(b.from_complex(a))
+            dl, db = dolbeault(a, b)
+            assert dl + db == exterior_d(a)
+
+    def test_leg_classes_read_through_the_expansion(self):
+        nd = nil.build(3)
+        x = nd.x_frame
+        assert Generator("g", GenClass.FRAME, Form.gen(x, "e12")).leg_class is GenClass.BASE
+        assert Generator("h", GenClass.FRAME, Form.gen(x, "f12")).leg_class is GenClass.FIBER_MIRROR
+        mixed = Form.gen(x, "e12") + Form.gen(x, "f12")
+        assert Generator("m", GenClass.FRAME, mixed).leg_class is None

@@ -246,6 +246,15 @@ class TestFrameExpandCollect:
             nd.xc_coord, ["dthc13"], Poly.variable("r12")
         )
 
+    def test_expand_needs_an_expansion_on_the_target(self):
+        # a coordinate generator has no expansion, and the expansions of the
+        # complex-side frame live on x_coord, not on xc_coord
+        nd = nil.build(3)
+        with pytest.raises(FrameMismatch, match="dr12"):
+            frame_expand(Form.gen(nd.x_coord, "dr12"), nd.x_coord)
+        with pytest.raises(FrameMismatch, match="e12"):
+            frame_expand(Form.gen(nd.x_frame, "e12"), nd.xc_coord)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_expand_collect_roundtrip(self, seed):
         nd = nil.build(3)
