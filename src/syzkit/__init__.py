@@ -14,13 +14,13 @@ from .exterior import (
 )
 from .calculus import (
     BasisChangeError,
-    ComplexBasis,
     MissingPairing,
     SymplecticData,
     d_lambda,
     dolbeault,
     dual_lefschetz,
     exterior_d,
+    holo_coframe,
     lefschetz,
     polarization_switch,
     polarization_unswitch,
@@ -47,8 +47,8 @@ __all__ = [
     "Form", "FrameSpec", "GenClass", "Generator",
     "FrameMismatch",
     "frame_collect", "frame_expand", "koszul_sign", "substitute_generators",
-    "BasisChangeError", "ComplexBasis", "MissingPairing", "SymplecticData",
-    "d_lambda", "dolbeault", "dual_lefschetz", "exterior_d", "lefschetz",
+    "BasisChangeError", "MissingPairing", "SymplecticData",
+    "d_lambda", "dolbeault", "dual_lefschetz", "exterior_d", "holo_coframe", "lefschetz",
     "polarization_switch", "polarization_unswitch",
     "IntertwiningReport", "SemiflatPair", "sign_of_concatenation",
     "Polarization", "SUStructure",

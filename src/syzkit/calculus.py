@@ -5,7 +5,9 @@ d acts through the stored frame data: coefficients are differentiated against
 the base variables (each paired with a one-form), and frame generators
 contribute their structure equations.  `coframe` is the one builder of a frame
 of one-forms over another frame: it derives the frame's base one-forms and
-structure equations from the generators' expansions.
+structure equations from the generators' expansions.  A complex basis is such
+a frame (`holo_coframe`), so the change of basis is `frame_collect` in and
+`frame_expand` out.
 """
 
 from __future__ import annotations
@@ -155,64 +157,52 @@ def d_lambda(form: Form, s: SymplecticData) -> Form:
     return exterior_d(dual_lefschetz(form, s)) - dual_lefschetz(exterior_d(form), s)
 
 
-class ComplexBasis:
-    """A holomorphic coframe dz_k (with conjugates) over a real frame.
+def holo_coframe(real_frame: FrameSpec, holo_forms: Sequence[tuple[str, Form]]) -> FrameSpec:
+    """The dz/dzb frame of the holomorphic one-forms `holo_forms` (label,
+    form) on `real_frame`, with the conjugates labeled `<label>b`.
 
-    The dz/dzb frame is a `coframe` over the real frame (the forms are its
-    generators' expansions), so the two directions of the change of basis are
-    `frame_collect` (through the frame's verified polynomial inverse) and
-    `frame_expand`; a round trip of every generator checks both at
-    construction.
+    It is a `coframe` over the real frame, so `frame_collect` (through the
+    verified polynomial inverse) and `frame_expand` change basis; a round
+    trip of every generator of both frames checks the two here.
     """
-
-    def __init__(self, real_frame: FrameSpec, holo_forms: Sequence[tuple[str, Form]]):
-        self.real_frame = real_frame
-        self.nz = len(holo_forms)
-        self.holo_labels = [lab for lab, _ in holo_forms]
-        self.anti_labels = [lab + "b" for lab, _ in holo_forms]
-        holo = [f for _, f in holo_forms]
-        anti = [f.conjugate() for f in holo]
-        for f in holo + anti:
-            if f.frame != real_frame:
-                raise BasisChangeError("basis forms must live on the real frame")
-            if f.degrees() not in ({1}, set()):
-                raise BasisChangeError("basis forms must be one-forms")
-
-        gens = []
-        for k, lab in enumerate(self.holo_labels):
-            gens.append(Generator(lab, GenClass.FRAME, holo[k], leg_class=GenClass.FIBER_MIRROR))
-        for k, lab in enumerate(self.anti_labels):
-            gens.append(Generator(lab, GenClass.FRAME, anti[k], leg_class=GenClass.BASE))
-        self.holo_frame = coframe(gens, real_frame)
-
-        for g in real_frame.generators:
-            probe = Form.gen(real_frame, g.label)
-            if self.from_complex(self.to_complex(probe)) != probe:
-                raise BasisChangeError("round trip through the complex basis failed")
-        for lab in self.holo_labels + self.anti_labels:
-            probe = Form.gen(self.holo_frame, lab)
-            if self.to_complex(self.from_complex(probe)) != probe:
-                raise BasisChangeError("round trip through the complex basis failed")
-
-    def to_complex(self, form: Form) -> Form:
-        return frame_collect(form, self.holo_frame)
-
-    def from_complex(self, form: Form) -> Form:
-        return frame_expand(form, self.real_frame)
+    labels = [lab for lab, _ in holo_forms]
+    holo = [f for _, f in holo_forms]
+    anti = [f.conjugate() for f in holo]
+    for f in holo + anti:
+        if f.frame != real_frame:
+            raise BasisChangeError("basis forms must live on the real frame")
+        if f.degrees() not in ({1}, set()):
+            raise BasisChangeError("basis forms must be one-forms")
+    frame = coframe(
+        [Generator(lab, GenClass.FIBER_MIRROR, f) for lab, f in zip(labels, holo)]
+        + [Generator(lab + "b", GenClass.BASE, f) for lab, f in zip(labels, anti)],
+        real_frame,
+    )
+    for g in real_frame.generators:
+        probe = Form.gen(real_frame, g.label)
+        if frame_expand(frame_collect(probe, frame), real_frame) != probe:
+            raise BasisChangeError("round trip through the complex basis failed")
+    for g in frame.generators:
+        probe = Form.gen(frame, g.label)
+        if frame_collect(frame_expand(probe, real_frame), frame) != probe:
+            raise BasisChangeError("round trip through the complex basis failed")
+    return frame
 
 
-def dolbeault(form: Form, basis: ComplexBasis) -> tuple[Form, Form]:
-    """Split d into its (1,0) and (0,1) parts in the given complex basis.
+def dolbeault(form: Form, holo_frame: FrameSpec) -> tuple[Form, Form]:
+    """Split d into its (1,0) and (0,1) parts on the dz/dzb frame
+    `holo_frame` (a form on its real frame is collected onto it first).
 
     Returns (del, dbar).  Raises if d escapes the two adjacent bidegrees,
     which would mean the basis is not integrable.
     """
-    if form.frame == basis.real_frame:
-        form = basis.to_complex(form)
-    elif form.frame != basis.holo_frame:
-        raise BasisChangeError("form lives on neither the real nor the complex frame")
-    del_part = Form.zero(basis.holo_frame)
-    dbar_part = Form.zero(basis.holo_frame)
+    if form.frame != holo_frame:
+        exp = holo_frame.generators[0].coord_expansion
+        if exp is None or form.frame != exp.frame:
+            raise BasisChangeError("form lives on neither the real nor the complex frame")
+        form = frame_collect(form, holo_frame)
+    del_part = Form.zero(holo_frame)
+    dbar_part = Form.zero(holo_frame)
     for (p, q), comp in form.bidegree_components(HOLO_SPLIT).items():
         dc = exterior_d(comp)
         a = dc.bidegree_project(p + 1, q, HOLO_SPLIT)
@@ -239,7 +229,7 @@ def _switch_index(holo_frame: FrameSpec, target: FrameSpec, fiber_class: GenClas
 def polarization_switch(form: Form, target: FrameSpec, fiber_class: GenClass = GenClass.FIBER_MIRROR) -> Form:
     """Send dz_k to the k-th fiber generator and dzb_k to the k-th base
     generator, preserving coefficients and monomial order."""
-    if any(g.gclass is not GenClass.FRAME for g in form.frame.generators):
+    if any(g.coord_expansion is None for g in form.frame.generators):
         raise FrameMismatch("polarization switch expects a dz/dzb monomial basis")
     return form.relabel(target, _switch_index(form.frame, target, fiber_class))
 

@@ -233,7 +233,7 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
     extra: dict = {}
     try:
         if which == "bc":
-            cpx = cohmod.bc_complex(pair.basis_xc, degree)
+            cpx = cohmod.bc_complex(pair.holo_frame, degree)
             r = cohmod.bott_chern(cpx, p, q)
             rep.add_status(f"bc-dim({p},{q})", "pass", str(r.dim))
             extra["cohomology"] = {"bc": r.to_json()}
@@ -244,7 +244,7 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
             extra["cohomology"] = {"ty": r.to_json()}
         else:
             ty = cohmod.ty_complex(pair.frame_x, degree)
-            bc = cohmod.bc_complex(pair.basis_xc, degree)
+            bc = cohmod.bc_complex(pair.holo_frame, degree)
             mrep, bc_r, ty_r = cohmod.mirror_compare(ty, bc, p, q, pair.fm_forward)
             rep.extend(mrep)
             rep.add_status("dims", "pass", f"bc={bc_r.dim} ty={ty_r.dim}")

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import linalg
 from .coeffring import GaussianRational, ONE, Poly, exponent_vectors
 from .exterior import BasisChangeError, Form, FrameSpec, GenClass
-from .calculus import HOLO_SPLIT, ComplexBasis, SymplecticData, dual_lefschetz, exterior_d
+from .calculus import HOLO_SPLIT, SymplecticData, dual_lefschetz, exterior_d
 from .reports import CheckReport
 
 
@@ -221,10 +221,10 @@ def dolbeault_split(
     return dl, db
 
 
-def bc_complex(basis: ComplexBasis, D: int) -> FiniteComplex:
+def bc_complex(holo_frame: FrameSpec, D: int) -> FiniteComplex:
     """Complex-side complex on the dz/dzb monomial frame: d applied to the
     basis, and del-dbar = del . dbar from the split of its images."""
-    cpx = FiniteComplex(basis.holo_frame, D, {"d": exterior_d}, HOLO_SPLIT)
+    cpx = FiniteComplex(holo_frame, D, {"d": exterior_d}, HOLO_SPLIT)
     dl, db = dolbeault_split(cpx, cpx.images["d"])
     cpx.images["deldbar"] = product((1, dl, db))
     return cpx

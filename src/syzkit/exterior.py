@@ -29,47 +29,44 @@ class GenClass(enum.Enum):
     FIBER_X = "fiber-x"           # torus-fiber directions of the symplectic side
     FIBER_MIRROR = "fiber-mirror" # torus-fiber directions of the dual/complex side
     BASE = "base"                 # base directions (paired with coefficient variables)
-    FRAME = "frame"               # abstract global one-forms with a coordinate expansion
 
 
 class Generator:
-    """A labeled one-form generator of a frame."""
+    """A labeled one-form generator of a frame: its leg class, and for a
+    coframe generator its expansion on the coordinate frame.
 
-    __slots__ = ("label", "gclass", "coord_expansion", "paired_base_var", "leg_class")
+    Without a leg class, an expansion whose legs all lie in one class gives
+    that class.
+    """
+
+    __slots__ = ("label", "leg_class", "coord_expansion", "paired_base_var")
 
     def __init__(
         self,
         label: str,
-        gclass: GenClass,
+        leg_class: Optional[GenClass] = None,
         coord_expansion: Optional["Form"] = None,
         paired_base_var: Optional[str] = None,
-        leg_class: Optional[GenClass] = None,
     ):
-        if gclass is GenClass.FRAME:
-            if coord_expansion is None:
-                raise ValueError(f"frame generator {label!r} needs a coordinate expansion")
-            if leg_class is None:
-                classes = {
-                    coord_expansion.frame.generators[i].leg_class
-                    for mask in coord_expansion.terms
-                    for i in bits(mask)
-                }
-                if len(classes) == 1:
-                    leg_class = classes.pop()
-        else:
-            if leg_class is None:
-                leg_class = gclass
+        if leg_class is None and coord_expansion is not None:
+            classes = {
+                coord_expansion.frame.generators[i].leg_class
+                for mask in coord_expansion.terms
+                for i in bits(mask)
+            }
+            if len(classes) == 1:
+                leg_class = classes.pop()
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "gclass", gclass)
+        object.__setattr__(self, "leg_class", leg_class)
         object.__setattr__(self, "coord_expansion", coord_expansion)
         object.__setattr__(self, "paired_base_var", paired_base_var)
-        object.__setattr__(self, "leg_class", leg_class)
 
     def __setattr__(self, name, value):
         raise AttributeError("Generator is immutable")
 
     def __repr__(self):
-        return f"Generator({self.label!r}, {self.gclass.value})"
+        cls = None if self.leg_class is None else self.leg_class.value
+        return f"Generator({self.label!r}, {cls})"
 
 
 class FrameSpec:
@@ -98,10 +95,14 @@ class FrameSpec:
                 self._class_masks[g.leg_class] = self._class_masks.get(g.leg_class, 0) | 1 << i
         self._collect_images: Optional[dict[str, Form]] = None
 
-    # frames are compared structurally so that reconstructed frames interoperate
+    # frames are compared structurally so that reconstructed frames interoperate;
+    # a coframe never equals a coordinate frame with the same labels
     def _signature(self):
         return (
-            tuple((g.label, g.gclass, g.paired_base_var, g.leg_class) for g in self.generators),
+            tuple(
+                (g.label, g.leg_class, g.paired_base_var, g.coord_expansion is not None)
+                for g in self.generators
+            ),
             self.base_vars,
             self.n,
         )
@@ -518,7 +519,7 @@ def _collect_images(frame: FrameSpec) -> dict[str, Form]:
     expansions = []
     for g in frame.generators:
         exp = g.coord_expansion
-        if g.gclass is not GenClass.FRAME or exp is None:
+        if exp is None:
             raise BasisChangeError(f"{g.label!r} has no coordinate expansion")
         if exp.degrees() not in ({1}, set()):
             raise BasisChangeError(f"the expansion of {g.label!r} is not a one-form")

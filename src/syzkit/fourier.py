@@ -15,16 +15,16 @@ from typing import Optional, Sequence
 
 from .calculus import (
     HOLO_SPLIT,
-    ComplexBasis,
     SymplecticData,
     d_lambda,
     dolbeault,
     exterior_d,
+    holo_coframe,
     polarization_switch,
     polarization_unswitch,
 )
 from .coeffring import GaussianRational, I
-from .exterior import Form, FrameMismatch, FrameSpec, GenClass, Generator
+from .exterior import Form, FrameMismatch, FrameSpec, GenClass, Generator, frame_collect
 
 
 class SemiflatPair:
@@ -79,8 +79,7 @@ class SemiflatPair:
         for k in range(n):
             f = Form.gen(self.frame_xc, tc[k]) + Form.gen(self.frame_xc, f"d{rv[k]}") * I
             holo_forms.append((zl[k], f))
-        self.basis_xc = ComplexBasis(self.frame_xc, holo_forms)
-        self.holo_frame = self.basis_xc.holo_frame
+        self.holo_frame = holo_coframe(self.frame_xc, holo_forms)
 
         # universal curvature divided by 2i: sum_i dtc_i ^ dth_i
         f2i = Form.zero(self.frame_corr)
@@ -97,7 +96,7 @@ class SemiflatPair:
         if form.frame == self.holo_frame:
             return form
         if form.frame == self.frame_xc:
-            return self.basis_xc.to_complex(form)
+            return frame_collect(form, self.holo_frame)
         raise FrameMismatch("form does not live on the complex side of this pair")
 
     def _check_invariant(self, form: Form) -> None:
@@ -171,7 +170,7 @@ class SemiflatPair:
         """Both identities relating (del, dbar) on the complex side to
         (d^Lambda, d) on the symplectic side, checked exactly."""
         phi = self.to_complex_side(form)
-        del_phi, dbar_phi = dolbeault(phi, self.basis_xc)
+        del_phi, dbar_phi = dolbeault(phi, self.holo_frame)
         ft_phi = self.fm_forward(phi)
         c = I * Fraction(1, 2)
         if self.n % 2:

@@ -7,9 +7,10 @@ K(K-1)/2 of them).  The tangent-bundle side carries the complex structure
 that gets dualized); the cotangent-bundle side carries the canonical
 symplectic form (fiber coordinates thc_ij, engine class FIBER_X).  The
 lattice acts by affine maps whose coefficients are the symbols a_ij; frame
-invariance is checked as a polynomial identity in both r and a.  Both
-invariant frames are `calculus.coframe`s over their coordinate frames, so
-their structure equations are derived; `structure_equations` checks the
+invariance is checked as a polynomial identity in both r and a.  The two
+coordinate frames are those of the flat pair with the family's labels
+(`semiflat_pair`).  Both invariant frames are `calculus.coframe`s over them,
+so their structure equations are derived; `structure_equations` checks the
 closed forms de = -e^e and df = -e^f against d of the expansions.
 """
 
@@ -26,6 +27,7 @@ from .exterior import (
     FrameSpec,
     GenClass,
     Generator,
+    frame_collect,
     frame_expand,
     substitute_generators,
 )
@@ -61,8 +63,7 @@ class NilData:
     K: int
     n: int
     pairs: list[tuple[int, int]]
-    x_coord: FrameSpec         # complex side TB/L: dth + dr
-    xc_coord: FrameSpec        # symplectic side T*B/L*: dthc + dr
+    pair: SemiflatPair         # the flat pair with the family's labels
     x_frame: FrameSpec         # f, e: a coframe over x_coord
     xc_frame: FrameSpec        # fc, e: a coframe over xc_coord
     e_forms: dict[tuple[int, int], Form]
@@ -70,6 +71,16 @@ class NilData:
     fc_forms: dict[tuple[int, int], Form]
     gamma_var_subst: dict[str, Poly]
     gamma_x_images: dict[int, Form]
+
+    @property
+    def x_coord(self) -> FrameSpec:
+        """Complex side TB/L: dth + dr."""
+        return self.pair.frame_xc
+
+    @property
+    def xc_coord(self) -> FrameSpec:
+        """Symplectic side T*B/L*: dthc + dr."""
+        return self.pair.frame_x
 
 
 def _family_pairs(K: int) -> list[tuple[int, int]]:
@@ -95,16 +106,10 @@ def build(K: int) -> NilData:
             RuntimeWarning,
             stacklevel=2,
         )
+    pair = semiflat_pair(K)
     n = len(pairs)
-    rv = [f"r{i}{j}" for i, j in pairs]
-
-    def gens(fiber_prefix: str, fiber_class: GenClass):
-        out = [Generator(f"{fiber_prefix}{i}{j}", fiber_class) for i, j in pairs]
-        out += [Generator(f"dr{i}{j}", GenClass.BASE, paired_base_var=f"r{i}{j}") for i, j in pairs]
-        return out
-
-    x_coord = FrameSpec(gens("dth", GenClass.FIBER_MIRROR), rv, n)
-    xc_coord = FrameSpec(gens("dthc", GenClass.FIBER_X), rv, n)
+    x_coord = pair.frame_xc
+    xc_coord = pair.frame_x
 
     # e_{ik} = dr_{ik} - sum_{i<j<k} r_{ij} e_{jk}; f same over dth;
     # fc_{jk} = dthc_{jk} + sum_{i<j} r_{ij} fc_{ik}
@@ -133,13 +138,13 @@ def build(K: int) -> NilData:
         fc_forms[(j, k)] = fc
 
     x_frame = coframe(
-        [Generator(f"f{i}{j}", GenClass.FRAME, f_forms[(i, j)]) for i, j in pairs]
-        + [Generator(f"e{i}{j}", GenClass.FRAME, e_forms[(i, j)]) for i, j in pairs],
+        [Generator(f"f{i}{j}", coord_expansion=f_forms[(i, j)]) for i, j in pairs]
+        + [Generator(f"e{i}{j}", coord_expansion=e_forms[(i, j)]) for i, j in pairs],
         x_coord,
     )
     xc_frame = coframe(
-        [Generator(f"fc{i}{j}", GenClass.FRAME, fc_forms[(i, j)]) for i, j in pairs]
-        + [Generator(f"e{i}{j}", GenClass.FRAME, e_forms[(i, j)].transport(xc_coord)) for i, j in pairs],
+        [Generator(f"fc{i}{j}", coord_expansion=fc_forms[(i, j)]) for i, j in pairs]
+        + [Generator(f"e{i}{j}", coord_expansion=e_forms[(i, j)].transport(xc_coord)) for i, j in pairs],
         xc_coord,
     )
 
@@ -164,8 +169,7 @@ def build(K: int) -> NilData:
         K=K,
         n=n,
         pairs=pairs,
-        x_coord=x_coord,
-        xc_coord=xc_coord,
+        pair=pair,
         x_frame=x_frame,
         xc_frame=xc_frame,
         e_forms=e_forms,
@@ -288,20 +292,20 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
     product, both supersymmetry systems, and the flux correspondence."""
     rep = CheckReport("mirror-pair", config={"K": nd.K, "n": nd.n})
     n = nd.n
-    pair = semiflat_pair(nd.K)
+    pair = nd.pair
     su_b = build_iib_side(nd)
     rep.extend(check_iib(su_b))
 
-    w = su_b.omega.transport(pair.frame_xc)
+    w = su_b.omega
     su_a = mirror_transform(pair, w)
     rep.extend(check_iia(su_a))
 
-    exp_2w = pair.basis_xc.to_complex(w * 2).exp_nilpotent()
+    exp_2w = frame_collect(w * 2, pair.holo_frame).exp_nilpotent()
     omega_fm = pair.fm_forward(exp_2w)
     rep.add("volume-form-integral-vs-closed-form", omega_fm == su_a.Omega,
             omega_fm - su_a.Omega)
 
-    c = proportional_to(omega_fm, build_iia_side(nd).Omega.transport(pair.frame_x))
+    c = proportional_to(omega_fm, build_iia_side(nd).Omega)
     pref = GaussianRational(1 if (n * (n - 1) // 2) % 2 == 0 else -1)
     rep.add("volume-form-matches-frame-product", c == pref,
             f"constant {c}, expected {pref}")
@@ -317,7 +321,7 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
     rep.extend(rep_b)
 
     ft_rho = pair.fm_backward(flux_a)
-    ft_rho_real = pair.basis_xc.from_complex(ft_rho).transport(nd.x_coord)
+    ft_rho_real = frame_expand(ft_rho, pair.frame_xc)
     want = flux_b * (GaussianRational(2) ** (2 * n + 2))
     rep.add("flux-correspondence", ft_rho_real == want, ft_rho_real - want)
 

@@ -7,12 +7,11 @@ law; a rerun with the same (suite, trials, seed) produces an identical report.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Callable
 
-from .calculus import SymplecticData, d_lambda, dolbeault, exterior_d, polarization_switch, polarization_unswitch
-from .coeffring import GaussianRational, I, ONE, Poly
-from .exterior import Form, GenClass
+from .calculus import d_lambda, dolbeault, exterior_d, polarization_switch, polarization_unswitch
+from .coeffring import GaussianRational
+from .exterior import Form, GenClass, frame_expand
 from .fourier import SemiflatPair
 from .randgen import random_complex_side_form, random_form, random_poly, trial_rng
 from .reports import CheckReport
@@ -160,25 +159,25 @@ def suite_operator_algebra(trials: int, seed: int) -> CheckReport:
 
     def del_dbar_sum(rng):
         a = random_complex_side_form(rng, pair)
-        dl, db = dolbeault(a, pair.basis_xc)
-        return pair.basis_xc.from_complex(dl + db) == exterior_d(pair.basis_xc.from_complex(a))
+        dl, db = dolbeault(a, pair.holo_frame)
+        return frame_expand(dl + db, pair.frame_xc) == exterior_d(frame_expand(a, pair.frame_xc))
 
     _law(rep, "del-plus-dbar-is-d", trials, seed, del_dbar_sum)
 
     def del_squared(rng):
         a = random_complex_side_form(rng, pair)
-        dl, db = dolbeault(a, pair.basis_xc)
-        dll, _ = dolbeault(dl, pair.basis_xc)
-        _, dbb = dolbeault(db, pair.basis_xc)
+        dl, db = dolbeault(a, pair.holo_frame)
+        dll, _ = dolbeault(dl, pair.holo_frame)
+        _, dbb = dolbeault(db, pair.holo_frame)
         return dll.is_zero() and dbb.is_zero()
 
     _law(rep, "del-squared-dbar-squared-zero", trials, seed, del_squared)
 
     def del_dbar_anti(rng):
         a = random_complex_side_form(rng, pair)
-        dl, db = dolbeault(a, pair.basis_xc)
-        a1, _ = dolbeault(db, pair.basis_xc)
-        _, a2 = dolbeault(dl, pair.basis_xc)
+        dl, db = dolbeault(a, pair.holo_frame)
+        a1, _ = dolbeault(db, pair.holo_frame)
+        _, a2 = dolbeault(dl, pair.holo_frame)
         return a1 == -a2
 
     _law(rep, "del-dbar-anticommute", trials, seed, del_dbar_anti)

@@ -20,23 +20,24 @@ from . import linalg
 from .calculus import (
     HOLO_SPLIT,
     BasisChangeError,
-    ComplexBasis,
     MissingPairing,
     SymplecticData,
     d_lambda,
     dolbeault,
     exterior_d,
+    holo_coframe,
 )
 from .coeffring import (
     GaussianRational,
     I,
     ONE,
+    P_ONE,
     Poly,
     PolyRatio,
     ZERO,
     exponent_vectors,
 )
-from .exterior import Form, FrameSpec, GenClass, bits
+from .exterior import Form, FrameSpec, GenClass, Generator, bits, frame_collect, frame_expand
 from .fourier import SemiflatPair
 from .reports import PASS, UNDETERMINED, CheckReport
 
@@ -54,10 +55,10 @@ class SUStructure:
 
     Omega is `prefactor` times the wedge of `Omega_factors`, its decomposition
     into complex one-forms; the product is formed once, here.  Given
-    `holo_labels` to name the factors, the induced complex basis is built
-    from them on the first read of `complex_basis`, and is None when the
-    transition is not exactly invertible.  `omega_power(k)` wedges each power
-    of omega once and keeps it.
+    `holo_labels` to name the factors, the induced dz/dzb frame is built from
+    them on the first read of `holo_frame`, and is None when the transition
+    is not exactly invertible.  `omega_power(k)` wedges each power of omega
+    once and keeps it; `mu`, the coefficient matrix, is read on first use.
     """
 
     def __init__(
@@ -68,7 +69,6 @@ class SUStructure:
         Omega_factors: Sequence[Form],
         prefactor: GaussianRational = ONE,
         polarization: Optional[Polarization] = None,
-        mu: Optional[list[list[Poly]]] = None,
         holo_labels: Optional[Sequence[str]] = None,
     ):
         self.n = n
@@ -82,18 +82,45 @@ class SUStructure:
         self.prefactor = prefactor
         self.polarization = polarization
         self.holo_labels = None if holo_labels is None else list(holo_labels)
-        self.mu = mu
         self._conformal: Optional[PolyRatio] = None
         self._omega_powers = [Form.scalar(frame, 1), omega]
 
     @cached_property
-    def complex_basis(self) -> Optional[ComplexBasis]:
+    def holo_frame(self) -> Optional[FrameSpec]:
         if self.holo_labels is None:
             return None
         try:
-            return ComplexBasis(self.frame, list(zip(self.holo_labels, self.Omega_factors)))
+            return holo_coframe(self.frame, list(zip(self.holo_labels, self.Omega_factors)))
         except BasisChangeError:
             return None
+
+    @cached_property
+    def mu(self) -> list[list[Poly]]:
+        """The coefficient matrix: with a polarization, read from the factors
+        fiber_a + i sum_b mu_ab base_b; without one, from
+        omega = sum mu_ab fiber_a ^ base_b."""
+        bases = self.frame.gens_of_class(GenClass.BASE)
+        if self.polarization is None:
+            fibers = [i for i, g in enumerate(self.frame.generators)
+                      if g.leg_class in (GenClass.FIBER_X, GenClass.FIBER_MIRROR)]
+            mu = [[Poly() for _ in bases] for _ in fibers]
+            for mask, c in self.omega.terms.items():
+                idx = sorted(bits(mask))
+                if len(idx) != 2 or idx[0] not in fibers or idx[1] not in bases:
+                    raise ValueError("omega does not pair fiber legs with base legs")
+                mu[fibers.index(idx[0])][bases.index(idx[1])] = c
+            return mu
+        fibers = self.frame.gens_of_class(self.polarization.fiber_class)
+        base_bits = {1 << b for b in bases}
+        if len(self.Omega_factors) != len(fibers):
+            raise ValueError("the factors do not match the polarized fibers")
+        mu = []
+        for fa, factor in zip(fibers, self.Omega_factors):
+            rest = dict(factor.terms)
+            if rest.pop(1 << fa, None) != P_ONE or not rest.keys() <= base_bits:
+                raise ValueError("a factor is not its fiber one-form plus i times base one-forms")
+            mu.append([rest.get(1 << b, Poly()) * (-I) for b in bases])
+        return mu
 
     def omega_power(self, k: int) -> Form:
         """omega^k (omega^0 = 1); each power is wedged once, on first use."""
@@ -125,7 +152,7 @@ class SUStructure:
             "n": self.n,
             "frame": {
                 "labels": [g.label for g in self.frame.generators],
-                "classes": [g.gclass.value for g in self.frame.generators],
+                "classes": [g.leg_class.value for g in self.frame.generators],
                 "paired": [g.paired_base_var for g in self.frame.generators],
                 "base_vars": list(self.frame.base_vars),
             },
@@ -137,8 +164,6 @@ class SUStructure:
 
     @staticmethod
     def from_json(obj) -> "SUStructure":
-        from .exterior import Generator
-
         fr = obj["frame"]
         gens = []
         for lab, cls, paired in zip(fr["labels"], fr["classes"], fr["paired"]):
@@ -301,26 +326,22 @@ def _scale_by_inverse_conformal(s: SUStructure, form: Form) -> Form:
     raise ValueError("non-constant conformal factor without exact inverse")
 
 
-def flux_iib(s: SUStructure, candidate: Optional[Form] = None) -> tuple[Form, CheckReport]:
-    """2i del dbar (F^{-1} omega), with an optional proportionality witness."""
-    if s.complex_basis is None:
+def flux_iib(s: SUStructure) -> tuple[Form, CheckReport]:
+    """2i del dbar (F^{-1} omega)."""
+    hf = s.holo_frame
+    if hf is None:
         raise ValueError("IIB flux needs the complex basis")
     rep = CheckReport("flux-iib")
     arg = _scale_by_inverse_conformal(s, s.omega)
-    _, dbar = dolbeault(arg, s.complex_basis)
-    ddbar, rest = dolbeault(dbar, s.complex_basis)
-    rho = s.complex_basis.from_complex(ddbar) * (I * 2)
+    _, dbar = dolbeault(arg, hf)
+    ddbar, _ = dolbeault(dbar, hf)
+    rho = frame_expand(ddbar, s.frame) * (I * 2)
     d_rho = exterior_d(rho)
     rep.add("flux-closed", d_rho.is_zero(), d_rho)
-    if candidate is not None:
-        c = proportional_to(rho, candidate)
-        rep.add("flux-proportional-to-candidate", c is not None, rho)
-        if c is not None:
-            rep.add_status("flux-proportionality-constant", PASS, str(c))
     return rho, rep
 
 
-def flux_iia(s: SUStructure, candidate: Optional[Form] = None) -> tuple[Form, CheckReport]:
+def flux_iia(s: SUStructure) -> tuple[Form, CheckReport]:
     """-i d d^Lambda (F (pi^{n-1,1} Omega + pi^{0,n} Omega)) for Darboux omega."""
     if s.polarization is None:
         raise ValueError("IIA flux needs a polarization")
@@ -339,11 +360,6 @@ def flux_iia(s: SUStructure, candidate: Optional[Form] = None) -> tuple[Form, Ch
     rho = exterior_d(d_lambda(arg, symp)) * (-I)
     d_rho = exterior_d(rho)
     rep.add("flux-closed", d_rho.is_zero(), d_rho)
-    if candidate is not None:
-        c = proportional_to(rho, candidate)
-        rep.add("flux-proportional-to-candidate", c is not None, rho)
-        if c is not None:
-            rep.add_status("flux-proportionality-constant", PASS, str(c))
     return rho, rep
 
 
@@ -357,7 +373,7 @@ def mirror_transform(pair: SemiflatPair, omega_check: Form) -> SUStructure:
     """
     n = pair.n
     if omega_check.frame == pair.holo_frame:
-        omega_check = pair.basis_xc.from_complex(omega_check)
+        omega_check = frame_expand(omega_check, pair.frame_xc)
     if omega_check.frame != pair.frame_xc:
         raise ValueError("omega_check must live on the complex side of the pair")
     if omega_check.conjugate() != omega_check:
@@ -400,25 +416,8 @@ def mirror_transform(pair: SemiflatPair, omega_check: Form) -> SUStructure:
         Omega_factors=factors,
         prefactor=pref,
         polarization=Polarization(GenClass.FIBER_X, phase),
-        mu=mu,
         holo_labels=[f"dw{k+1}" for k in range(n)],
     )
-
-
-def _extract_mu(s: SUStructure) -> list[list[Poly]]:
-    if s.mu is not None:
-        return s.mu
-    fibers = [i for i, g in enumerate(s.frame.generators)
-              if g.leg_class in (GenClass.FIBER_X, GenClass.FIBER_MIRROR)]
-    bases = s.frame.gens_of_class(GenClass.BASE)
-    n = len(fibers)
-    mu = [[Poly() for _ in range(n)] for _ in range(n)]
-    for mask, c in s.omega.terms.items():
-        idx = sorted(bits(mask))
-        if len(idx) != 2 or idx[0] not in fibers or idx[1] not in bases:
-            raise ValueError("omega does not pair fiber legs with base legs")
-        mu[fibers.index(idx[0])][bases.index(idx[1])] = c
-    return mu
 
 
 def default_sample_points(base_vars: Sequence[str]) -> list[dict]:
@@ -434,7 +433,7 @@ def check_hermitian_at(s: SUStructure, points: Optional[Sequence[dict]] = None) 
     """Positive definiteness of the coefficient matrix at rational points,
     by exact leading principal minors."""
     rep = CheckReport("hermitian-at-points")
-    mu = _extract_mu(s)
+    mu = s.mu
     n = len(mu)
     if points is None:
         points = default_sample_points(s.frame.base_vars)
@@ -474,7 +473,7 @@ def check_deformation_class(
             raise ValueError(f"IIB deformation must have degree {2*n - 2}")
         dd = exterior_d(delta)
         rep.add("deformation-closed", dd.is_zero(), dd)
-        if s.complex_basis is None:
+        if s.holo_frame is None:
             rep.add_status("lefschetz-primitive-decomposition", UNDETERMINED,
                            "no complex basis available")
             return rep
@@ -508,16 +507,15 @@ def check_deformation_class(
 def _solve_primitive_11(
     s: SUStructure, delta: Form, wk: Form, wk1: Form, degree_bound: int
 ) -> Optional[Form]:
-    basis = s.complex_basis
-    hf = basis.holo_frame
+    hf = s.holo_frame
     monos = [mask for mask in range(1 << len(hf)) if hf.bidegree(mask, HOLO_SPLIT) == (1, 1)]
     uvars = tuple(sorted(s.frame.base_vars))
     exps = exponent_vectors(len(uvars), degree_bound)
     unknowns = [(m, e) for m in monos for e in exps]
 
-    delta_c = basis.to_complex(delta)
-    wk_c = basis.to_complex(wk)
-    wk1_c = basis.to_complex(wk1)
+    delta_c = frame_collect(delta, hf)
+    wk_c = frame_collect(wk, hf)
+    wk1_c = frame_collect(wk1, hf)
 
     rows_index: dict[tuple, int] = {}
     rhs_entries: dict[int, GaussianRational] = {}
@@ -551,4 +549,4 @@ def _solve_primitive_11(
     for j in sorted(sol):
         m, e = unknowns[j]
         beta = beta + Form(hf, {m: Poly(uvars, {tuple(e): sol[j]})})
-    return basis.from_complex(beta)
+    return frame_expand(beta, s.frame)

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from syzkit.calculus import ComplexBasis
+from syzkit import calculus
 from syzkit.cli import main
 from syzkit.exterior import Form
 from syzkit.fourier import SemiflatPair
@@ -71,13 +72,19 @@ class TestVerifyCommand:
 
     def test_iia_builds_no_complex_basis(self, runner, fixtures, monkeypatch):
         built = []
-        init = ComplexBasis.__init__
+        builder = calculus.holo_coframe
 
-        def counting_init(self, *args, **kwargs):
+        def counting_builder(*args, **kwargs):
             built.append(1)
-            init(self, *args, **kwargs)
+            return builder(*args, **kwargs)
 
-        monkeypatch.setattr(ComplexBasis, "__init__", counting_init)
+        # every syzkit module that binds the builder calls the counting one
+        patched = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("syzkit") and getattr(module, "holo_coframe", None) is builder:
+                monkeypatch.setattr(module, "holo_coframe", counting_builder)
+                patched.append(name)
+        assert "syzkit.sustruct" in patched
         res = runner.invoke(
             main, ["verify", "--system", "iia", "--input", str(fixtures / "iia-K3.json")]
         )

@@ -19,7 +19,7 @@ def flat_k3_setting():
 
 class TestComplexConstruction:
     def test_operator_identities_on_basis(self, pair2):
-        bc = coh.bc_complex(pair2.basis_xc, 1)
+        bc = coh.bc_complex(pair2.holo_frame, 1)
         ty = coh.ty_complex(pair2.frame_x, 1)
         for cpx, ops in ((bc, ["d", "deldbar"]), (ty, ["d", "dlambda", "ddlambda"])):
             for i in range(len(cpx.basis)):
@@ -87,14 +87,14 @@ class TestComposedOperators:
             f = ty.basis_form(i)
             assert ty.images["dlambda"][i] == ty.vectorize(d_lambda(f, symp))
             assert ty.images["ddlambda"][i] == ty.vectorize(oracle_ddlambda(f, symp))
-        bc = coh.bc_complex(pair.basis_xc, D)
+        bc = coh.bc_complex(pair.holo_frame, D)
         dl, db = coh.dolbeault_split(bc, bc.images["d"])
         for i in range(len(bc.basis)):
             f = bc.basis_form(i)
-            del_f, dbar_f = dolbeault(f, pair.basis_xc)
+            del_f, dbar_f = dolbeault(f, pair.holo_frame)
             assert dl[i] == bc.vectorize(del_f)
             assert db[i] == bc.vectorize(dbar_f)
-            assert bc.images["deldbar"][i] == bc.vectorize(oracle_deldbar(f, pair.basis_xc))
+            assert bc.images["deldbar"][i] == bc.vectorize(oracle_deldbar(f, pair.holo_frame))
 
     def test_only_primitives_applied_to_the_basis(self, pair2, monkeypatch):
         calls = {"exterior_d": 0, "d_lambda": 0, "dolbeault": 0}
@@ -112,11 +112,11 @@ class TestComposedOperators:
             monkeypatch.setattr(coh, name, counting(name, fn), raising=False)
         ty = coh.ty_complex(pair2.frame_x, 1)
         assert calls == {"exterior_d": len(ty.basis), "d_lambda": 0, "dolbeault": 0}
-        bc = coh.bc_complex(pair2.basis_xc, 1)
+        bc = coh.bc_complex(pair2.holo_frame, 1)
         assert calls == {"exterior_d": len(ty.basis) + len(bc.basis), "d_lambda": 0, "dolbeault": 0}
 
     def test_split_rejects_non_adjacent_bidegree(self, pair1):
-        bc = coh.bc_complex(pair1.basis_xc, 0)
+        bc = coh.bc_complex(pair1.holo_frame, 0)
         at = {bc.frame.bidegree(mask, bc.split): i for i, (mask, _) in enumerate(bc.basis)}
         cols = [{} for _ in bc.basis]
         # the (0,0) element: a (1,0) and a (0,1) row split into del and dbar
@@ -134,7 +134,7 @@ class TestFlatTables:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bott_chern_binomial(self, n):
         pair = SemiflatPair(n)
-        bc = coh.bc_complex(pair.basis_xc, 0)
+        bc = coh.bc_complex(pair.holo_frame, 0)
         for p in range(n + 1):
             for q in range(n + 1):
                 assert coh.bott_chern(bc, p, q).dim == comb(n, p) * comb(n, q)
@@ -150,7 +150,7 @@ class TestFlatTables:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_mirror_all_bidegrees(self, n):
         pair = SemiflatPair(n)
-        bc = coh.bc_complex(pair.basis_xc, 0)
+        bc = coh.bc_complex(pair.holo_frame, 0)
         ty = coh.ty_complex(pair.frame_x, 0)
         for p in range(n + 1):
             for q in range(n + 1):
@@ -178,7 +178,7 @@ class TestFlatPairNilLabelsRegression:
     @pytest.mark.parametrize("D", [0, 1, 2])
     def test_dims_and_mirror(self, flat_k3_setting, D):
         nd, pair = flat_k3_setting
-        bc = coh.bc_complex(pair.basis_xc, D)
+        bc = coh.bc_complex(pair.holo_frame, D)
         ty = coh.ty_complex(pair.frame_x, D)
         for (p, q) in ((1, 1), (2, 2)):
             rep, bcr, tyr = coh.mirror_compare(ty, bc, p, q, pair.fm_forward)
@@ -187,7 +187,7 @@ class TestFlatPairNilLabelsRegression:
 
     def test_representatives_closed_and_counted(self, flat_k3_setting):
         nd, pair = flat_k3_setting
-        bc = coh.bc_complex(pair.basis_xc, 1)
+        bc = coh.bc_complex(pair.holo_frame, 1)
         r = coh.bott_chern(bc, 1, 1)
         assert len(r.representatives) == r.dim
         for f in r.representatives:
@@ -195,7 +195,7 @@ class TestFlatPairNilLabelsRegression:
 
     def test_involution_on_representatives(self, flat_k3_setting):
         nd, pair = flat_k3_setting
-        bc = coh.bc_complex(pair.basis_xc, 1)
+        bc = coh.bc_complex(pair.holo_frame, 1)
         sign = GaussianRational(pair.fm_roundtrip_sign())
         for f in coh.bott_chern(bc, 1, 1).representatives:
             assert pair.fm_backward(pair.fm_forward(f)) == f * sign
@@ -209,13 +209,13 @@ class TestMatrixLevelTransformConjugation:
         from syzkit.calculus import dolbeault
         from syzkit.coeffring import I
 
-        bc = coh.bc_complex(pair2.basis_xc, 1)
+        bc = coh.bc_complex(pair2.holo_frame, 1)
         c = I * Fraction(1, 2)
         if pair2.n % 2:
             c = -c
         for i in range(len(bc.basis)):
             v = bc.basis_form(i)
             lhs = exterior_d(pair2.fm_forward(v))
-            _, dbar_v = dolbeault(v, pair2.basis_xc)
+            _, dbar_v = dolbeault(v, pair2.holo_frame)
             rhs = pair2.fm_forward(dbar_v) * (ONE / c)
             assert lhs == rhs

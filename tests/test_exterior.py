@@ -275,12 +275,23 @@ class TestFrameExpandCollect:
     def two_generator_frame(real, w, wb):
         return FrameSpec(
             [
-                Generator("w", GenClass.FRAME, w, leg_class=GenClass.FIBER_MIRROR),
-                Generator("wb", GenClass.FRAME, wb, leg_class=GenClass.BASE),
+                Generator("w", GenClass.FIBER_MIRROR, w),
+                Generator("wb", GenClass.BASE, wb),
             ],
             real.base_vars,
             1,
         )
+
+    def test_coframe_differs_from_coordinate_frame_with_same_labels(self, pair1):
+        f = pair1.frame_xc
+        dz = Form.gen(f, "dtc1") + Form.gen(f, "dr1") * I
+        frame = self.two_generator_frame(f, dz, dz.conjugate())
+        coords = FrameSpec(
+            [Generator("w", GenClass.FIBER_MIRROR), Generator("wb", GenClass.BASE)], f.base_vars, 1
+        )
+        assert frame != coords
+        assert Form.gen(frame, "w") != Form.gen(coords, "w")
+        assert frame == self.two_generator_frame(f, dz, dz.conjugate())
 
     def test_dz_frame_collects(self, pair1):
         # dz and its conjugate both lead with dtc1, so no unit-pivot order

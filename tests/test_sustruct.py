@@ -7,7 +7,7 @@ import pytest
 from syzkit import nilmanifold as nil
 from syzkit.calculus import MissingPairing, exterior_d
 from syzkit.coeffring import GaussianRational, I, ONE, Poly
-from syzkit.exterior import Form, GenClass
+from syzkit.exterior import Form, GenClass, frame_collect, frame_expand
 from syzkit.fourier import SemiflatPair
 from syzkit.randgen import random_poly, random_symmetric_mu, trial_rng
 from syzkit.reports import PASS, UNDETERMINED
@@ -207,7 +207,7 @@ class TestCheckIIA:
             su.n, su.frame, su.omega,
             Omega_factors=su.Omega_factors, prefactor=su.prefactor,
             polarization=Polarization(GenClass.FIBER_X, 0),  # true phase is pi
-            holo_labels=su.holo_labels, mu=su.mu,
+            holo_labels=su.holo_labels,
         )
         rep = check_iia(wrong)
         assert "special-phase" in rep.failed_ids
@@ -225,16 +225,18 @@ class TestFluxes:
     def test_iwasawa_rho_b(self, pair3):
         su = iwasawa_su_iib(pair3)
         candidate = Form.monomial(pair3.frame_xc, ["dtc1", "dtc2", "dr1", "dr2"])
-        rho, rep = flux_iib(su, candidate)
+        rho, rep = flux_iib(su)
         assert rep.passed
+        assert proportional_to(rho, candidate) == GaussianRational(Fraction(-1, 4))
         assert rho == candidate * GaussianRational(Fraction(-1, 4))
         assert exterior_d(rho).is_zero()
 
     def test_iwasawa_rho_a(self, pair3):
         su = mirror_transform(pair3, iwasawa_omega_check(pair3))
         candidate = Form.monomial(pair3.frame_x, ["dth3", "dr1", "dr2"])
-        rho, rep = flux_iia(su, candidate)
+        rho, rep = flux_iia(su)
         assert rep.passed
+        assert proportional_to(rho, candidate) == GaussianRational(-16)
         assert rho == candidate * GaussianRational(-16)
 
     def test_iwasawa_flux_correspondence(self, pair3):
@@ -242,7 +244,7 @@ class TestFluxes:
         su_a = mirror_transform(pair3, su_b.omega)
         rho_a, _ = flux_iia(su_a)
         rho_b, _ = flux_iib(su_b)
-        ft = pair3.basis_xc.from_complex(pair3.fm_backward(rho_a))
+        ft = frame_expand(pair3.fm_backward(rho_a), pair3.frame_xc)
         assert ft == rho_b * (GaussianRational(2) ** 8)
 
     def test_flux_iia_requires_darboux(self, pair3):
@@ -250,7 +252,7 @@ class TestFluxes:
         tweaked = SUStructure(
             su.n, su.frame, su.omega * 2,
             Omega_factors=su.Omega_factors, prefactor=su.prefactor,
-            polarization=su.polarization, holo_labels=su.holo_labels, mu=su.mu,
+            polarization=su.polarization, holo_labels=su.holo_labels,
         )
         with pytest.raises(MissingPairing):
             flux_iia(tweaked)
@@ -282,7 +284,7 @@ class TestMirrorTransform:
     def test_matches_transform_of_exponential(self, pair3):
         w = iwasawa_omega_check(pair3)
         su = mirror_transform(pair3, w)
-        via_ft = pair3.fm_forward(pair3.basis_xc.to_complex(w * 2).exp_nilpotent())
+        via_ft = pair3.fm_forward(frame_collect(w * 2, pair3.holo_frame).exp_nilpotent())
         assert via_ft == su.Omega
 
     def test_omega_is_11_for_symmetric_mu(self, pair3):
@@ -315,7 +317,7 @@ class TestMirrorTransform:
         # the (n-k, k) component of the volume form transforms (2w)^k / k!
         w = iwasawa_omega_check(pair3)
         su = mirror_transform(pair3, w)
-        wc = pair3.basis_xc.to_complex(w)
+        wc = frame_collect(w, pair3.holo_frame)
         power = Form.scalar(pair3.holo_frame, 1)
         fact = 1
         for k in range(0, 4):
@@ -356,6 +358,32 @@ class TestHermitian:
         assert not rep.passed
         assert any("minor" in (i.witness or "") for i in rep.items)
 
+    def test_indefinite_survives_json_roundtrip(self, pair2):
+        # mu is read from the factors, so the fixture checks the same matrix
+        w = Form.monomial(pair2.frame_xc, ["dtc1", "dr1"]) - Form.monomial(
+            pair2.frame_xc, ["dtc2", "dr2"]
+        )
+        su = mirror_transform(pair2, w)
+        back = SUStructure.from_json(json.loads(json.dumps(su.to_json())))
+        rep, rep_back = check_hermitian_at(su), check_hermitian_at(back)
+        assert not rep.passed
+        assert [i.to_json() for i in rep_back.items] == [i.to_json() for i in rep.items]
+
+    def test_mu_read_from_factors_of_the_nilmanifold_mirror(self):
+        su = mirror_transform(nil.semiflat_pair(3), nil.omega_hermitian(nil.build(3)))
+        r12 = Poly.variable("r12")
+        want = [[Poly.constant(1), Poly(), Poly()],
+                [Poly(), Poly.constant(1), -r12],
+                [Poly(), -r12, r12 * r12 + 1]]
+        assert su.mu == want
+        assert SUStructure.from_json(json.loads(json.dumps(su.to_json()))).mu == want
+
+    def test_mu_rejects_other_factor_shapes(self):
+        # fc_23 = dthc23 + r12 dthc13 has a second fiber leg
+        su = nil.build_iia_side(nil.build(3))
+        with pytest.raises(ValueError, match="factor"):
+            su.mu
+
 
 class TestDeformation:
     def test_iib_good_direction(self, pair3):
@@ -384,8 +412,8 @@ class TestDeformation:
         beta = Form.monomial(pair3.frame_xc, ["dtc2", "dr2"]) - Form.monomial(
             pair3.frame_xc, ["dtc1", "dr1"]
         )
-        wc = pair3.basis_xc.to_complex(w)
-        bc = pair3.basis_xc.to_complex(beta)
+        wc = frame_collect(w, pair3.holo_frame)
+        bc = frame_collect(beta, pair3.holo_frame)
         delta = pair3.fm_forward(bc.wedge((wc * 2).exp_nilpotent()) * 2)
         # fixed conformal factor to first order
         doo = delta.wedge(su.Omega.conjugate()) + su.Omega.wedge(delta.conjugate())
@@ -412,17 +440,17 @@ class TestDeformation:
 class TestLazyComplexBasis:
     def test_mirror_basis_built_on_first_read(self, pair3):
         su = mirror_transform(pair3, iwasawa_omega_check(pair3))
-        assert "complex_basis" not in vars(su)
+        assert "holo_frame" not in vars(su)
         _, rep = flux_iib(su)
         assert rep.passed
-        basis = vars(su)["complex_basis"]
-        assert basis.holo_labels == ["dw1", "dw2", "dw3"]
+        hf = vars(su)["holo_frame"]
+        assert [g.label for g in hf.generators] == ["dw1", "dw2", "dw3", "dw1b", "dw2b", "dw3b"]
 
     def test_dependent_factors_give_no_basis(self, pair3):
         obj = mirror_transform(pair3, iwasawa_omega_check(pair3)).to_json()
         obj["Omega_factors"][1] = obj["Omega_factors"][0]
         su = SUStructure.from_json(json.loads(json.dumps(obj)))
-        assert su.complex_basis is None
+        assert su.holo_frame is None
         rep = check_iia(su)
         assert not rep.passed
         assert "conformal-factor-nonvanishing" in rep.failed_ids
