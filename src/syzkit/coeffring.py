@@ -2,99 +2,142 @@
 
 Everything downstream (forms, operators, cohomology) stores its coefficients
 here.  All values are immutable after construction; equality is exact
-structural equality after normalization.  There is no floating point anywhere.
+structural equality after normalization.  There is no floating point anywhere:
+a Gaussian rational is three Python integers, and a `float` operand is a
+`TypeError`.
+
+Ring operations build their results already normalized (scalars in lowest
+terms, polynomials without zero terms over a sorted universe) and wrap them
+through the private constructors `_gr` and `_poly`, which check nothing.  The
+public constructors keep every check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 Rationalish = Union[int, Fraction]
 Scalarish = Union[int, Fraction, "GaussianRational"]
 
+_new = object.__new__
+
 
 class GaussianRational:
-    """An element of Q(i): rational real part + rational imaginary part."""
+    """An element of Q(i), stored as the integer triple (a + b*i)/d.
 
-    __slots__ = ("re", "im")
+    The triple is normalized: d > 0 and gcd(a, b, d) == 1, so equal values
+    have equal triples.  `re` and `im` are the `Fraction`s a/d and b/d.  As with
+    `fractions.Fraction`, immutability is by convention: `re` and `im` are
+    read-only, and the private slots are written only while an instance is
+    built.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        rn, rd = _ratio(re)
+        jn, jd = _ratio(im)
+        # over the lcm of two reduced denominators the triple is in lowest terms
+        d = rd // gcd(rd, jd) * jd
+        self._a, self._b, self._d = rn * (d // rd), jn * (d // jd), d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def promote(x: Scalarish) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
+        if type(x) is int:
+            return _gr(x, 0, 1)
         if isinstance(x, (int, Fraction)):
             return GaussianRational(x)
         raise TypeError(f"cannot promote {type(x).__name__} to GaussianRational")
 
     def __add__(self, other):
-        other = GaussianRational.promote(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.promote(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.promote(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.promote(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a - other._a, self._b - other._b, d1)
+        return _reduced(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         return GaussianRational.promote(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.promote(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational.promote(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.promote(other)
-        n = other.re * other.re + other.im * other.im
+        if type(other) is not GaussianRational:
+            other = GaussianRational.promote(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i)/n
+        d2 = other._d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
 
     def __rtruediv__(self, other):
         return GaussianRational.promote(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self._a, -self._b, self._d)
 
     def __pow__(self, k: int):
         if k < 0:
             return ONE / self ** (-k)
-        out = GaussianRational(1)
+        out = ONE
         for _ in range(k):
             out = out * self
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return self._b == 0 and self._a == other.numerator and self._d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
+        # hash(Fraction(n, 1)) == hash(n), so both branches hash (re, im)
+        if self._d == 1:
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def is_zero(self) -> bool:
         return not self
@@ -103,25 +146,65 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{_imag_str(abs(self.im))}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return _imag_str(im)
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{_imag_str(abs(im))}"
 
     def to_json(self):
+        re, im = self.re, self.im
         return {
-            "re": [self.re.numerator, self.re.denominator],
-            "im": [self.im.numerator, self.im.denominator],
+            "re": [re.numerator, re.denominator],
+            "im": [im.numerator, im.denominator],
         }
 
     @staticmethod
     def from_json(obj) -> "GaussianRational":
-        return GaussianRational(
-            Fraction(obj["re"][0], obj["re"][1]),
-            Fraction(obj["im"][0], obj["im"][1]),
-        )
+        return GaussianRational(_json_fraction(obj["re"]), _json_fraction(obj["im"]))
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d from a triple that is already normalized; nothing is checked."""
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d in lowest terms, for d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _gr(a, b, d)
+
+
+def _ratio(x: Rationalish) -> tuple[int, int]:
+    """Numerator and denominator, in lowest terms, of an exact rational."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, float):
+        raise TypeError(f"GaussianRational takes exact rationals, not the float {x!r}")
+    f = Fraction(x)
+    return f.numerator, f.denominator
+
+
+def _json_fraction(pair) -> Fraction:
+    """The Fraction of a JSON [numerator, denominator] pair of integers."""
+    n, d = pair[0], pair[1]
+    for v in (n, d):
+        if type(v) is not int:
+            raise ValueError(f"numerator and denominator must be integers, got {v!r}")
+    return Fraction(n, d)
 
 
 def _imag_str(v: Fraction) -> str:
@@ -147,14 +230,15 @@ class Poly:
     Exponent vectors are dense tuples over the (sorted) variable universe;
     universes of two operands are merged by variable name.  No zero terms are
     stored and the term order used for printing/JSON is (degree, exponents).
+    The public constructor checks the universe and the exponent lengths and
+    drops zero terms; ring operations, whose results already satisfy this, go
+    through `_poly`.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: Iterable[str] = (), terms: Mapping[tuple[int, ...], Scalarish] | None = None):
-        vs = tuple(vars)
-        if list(vs) != sorted(set(vs)):
-            raise ValueError(f"variables must be sorted and unique, got {vs}")
+        vs = _universe(vars)
         clean: dict[tuple[int, ...], GaussianRational] = {}
         for exps, c in (terms or {}).items():
             c = GaussianRational.promote(c)
@@ -194,8 +278,12 @@ class Poly:
 
     # -- universe management ----------------------------------------------
 
-    def in_universe(self, vars: tuple[str, ...]) -> "Poly":
-        """Re-express over a larger (sorted) universe containing self.vars."""
+    def in_universe(self, vars: Iterable[str]) -> "Poly":
+        """Re-express over a larger sorted universe containing self.vars."""
+        return self._over(_universe(vars))
+
+    def _over(self, vars: tuple[str, ...]) -> "Poly":
+        """`in_universe` for a universe already known to be sorted and unique."""
         if vars == self.vars:
             return self
         pos = []
@@ -210,14 +298,14 @@ class Poly:
             for p, x in zip(pos, exps):
                 e[p] = x
             terms[tuple(e)] = c
-        return Poly(vars, terms)
+        return _poly(vars, terms)
 
     @staticmethod
     def _aligned(p: "Poly", q: "Poly") -> tuple["Poly", "Poly"]:
         if p.vars == q.vars:
             return p, q
         vs = tuple(sorted(set(p.vars) | set(q.vars)))
-        return p.in_universe(vs), q.in_universe(vs)
+        return p._over(vs), q._over(vs)
 
     # -- ring operations ---------------------------------------------------
 
@@ -226,12 +314,16 @@ class Poly:
         a, b = Poly._aligned(self, other)
         terms = dict(a.terms)
         for exps, c in b.terms.items():
-            s = terms.get(exps, ZERO) + c
-            if s:
-                terms[exps] = s
+            s = terms.get(exps)
+            if s is None:
+                terms[exps] = c
             else:
-                terms.pop(exps, None)
-        return Poly(a.vars, terms)
+                s = s + c
+                if s:
+                    terms[exps] = s
+                else:
+                    del terms[exps]
+        return _poly(a.vars, terms)
 
     __radd__ = __add__
 
@@ -242,21 +334,29 @@ class Poly:
         return Poly.promote(other, self.vars) - self
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            # Q(i) is a field: a nonzero scalar keeps every term nonzero
+            c = GaussianRational.promote(other)
+            return _poly(self.vars, {e: v * c for e, v in self.terms.items()} if c else {})
         other = Poly.promote(other, self.vars)
         a, b = Poly._aligned(self, other)
         terms: dict[tuple[int, ...], GaussianRational] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(e, ZERO) + c1 * c2
-                if s:
-                    terms[e] = s
+                s = terms.get(e)
+                if s is None:
+                    terms[e] = c1 * c2
                 else:
-                    terms.pop(e, None)
-        return Poly(a.vars, terms)
+                    s = s + c1 * c2
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
+        return _poly(a.vars, terms)
 
     __rmul__ = __mul__
 
@@ -296,7 +396,7 @@ class Poly:
     def diff(self, var: str) -> "Poly":
         """Formal partial derivative with respect to `var`."""
         if var not in self.vars:
-            return Poly(self.vars, {})
+            return _poly(self.vars, {})
         i = self.vars.index(var)
         terms = {}
         for exps, c in self.terms.items():
@@ -309,7 +409,7 @@ class Poly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return Poly(self.vars, terms)
+        return _poly(self.vars, terms)
 
     def subst(self, assignment: Mapping[str, "Poly | Scalarish"]) -> "Poly":
         """Ring-homomorphic substitution; unmapped variables stay themselves."""
@@ -343,7 +443,7 @@ class Poly:
         return out
 
     def conjugate(self) -> "Poly":
-        return Poly(self.vars, {e: c.conjugate() for e, c in self.terms.items()})
+        return _poly(self.vars, {e: c.conjugate() for e, c in self.terms.items()})
 
     # -- queries -----------------------------------------------------------
 
@@ -418,26 +518,32 @@ class Poly:
         return {
             "vars": list(self.vars),
             "terms": [
-                {
-                    "exp": list(exps),
-                    "re": [c.re.numerator, c.re.denominator],
-                    "im": [c.im.numerator, c.im.denominator],
-                }
+                {"exp": list(exps), **self.terms[exps].to_json()}
                 for exps in sorted(self.terms, key=_term_key)
-                for c in [self.terms[exps]]
             ],
         }
 
     @staticmethod
     def from_json(obj) -> "Poly":
-        vs = tuple(obj["vars"])
-        terms = {}
-        for t in obj["terms"]:
-            c = GaussianRational(
-                Fraction(t["re"][0], t["re"][1]), Fraction(t["im"][0], t["im"][1])
-            )
-            terms[tuple(t["exp"])] = c
-        return Poly(vs, terms)
+        terms = {tuple(t["exp"]): GaussianRational.from_json(t) for t in obj["terms"]}
+        return Poly(obj["vars"], terms)
+
+
+def _universe(vars: Iterable[str]) -> tuple[str, ...]:
+    """`vars` as a tuple, which must be sorted and unique."""
+    vs = tuple(vars)
+    if list(vs) != sorted(set(vs)):
+        raise ValueError(f"variables must be sorted and unique, got {vs}")
+    return vs
+
+
+def _poly(vars: tuple[str, ...], terms: dict[tuple[int, ...], GaussianRational]) -> Poly:
+    """A Poly over the sorted universe `vars` from nonzero terms whose exponent
+    tuples have the universe's length; nothing is checked or copied."""
+    p = _new(Poly)
+    object.__setattr__(p, "vars", vars)
+    object.__setattr__(p, "terms", terms)
+    return p
 
 
 P_ONE = Poly.constant(1)

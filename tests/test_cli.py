@@ -140,6 +140,19 @@ class TestVerifyCommand:
         assert "iib-K3.json" in res.output
         assert "polarization" in res.output
 
+    @pytest.mark.parametrize("pair, shown", [([0.5, 1], "0.5"), ([True, 1], "True")])
+    def test_non_integer_coefficient_usage_error(self, runner, fixtures, tmp_path, pair, shown):
+        # once a bare "both arguments should be Rational instances" for 0.5,
+        # and silently read as 1 for true
+        doc = json.loads((fixtures / "iib-K3.json").read_text())
+        doc["Omega_factors"][0]["terms"][0]["coeff"]["terms"][0]["re"] = pair
+        f = tmp_path / "coeff.json"
+        f.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert "coeff.json" in res.output
+        assert f"got {shown}" in res.output
+
     def test_fixture_missing_key_usage_error(self, runner, tmp_path):
         # once a KeyError traceback
         f = tmp_path / "nofr.json"
