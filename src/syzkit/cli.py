@@ -4,6 +4,10 @@ Human-readable lines (including wall-clock timings) go to stdout; report and
 fixture files are canonical JSON with no timing data, so a rerun with the same
 configuration and seed is byte-identical.  Exit code 0 means every check
 passed.
+
+Every `click.echo` names `sys.stdout` as its file: without one, click caches a
+wrapper per stream that holds the stream alive, so each in-process `main` call
+under a redirected stdout would keep its captured output.
 """
 
 from __future__ import annotations
@@ -81,11 +85,11 @@ def _emit(report: CheckReport, out: str | None, command: str, t0: float, extra: 
     if out:
         Path(out).write_text(text)
     for line in report.summary_lines():
-        click.echo(line)
+        click.echo(line, file=sys.stdout)
     status = "ok" if report.passed else "FAILED"
-    click.echo(f"{command}: {status} ({len(report.items)} checks, {time.time() - t0:.2f}s)")
+    click.echo(f"{command}: {status} ({len(report.items)} checks, {time.time() - t0:.2f}s)", file=sys.stdout)
     if not report.passed:
-        click.echo(f"first failing check: {report.failed_ids[0]}")
+        click.echo(f"first failing check: {report.failed_ids[0]}", file=sys.stdout)
         sys.exit(1)
 
 
@@ -170,13 +174,13 @@ def cmd_fm(input_path: str, direction: str, n: int, out: str | None):
         raise click.UsageError(f"form is on the wrong side for --direction {direction}: {e}")
     fibers = sorted(result.leg_count(GenClass.FIBER_X if direction == "fwd" else GenClass.FIBER_MIRROR))
     bases = sorted(result.leg_count(GenClass.BASE))
-    click.echo(f"fiber legs {fibers}, base legs {bases}")
+    click.echo(f"fiber legs {fibers}, base legs {bases}", file=sys.stdout)
     text = json.dumps(result.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
     if out:
         Path(out).write_text(text)
     else:
-        click.echo(text, nl=False)
-    click.echo(f"fm: ok ({time.time() - t0:.2f}s)")
+        click.echo(text, nl=False, file=sys.stdout)
+    click.echo(f"fm: ok ({time.time() - t0:.2f}s)", file=sys.stdout)
 
 
 @main.command("verify")

@@ -6,26 +6,34 @@ so the span closes.  Ranks and kernels come from the deterministic exact
 elimination in `linalg`; dimensions at a given degree bound are reported as
 such (per-D data, no asymptotic claims).
 
-Only the primitive operators are applied to the basis: d and the dual
-Lefschetz operator Lambda on the symplectic side, d on the complex side.  The
-composites are exact sparse products of their stored images:
+Only the primitive operators get columns of their own: d on both sides, and
+the dual Lefschetz operator Lambda on the symplectic side.  They are built
+from the frame data, not by applying Form operators to the basis: d by its
+Leibniz rule on the frame's base one-forms and structure equations, Lambda as
+the signed double contraction with the inverse pairing (the Form-level
+`calculus.exterior_d` and `calculus.dual_lefschetz` are the tests' oracle for
+them).  The composites are exact sparse products of the stored columns:
 d^Lambda = d.Lambda - Lambda.d, d d^Lambda = d.d^Lambda, del and dbar are the
 (p+1,q) and (p,q+1) rows of d on the dz/dzb frame, and del-dbar = del.dbar.
-The closure pass proves that every primitive image lies in the span, and
-`vectorize` is linear and injective there, so each product column is the
-vector of the composite applied to that basis element.
+Every term of a primitive column is looked up in the basis, which proves the
+span closed, and `vectorize` is linear and injective there, so each product
+column is the vector of the composite applied to that basis element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import add
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import linalg
 from .coeffring import GaussianRational, ONE, Poly, exponent_vectors
-from .exterior import BasisChangeError, Form, FrameSpec, GenClass
-from .calculus import HOLO_SPLIT, SymplecticData, dual_lefschetz, exterior_d
+from .exterior import BasisChangeError, Form, FrameMismatch, FrameSpec, GenClass, bits, koszul_sign
+from .calculus import HOLO_SPLIT, MissingPairing, SymplecticData
 from .reports import CheckReport
+
+Key = tuple[int, tuple[int, ...]]  # a basis monomial: (generator mask, coefficient exponents)
 
 
 class SpanEscape(ValueError):
@@ -55,21 +63,20 @@ def product(*terms: tuple[int, Sequence[linalg.Vec], Sequence[linalg.Vec]]) -> l
 
 
 class FiniteComplex:
-    """Monomial basis of invariant forms with coefficient degree <= D,
-    together with named operators acting inside the span.
+    """Monomial basis of invariant forms with coefficient degree <= D, with
+    the columns of d on it, and of Lambda when symplectic data is given.
 
-    Each operator passed in is applied once to each basis element, when the
-    complex is built: that pass checks that the span is closed and keeps every
-    image as a sparse vector in `images[op][i]`.  The concrete complexes pass
-    only their primitive operators and store each composite as an exact
-    product of those images (`product`); `apply` reads the stored columns."""
+    `images[op][i]` is the sparse vector, keyed by basis index, of op applied
+    to basis element i.  The primitive columns are built from the frame data
+    when the complex is built; the concrete complexes add each composite as an
+    exact product of them (`product`), and `apply` reads the stored columns."""
 
     def __init__(
         self,
         frame: FrameSpec,
         D: int,
-        operators: dict[str, Callable[[Form], Form]],
         split: tuple[GenClass, GenClass],
+        symp: Optional[SymplecticData] = None,
     ):
         if D < 0:
             raise ValueError("degree bound must be nonnegative")
@@ -78,16 +85,128 @@ class FiniteComplex:
         self.split = split
         self.vars = tuple(sorted(frame.base_vars))
         self.exps = exponent_vectors(len(self.vars), D)
-        self.basis: list[tuple[int, tuple[int, ...]]] = []
+        self.basis: list[Key] = []
         size = len(frame)
         for mask in range(1 << size):
             for e in self.exps:
                 self.basis.append((mask, e))
         self.pos = {key: i for i, key in enumerate(self.basis)}
-        self.images: dict[str, list[linalg.Vec]] = {
-            name: [self.vectorize(op(self.basis_form(i))) for i in range(len(self.basis))]
-            for name, op in operators.items()
-        }
+        self.images: dict[str, list[linalg.Vec]] = {"d": self._d_columns()}
+        if symp is not None:
+            self.images["lambda"] = self._lambda_columns(symp)
+
+    # -- primitive columns ----------------------------------------------------
+
+    def _d_columns(self) -> list[linalg.Vec]:
+        """d(x^e mono) = sum_v e_v x^(e - 1_v) dv ^ mono
+        + sum_(i in mono) (-1)^(legs of mono below i) x^e d(gen_i) ^ (mono - i)."""
+        frame = self.frame
+        dvar = []
+        for v in self.vars:
+            dv = frame.base_one_form(v)
+            dvar.append(None if dv is None else self._flatten(dv))
+        dgen = []
+        for i in range(len(frame)):
+            dg = frame.d_of_generator(i)
+            dgen.append(() if dg is None else self._flatten(dg))
+        cols = []
+        for idx, (mask, e) in enumerate(self.basis):
+            acc: dict[Key, GaussianRational] = {}
+            for k, ek in enumerate(e):
+                if not ek:
+                    continue
+                terms = dvar[k]
+                if terms is None:
+                    raise FrameMismatch(f"no one-form paired with base variable {self.vars[k]!r}")
+                low = e[:k] + (ek - 1,) + e[k + 1:]
+                for m, f, c in terms:
+                    if m & mask:
+                        continue
+                    key = (m | mask, tuple(map(add, low, f)))
+                    c = c * ek if koszul_sign(m, mask) > 0 else c * -ek
+                    s = acc.get(key)
+                    acc[key] = c if s is None else s + c
+            for i in bits(mask):
+                terms = dgen[i]
+                rest = mask ^ (1 << i)
+                sign = -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+                for m, f, c in terms:
+                    if m & rest:
+                        continue
+                    key = (m | rest, tuple(map(add, e, f)))
+                    c = c if koszul_sign(m, rest) == sign else -c
+                    s = acc.get(key)
+                    acc[key] = c if s is None else s + c
+            cols.append(self._column(acc, "d", idx))
+        return cols
+
+    def _lambda_columns(self, symp: SymplecticData) -> list[linalg.Vec]:
+        """Lambda(x^e mono) = 1/2 sum_ij p^ij x^e i_(x_i) i_(x_j) mono."""
+        if symp.pairing is None:
+            raise MissingPairing("no exact inverse pairing available")
+        half = GaussianRational(Fraction(1, 2))
+        pairs = []
+        for i, row in enumerate(symp.pairing):
+            for j, p in enumerate(row):
+                if p.is_zero():
+                    continue
+                pairs.append((1 << i, 1 << j, [(f, c * half) for f, c in self._exponents(p, None)]))
+        cols = []
+        for idx, (mask, e) in enumerate(self.basis):
+            acc: dict[Key, GaussianRational] = {}
+            for bi, bj, terms in pairs:
+                if not mask & bj:
+                    continue
+                rest = mask ^ bj
+                if not rest & bi:
+                    continue
+                odd = ((mask & (bj - 1)).bit_count() + (rest & (bi - 1)).bit_count()) & 1
+                rest ^= bi
+                for f, c in terms:
+                    key = (rest, tuple(map(add, e, f)))
+                    c = -c if odd else c
+                    s = acc.get(key)
+                    acc[key] = c if s is None else s + c
+            cols.append(self._column(acc, "lambda", idx))
+        return cols
+
+    def _flatten(self, form: Form) -> list[tuple[int, tuple[int, ...], GaussianRational]]:
+        """The terms of a frame-data form as (mask, exponents over vars, coefficient)."""
+        return [(mask, e, c) for mask, poly in form.terms.items() for e, c in self._exponents(poly, form)]
+
+    def _exponents(self, poly: Poly, witness: Optional[Form]):
+        """The terms of `poly` with exponent vectors over `self.vars`; a
+        variable outside them with a nonzero exponent is a SpanEscape."""
+        if poly.vars == self.vars:
+            return poly.terms.items()
+        at = [self.vars.index(v) if v in self.vars else None for v in poly.vars]
+        out = []
+        for exps, c in poly.terms.items():
+            e = [0] * len(self.vars)
+            for k, x in zip(at, exps):
+                if x:
+                    if k is None:
+                        raise SpanEscape(f"coefficients use variables outside {self.vars}", witness)
+                    e[k] = x
+            out.append((tuple(e), c))
+        return out
+
+    def _column(self, acc: Mapping[Key, GaussianRational], op: str, idx: int) -> linalg.Vec:
+        """The sparse vector of an image given by its (mask, exponent) terms;
+        a nonzero term outside the basis is a SpanEscape."""
+        col: linalg.Vec = {}
+        for key, c in acc.items():
+            if not c:
+                continue
+            r = self.pos.get(key)
+            if r is None:
+                raise SpanEscape(
+                    f"{op} of basis element {idx}: a term of coefficient degree {sum(key[1])} "
+                    f"escapes the degree-{self.D} span",
+                    self._form_of_keys(acc),
+                )
+            col[r] = c
+        return col
 
     # -- vectorization -------------------------------------------------------
 
@@ -99,10 +218,7 @@ class FiniteComplex:
         """The sparse vector of `form`, keyed by basis index."""
         v: linalg.Vec = {}
         for mask, poly in form.terms.items():
-            p = poly.in_universe(self.vars) if poly.vars != self.vars else poly
-            if set(p.vars) != set(self.vars):
-                raise SpanEscape(f"coefficients use variables outside {self.vars}", form)
-            for e, c in p.terms.items():
+            for e, c in self._exponents(poly, form):
                 i = self.pos.get((mask, e))
                 if i is None:
                     raise SpanEscape(
@@ -113,10 +229,12 @@ class FiniteComplex:
         return v
 
     def form_of(self, vec: Mapping[int, GaussianRational]) -> Form:
+        return self._form_of_keys({self.basis[i]: vec[i] for i in sorted(vec)})
+
+    def _form_of_keys(self, coeffs: Mapping[Key, GaussianRational]) -> Form:
         terms: dict[int, dict[tuple[int, ...], GaussianRational]] = {}
-        for i in sorted(vec):
-            mask, e = self.basis[i]
-            terms.setdefault(mask, {})[e] = vec[i]
+        for (mask, e), c in coeffs.items():
+            terms.setdefault(mask, {})[e] = c
         return Form(self.frame, {mask: Poly(self.vars, t) for mask, t in terms.items()})
 
     # -- structure ------------------------------------------------------------
@@ -224,7 +342,7 @@ def dolbeault_split(
 def bc_complex(holo_frame: FrameSpec, D: int) -> FiniteComplex:
     """Complex-side complex on the dz/dzb monomial frame: d applied to the
     basis, and del-dbar = del . dbar from the split of its images."""
-    cpx = FiniteComplex(holo_frame, D, {"d": exterior_d}, HOLO_SPLIT)
+    cpx = FiniteComplex(holo_frame, D, HOLO_SPLIT)
     dl, db = dolbeault_split(cpx, cpx.images["d"])
     cpx.images["deldbar"] = product((1, dl, db))
     return cpx
@@ -235,12 +353,7 @@ def ty_complex(frame: FrameSpec, D: int, fiber_class: GenClass = GenClass.FIBER_
     basis; d^Lambda = d . Lambda - Lambda . d and d d^Lambda = d . d^Lambda
     taken from their images.  Lambda's images are kept only until then."""
     symp = SymplecticData.darboux(frame, fiber_class)
-    cpx = FiniteComplex(
-        frame,
-        D,
-        {"d": exterior_d, "lambda": lambda f: dual_lefschetz(f, symp)},
-        (fiber_class, GenClass.BASE),
-    )
+    cpx = FiniteComplex(frame, D, (fiber_class, GenClass.BASE), symp)
     d, lam = cpx.images["d"], cpx.images.pop("lambda")
     dl = product((1, d, lam), (-1, lam, d))
     cpx.images.update({"dlambda": dl, "ddlambda": product((1, d, dl))})

@@ -2,7 +2,10 @@
 
 Generator subsets are stored as bitmasks over a fixed frame ordering; Koszul
 signs come from transposition counting.  Forms may have mixed degree (needed
-for exponentials), are immutable, and all operations are pure.
+for exponentials), are immutable, and all operations are pure.  Operations
+whose results already hold only nonzero `Poly` coefficients wrap them through
+the private constructor `_form`, which checks nothing; the public constructor
+promotes scalars and drops zero terms.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from . import linalg
 from .coeffring import GaussianRational, Poly, P_ONE
 
 Coefflike = Union[int, Fraction, GaussianRational, Poly]
+
+_new = object.__new__
 
 
 class FrameMismatch(ValueError):
@@ -229,17 +234,18 @@ class Form:
                 terms.pop(m, None)
             else:
                 terms[m] = s
-        return Form(self.frame, terms)
+        return _form(self.frame, terms)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def __neg__(self) -> "Form":
-        return Form(self.frame, {m: -p for m, p in self.terms.items()})
+        return _form(self.frame, {m: -p for m, p in self.terms.items()})
 
     def __mul__(self, c: Coefflike) -> "Form":
         p = c if isinstance(c, Poly) else Poly.constant(c)
-        return Form(self.frame, {m: q * p for m, q in self.terms.items()})
+        # a product of nonzero polynomials is nonzero
+        return _form(self.frame, {m: q * p for m, q in self.terms.items()} if p else {})
 
     __rmul__ = __mul__
 
@@ -261,7 +267,7 @@ class Form:
                     terms.pop(m, None)
                 else:
                     terms[m] = t
-        return Form(self.frame, terms)
+        return _form(self.frame, terms)
 
     def __eq__(self, other):
         if not isinstance(other, Form):
@@ -285,7 +291,7 @@ class Form:
         return {m.bit_count() for m in self.terms}
 
     def part(self, k: int) -> "Form":
-        return Form(self.frame, {m: p for m, p in self.terms.items() if m.bit_count() == k})
+        return _form(self.frame, {m: p for m, p in self.terms.items() if m.bit_count() == k})
 
     def leg_count(self, cls: GenClass) -> set[int]:
         cm = self.frame.class_mask(cls)
@@ -295,9 +301,7 @@ class Form:
         """Component with exactly p legs of split[0] and q legs of split[1]
         (and no legs outside the two classes)."""
         bidegree = self.frame.bidegree
-        return Form(
-            self.frame, {m: c for m, c in self.terms.items() if bidegree(m, split) == (p, q)}
-        )
+        return _form(self.frame, {m: c for m, c in self.terms.items() if bidegree(m, split) == (p, q)})
 
     def bidegree_components(self, split: tuple[GenClass, GenClass]) -> dict[tuple[int, int], "Form"]:
         """The nonzero (p, q) components under the split; they sum to self."""
@@ -307,7 +311,7 @@ class Form:
             if pq is None:
                 raise ValueError("form has legs outside the bidegree split")
             groups.setdefault(pq, {})[m] = c
-        return {pq: Form(self.frame, terms) for pq, terms in groups.items()}
+        return {pq: _form(self.frame, terms) for pq, terms in groups.items()}
 
     # -- operations --------------------------------------------------------
 
@@ -354,7 +358,7 @@ class Form:
                 out.pop(rest, None)
             else:
                 out[rest] = t
-        return Form(self.frame, out)
+        return _form(self.frame, out)
 
     def contract(self, label: str) -> "Form":
         """Interior product with the dual vector of the named generator."""
@@ -373,11 +377,11 @@ class Form:
                 out.pop(rest, None)
             else:
                 out[rest] = t
-        return Form(self.frame, out)
+        return _form(self.frame, out)
 
     def conjugate(self) -> "Form":
         """Complex-conjugate the coefficients (generators are real)."""
-        return Form(self.frame, {m: p.conjugate() for m, p in self.terms.items()})
+        return _form(self.frame, {m: p.conjugate() for m, p in self.terms.items()})
 
     def transport(self, frame: FrameSpec) -> "Form":
         """Re-express on another frame by matching generator labels."""
@@ -404,7 +408,7 @@ class Form:
                 nm |= 1 << j
                 last = j
             out[nm] = c
-        return Form(frame, out)
+        return _form(frame, out)
 
     def coefficient(self, labels: Sequence[str]) -> Poly:
         """Coefficient of the ascending monomial on the named generators."""
@@ -473,6 +477,14 @@ class Form:
             mono = Form.monomial(frame, t["gens"], 1)
             out = out + mono * Poly.from_json(t["coeff"])
         return out
+
+
+def _form(frame: FrameSpec, terms: dict[int, Poly]) -> Form:
+    """A Form from nonzero Poly coefficients; nothing is checked or copied."""
+    f = _new(Form)
+    object.__setattr__(f, "frame", frame)
+    object.__setattr__(f, "terms", terms)
+    return f
 
 
 def substitute_generators(form: Form, target: FrameSpec, images: Mapping[int, Form]) -> Form:

@@ -1,6 +1,10 @@
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import sys
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -376,6 +380,30 @@ class TestCohomologyCommand:
         )
         assert res.exit_code == 0, res.output
         assert "bc=9 ty=9" in res.output
+
+
+class TestEmbeddedCalls:
+    # click caches a wrapper per default stream, and for a StringIO that
+    # wrapper is the stream itself, held as the value of a weak-keyed entry;
+    # every echo names its file, so in-process calls release their captures
+    @pytest.mark.parametrize("command", ["cohomology", "fm"])
+    def test_redirected_output_is_released(self, tmp_path, command):
+        if command == "cohomology":
+            argv = ["cohomology", "--K", "2", "--which", "mirror", "--p", "1", "--q", "1"]
+        else:
+            src = tmp_path / "one.json"
+            src.write_text(json.dumps(Form.scalar(SemiflatPair(1).holo_frame, 1).to_json()))
+            argv = ["fm", "--input", str(src), "--direction", "fwd", "--n", "1"]
+        refs = []
+        for _ in range(3):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                main(argv, standalone_mode=False)
+            assert f"{command}: ok" in buf.getvalue()
+            refs.append(weakref.ref(buf))
+            del buf
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
 
 
 class TestProptestCommand:

@@ -5,9 +5,9 @@ import pytest
 from syzkit import cohomology as coh
 from syzkit import nilmanifold as nil
 from syzkit import calculus
-from syzkit.calculus import SymplecticData, d_lambda, dolbeault, exterior_d
-from syzkit.coeffring import GaussianRational, ONE, Poly
-from syzkit.exterior import BasisChangeError, Form, GenClass
+from syzkit.calculus import HOLO_SPLIT, SymplecticData, d_lambda, dolbeault, dual_lefschetz, exterior_d
+from syzkit.coeffring import GaussianRational, I, ONE, Poly
+from syzkit.exterior import BasisChangeError, Form, GenClass, Generator
 from syzkit.fourier import SemiflatPair
 
 
@@ -41,19 +41,119 @@ class TestComplexConstruction:
         assert ty.form_of(ty.vectorize(f)) == f
 
     def test_span_escape_raises(self, pair2):
-        # wedging with a polynomial-coefficient form raises the degree
-        w = Form.monomial(pair2.frame_x, ["dth1", "dr1"], Poly.variable("r1"))
-        with pytest.raises(coh.SpanEscape):
-            coh.FiniteComplex(
-                pair2.frame_x,
-                0,
-                {"L": lambda f: w.wedge(f)},
-                (GenClass.FIBER_X, GenClass.BASE),
-            )
+        # g1 = dth1 + r1^2 dr2 has d g1 = 2 r1 dr1^dr2, one degree above x^e g1
+        frame = self.coframe_over(pair2, Poly.variable("r1") ** 2)
+        for D in (0, 1, 2):
+            with pytest.raises(coh.SpanEscape) as err:
+                coh.FiniteComplex(frame, D, (GenClass.FIBER_X, GenClass.BASE))
+            assert err.value.witness is not None and err.value.witness.frame == frame
+
+    def test_foreign_variable_in_frame_data_escapes(self, pair2):
+        # d g1 = s dr1^dr2 has a coefficient in a variable outside the base
+        frame = self.coframe_over(pair2, Poly.variable("s") * Poly.variable("r1"))
+        g1 = frame.index["g1"]
+        with pytest.raises(coh.SpanEscape, match="outside") as err:
+            coh.FiniteComplex(frame, 1, (GenClass.FIBER_X, GenClass.BASE))
+        assert err.value.witness == frame.d_of_generator(g1)
+
+    def test_vectorize_foreign_variable_escapes(self, pair2):
+        ty = coh.ty_complex(pair2.frame_x, 1)
+        f = Form.monomial(pair2.frame_x, ["dth1"], Poly.variable("s"))
+        with pytest.raises(coh.SpanEscape, match="outside") as err:
+            ty.vectorize(f)
+        assert err.value.witness == f
+        # a variable the coefficients do not use is no escape
+        padded = Form(pair2.frame_x, {1: Poly(("r1", "s"), {(1, 0): ONE})})
+        assert ty.vectorize(padded) == ty.vectorize(Form.monomial(pair2.frame_x, ["dth1"], Poly.variable("r1")))
+
+    @staticmethod
+    def coframe_over(pair, coeff):
+        """The frame g1 = dth1 + coeff dr2, g2 = dth2, g3 = dr1, g4 = dr2 over
+        the flat frame_x."""
+        x = pair.frame_x
+        exps = [Form.gen(x, "dth1") + Form.gen(x, "dr2") * coeff] + [
+            Form.gen(x, lab) for lab in ("dth2", "dr1", "dr2")
+        ]
+        return calculus.coframe([Generator(f"g{k + 1}", coord_expansion=f) for k, f in enumerate(exps)], x)
 
     def test_negative_degree_rejected(self, pair2):
         with pytest.raises(ValueError):
             coh.ty_complex(pair2.frame_x, -1)
+
+
+def flat_pair(case):
+    kind, size = case
+    return SemiflatPair(size) if kind == "n" else nil.semiflat_pair(size)
+
+
+# the Form-level primitives are the oracle for the columns that the complexes
+# build from the frame data
+
+
+def assert_columns_match_oracle(frame, D, split, symp):
+    cpx = coh.FiniteComplex(frame, D, split, symp)
+    for i in range(len(cpx.basis)):
+        f = cpx.basis_form(i)
+        assert cpx.images["d"][i] == cpx.vectorize(exterior_d(f)), (D, cpx.basis[i])
+        assert cpx.images["lambda"][i] == cpx.vectorize(dual_lefschetz(f, symp)), (D, cpx.basis[i])
+
+
+def holo_of_nil_frame(nd):
+    """The dz/dzb frame of f_ij + i e_ij over the nilmanifold's x_frame."""
+    x = nd.x_frame
+    return calculus.holo_coframe(
+        x, [(f"dz{i}{j}", Form.gen(x, f"f{i}{j}") + Form.gen(x, f"e{i}{j}") * I) for i, j in nd.pairs]
+    )
+
+
+class TestPrimitiveColumns:
+    FLAT = [(("n", n), D) for n in (1, 2, 3) for D in (0, 1, 2)] + [(("K", 3), D) for D in (0, 1, 2)]
+
+    @pytest.mark.parametrize("case, D", FLAT, ids=[f"{k}{s}-D{D}" for (k, s), D in FLAT])
+    def test_flat_pair_columns_match_form_level_oracle(self, case, D):
+        pair = flat_pair(case)
+        x_split = (GenClass.FIBER_X, GenClass.BASE)
+        assert_columns_match_oracle(pair.frame_x, D, x_split, SymplecticData.darboux(pair.frame_x))
+        symp = SymplecticData.darboux(pair.holo_frame, GenClass.FIBER_MIRROR)
+        assert_columns_match_oracle(pair.holo_frame, D, HOLO_SPLIT, symp)
+
+    NIL = [(which, D) for which in ("x_frame", "xc_frame", "holo") for D in (0, 1)]
+
+    @pytest.mark.parametrize("which, D", NIL, ids=[f"{w}-D{D}" for w, D in NIL])
+    def test_nilmanifold_columns_match_form_level_oracle(self, flat_k3_setting, which, D):
+        # coframes whose base one-forms and structure equations are polynomial
+        nd, _ = flat_k3_setting
+        if which == "holo":
+            frame, cls = holo_of_nil_frame(nd), GenClass.FIBER_MIRROR
+        else:
+            frame = getattr(nd, which)
+            cls = GenClass.FIBER_MIRROR if which == "x_frame" else GenClass.FIBER_X
+        symp = SymplecticData.darboux(frame, cls)
+        assert_columns_match_oracle(frame, D, (cls, GenClass.BASE), symp)
+
+    def test_constant_pairing_columns_match_form_level_oracle(self, pair2):
+        # an omega with complex, non-unit entries: Lambda carries 1/2 p^ij
+        x = pair2.frame_x
+        omega = Form.monomial(x, ["dth1", "dr1"], 2) + Form.monomial(x, ["dth2", "dr1"], I)
+        omega = omega + Form.monomial(x, ["dth2", "dr2"], GaussianRational(1, 3))
+        symp = SymplecticData.from_constant_omega(x, omega)
+        assert_columns_match_oracle(x, 1, (GenClass.FIBER_X, GenClass.BASE), symp)
+
+    def test_cancelling_terms_leave_no_entry(self, pair2):
+        # a symmetric pairing contracts each pair twice with opposite signs
+        x = pair2.frame_x
+        pairing = [[Poly() for _ in range(len(x))] for _ in range(len(x))]
+        for f, b in zip(x.gens_of_class(GenClass.FIBER_X), x.gens_of_class(GenClass.BASE)):
+            pairing[f][b] = pairing[b][f] = Poly.variable("r1")
+        symp = SymplecticData(x, SymplecticData.darboux(x).omega, pairing)
+        assert_columns_match_oracle(x, 1, (GenClass.FIBER_X, GenClass.BASE), symp)
+        cpx = coh.FiniteComplex(x, 1, (GenClass.FIBER_X, GenClass.BASE), symp)
+        assert all(col == {} for col in cpx.images["lambda"])
+
+    def test_missing_pairing_rejected(self, pair1):
+        symp = SymplecticData(pair1.frame_x, SymplecticData.darboux(pair1.frame_x).omega)
+        with pytest.raises(calculus.MissingPairing):
+            coh.FiniteComplex(pair1.frame_x, 0, (GenClass.FIBER_X, GenClass.BASE), symp)
 
 
 # the Form-level composites: the route the complexes took before their
@@ -68,11 +168,6 @@ def oracle_deldbar(f, basis):
     _, dbar_f = dolbeault(f, basis)
     del_dbar_f, _ = dolbeault(dbar_f, basis)
     return del_dbar_f
-
-
-def flat_pair(case):
-    kind, size = case
-    return SemiflatPair(size) if kind == "n" else nil.semiflat_pair(size)
 
 
 class TestComposedOperators:
@@ -97,7 +192,8 @@ class TestComposedOperators:
             assert bc.images["deldbar"][i] == bc.vectorize(oracle_deldbar(f, pair.holo_frame))
 
     def test_only_primitives_applied_to_the_basis(self, pair2, monkeypatch):
-        calls = {"exterior_d": 0, "d_lambda": 0, "dolbeault": 0}
+        # the columns come from the frame data: no Form-level operator runs
+        calls = {"exterior_d": 0, "dual_lefschetz": 0, "d_lambda": 0, "dolbeault": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -106,14 +202,15 @@ class TestComposedOperators:
 
             return wrapped
 
-        monkeypatch.setattr(coh, "exterior_d", counting("exterior_d", exterior_d))
-        for name, fn in (("d_lambda", d_lambda), ("dolbeault", dolbeault)):
+        for name, fn in (
+            ("exterior_d", exterior_d), ("dual_lefschetz", dual_lefschetz),
+            ("d_lambda", d_lambda), ("dolbeault", dolbeault),
+        ):
             monkeypatch.setattr(calculus, name, counting(name, fn))
             monkeypatch.setattr(coh, name, counting(name, fn), raising=False)
-        ty = coh.ty_complex(pair2.frame_x, 1)
-        assert calls == {"exterior_d": len(ty.basis), "d_lambda": 0, "dolbeault": 0}
-        bc = coh.bc_complex(pair2.holo_frame, 1)
-        assert calls == {"exterior_d": len(ty.basis) + len(bc.basis), "d_lambda": 0, "dolbeault": 0}
+        coh.ty_complex(pair2.frame_x, 1)
+        coh.bc_complex(pair2.holo_frame, 1)
+        assert calls == {"exterior_d": 0, "dual_lefschetz": 0, "d_lambda": 0, "dolbeault": 0}
 
     def test_split_rejects_non_adjacent_bidegree(self, pair1):
         bc = coh.bc_complex(pair1.holo_frame, 0)

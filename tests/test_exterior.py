@@ -346,3 +346,70 @@ class TestTransportAndJson:
         a = Form.gen(pair3.frame_x, "dth1")
         with pytest.raises(FrameMismatch):
             substitute_generators(a, pair3.frame_x, {})
+
+
+def public_form(frame, pieces):
+    """The Form of (mask, coefficient) pieces summed per mask, built through
+    the public constructor (which drops the masks that cancel)."""
+    terms = {}
+    for m, c in pieces:
+        terms[m] = terms[m] + c if m in terms else c
+    return Form(frame, terms)
+
+
+class TestFormFastConstructor:
+    """Form operations skip the public constructor's checks; their results
+    still hold only nonzero Poly coefficients and equal the checked route."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_results_are_clean_and_match_public_route(self, pair3, seed):
+        rng = random.Random(7000 + seed)
+        fr = pair3.frame_corr
+        a = random_form(rng, fr, max_terms=4)
+        b = random_form(rng, fr, max_terms=3)
+        if rng.random() < 0.3:
+            b = b - a  # cancellations in +
+        scalar = rng.choice([0, 2, Poly.variable("r1"), Poly(("r1",), {})])
+        lab = rng.choice([g.label for g in fr.generators])
+        bit = 1 << fr.index[lab]
+        split = (GenClass.FIBER_X, GenClass.BASE)
+        top = fr.class_mask(GenClass.FIBER_MIRROR)
+        target = pair3.frame_x
+        fx = Form(fr, {m: p for m, p in a.terms.items() if not m & top})  # legs on frame_x only
+        index = {i: target.index[g.label] for i, g in enumerate(fr.generators) if g.label in target.index}
+
+        def sorted_sign(m1, m2):
+            return brute_perm_sign(list(bits(m1)) + list(bits(m2)))
+
+        cases = [
+            ("+", a + b, public_form(fr, [*a.terms.items(), *b.terms.items()])),
+            ("neg", -a, public_form(fr, [(m, -p) for m, p in a.terms.items()])),
+            ("*", a * scalar, public_form(fr, [(m, p * scalar) for m, p in a.terms.items()])),
+            ("wedge", a.wedge(b), public_form(fr, [
+                (m1 | m2, p1 * p2 * sorted_sign(m1, m2))
+                for m1, p1 in a.terms.items() for m2, p2 in b.terms.items() if not m1 & m2
+            ])),
+            ("contract", a.contract(lab), public_form(fr, [
+                (m ^ bit, p * brute_perm_sign([fr.index[lab]] + [i for i in bits(m) if i != fr.index[lab]]))
+                for m, p in a.terms.items() if m & bit
+            ])),
+            ("pushforward", a.pushforward(GenClass.FIBER_MIRROR), public_form(fr, [
+                (m & ~top, p * sorted_sign(top, m & ~top)) for m, p in a.terms.items() if m & top == top
+            ])),
+            ("conjugate", a.conjugate(), public_form(fr, [(m, p.conjugate()) for m, p in a.terms.items()])),
+            ("part", a.part(2), public_form(fr, [(m, p) for m, p in a.terms.items() if m.bit_count() == 2])),
+            ("bidegree_project", a.bidegree_project(1, 1, split), public_form(fr, [
+                (m, p) for m, p in a.terms.items() if fr.bidegree(m, split) == (1, 1)
+            ])),
+            ("relabel", fx.transport(target), public_form(target, [
+                (sum(1 << index[i] for i in bits(m)), p) for m, p in fx.terms.items()
+            ])),
+        ]
+        for pq, got in fx.bidegree_components(split).items():
+            want = public_form(fr, [(m, p) for m, p in fx.terms.items() if fr.bidegree(m, split) == pq])
+            cases.append((f"bidegree_components{pq}", got, want))
+        for op, got, want in cases:
+            assert type(got) is Form and got.frame == want.frame, op
+            for m, p in got.terms.items():
+                assert type(m) is int and type(p) is Poly and p, op
+            assert got.terms == want.terms, op
