@@ -21,7 +21,6 @@ from .calculus import (
     dual_lefschetz,
     exterior_d,
     holo_coframe,
-    lefschetz,
     polarization_switch,
     polarization_unswitch,
 )
@@ -29,8 +28,6 @@ from .fourier import IntertwiningReport, SemiflatPair, sign_of_concatenation
 from .sustruct import (
     Polarization,
     SUStructure,
-    check_deformation_class,
-    check_hermitian_at,
     check_iia,
     check_iib,
     check_su,
@@ -48,12 +45,11 @@ __all__ = [
     "FrameMismatch",
     "frame_collect", "frame_expand", "koszul_sign", "substitute_generators",
     "BasisChangeError", "MissingPairing", "SymplecticData",
-    "d_lambda", "dolbeault", "dual_lefschetz", "exterior_d", "holo_coframe", "lefschetz",
+    "d_lambda", "dolbeault", "dual_lefschetz", "exterior_d", "holo_coframe",
     "polarization_switch", "polarization_unswitch",
     "IntertwiningReport", "SemiflatPair", "sign_of_concatenation",
     "Polarization", "SUStructure",
-    "check_deformation_class", "check_hermitian_at", "check_iia", "check_iib",
-    "check_su", "conformal_factor", "flux_iia", "flux_iib",
+    "check_iia", "check_iib", "check_su", "conformal_factor", "flux_iia", "flux_iib",
     "mirror_transform", "proportional_to",
     "cohomology", "linalg", "nilmanifold",
 ]

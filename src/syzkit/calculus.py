@@ -1,5 +1,5 @@
-"""Differential operators: d, Lefschetz L and its dual, d^Lambda, the
-Dolbeault pair in a complex basis, and the polarization switch.
+"""Differential operators: d, the dual Lefschetz operator Lambda, d^Lambda,
+the Dolbeault pair in a complex basis, and the polarization switch.
 
 d acts through the stored frame data: coefficients are differentiated against
 the base variables (each paired with a one-form), and frame generators
@@ -13,7 +13,7 @@ a frame (`holo_coframe`), so the change of basis is `frame_collect` in and
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
 from .coeffring import GaussianRational, Poly, P_ONE
@@ -85,13 +85,13 @@ def coframe(generators: Sequence[Generator], coord: FrameSpec) -> FrameSpec:
 
 
 class SymplecticData:
-    """A symplectic form together with the inverse pairing used by the dual
-    Lefschetz operator, when an exact one is available."""
+    """A symplectic form together with the exact inverse pairing used by the
+    dual Lefschetz operator."""
 
-    def __init__(self, frame: FrameSpec, omega: Form, pairing: Optional[Sequence[Sequence[Poly]]] = None):
+    def __init__(self, frame: FrameSpec, omega: Form, pairing: Sequence[Sequence[Poly]]):
         self.frame = frame
         self.omega = omega
-        self.pairing = None if pairing is None else tuple(tuple(row) for row in pairing)
+        self.pairing = tuple(tuple(row) for row in pairing)
 
     @staticmethod
     def darboux(frame: FrameSpec, fiber_class: GenClass = GenClass.FIBER_X) -> "SymplecticData":
@@ -111,7 +111,10 @@ class SymplecticData:
 
     @staticmethod
     def from_constant_omega(frame: FrameSpec, omega: Form) -> "SymplecticData":
-        """Invert a constant-coefficient symplectic form exactly."""
+        """Invert a constant-coefficient symplectic form exactly.  Kept though
+        no command calls it yet: the invariant-coframe cohomology model, a
+        complex on the nilmanifold's `xc_frame` with a constant omega, takes
+        its symplectic data from here."""
         rows: list[dict[int, GaussianRational]] = [{} for _ in range(len(frame))]
         for mask, c in omega.terms.items():
             if mask.bit_count() != 2:
@@ -130,14 +133,8 @@ class SymplecticData:
         return SymplecticData(frame, omega, pairing)
 
 
-def lefschetz(form: Form, s: SymplecticData) -> Form:
-    return s.omega.wedge(form)
-
-
 def dual_lefschetz(form: Form, s: SymplecticData) -> Form:
     """Lambda(phi) = 1/2 sum_ij (omega^{-1})^{ij} i_{x_i} i_{x_j} phi."""
-    if s.pairing is None:
-        raise MissingPairing("no exact inverse pairing available")
     frame = s.frame
     out = Form.zero(frame)
     labels = [g.label for g in frame.generators]
@@ -214,27 +211,28 @@ def dolbeault(form: Form, holo_frame: FrameSpec) -> tuple[Form, Form]:
     return del_part, dbar_part
 
 
-def _switch_index(holo_frame: FrameSpec, target: FrameSpec, fiber_class: GenClass) -> dict[int, int]:
-    """dz_k -> the k-th fiber generator and dzb_k -> the k-th base generator
-    of `target`, as generator positions."""
+def _switch_index(holo_frame: FrameSpec, target: FrameSpec) -> dict[int, int]:
+    """dz_k -> the k-th mirror-fiber generator and dzb_k -> the k-th base
+    generator of `target`, as generator positions."""
     holo = holo_frame.gens_of_class(GenClass.FIBER_MIRROR)
     anti = holo_frame.gens_of_class(GenClass.BASE)
-    fibers = target.gens_of_class(fiber_class)
+    fibers = target.gens_of_class(GenClass.FIBER_MIRROR)
     bases = target.gens_of_class(GenClass.BASE)
     if len(holo) != len(fibers) or len(anti) != len(bases):
         raise FrameMismatch("generator counts do not match the target frame")
     return dict(zip(holo + anti, fibers + bases))
 
 
-def polarization_switch(form: Form, target: FrameSpec, fiber_class: GenClass = GenClass.FIBER_MIRROR) -> Form:
-    """Send dz_k to the k-th fiber generator and dzb_k to the k-th base
+def polarization_switch(form: Form, target: FrameSpec) -> Form:
+    """Send dz_k to the k-th mirror-fiber generator and dzb_k to the k-th base
     generator, preserving coefficients and monomial order."""
     if any(g.coord_expansion is None for g in form.frame.generators):
         raise FrameMismatch("polarization switch expects a dz/dzb monomial basis")
-    return form.relabel(target, _switch_index(form.frame, target, fiber_class))
+    return form.relabel(target, _switch_index(form.frame, target))
 
 
-def polarization_unswitch(form: Form, holo_frame: FrameSpec, fiber_class: GenClass) -> Form:
-    """Inverse switch: k-th fiber generator to dz_k, k-th base generator to dzb_k."""
-    index = _switch_index(holo_frame, form.frame, fiber_class)
+def polarization_unswitch(form: Form, holo_frame: FrameSpec) -> Form:
+    """Inverse switch: k-th mirror-fiber generator to dz_k, k-th base
+    generator to dzb_k."""
+    index = _switch_index(holo_frame, form.frame)
     return form.relabel(holo_frame, {t: h for h, t in index.items()})

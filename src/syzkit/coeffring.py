@@ -131,9 +131,13 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
+        # a real value equals an int or Fraction (see __eq__), so it hashes as one
+        a, b, d = self._a, self._b, self._d
+        if b == 0:
+            return hash(a) if d == 1 else hash(Fraction(a, d))
         # hash(Fraction(n, 1)) == hash(n), so both branches hash (re, im)
-        if self._d == 1:
-            return hash((self._a, self._b))
+        if d == 1:
+            return hash((a, b))
         return hash((self.re, self.im))
 
     def __bool__(self):
@@ -278,12 +282,8 @@ class Poly:
 
     # -- universe management ----------------------------------------------
 
-    def in_universe(self, vars: Iterable[str]) -> "Poly":
-        """Re-express over a larger sorted universe containing self.vars."""
-        return self._over(_universe(vars))
-
     def _over(self, vars: tuple[str, ...]) -> "Poly":
-        """`in_universe` for a universe already known to be sorted and unique."""
+        """Re-express over a sorted, unique universe containing self.vars."""
         if vars == self.vars:
             return self
         pos = []
@@ -427,19 +427,6 @@ class Poly:
                 if e:
                     term = term * images[v] ** e
             out = out + term
-        return out
-
-    def evaluate(self, point: Mapping[str, Scalarish]) -> GaussianRational:
-        """Evaluate at a full assignment of scalars to variables."""
-        out = ZERO
-        for exps, c in self.terms.items():
-            val = c
-            for v, e in zip(self.vars, exps):
-                if e:
-                    x = GaussianRational.promote(point[v])
-                    for _ in range(e):
-                        val = val * x
-            out = out + val
         return out
 
     def conjugate(self) -> "Poly":

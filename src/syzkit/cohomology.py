@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import linalg
 from .coeffring import GaussianRational, ONE, Poly, exponent_vectors
 from .exterior import BasisChangeError, Form, FrameMismatch, FrameSpec, GenClass, bits, koszul_sign
-from .calculus import HOLO_SPLIT, MissingPairing, SymplecticData
+from .calculus import HOLO_SPLIT, SymplecticData
 from .reports import CheckReport
 
 Key = tuple[int, tuple[int, ...]]  # a basis monomial: (generator mask, coefficient exponents)
@@ -87,6 +87,8 @@ class FiniteComplex:
         self.exps = exponent_vectors(len(self.vars), D)
         self.basis: list[Key] = []
         size = len(frame)
+        # the (p, q) bidegree of every generator mask, indexed by the mask
+        self.mask_bidegree = [frame.bidegree(mask, split) for mask in range(1 << size)]
         for mask in range(1 << size):
             for e in self.exps:
                 self.basis.append((mask, e))
@@ -142,8 +144,6 @@ class FiniteComplex:
 
     def _lambda_columns(self, symp: SymplecticData) -> list[linalg.Vec]:
         """Lambda(x^e mono) = 1/2 sum_ij p^ij x^e i_(x_i) i_(x_j) mono."""
-        if symp.pairing is None:
-            raise MissingPairing("no exact inverse pairing available")
         half = GaussianRational(Fraction(1, 2))
         pairs = []
         for i, row in enumerate(symp.pairing):
@@ -240,8 +240,8 @@ class FiniteComplex:
     # -- structure ------------------------------------------------------------
 
     def slot(self, p: int, q: int) -> list[int]:
-        bidegree = self.frame.bidegree
-        return [i for i, (mask, _) in enumerate(self.basis) if bidegree(mask, self.split) == (p, q)]
+        bidegree = self.mask_bidegree
+        return [i for i, (mask, _) in enumerate(self.basis) if bidegree[mask] == (p, q)]
 
     def apply(self, op: str, form: Form) -> Form:
         """op applied to a form of the span, through the stored columns."""
@@ -320,7 +320,7 @@ def dolbeault_split(
     """(del, dbar): the (p+1,q) and (p,q+1) rows of each column of d, where
     column i is the image of the (p,q) basis element i.  Any other row means
     d leaves the adjacent bidegrees, so the basis is not integrable."""
-    bidegree = [cpx.frame.bidegree(mask, cpx.split) for mask, _ in cpx.basis]
+    bidegree = [cpx.mask_bidegree[mask] for mask, _ in cpx.basis]
     dl: list[linalg.Vec] = []
     db: list[linalg.Vec] = []
     for i, col in enumerate(d_cols):
@@ -348,12 +348,13 @@ def bc_complex(holo_frame: FrameSpec, D: int) -> FiniteComplex:
     return cpx
 
 
-def ty_complex(frame: FrameSpec, D: int, fiber_class: GenClass = GenClass.FIBER_X) -> FiniteComplex:
-    """Symplectic-side complex: d and Lambda (Darboux pairing) applied to the
-    basis; d^Lambda = d . Lambda - Lambda . d and d d^Lambda = d . d^Lambda
-    taken from their images.  Lambda's images are kept only until then."""
-    symp = SymplecticData.darboux(frame, fiber_class)
-    cpx = FiniteComplex(frame, D, (fiber_class, GenClass.BASE), symp)
+def ty_complex(frame: FrameSpec, D: int) -> FiniteComplex:
+    """Symplectic-side complex: d and Lambda (Darboux pairing of the x-fiber
+    and base legs) applied to the basis; d^Lambda = d . Lambda - Lambda . d
+    and d d^Lambda = d . d^Lambda taken from their images.  Lambda's images
+    are kept only until then."""
+    symp = SymplecticData.darboux(frame, GenClass.FIBER_X)
+    cpx = FiniteComplex(frame, D, (GenClass.FIBER_X, GenClass.BASE), symp)
     d, lam = cpx.images["d"], cpx.images.pop("lambda")
     dl = product((1, d, lam), (-1, lam, d))
     cpx.images.update({"dlambda": dl, "ddlambda": product((1, d, dl))})

@@ -112,7 +112,7 @@ class SemiflatPair:
         self._check_invariant(phi)
         out = Form.zero(self.frame_x)
         for (p, q), comp in phi.bidegree_components(HOLO_SPLIT).items():
-            lifted = polarization_switch(comp, self.frame_corr, GenClass.FIBER_MIRROR)
+            lifted = polarization_switch(comp, self.frame_corr)
             integrated = lifted.wedge(self._exp_plus).pushforward(GenClass.FIBER_MIRROR)
             res = integrated.transport(self.frame_x)
             fibs = res.leg_count(GenClass.FIBER_X) - {self.n - p}
@@ -130,7 +130,7 @@ class SemiflatPair:
         self._check_invariant(form)
         lifted = form.transport(self.frame_corr)
         integrated = lifted.wedge(self._exp_minus).pushforward(GenClass.FIBER_X)
-        return polarization_unswitch(integrated, self.holo_frame, GenClass.FIBER_MIRROR)
+        return polarization_unswitch(integrated, self.holo_frame)
 
     def fm_roundtrip_sign(self) -> int:
         return -1 if (self.n * (self.n - 1) // 2) % 2 else 1

@@ -2,13 +2,13 @@
 polynomial matrices.
 
 A vector is a dict from index to `GaussianRational`; absent entries are zero.
-Matrices are passed as lists of such vectors: `nullspace`, `solve` and
+Matrices are passed as lists of such vectors: `nullspace` and
 `column_space_pivots` take the columns that callers build (one per basis
-element or unknown), `rank` takes rows or columns alike.  Each vector is
+element), `rank` takes rows or columns alike.  Each vector is
 reduced into an echelon basis keyed by its leading (smallest) index; one
 back-substitution then gives the reduced row echelon form.  The reduced form
-is unique, so ranks, pivots, kernels and solutions do not depend on the order
-in which rows arrive.
+is unique, so ranks, pivots and kernels do not depend on the order in which
+rows arrive.
 
 Polynomial matrices get a division-free determinant and a Newton-lifted,
 verified inverse for unit determinants.
@@ -17,7 +17,7 @@ verified inverse for unit determinants.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .coeffring import GaussianRational, ONE, ZERO, Poly
 
@@ -82,7 +82,9 @@ def reduced_echelon(rows: Iterable[Mapping[int, GaussianRational]]) -> dict[int,
 def rref(m: Sequence[Sequence[GaussianRational]]) -> tuple[list[list[GaussianRational]], list[int]]:
     """Reduced row echelon form of a dense matrix through the sparse core:
     (its rows, zero rows last; the pivot columns).  Nothing in the package
-    calls it; the span table in `perfbench/spans.py` traces this name."""
+    calls it.  It stays because the span table in `perfbench/spans.py`
+    resolves this name outside its guard, so a traced benchmark run stops
+    without it."""
     cols = len(m[0]) if m else 0
     red = reduced_echelon({j: x for j, x in enumerate(row) if x} for row in m)
     rows = [[row.get(j, ZERO) for j in range(cols)] for row in red.values()]
@@ -113,18 +115,6 @@ def nullspace(columns: Sequence[Mapping[int, GaussianRational]]) -> list[Vec]:
             if c != pc:
                 kernel[c][pc] = -x
     return list(kernel.values())
-
-
-def solve(
-    columns: Sequence[Mapping[int, GaussianRational]], b: Mapping[int, GaussianRational]
-) -> Optional[Vec]:
-    """x with sum_j x_j columns[j] = b and every free unknown 0, or None if
-    there is none."""
-    n = len(columns)
-    red = reduced_echelon(_rows([*columns, b]))
-    if n in red:
-        return None
-    return {pc: row[n] for pc, row in red.items() if n in row}
 
 
 def column_space_pivots(columns: Iterable[Mapping[int, GaussianRational]]) -> list[int]:

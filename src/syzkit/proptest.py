@@ -184,8 +184,8 @@ def suite_operator_algebra(trials: int, seed: int) -> CheckReport:
 
     def switch_bijective(rng):
         a = random_complex_side_form(rng, pair)
-        s = polarization_switch(a, pair.frame_xc, GenClass.FIBER_MIRROR)
-        back = polarization_unswitch(s, pair.holo_frame, GenClass.FIBER_MIRROR)
+        s = polarization_switch(a, pair.frame_xc)
+        back = polarization_unswitch(s, pair.holo_frame)
         return back == a and s.degrees() == a.degrees()
 
     _law(rep, "polarization-switch-bijective", trials, seed, switch_bijective)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .coeffring import GaussianRational, Poly
@@ -57,16 +58,20 @@ def random_form(
 ) -> Form:
     """Random invariant form; optionally restricted to the given form degrees."""
     size = len(frame)
-    masks = list(range(1 << size))
-    if degrees is not None:
-        allowed = set(degrees)
-        masks = [m for m in masks if m.bit_count() in allowed]
+    # `choice` indexes its argument, so a range draws exactly as its list would
+    masks = range(1 << size) if degrees is None else _masks_of_degrees(size, frozenset(degrees))
     out = Form.zero(frame)
     for _ in range(rng.randint(1, max_terms)):
         m = rng.choice(masks)
         p = random_poly(rng, frame.base_vars, max_degree, 2, complex_ok)
         out = out + Form(frame, {m: p})
     return out
+
+
+@cache
+def _masks_of_degrees(size: int, degrees: frozenset[int]) -> tuple[int, ...]:
+    """The generator masks of a size-`size` frame whose degree is in `degrees`."""
+    return tuple(m for m in range(1 << size) if m.bit_count() in degrees)
 
 
 def random_complex_side_form(
@@ -85,7 +90,8 @@ def random_symmetric_mu(
     vars: Sequence[str],
     max_degree: int = 1,
 ) -> list[list[Poly]]:
-    """Random real symmetric coefficient matrix, identity plus a perturbation."""
+    """Random real symmetric coefficient matrix, identity plus a perturbation.
+    No package module calls it: the IIA tests draw their matrices from it."""
     vs = tuple(sorted(vars))
     mu = [[Poly.constant(1 if i == j else 0, vs) for j in range(n)] for i in range(n)]
     for i in range(n):

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .calculus import (
-    HOLO_SPLIT,
     BasisChangeError,
     MissingPairing,
     SymplecticData,
@@ -27,17 +26,8 @@ from .calculus import (
     exterior_d,
     holo_coframe,
 )
-from .coeffring import (
-    GaussianRational,
-    I,
-    ONE,
-    P_ONE,
-    Poly,
-    PolyRatio,
-    ZERO,
-    exponent_vectors,
-)
-from .exterior import Form, FrameSpec, GenClass, Generator, bits, frame_collect, frame_expand
+from .coeffring import GaussianRational, I, ONE, Poly, PolyRatio, ZERO
+from .exterior import Form, FrameSpec, GenClass, Generator, bits, frame_expand
 from .fourier import SemiflatPair
 from .reports import PASS, UNDETERMINED, CheckReport
 
@@ -58,7 +48,7 @@ class SUStructure:
     `holo_labels` to name the factors, the induced dz/dzb frame is built from
     them on the first read of `holo_frame`, and is None when the transition
     is not exactly invertible.  `omega_power(k)` wedges each power of omega
-    once and keeps it; `mu`, the coefficient matrix, is read on first use.
+    once and keeps it.
     """
 
     def __init__(
@@ -93,34 +83,6 @@ class SUStructure:
             return holo_coframe(self.frame, list(zip(self.holo_labels, self.Omega_factors)))
         except BasisChangeError:
             return None
-
-    @cached_property
-    def mu(self) -> list[list[Poly]]:
-        """The coefficient matrix: with a polarization, read from the factors
-        fiber_a + i sum_b mu_ab base_b; without one, from
-        omega = sum mu_ab fiber_a ^ base_b."""
-        bases = self.frame.gens_of_class(GenClass.BASE)
-        if self.polarization is None:
-            fibers = [i for i, g in enumerate(self.frame.generators)
-                      if g.leg_class in (GenClass.FIBER_X, GenClass.FIBER_MIRROR)]
-            mu = [[Poly() for _ in bases] for _ in fibers]
-            for mask, c in self.omega.terms.items():
-                idx = sorted(bits(mask))
-                if len(idx) != 2 or idx[0] not in fibers or idx[1] not in bases:
-                    raise ValueError("omega does not pair fiber legs with base legs")
-                mu[fibers.index(idx[0])][bases.index(idx[1])] = c
-            return mu
-        fibers = self.frame.gens_of_class(self.polarization.fiber_class)
-        base_bits = {1 << b for b in bases}
-        if len(self.Omega_factors) != len(fibers):
-            raise ValueError("the factors do not match the polarized fibers")
-        mu = []
-        for fa, factor in zip(fibers, self.Omega_factors):
-            rest = dict(factor.terms)
-            if rest.pop(1 << fa, None) != P_ONE or not rest.keys() <= base_bits:
-                raise ValueError("a factor is not its fiber one-form plus i times base one-forms")
-            mu.append([rest.get(1 << b, Poly()) * (-I) for b in bases])
-        return mu
 
     def omega_power(self, k: int) -> Form:
         """omega^k (omega^0 = 1); each power is wedged once, on first use."""
@@ -204,7 +166,9 @@ def conformal_factor(s: SUStructure) -> PolyRatio:
     The i^n normalization is fixed once and for all; variant conventions
     differing by an overall sign are NOT silently applied, so F may
     legitimately come out negative (it does on the flat examples).  Reports
-    carry the exact value instead of forcing positivity.
+    carry the exact value instead of forcing positivity.  It stays a module
+    function behind `SUStructure.conformal_factor` because `perfbench/spans.py`
+    traces it by this name.
     """
     if len(s.frame) != 2 * s.n:
         raise ValueError("frame must have exactly 2n one-form generators")
@@ -365,15 +329,13 @@ def flux_iia(s: SUStructure) -> tuple[Form, CheckReport]:
 
 def mirror_transform(pair: SemiflatPair, omega_check: Form) -> SUStructure:
     """Build the symplectic-side structure whose volume form is the transform
-    of exp(2 * omega_check).
+    of exp(2 * omega_check), a real two-form on the pair's `frame_xc`.
 
     The volume form is returned factored: prefactor (-1)^{n(n-1)/2} times the
     product of (dth_i + i mu_i) with mu_i the i-th row of the coefficient
     matrix of omega_check.
     """
     n = pair.n
-    if omega_check.frame == pair.holo_frame:
-        omega_check = frame_expand(omega_check, pair.frame_xc)
     if omega_check.frame != pair.frame_xc:
         raise ValueError("omega_check must live on the complex side of the pair")
     if omega_check.conjugate() != omega_check:
@@ -418,135 +380,3 @@ def mirror_transform(pair: SemiflatPair, omega_check: Form) -> SUStructure:
         polarization=Polarization(GenClass.FIBER_X, phase),
         holo_labels=[f"dw{k+1}" for k in range(n)],
     )
-
-
-def default_sample_points(base_vars: Sequence[str]) -> list[dict]:
-    pts = [{v: Fraction(0) for v in base_vars}]
-    for v in base_vars:
-        p = {w: Fraction(0) for w in base_vars}
-        p[v] = Fraction(1)
-        pts.append(p)
-    return pts
-
-
-def check_hermitian_at(s: SUStructure, points: Optional[Sequence[dict]] = None) -> CheckReport:
-    """Positive definiteness of the coefficient matrix at rational points,
-    by exact leading principal minors."""
-    rep = CheckReport("hermitian-at-points")
-    mu = s.mu
-    n = len(mu)
-    if points is None:
-        points = default_sample_points(s.frame.base_vars)
-    for pt in points:
-        tag = ",".join(f"{v}={pt[v]}" for v in s.frame.base_vars)
-        ok = True
-        witness = None
-        for k in range(1, n + 1):
-            sub = [[Poly.constant(mu[i][j].evaluate(pt)) for j in range(k)] for i in range(k)]
-            det = linalg.poly_det(sub).constant_value()
-            if det.im != 0 or det.re <= 0:
-                ok = False
-                witness = f"minor {k} = {det} at ({tag})"
-                break
-        rep.add(f"positive-definite@({tag})", ok, witness)
-    return rep
-
-
-def check_deformation_class(
-    s: SUStructure,
-    delta: Form,
-    side: str,
-    degree_bound: Optional[int] = None,
-) -> CheckReport:
-    """Class membership for an infinitesimal deformation.
-
-    IIB: delta must be closed and equal omega^{n-2} ^ beta with beta a
-    primitive (1,1)-form (exact linear solve for beta).  IIA: the (1,n-1)
-    projection must be closed, delta must be d^Lambda-closed and primitive.
-    """
-    rep = CheckReport(f"deformation-{side.lower()}")
-    n = s.n
-    if side.upper() == "IIB":
-        if n < 2:
-            raise ValueError("IIB deformation classes need n >= 2")
-        if delta.degrees() not in ({2 * n - 2}, set()):
-            raise ValueError(f"IIB deformation must have degree {2*n - 2}")
-        dd = exterior_d(delta)
-        rep.add("deformation-closed", dd.is_zero(), dd)
-        if s.holo_frame is None:
-            rep.add_status("lefschetz-primitive-decomposition", UNDETERMINED,
-                           "no complex basis available")
-            return rep
-        if degree_bound is None:
-            degree_bound = max((p.degree() for p in delta.terms.values()), default=0)
-            degree_bound = max(degree_bound, 0)
-        beta = _solve_primitive_11(s, delta, s.omega_power(n - 2), s.omega_power(n - 1), degree_bound)
-        rep.add("lefschetz-primitive-decomposition", beta is not None,
-                f"no primitive (1,1) beta with omega^{n-2}^beta = delta "
-                f"(coefficient degree <= {degree_bound})")
-        if beta is not None:
-            rep.add_status("primitive-witness", PASS, str(beta))
-    elif side.upper() == "IIA":
-        if delta.degrees() not in ({n}, set()):
-            raise ValueError(f"IIA deformation must have degree {n}")
-        if s.polarization is None:
-            raise ValueError("IIA deformation check needs a polarization")
-        proj = delta.bidegree_project(1, n - 1, (s.polarization.fiber_class, GenClass.BASE))
-        dp = exterior_d(proj)
-        rep.add("projected-deformation-closed", dp.is_zero(), dp)
-        symp = SymplecticData.darboux(s.frame, s.polarization.fiber_class)
-        dl = d_lambda(delta, symp)
-        rep.add("deformation-dlambda-closed", dl.is_zero(), dl)
-        wd = s.omega.wedge(delta)
-        rep.add("deformation-primitive", wd.is_zero(), wd)
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    return rep
-
-
-def _solve_primitive_11(
-    s: SUStructure, delta: Form, wk: Form, wk1: Form, degree_bound: int
-) -> Optional[Form]:
-    hf = s.holo_frame
-    monos = [mask for mask in range(1 << len(hf)) if hf.bidegree(mask, HOLO_SPLIT) == (1, 1)]
-    uvars = tuple(sorted(s.frame.base_vars))
-    exps = exponent_vectors(len(uvars), degree_bound)
-    unknowns = [(m, e) for m in monos for e in exps]
-
-    delta_c = frame_collect(delta, hf)
-    wk_c = frame_collect(wk, hf)
-    wk1_c = frame_collect(wk1, hf)
-
-    rows_index: dict[tuple, int] = {}
-    rhs_entries: dict[int, GaussianRational] = {}
-
-    def key_of(mask, exp, eq):
-        k = (eq, mask, exp)
-        if k not in rows_index:
-            rows_index[k] = len(rows_index)
-        return rows_index[k]
-
-    def entries_of(form: Form, eq: int, into: dict[int, GaussianRational]):
-        for mask, c in form.terms.items():
-            cu = c.in_universe(uvars) if c.vars != uvars else c
-            for exp, v in cu.terms.items():
-                into[key_of(mask, exp, eq)] = v
-
-    entries_of(delta_c, 0, rhs_entries)
-
-    col_vecs = []
-    for m, e in unknowns:
-        gen_form = Form(hf, {m: Poly(uvars, {tuple(e): ONE})})
-        entries: dict[int, GaussianRational] = {}
-        entries_of(wk_c.wedge(gen_form), 0, entries)
-        entries_of(wk1_c.wedge(gen_form), 1, entries)
-        col_vecs.append(entries)
-
-    sol = linalg.solve(col_vecs, rhs_entries)
-    if sol is None:
-        return None
-    beta = Form.zero(hf)
-    for j in sorted(sol):
-        m, e = unknowns[j]
-        beta = beta + Form(hf, {m: Poly(uvars, {tuple(e): sol[j]})})
-    return frame_expand(beta, s.frame)

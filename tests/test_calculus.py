@@ -12,7 +12,6 @@ from syzkit.calculus import (
     dual_lefschetz,
     exterior_d,
     holo_coframe,
-    lefschetz,
     polarization_switch,
     polarization_unswitch,
 )
@@ -34,12 +33,12 @@ from syzkit import nilmanifold as nil
 from conftest import iwasawa_omega_check
 
 
-def switch_by_wedging(form, target, fiber_class):
+def switch_by_wedging(form, target):
     """Oracle for polarization_switch: the algebra map that sends dz_k to the
-    k-th fiber generator and dzb_k to the k-th base generator of `target`,
-    applied by wedging the single-generator images in monomial order."""
+    k-th mirror-fiber generator and dzb_k to the k-th base generator of
+    `target`, applied by wedging the single-generator images in monomial order."""
     frame = form.frame
-    fibers = target.gens_of_class(fiber_class)
+    fibers = target.gens_of_class(GenClass.FIBER_MIRROR)
     bases = target.gens_of_class(GenClass.BASE)
     holo = [i for i, g in enumerate(frame.generators) if g.leg_class is GenClass.FIBER_MIRROR]
     anti = [i for i, g in enumerate(frame.generators) if g.leg_class is GenClass.BASE]
@@ -51,10 +50,10 @@ def switch_by_wedging(form, target, fiber_class):
     return substitute_generators(form, target, images)
 
 
-def unswitch_by_wedging(form, holo_frame, fiber_class):
+def unswitch_by_wedging(form, holo_frame):
     """Oracle for polarization_unswitch, by wedging as above."""
     frame = form.frame
-    fibers = frame.gens_of_class(fiber_class)
+    fibers = frame.gens_of_class(GenClass.FIBER_MIRROR)
     bases = frame.gens_of_class(GenClass.BASE)
     holo = [i for i, g in enumerate(holo_frame.generators) if g.leg_class is GenClass.FIBER_MIRROR]
     anti = [i for i, g in enumerate(holo_frame.generators) if g.leg_class is GenClass.BASE]
@@ -164,11 +163,6 @@ class TestLefschetz:
         assert dual_lefschetz(f0, s).is_zero()
         assert dual_lefschetz(f1, s).is_zero()
 
-    def test_lefschetz_wedges_omega(self, pair3):
-        s = pair3.darboux_x
-        a = Form.gen(pair3.frame_x, "dth1")
-        assert lefschetz(a, s) == s.omega.wedge(a)
-
     def test_from_constant_omega_matches_darboux(self, pair2):
         s1 = pair2.darboux_x
         s2 = SymplecticData.from_constant_omega(pair2.frame_x, s1.omega)
@@ -183,9 +177,10 @@ class TestLefschetz:
             SymplecticData.from_constant_omega(pair2.frame_x, w)
 
     def test_missing_pairing(self, pair3):
-        s = SymplecticData(pair3.frame_x, pair3.darboux_x.omega, None)
-        with pytest.raises(MissingPairing):
-            dual_lefschetz(Form.scalar(pair3.frame_x, 1), s)
+        # a non-constant omega has no exact inverse pairing to read off
+        w = pair3.darboux_x.omega + Form.monomial(pair3.frame_x, ["dth1", "dth2"], Poly.variable("r1"))
+        with pytest.raises(MissingPairing, match="non-constant"):
+            SymplecticData.from_constant_omega(pair3.frame_x, w)
 
 
 class TestDLambda:
@@ -270,13 +265,13 @@ class TestPolarizationSwitch:
     def test_monomial_image(self, pair3):
         hf = pair3.holo_frame
         a = Form.monomial(hf, ["dz1", "dz2b"])
-        s = polarization_switch(a, pair3.frame_xc, GenClass.FIBER_MIRROR)
+        s = polarization_switch(a, pair3.frame_xc)
         assert s == Form.monomial(pair3.frame_xc, ["dtc1", "dr2"])
 
     def test_scalar(self, pair3):
         hf = pair3.holo_frame
         one = Form.scalar(hf, 1)
-        assert polarization_switch(one, pair3.frame_xc, GenClass.FIBER_MIRROR) == Form.scalar(
+        assert polarization_switch(one, pair3.frame_xc) == Form.scalar(
             pair3.frame_xc, 1
         )
 
@@ -284,8 +279,8 @@ class TestPolarizationSwitch:
     def test_bijection(self, pair3, seed):
         rng = random.Random(500 + seed)
         a = random_complex_side_form(rng, pair3)
-        s = polarization_switch(a, pair3.frame_xc, GenClass.FIBER_MIRROR)
-        back = polarization_unswitch(s, pair3.holo_frame, GenClass.FIBER_MIRROR)
+        s = polarization_switch(a, pair3.frame_xc)
+        back = polarization_unswitch(s, pair3.holo_frame)
         assert back == a
         assert s.degrees() == a.degrees()
 
@@ -298,10 +293,10 @@ class TestRelabelMatchesOracles:
         for target in (pair.frame_xc, pair.frame_corr):
             for _ in range(15):
                 a = random_complex_side_form(rng, pair)
-                s = polarization_switch(a, target, GenClass.FIBER_MIRROR)
-                assert s == switch_by_wedging(a, target, GenClass.FIBER_MIRROR)
-                back = polarization_unswitch(s, pair.holo_frame, GenClass.FIBER_MIRROR)
-                assert back == unswitch_by_wedging(s, pair.holo_frame, GenClass.FIBER_MIRROR)
+                s = polarization_switch(a, target)
+                assert s == switch_by_wedging(a, target)
+                back = polarization_unswitch(s, pair.holo_frame)
+                assert back == unswitch_by_wedging(s, pair.holo_frame)
                 assert back == a
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -325,7 +320,7 @@ class TestRelabelMatchesOracles:
     def test_unswitch_checks_generator_counts(self, pair2, pair3):
         a = Form.gen(pair3.frame_xc, "dtc1")
         with pytest.raises(FrameMismatch, match="counts"):
-            polarization_unswitch(a, pair2.holo_frame, GenClass.FIBER_MIRROR)
+            polarization_unswitch(a, pair2.holo_frame)
 
 
 class TestCoframe:

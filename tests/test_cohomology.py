@@ -80,6 +80,17 @@ class TestComplexConstruction:
         with pytest.raises(ValueError):
             coh.ty_complex(pair2.frame_x, -1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_slot_matches_per_element_bidegree(self, n):
+        # the oracle asks the frame for each basis element's bidegree
+        pair = SemiflatPair(n)
+        for cpx in (coh.bc_complex(pair.holo_frame, 1), coh.ty_complex(pair.frame_x, 1)):
+            for p in range(-1, n + 2):
+                for q in range(-1, n + 2):
+                    want = [i for i, (mask, _) in enumerate(cpx.basis)
+                            if cpx.frame.bidegree(mask, cpx.split) == (p, q)]
+                    assert cpx.slot(p, q) == want, (p, q)
+
 
 def flat_pair(case):
     kind, size = case
@@ -151,9 +162,9 @@ class TestPrimitiveColumns:
         assert all(col == {} for col in cpx.images["lambda"])
 
     def test_missing_pairing_rejected(self, pair1):
-        symp = SymplecticData(pair1.frame_x, SymplecticData.darboux(pair1.frame_x).omega)
+        # the dz/dzb frame has no x-fiber legs to pair with its base legs
         with pytest.raises(calculus.MissingPairing):
-            coh.FiniteComplex(pair1.frame_x, 0, (GenClass.FIBER_X, GenClass.BASE), symp)
+            coh.ty_complex(pair1.holo_frame, 0)
 
 
 # the Form-level composites: the route the complexes took before their

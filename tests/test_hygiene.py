@@ -1,4 +1,5 @@
-"""Package hygiene: no unused imports, and every traced function exists.
+"""Package hygiene: no unused imports, nothing defined that nothing reaches,
+every export resolves, and every traced function exists.
 
 The benchmark's span table (`perfbench/spans.py` `SPANS`) names functions by
 module and attribute path.  A missing class is recorded as zero calls, but a
@@ -37,6 +38,75 @@ def test_no_unused_imports(path):
 
 def test_unused_import_scan_sees_an_unused_name():
     assert unused_imports("from fractions import Fraction\nimport os\nos.sep\n") == ["Fraction"]
+
+
+# public definitions that no package module names, each with the reason it stays
+UNREACHED_ALLOWED = {
+    "rref": "perfbench/spans.py traces it, and a traced run stops on a missing module function",
+    "rank": "perfbench/spans.py traces it, and a traced run stops on a missing module function",
+    "from_constant_omega": "the symplectic data of the invariant-coframe cohomology model (ROADMAP item 2)",
+    "basis_form": "the tests read basis elements of a complex as forms through it",
+    "random_symmetric_mu": "the IIA tests draw their coefficient matrices from it",
+}
+
+
+def is_click_command(node) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
+        for d in node.decorator_list
+    )
+
+
+def public_definitions(tree):
+    """Module-level functions and classes, and the methods of those classes,
+    whose names do not start with an underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield item
+
+
+def unreached(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each public definition that no module reads by name,
+    as a variable or an attribute; click commands are reached by the CLI."""
+    trees = {stem: ast.parse(src) for stem, src in sources.items()}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [
+        f"{stem}.{node.name}"
+        for stem, tree in trees.items()
+        for node in public_definitions(tree)
+        if node.name not in named and not is_click_command(node)
+    ]
+
+
+def test_every_public_definition_is_reached():
+    found = unreached({p.stem: p.read_text() for p in MODULES})
+    assert sorted(f for f in found if f.split(".")[1] not in UNREACHED_ALLOWED) == []
+    # an allowlist entry whose definition is gone or now reached is stale
+    assert sorted(f.split(".")[1] for f in found) == sorted(UNREACHED_ALLOWED)
+
+
+def test_reachability_scan_sees_an_unreached_definition():
+    sources = {
+        "a": "class C:\n    def used(self): pass\n    def lone(self): pass\ndef f(): pass\n",
+        "b": "from .a import C\nC().used()\n",
+        "cli": "@main.command('x')\ndef cmd_x(): pass\n",
+    }
+    assert unreached(sources) == ["a.lone", "a.f"]
+
+
+def test_every_export_resolves():
+    syzkit = importlib.import_module("syzkit")
+    assert [name for name in syzkit.__all__ if not hasattr(syzkit, name)] == []
 
 
 def load_spans():

@@ -216,9 +216,9 @@ class TestElimination:
         assert [dense(v, cols) for v in linalg.nullspace(columns_of(m, cols))] == oracle_nullspace(m, cols)
         x = [sparse_entry(rng) for _ in range(cols)]
         for b in (mat_vec(m, x), [sparse_entry(rng) for _ in m]):
-            want = oracle_solve(m, b, cols)
-            got = linalg.solve(columns_of(m, cols), sparse(b))
-            assert (got if got is None else dense(got, cols)) == want
+            # m x = b is consistent exactly when b adds no pivot to m's columns
+            consistent = cols not in linalg.column_space_pivots(columns_of(m, cols) + [sparse(b)])
+            assert consistent == (oracle_solve(m, b, cols) is not None)
         assert oracle_solve(m, mat_vec(m, x), cols) is not None
 
     @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
@@ -229,8 +229,8 @@ class TestElimination:
         assert linalg.rank(columns) == 0
         assert linalg.column_space_pivots(columns) == []
         assert [dense(v, cols) for v in linalg.nullspace(columns)] == identity(cols)
-        assert linalg.solve(columns, {}) == {}
-        assert linalg.solve(columns, {0: ONE}) is None
+        assert linalg.column_space_pivots(columns + [{}]) == []
+        assert linalg.column_space_pivots(columns + [{0: ONE}]) == [cols]
         assert linalg.invert([]) == []
 
     @pytest.mark.parametrize("seed", range(20))
@@ -245,17 +245,21 @@ class TestElimination:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_solve_consistency(self, seed):
+        # b = m x lies in the column span: it adds no pivot, and the kernel of
+        # [m | b] holds a vector with last entry -1 that recovers a solution
         rng = random.Random(200 + seed)
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = rand_matrix(rng, rows, cols)
         x = [random_scalar(rng) for _ in range(cols)]
         b = mat_vec(m, x)
-        sol = linalg.solve(columns_of(m, cols), sparse(b))
-        assert sol is not None
-        assert mat_vec(m, dense(sol, cols)) == b
+        columns = columns_of(m, cols) + [sparse(b)]
+        assert cols not in linalg.column_space_pivots(columns)
+        v = next(v for v in linalg.nullspace(columns) if cols in v)
+        sol = [-(c / v[cols]) for c in dense(v, cols)]
+        assert mat_vec(m, sol) == b
 
     def test_solve_inconsistent(self):
-        assert linalg.solve([{0: ONE, 1: ONE}], {0: ONE, 1: GaussianRational(2)}) is None
+        assert linalg.column_space_pivots([{0: ONE, 1: ONE}, {0: ONE, 1: GaussianRational(2)}]) == [0, 1]
 
     def test_invert_roundtrip(self):
         rng = random.Random(5)

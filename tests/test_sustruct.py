@@ -14,8 +14,6 @@ from syzkit.reports import PASS, UNDETERMINED
 from syzkit.sustruct import (
     Polarization,
     SUStructure,
-    check_deformation_class,
-    check_hermitian_at,
     check_iia,
     check_iib,
     check_su,
@@ -325,116 +323,6 @@ class TestMirrorTransform:
                 power = power.wedge(wc * 2)
                 fact *= k
             assert su.pq_project(3 - k, k) == pair3.fm_forward(power * Fraction(1, fact))
-
-
-class TestHermitian:
-    def test_iwasawa_identity_at_origin(self, pair3):
-        su = mirror_transform(pair3, iwasawa_omega_check(pair3))
-        pt = {v: Fraction(0) for v in pair3.base_vars}
-        vals = [[su.mu[i][j].evaluate(pt) for j in range(3)] for i in range(3)]
-        assert vals == [
-            [GaussianRational(1 if i == j else 0) for j in range(3)] for i in range(3)
-        ]
-        assert check_hermitian_at(su).passed
-
-    def test_iwasawa_minors_at_r1_5(self, pair3):
-        # leading principal minors 1, 26, 1 of [[1,0,0],[0,26,-5],[0,-5,1]]
-        su = mirror_transform(pair3, iwasawa_omega_check(pair3))
-        pt = {"r1": Fraction(5), "r2": Fraction(0), "r3": Fraction(0)}
-        m = [[su.mu[i][j].evaluate(pt).re for j in range(3)] for i in range(3)]
-        assert m == [[1, 0, 0], [0, 26, -5], [0, -5, 1]]
-        minor1 = m[0][0]
-        minor2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        minor3 = 26 * 1 - 25
-        assert (minor1, minor2, minor3) == (1, 26, 1)
-        assert check_hermitian_at(su, [pt]).passed
-
-    def test_indefinite_fails_with_witness(self, pair2):
-        w = Form.monomial(pair2.frame_xc, ["dtc1", "dr1"]) - Form.monomial(
-            pair2.frame_xc, ["dtc2", "dr2"]
-        )
-        su = mirror_transform(pair2, w)
-        rep = check_hermitian_at(su)
-        assert not rep.passed
-        assert any("minor" in (i.witness or "") for i in rep.items)
-
-    def test_indefinite_survives_json_roundtrip(self, pair2):
-        # mu is read from the factors, so the fixture checks the same matrix
-        w = Form.monomial(pair2.frame_xc, ["dtc1", "dr1"]) - Form.monomial(
-            pair2.frame_xc, ["dtc2", "dr2"]
-        )
-        su = mirror_transform(pair2, w)
-        back = SUStructure.from_json(json.loads(json.dumps(su.to_json())))
-        rep, rep_back = check_hermitian_at(su), check_hermitian_at(back)
-        assert not rep.passed
-        assert [i.to_json() for i in rep_back.items] == [i.to_json() for i in rep.items]
-
-    def test_mu_read_from_factors_of_the_nilmanifold_mirror(self):
-        su = mirror_transform(nil.semiflat_pair(3), nil.omega_hermitian(nil.build(3)))
-        r12 = Poly.variable("r12")
-        want = [[Poly.constant(1), Poly(), Poly()],
-                [Poly(), Poly.constant(1), -r12],
-                [Poly(), -r12, r12 * r12 + 1]]
-        assert su.mu == want
-        assert SUStructure.from_json(json.loads(json.dumps(su.to_json()))).mu == want
-
-    def test_mu_rejects_other_factor_shapes(self):
-        # fc_23 = dthc23 + r12 dthc13 has a second fiber leg
-        su = nil.build_iia_side(nil.build(3))
-        with pytest.raises(ValueError, match="factor"):
-            su.mu
-
-
-class TestDeformation:
-    def test_iib_good_direction(self, pair3):
-        su = flat_su_iib(pair3)
-        beta = Form.monomial(pair3.frame_xc, ["dtc1", "dr1"]) - Form.monomial(
-            pair3.frame_xc, ["dtc2", "dr2"]
-        )
-        assert omega_to_the(su, 2).wedge(beta).is_zero()  # primitivity of beta
-        delta = su.omega.wedge(beta)
-        rep = check_deformation_class(su, delta, "IIB")
-        assert rep.passed
-
-    def test_iib_nonprimitive_fails(self, pair3):
-        su = flat_su_iib(pair3)
-        delta = su.omega.wedge(su.omega)
-        rep = check_deformation_class(su, delta, "IIB")
-        assert "lefschetz-primitive-decomposition" in rep.failed_ids
-
-    def test_iia_honest_deformation(self, pair3):
-        # vary the source metric by dtc2^dr2 - dtc1^dr1: this fixes det(mu)
-        # and the balanced condition to first order, so the derivative of the
-        # volume form is a legitimate deformation; all three class conditions
-        # must hold for it
-        w = iwasawa_omega_check(pair3)
-        su = mirror_transform(pair3, w)
-        beta = Form.monomial(pair3.frame_xc, ["dtc2", "dr2"]) - Form.monomial(
-            pair3.frame_xc, ["dtc1", "dr1"]
-        )
-        wc = frame_collect(w, pair3.holo_frame)
-        bc = frame_collect(beta, pair3.holo_frame)
-        delta = pair3.fm_forward(bc.wedge((wc * 2).exp_nilpotent()) * 2)
-        # fixed conformal factor to first order
-        doo = delta.wedge(su.Omega.conjugate()) + su.Omega.wedge(delta.conjugate())
-        assert doo.is_zero()
-        rep = check_deformation_class(su, delta, "IIA")
-        assert rep.passed
-
-    def test_iia_invalid_deformation_caught(self, pair3):
-        # the volume form itself rescales the conformal factor, and indeed
-        # fails the d-Lambda condition even though it is primitive
-        su = mirror_transform(pair3, iwasawa_omega_check(pair3))
-        rep = check_deformation_class(su, su.Omega, "IIA")
-        assert "deformation-dlambda-closed" in rep.failed_ids
-        bad = su.omega.wedge(Form.gen(pair3.frame_x, "dth1"))
-        rep = check_deformation_class(su, bad, "IIA")
-        assert "deformation-primitive" in rep.failed_ids
-
-    def test_degree_validation(self, pair3):
-        su = flat_su_iib(pair3)
-        with pytest.raises(ValueError):
-            check_deformation_class(su, su.omega, "IIB")
 
 
 class TestLazyComplexBasis:
