@@ -166,7 +166,7 @@ def holo_coframe(real_frame: FrameSpec, holo_forms: Sequence[tuple[str, Form]]) 
     holo = [f for _, f in holo_forms]
     anti = [f.conjugate() for f in holo]
     for f in holo + anti:
-        if f.frame != real_frame:
+        if f.frame is not real_frame:
             raise BasisChangeError("basis forms must live on the real frame")
         if f.degrees() not in ({1}, set()):
             raise BasisChangeError("basis forms must be one-forms")
@@ -193,9 +193,9 @@ def dolbeault(form: Form, holo_frame: FrameSpec) -> tuple[Form, Form]:
     Returns (del, dbar).  Raises if d escapes the two adjacent bidegrees,
     which would mean the basis is not integrable.
     """
-    if form.frame != holo_frame:
+    if form.frame is not holo_frame:
         exp = holo_frame.generators[0].coord_expansion
-        if exp is None or form.frame != exp.frame:
+        if exp is None or form.frame is not exp.frame:
             raise BasisChangeError("form lives on neither the real nor the complex frame")
         form = frame_collect(form, holo_frame)
     del_part = Form.zero(holo_frame)

@@ -236,7 +236,8 @@ class Poly:
     stored and the term order used for printing/JSON is (degree, exponents).
     The public constructor checks the universe and the exponent lengths and
     drops zero terms; ring operations, whose results already satisfy this, go
-    through `_poly`.
+    through `_poly`.  As with `GaussianRational`, immutability is by
+    convention: `vars` and `terms` are written only when an instance is built.
     """
 
     __slots__ = ("vars", "terms")
@@ -252,11 +253,8 @@ class Poly:
             if len(exps) != len(vs):
                 raise ValueError("exponent vector length does not match universe")
             clean[exps] = c
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        self.vars = vs
+        self.terms = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -381,6 +379,9 @@ class Poly:
         return a.terms == b.terms
 
     def __hash__(self):
+        # a constant equals its scalar (see __eq__), so it hashes as one
+        if self.is_constant():
+            return hash(self.constant_value())
         # hash ignores padding variables so that equal polys hash equal
         core = frozenset(
             (tuple((v, e) for v, e in zip(self.vars, exps) if e), c)
@@ -528,8 +529,8 @@ def _poly(vars: tuple[str, ...], terms: dict[tuple[int, ...], GaussianRational])
     """A Poly over the sorted universe `vars` from nonzero terms whose exponent
     tuples have the universe's length; nothing is checked or copied."""
     p = _new(Poly)
-    object.__setattr__(p, "vars", vars)
-    object.__setattr__(p, "terms", terms)
+    p.vars = vars
+    p.terms = terms
     return p
 
 
@@ -557,7 +558,9 @@ def exponent_vectors(nvars: int, max_total: int) -> list[tuple[int, ...]]:
 class PolyRatio:
     """Exact ratio of two polynomials, normalized so the denominator's
     leading coefficient is 1.  Used for conformal factors, where the
-    denominator is a determinant that need not divide the numerator."""
+    denominator is a determinant that need not divide the numerator.
+    Immutable by convention, like `Poly`; unhashable, as equal ratios can
+    have different parts."""
 
     __slots__ = ("num", "den")
 
@@ -565,11 +568,8 @@ class PolyRatio:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         _, lead = den.leading()
-        object.__setattr__(self, "num", num * (ONE / lead))
-        object.__setattr__(self, "den", den * (ONE / lead))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyRatio is immutable")
+        self.num = num * (ONE / lead)
+        self.den = den * (ONE / lead)
 
     def is_constant(self) -> bool:
         if self.num.is_zero():
@@ -607,8 +607,7 @@ class PolyRatio:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    __hash__ = None
 
     def __str__(self):
         if self.den == P_ONE:

@@ -2,10 +2,10 @@
 
 Generator subsets are stored as bitmasks over a fixed frame ordering; Koszul
 signs come from transposition counting.  Forms may have mixed degree (needed
-for exponentials), are immutable, and all operations are pure.  Operations
-whose results already hold only nonzero `Poly` coefficients wrap them through
-the private constructor `_form`, which checks nothing; the public constructor
-promotes scalars and drops zero terms.
+for exponentials), are immutable by convention, and all operations are pure.
+Operations whose results already hold only nonzero `Poly` coefficients wrap
+them through the private constructor `_form`, which checks nothing; the public
+constructor promotes scalars and drops zero terms.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ _new = object.__new__
 
 
 class FrameMismatch(ValueError):
-    """Operands live on different frames."""
+    """Operands live on different frame objects."""
 
 
 class BasisChangeError(ValueError):
@@ -41,7 +41,8 @@ class Generator:
     coframe generator its expansion on the coordinate frame.
 
     Without a leg class, an expansion whose legs all lie in one class gives
-    that class.
+    that class.  Immutable by convention: the slots are written only in
+    `__init__`.
     """
 
     __slots__ = ("label", "leg_class", "coord_expansion", "paired_base_var")
@@ -61,13 +62,10 @@ class Generator:
             }
             if len(classes) == 1:
                 leg_class = classes.pop()
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "leg_class", leg_class)
-        object.__setattr__(self, "coord_expansion", coord_expansion)
-        object.__setattr__(self, "paired_base_var", paired_base_var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Generator is immutable")
+        self.label = label
+        self.leg_class = leg_class
+        self.coord_expansion = coord_expansion
+        self.paired_base_var = paired_base_var
 
     def __repr__(self):
         cls = None if self.leg_class is None else self.leg_class.value
@@ -78,7 +76,8 @@ class FrameSpec:
     """Ordered list of generators plus the base-coordinate variables.
 
     The generator order is the canonical ordering for bitmask monomials, for
-    Koszul signs, and for fiber integration.  `n` is the fiber rank.
+    Koszul signs, and for fiber integration.  `n` is the fiber rank.  A frame
+    equals only itself, so forms on two frames built apart never mix.
     """
 
     def __init__(self, generators: Sequence[Generator], base_vars: Sequence[str], n: int):
@@ -99,28 +98,6 @@ class FrameSpec:
             if g.leg_class is not None:
                 self._class_masks[g.leg_class] = self._class_masks.get(g.leg_class, 0) | 1 << i
         self._collect_images: Optional[dict[str, Form]] = None
-
-    # frames are compared structurally so that reconstructed frames interoperate;
-    # a coframe never equals a coordinate frame with the same labels
-    def _signature(self):
-        return (
-            tuple(
-                (g.label, g.leg_class, g.paired_base_var, g.coord_expansion is not None)
-                for g in self.generators
-            ),
-            self.base_vars,
-            self.n,
-        )
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FrameSpec):
-            return NotImplemented
-        return self._signature() == other._signature()
-
-    def __hash__(self):
-        return hash(self._signature())
 
     def __len__(self):
         return len(self.generators)
@@ -180,7 +157,8 @@ def koszul_sign(mask_a: int, mask_b: int) -> int:
 
 
 class Form:
-    """Element of the exterior algebra: sorted generator subsets -> Poly."""
+    """Element of the exterior algebra: sorted generator subsets -> Poly.
+    Immutable by convention: `frame` and `terms` are written only when built."""
 
     __slots__ = ("frame", "terms")
 
@@ -190,11 +168,8 @@ class Form:
             p = c if isinstance(c, Poly) else Poly.constant(c)
             if not p.is_zero():
                 clean[mask] = p
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Form is immutable")
+        self.frame = frame
+        self.terms = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -221,8 +196,8 @@ class Form:
     # -- basic algebra -----------------------------------------------------
 
     def _check(self, other: "Form") -> None:
-        if self.frame is not other.frame and self.frame != other.frame:
-            raise FrameMismatch(f"{self.frame!r} vs {other.frame!r}")
+        if self.frame is not other.frame:
+            raise FrameMismatch("operands live on different frame objects")
 
     def __add__(self, other: "Form") -> "Form":
         self._check(other)
@@ -272,7 +247,7 @@ class Form:
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        if self.frame is not other.frame and self.frame != other.frame:
+        if self.frame is not other.frame:
             return False
         return self.terms == other.terms
 
@@ -482,8 +457,8 @@ class Form:
 def _form(frame: FrameSpec, terms: dict[int, Poly]) -> Form:
     """A Form from nonzero Poly coefficients; nothing is checked or copied."""
     f = _new(Form)
-    object.__setattr__(f, "frame", frame)
-    object.__setattr__(f, "terms", terms)
+    f.frame = frame
+    f.terms = terms
     return f
 
 
@@ -515,7 +490,7 @@ def frame_expand(form: Form, coord_frame: FrameSpec) -> Form:
     images = {
         i: g.coord_expansion
         for i, g in enumerate(form.frame.generators)
-        if g.coord_expansion is not None and g.coord_expansion.frame == coord_frame
+        if g.coord_expansion is not None and g.coord_expansion.frame is coord_frame
     }
     return substitute_generators(form, coord_frame, images)
 
@@ -537,7 +512,7 @@ def _collect_images(frame: FrameSpec) -> dict[str, Form]:
             raise BasisChangeError(f"the expansion of {g.label!r} is not a one-form")
         expansions.append(exp)
     coord = expansions[0].frame if expansions else frame
-    if any(exp.frame != coord for exp in expansions) or len(coord) != len(frame):
+    if any(exp.frame is not coord for exp in expansions) or len(coord) != len(frame):
         raise BasisChangeError(
             f"{len(frame)} frame generators do not expand on one coordinate frame of the same size"
         )

@@ -93,9 +93,9 @@ class SemiflatPair:
 
     def to_complex_side(self, form: Form) -> Form:
         """Normalize a complex-side form to the dz/dzb monomial frame."""
-        if form.frame == self.holo_frame:
+        if form.frame is self.holo_frame:
             return form
-        if form.frame == self.frame_xc:
+        if form.frame is self.frame_xc:
             return frame_collect(form, self.holo_frame)
         raise FrameMismatch("form does not live on the complex side of this pair")
 
@@ -125,7 +125,7 @@ class SemiflatPair:
     def fm_backward(self, form: Form) -> Form:
         """Transform a symplectic-side invariant form to the complex side
         (returned on the dz/dzb monomial frame)."""
-        if form.frame != self.frame_x:
+        if form.frame is not self.frame_x:
             raise FrameMismatch("form does not live on the symplectic side of this pair")
         self._check_invariant(form)
         lifted = form.transport(self.frame_corr)

@@ -245,7 +245,6 @@ def build_iib_side(nd: NilData) -> SUStructure:
         nd.x_coord,
         omega_hermitian(nd),
         Omega_factors=factors,
-        holo_labels=[f"dz{i}{j}" for i, j in nd.pairs],
     )
 
 

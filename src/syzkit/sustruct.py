@@ -44,11 +44,11 @@ class SUStructure:
     """A pair (omega, Omega) with optional polarization data.
 
     Omega is `prefactor` times the wedge of `Omega_factors`, its decomposition
-    into complex one-forms; the product is formed once, here.  Given
-    `holo_labels` to name the factors, the induced dz/dzb frame is built from
-    them on the first read of `holo_frame`, and is None when the transition
-    is not exactly invertible.  `omega_power(k)` wedges each power of omega
-    once and keeps it.
+    into complex one-forms; the product is formed once, here.  The induced
+    dz/dzb frame, with the factors named dz1..dzn, is built on the first read
+    of `holo_frame`, and is None when the transition is not exactly
+    invertible.  `omega_power(k)` wedges each power of omega once and keeps
+    it.
     """
 
     def __init__(
@@ -59,7 +59,6 @@ class SUStructure:
         Omega_factors: Sequence[Form],
         prefactor: GaussianRational = ONE,
         polarization: Optional[Polarization] = None,
-        holo_labels: Optional[Sequence[str]] = None,
     ):
         self.n = n
         self.frame = frame
@@ -71,16 +70,14 @@ class SUStructure:
         self.Omega = Omega
         self.prefactor = prefactor
         self.polarization = polarization
-        self.holo_labels = None if holo_labels is None else list(holo_labels)
         self._conformal: Optional[PolyRatio] = None
         self._omega_powers = [Form.scalar(frame, 1), omega]
 
     @cached_property
     def holo_frame(self) -> Optional[FrameSpec]:
-        if self.holo_labels is None:
-            return None
+        named = [(f"dz{k}", f) for k, f in enumerate(self.Omega_factors, 1)]
         try:
-            return holo_coframe(self.frame, list(zip(self.holo_labels, self.Omega_factors)))
+            return holo_coframe(self.frame, named)
         except BasisChangeError:
             return None
 
@@ -148,7 +145,6 @@ class SUStructure:
             Omega_factors=factors,
             prefactor=GaussianRational.from_json(obj["prefactor"]),
             polarization=pol,
-            holo_labels=[f"dz{k+1}" for k in range(len(factors))],
         )
 
 
@@ -336,7 +332,7 @@ def mirror_transform(pair: SemiflatPair, omega_check: Form) -> SUStructure:
     matrix of omega_check.
     """
     n = pair.n
-    if omega_check.frame != pair.frame_xc:
+    if omega_check.frame is not pair.frame_xc:
         raise ValueError("omega_check must live on the complex side of the pair")
     if omega_check.conjugate() != omega_check:
         raise ValueError("omega_check must be real")
@@ -378,5 +374,4 @@ def mirror_transform(pair: SemiflatPair, omega_check: Form) -> SUStructure:
         Omega_factors=factors,
         prefactor=pref,
         polarization=Polarization(GenClass.FIBER_X, phase),
-        holo_labels=[f"dw{k+1}" for k in range(n)],
     )

@@ -3,20 +3,18 @@ arithmetic exact (zero tolerance).  Run with `pytest tests/test_acceptance.py
 -v -s` to see one line per criterion."""
 
 import itertools
-import json
 import time
 from fractions import Fraction
 from math import comb
 
-import pytest
 from click.testing import CliRunner
 
 from syzkit import cohomology as coh
 from syzkit import nilmanifold as nil
 from syzkit.calculus import exterior_d
 from syzkit.cli import main as cli_main
-from syzkit.coeffring import GaussianRational, I, ONE, Poly
-from syzkit.exterior import Form, GenClass, frame_expand
+from syzkit.coeffring import GaussianRational, I
+from syzkit.exterior import Form, frame_expand
 from syzkit.fourier import SemiflatPair
 from syzkit.proptest import suite_operator_algebra
 from syzkit.randgen import random_complex_side_form, random_symmetric_mu, trial_rng
@@ -110,7 +108,6 @@ def test_criterion_5_flux_correspondence(pair3):
         frame,
         su_b_omega,
         Omega_factors=factors,
-        holo_labels=["dz1", "dz2", "dz3"],
     )
     su_a = mirror_transform(pair3, su_b_omega)
     rho_a, _ = flux_iia(su_a)

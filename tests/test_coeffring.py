@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import operator
@@ -336,6 +335,22 @@ class TestPolyBasics:
         p = (r("r1") + r("r3")) * r("r2")
         assert set(p.vars) == {"r1", "r2", "r3"}
 
+    @pytest.mark.parametrize("x", [3, Fraction(1, 2), I, 0])
+    def test_constant_hashes_as_its_scalar(self, x):
+        # a constant equals its scalar, so set and dict lookups cross the
+        # types; x = 0 over () is the zero Poly()
+        for vars in ((), ("r1", "r2")):
+            p = Poly.constant(x, vars)
+            assert p == x and hash(p) == hash(x)
+            assert x in {p}
+
+    def test_padded_universes_hash_equal(self):
+        p = r("r1") * r("r2") + Poly.constant(I)
+        padded = p._over(("r0", "r1", "r2", "r3"))
+        assert padded.vars != p.vars
+        assert padded == p and hash(padded) == hash(p)
+        assert hash(Poly()) == hash(Poly(("r1",), {})) == hash(0)
+
 
 class TestPolyProperties:
     @pytest.mark.parametrize("seed", range(40))
@@ -477,6 +492,13 @@ class TestPolyRatio:
         f = PolyRatio(Poly.constant(8), Poly.constant(1))
         fc = PolyRatio(Poly.constant(8), Poly.constant(1))
         assert f * fc == GaussianRational(64)
+
+    def test_unhashable(self):
+        # equality cross-multiplies: x/x == 1/1 with different parts
+        x = Poly.constant(1) + r("r1")
+        assert PolyRatio(x, x) == PolyRatio(Poly.constant(1), Poly.constant(1))
+        with pytest.raises(TypeError):
+            hash(PolyRatio(x, x))
 
 
 def test_exponent_vectors():

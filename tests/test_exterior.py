@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -291,7 +290,15 @@ class TestFrameExpandCollect:
         )
         assert frame != coords
         assert Form.gen(frame, "w") != Form.gen(coords, "w")
-        assert frame == self.two_generator_frame(f, dz, dz.conjugate())
+        # a frame equals only itself, even when rebuilt from the same data
+        rebuilt = self.two_generator_frame(f, dz, dz.conjugate())
+        assert frame != rebuilt
+        w, w_rebuilt = Form.gen(frame, "w"), Form.gen(rebuilt, "w")
+        with pytest.raises(FrameMismatch):
+            w + w_rebuilt
+        with pytest.raises(FrameMismatch):
+            w.wedge(w_rebuilt)
+        assert w != w_rebuilt
 
     def test_dz_frame_collects(self, pair1):
         # dz and its conjugate both lead with dtc1, so no unit-pivot order

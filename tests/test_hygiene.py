@@ -1,5 +1,6 @@
-"""Package hygiene: no unused imports, nothing defined that nothing reaches,
-every export resolves, and every traced function exists.
+"""Package hygiene: no unused imports in the package or the tests, nothing
+defined that nothing reaches, every export resolves, and every traced
+function exists.
 
 The benchmark's span table (`perfbench/spans.py` `SPANS`) names functions by
 module and attribute path.  A missing class is recorded as zero calls, but a
@@ -16,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "syzkit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +33,7 @@ def unused_imports(source: str) -> list[str]:
     return sorted(set(bound) - used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=[p.stem for p in MODULES + TEST_FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

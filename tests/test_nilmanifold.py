@@ -1,10 +1,8 @@
-import random
-
 import pytest
 
 from syzkit.calculus import exterior_d
-from syzkit.coeffring import GaussianRational, I, Poly
-from syzkit.exterior import Form, GenClass, frame_expand
+from syzkit.coeffring import GaussianRational, Poly
+from syzkit.exterior import Form
 from syzkit import nilmanifold as nil
 from syzkit.sustruct import check_iia, check_iib
 

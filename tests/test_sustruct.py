@@ -1,5 +1,4 @@
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,15 +7,12 @@ from syzkit import nilmanifold as nil
 from syzkit.calculus import MissingPairing, exterior_d
 from syzkit.coeffring import GaussianRational, I, ONE, Poly
 from syzkit.exterior import Form, GenClass, frame_collect, frame_expand
-from syzkit.fourier import SemiflatPair
-from syzkit.randgen import random_poly, random_symmetric_mu, trial_rng
-from syzkit.reports import PASS, UNDETERMINED
+from syzkit.randgen import random_symmetric_mu, trial_rng
 from syzkit.sustruct import (
     Polarization,
     SUStructure,
     check_iia,
     check_iib,
-    check_su,
     flux_iia,
     flux_iib,
     mirror_transform,
@@ -35,8 +31,7 @@ def flat_su_iib(pair):
     omega = Form.zero(frame)
     for k in range(1, n + 1):
         omega = omega + Form.monomial(frame, [f"dtc{k}", f"dr{k}"])
-    return SUStructure(n, frame, omega, Omega_factors=factors,
-                       holo_labels=[f"dz{k}" for k in range(1, n + 1)])
+    return SUStructure(n, frame, omega, Omega_factors=factors)
 
 
 def iwasawa_su_iib(pair3):
@@ -46,7 +41,6 @@ def iwasawa_su_iib(pair3):
         pair3.frame_xc,
         iwasawa_omega_check(pair3),
         Omega_factors=su.Omega_factors,
-        holo_labels=su.holo_labels,
     )
 
 
@@ -205,7 +199,6 @@ class TestCheckIIA:
             su.n, su.frame, su.omega,
             Omega_factors=su.Omega_factors, prefactor=su.prefactor,
             polarization=Polarization(GenClass.FIBER_X, 0),  # true phase is pi
-            holo_labels=su.holo_labels,
         )
         rep = check_iia(wrong)
         assert "special-phase" in rep.failed_ids
@@ -250,7 +243,7 @@ class TestFluxes:
         tweaked = SUStructure(
             su.n, su.frame, su.omega * 2,
             Omega_factors=su.Omega_factors, prefactor=su.prefactor,
-            polarization=su.polarization, holo_labels=su.holo_labels,
+            polarization=su.polarization,
         )
         with pytest.raises(MissingPairing):
             flux_iia(tweaked)
@@ -332,7 +325,7 @@ class TestLazyComplexBasis:
         _, rep = flux_iib(su)
         assert rep.passed
         hf = vars(su)["holo_frame"]
-        assert [g.label for g in hf.generators] == ["dw1", "dw2", "dw3", "dw1b", "dw2b", "dw3b"]
+        assert [g.label for g in hf.generators] == ["dz1", "dz2", "dz3", "dz1b", "dz2b", "dz3b"]
 
     def test_dependent_factors_give_no_basis(self, pair3):
         obj = mirror_transform(pair3, iwasawa_omega_check(pair3)).to_json()
