@@ -1,6 +1,6 @@
 """syzkit: exact exterior calculus for semi-flat torus-fibration dualities."""
 
-from .coeffring import GaussianRational, I, ONE, Poly, PolyRatio, ZERO
+from .coeffring import GaussianRational, I, ONE, Poly, ZERO
 from .exterior import (
     Form,
     FrameMismatch,
@@ -40,7 +40,7 @@ from .sustruct import (
 from . import cohomology, linalg, nilmanifold
 
 __all__ = [
-    "GaussianRational", "I", "ONE", "ZERO", "Poly", "PolyRatio",
+    "GaussianRational", "I", "ONE", "ZERO", "Poly",
     "Form", "FrameSpec", "GenClass", "Generator",
     "FrameMismatch",
     "frame_collect", "frame_expand", "koszul_sign", "substitute_generators",

@@ -101,20 +101,13 @@ class SymplecticData:
         if len(fibers) != len(bases):
             raise MissingPairing("fiber and base generator counts differ")
         omega = Form.zero(frame)
-        size = len(frame)
-        pairing = [[Poly() for _ in range(size)] for _ in range(size)]
         for f, b in zip(fibers, bases):
             omega = omega + Form(frame, {(1 << f) | (1 << b): P_ONE if f < b else -P_ONE})
-            pairing[b][f] = P_ONE
-            pairing[f][b] = -P_ONE
-        return SymplecticData(frame, omega, pairing)
+        return SymplecticData.from_constant_omega(frame, omega)
 
     @staticmethod
     def from_constant_omega(frame: FrameSpec, omega: Form) -> "SymplecticData":
-        """Invert a constant-coefficient symplectic form exactly.  Kept though
-        no command calls it yet: the invariant-coframe cohomology model, a
-        complex on the nilmanifold's `xc_frame` with a constant omega, takes
-        its symplectic data from here."""
+        """Invert a constant-coefficient symplectic form exactly."""
         rows: list[dict[int, GaussianRational]] = [{} for _ in range(len(frame))]
         for mask, c in omega.terms.items():
             if mask.bit_count() != 2:

@@ -26,7 +26,7 @@ from .calculus import exterior_d
 from .exterior import Form, FrameMismatch, GenClass
 from .fourier import SemiflatPair
 from .proptest import SUITES
-from .reports import CheckReport
+from .reports import PASS, CheckReport
 from .sustruct import SUStructure, check_iia, check_iib
 
 FIXTURE_SCHEMA = "syzkit-fixture-v1"
@@ -89,7 +89,8 @@ def _emit(report: CheckReport, out: str | None, command: str, t0: float, extra: 
     status = "ok" if report.passed else "FAILED"
     click.echo(f"{command}: {status} ({len(report.items)} checks, {time.time() - t0:.2f}s)", file=sys.stdout)
     if not report.passed:
-        click.echo(f"first failing check: {report.failed_ids[0]}", file=sys.stdout)
+        first = next(i for i in report.items if i.status != PASS)
+        click.echo(f"first non-passing check: {first.id} ({first.status})", file=sys.stdout)
         sys.exit(1)
 
 

@@ -553,65 +553,3 @@ def exponent_vectors(nvars: int, max_total: int) -> list[tuple[int, ...]]:
     rec([], max_total, nvars)
     out.sort(key=lambda e: (sum(e), e))
     return out
-
-
-class PolyRatio:
-    """Exact ratio of two polynomials, normalized so the denominator's
-    leading coefficient is 1.  Used for conformal factors, where the
-    denominator is a determinant that need not divide the numerator.
-    Immutable by convention, like `Poly`; unhashable, as equal ratios can
-    have different parts."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        _, lead = den.leading()
-        self.num = num * (ONE / lead)
-        self.den = den * (ONE / lead)
-
-    def is_constant(self) -> bool:
-        if self.num.is_zero():
-            return True
-        if self.den.is_constant():
-            return self.num.is_constant()
-        # num/den is the constant c iff num == c * den exactly
-        try:
-            c = self.constant_value()
-        except ValueError:
-            return False
-        return self.num == self.den * c
-
-    def constant_value(self) -> GaussianRational:
-        if self.num.is_zero():
-            return ZERO
-        en, cn = self.num.leading()
-        ed, cd = self.den.leading()
-        c = cn / cd
-        if self.num == self.den * c:
-            return c
-        raise ValueError(f"ratio is not constant: ({self.num})/({self.den})")
-
-    def __mul__(self, other):
-        if isinstance(other, PolyRatio):
-            return PolyRatio(self.num * other.num, self.den * other.den)
-        return PolyRatio(self.num * Poly.promote(other), self.den)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.num == self.den * GaussianRational.promote(other)
-        if not isinstance(other, PolyRatio):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    def __str__(self):
-        if self.den == P_ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__

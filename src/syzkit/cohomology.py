@@ -247,15 +247,11 @@ class FiniteComplex:
         """op applied to a form of the span, through the stored columns."""
         return self.form_of(product((1, self.images[op], [self.vectorize(form)]))[0])
 
-    def matrix_on_slot(
-        self, op: str, from_idx: Sequence[int], to_idx: Optional[Sequence[int]] = None
-    ) -> list[linalg.Vec]:
+    def matrix_on_slot(self, op: str, from_idx: Sequence[int], to_idx: Sequence[int]) -> list[linalg.Vec]:
         """Sparse columns, one per basis element of `from_idx`: its image
-        under op, keyed by basis index, or by position in `to_idx` when given
-        (after checking nothing leaks outside it)."""
+        under op, keyed by position in `to_idx` (after checking nothing
+        leaks outside it)."""
         cols = [self.images[op][i] for i in from_idx]
-        if to_idx is None:
-            return cols
         at = {r: k for k, r in enumerate(to_idx)}
         if any(r not in at for col in cols for r in col):
             raise SpanEscape(f"operator {op} leaks outside the target slot")

@@ -265,9 +265,6 @@ class Form:
     def degrees(self) -> set[int]:
         return {m.bit_count() for m in self.terms}
 
-    def part(self, k: int) -> "Form":
-        return _form(self.frame, {m: p for m, p in self.terms.items() if m.bit_count() == k})
-
     def leg_count(self, cls: GenClass) -> set[int]:
         cm = self.frame.class_mask(cls)
         return {(m & cm).bit_count() for m in self.terms}

@@ -50,10 +50,6 @@ class CheckReport:
     def passed(self) -> bool:
         return all(i.status == PASS for i in self.items)
 
-    @property
-    def failed_ids(self) -> list[str]:
-        return [i.id for i in self.items if i.status == FAIL]
-
     def summary_lines(self) -> list[str]:
         lines = []
         for i in self.items:

@@ -26,7 +26,7 @@ from .calculus import (
     exterior_d,
     holo_coframe,
 )
-from .coeffring import GaussianRational, I, ONE, Poly, PolyRatio, ZERO
+from .coeffring import GaussianRational, I, ONE, Poly, ZERO
 from .exterior import Form, FrameSpec, GenClass, Generator, bits, frame_expand
 from .fourier import SemiflatPair
 from .reports import PASS, UNDETERMINED, CheckReport
@@ -70,7 +70,7 @@ class SUStructure:
         self.Omega = Omega
         self.prefactor = prefactor
         self.polarization = polarization
-        self._conformal: Optional[PolyRatio] = None
+        self._conformal: Optional[GaussianRational] = None
         self._omega_powers = [Form.scalar(frame, 1), omega]
 
     @cached_property
@@ -90,7 +90,7 @@ class SUStructure:
             powers.append(powers[-1].wedge(self.omega))
         return powers[k]
 
-    def conformal_factor(self) -> PolyRatio:
+    def conformal_factor(self) -> GaussianRational:
         if self._conformal is None:
             self._conformal = conformal_factor(self)
         return self._conformal
@@ -156,15 +156,29 @@ def _top_coefficient(frame: FrameSpec, form: Form) -> Poly:
     return form.terms.get(top, Poly())
 
 
-def conformal_factor(s: SUStructure) -> PolyRatio:
-    """Solve Omega ^ conj(Omega) = i^n F omega^n / n! for F, exactly.
+class NonConstantFactor(ValueError):
+    """The conformal factor is a ratio of polynomials that is not a constant;
+    the message is the ratio, its denominator scaled to leading coefficient 1."""
+
+
+def constant_ratio(num: Poly, den: Poly) -> Optional[GaussianRational]:
+    """The constant c with num == c * den exactly, or None; den is nonzero."""
+    if num.is_zero():
+        return ZERO
+    c = num.leading()[1] / den.leading()[1]
+    return c if num == den * c else None
+
+
+def conformal_factor(s: SUStructure) -> GaussianRational:
+    """Solve Omega ^ conj(Omega) = i^n F omega^n / n! for the constant F, exactly.
 
     The i^n normalization is fixed once and for all; variant conventions
     differing by an overall sign are NOT silently applied, so F may
     legitimately come out negative (it does on the flat examples).  Reports
-    carry the exact value instead of forcing positivity.  It stays a module
-    function behind `SUStructure.conformal_factor` because `perfbench/spans.py`
-    traces it by this name.
+    carry the exact value instead of forcing positivity.  A non-constant F
+    raises `NonConstantFactor`.  It stays a module function behind
+    `SUStructure.conformal_factor` because `perfbench/spans.py` traces it by
+    this name.
     """
     if len(s.frame) != 2 * s.n:
         raise ValueError("frame must have exactly 2n one-form generators")
@@ -174,7 +188,13 @@ def conformal_factor(s: SUStructure) -> PolyRatio:
     if den.is_zero():
         raise ValueError("omega is degenerate: omega^n = 0")
     num = _top_coefficient(s.frame, oo)
-    return PolyRatio(num, den * I ** s.n)
+    den = den * I ** s.n
+    c = constant_ratio(num, den)
+    if c is None:
+        unit = ONE / den.leading()[1]
+        num, den = num * unit, den * unit
+        raise NonConstantFactor(str(num) if den.is_constant() else f"({num})/({den})")
+    return c
 
 
 def proportional_to(form: Form, candidate: Form) -> Optional[GaussianRational]:
@@ -187,11 +207,8 @@ def proportional_to(form: Form, candidate: Form) -> Optional[GaussianRational]:
     fc = form.terms.get(mask)
     if fc is None:
         return None
-    try:
-        c = PolyRatio(fc, cc).constant_value()
-    except ValueError:
-        return None
-    if form == candidate * Poly.constant(c):
+    c = constant_ratio(fc, cc)
+    if c is not None and form == candidate * Poly.constant(c):
         return c
     return None
 
@@ -203,16 +220,16 @@ def check_su(s: SUStructure) -> CheckReport:
     rep.add("Omega-wedge-omega-vanishes", ow.is_zero(), ow)
     try:
         cf = s.conformal_factor()
+    except NonConstantFactor as e:
+        rep.add("conformal-factor-defined", True)
+        rep.add_status("conformal-factor-nonvanishing", UNDETERMINED, e)
+        return rep
     except ValueError as e:
         rep.add("conformal-factor-defined", False, e)
         return rep
     rep.add("conformal-factor-defined", True)
-    if cf.is_constant():
-        v = cf.constant_value()
-        rep.add("conformal-factor-nonvanishing", bool(v), cf)
-        rep.add_status("conformal-factor-constant", PASS, str(v))
-    else:
-        rep.add_status("conformal-factor-nonvanishing", UNDETERMINED, cf)
+    rep.add("conformal-factor-nonvanishing", bool(cf), cf)
+    rep.add_status("conformal-factor-constant", PASS, str(cf))
     return rep
 
 
@@ -273,26 +290,16 @@ def _check_special_phase(rep: CheckReport, s: SUStructure, pure_fiber: Form) -> 
                 f"declared {declared}, computed {computed}")
 
 
-def _scale_by_inverse_conformal(s: SUStructure, form: Form) -> Form:
-    cf = s.conformal_factor()
-    if cf.is_constant():
-        v = cf.constant_value()
-        if not v:
-            raise ValueError("conformal factor vanishes")
-        return form * (ONE / v)
-    num, den = cf.num, cf.den
-    if num.is_constant():
-        return form * (den * (ONE / num.constant_value()))
-    raise ValueError("non-constant conformal factor without exact inverse")
-
-
 def flux_iib(s: SUStructure) -> tuple[Form, CheckReport]:
     """2i del dbar (F^{-1} omega)."""
     hf = s.holo_frame
     if hf is None:
         raise ValueError("IIB flux needs the complex basis")
     rep = CheckReport("flux-iib")
-    arg = _scale_by_inverse_conformal(s, s.omega)
+    cf = s.conformal_factor()
+    if not cf:
+        raise ValueError("conformal factor vanishes")
+    arg = s.omega * (ONE / cf)
     _, dbar = dolbeault(arg, hf)
     ddbar, _ = dolbeault(dbar, hf)
     rho = frame_expand(ddbar, s.frame) * (I * 2)
@@ -309,14 +316,7 @@ def flux_iia(s: SUStructure) -> tuple[Form, CheckReport]:
     if symp.omega != s.omega:
         raise MissingPairing("IIA flux requires the canonical Darboux omega")
     rep = CheckReport("flux-iia")
-    cf = s.conformal_factor()
-    part = s.pq_project(s.n - 1, 1) + s.pq_project(0, s.n)
-    if cf.is_constant():
-        arg = part * cf.constant_value()
-    elif cf.den.is_constant():
-        arg = part * (cf.num * (ONE / cf.den.constant_value()))
-    else:
-        raise ValueError("conformal factor is not exactly representable")
+    arg = (s.pq_project(s.n - 1, 1) + s.pq_project(0, s.n)) * s.conformal_factor()
     rho = exterior_d(d_lambda(arg, symp)) * (-I)
     d_rho = exterior_d(rho)
     rep.add("flux-closed", d_rho.is_zero(), d_rho)

@@ -11,8 +11,10 @@ from click.testing import CliRunner
 
 from syzkit import calculus
 from syzkit.cli import main
+from syzkit.coeffring import I, Poly
 from syzkit.exterior import Form
 from syzkit.fourier import SemiflatPair
+from syzkit.sustruct import SUStructure
 
 
 @pytest.fixture
@@ -108,6 +110,22 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(bad)])
         assert res.exit_code == 1
         assert "d-Omega-vanishes" in res.output
+
+    def test_undetermined_check_reported_without_traceback(self, runner, tmp_path):
+        # a valid fixture whose conformal factor is not constant: once an
+        # IndexError traceback after "verify: FAILED"
+        pair = SemiflatPair(2)
+        f = pair.frame_xc
+        r1 = Poly.variable("r1")
+        omega = Form.monomial(f, ["dtc1", "dr1"], 1 + r1 * r1) + Form.monomial(f, ["dtc2", "dr2"])
+        factors = [Form.gen(f, f"dtc{k}") + Form.gen(f, f"dr{k}") * I for k in (1, 2)]
+        doc = SUStructure(2, f, omega, Omega_factors=factors).to_json()
+        path = tmp_path / "nonconstant.json"
+        path.write_text(json.dumps({"schema": "syzkit-fixture-v1", **doc}))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(path)])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "first non-passing check: conformal-factor-nonvanishing (undetermined)" in res.output
 
     def test_wrong_schema_rejected(self, runner, tmp_path):
         f = tmp_path / "x.json"

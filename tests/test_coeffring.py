@@ -11,7 +11,6 @@ from syzkit.coeffring import (
     I,
     ONE,
     Poly,
-    PolyRatio,
     ZERO,
     exponent_vectors,
 )
@@ -473,32 +472,6 @@ class TestSerialization:
         p = r("r2") + r("r1") * r("r2") + Poly.constant(Fraction(1, 2))
         assert str(p) == str(Poly.from_json(p.to_json()))
         assert str(p) == "1/2 + r2 + r1*r2"
-
-
-class TestPolyRatio:
-    def test_constant_detection(self):
-        num = (Poly.constant(1) + r("r1")) * 3
-        den = Poly.constant(1) + r("r1")
-        ratio = PolyRatio(num, den)
-        assert ratio.is_constant() and ratio.constant_value() == GaussianRational(3)
-
-    def test_nonconstant(self):
-        ratio = PolyRatio(Poly.constant(1), Poly.constant(1) + r("r1"))
-        assert not ratio.is_constant()
-        with pytest.raises(ValueError):
-            ratio.constant_value()
-
-    def test_product_equality(self):
-        f = PolyRatio(Poly.constant(8), Poly.constant(1))
-        fc = PolyRatio(Poly.constant(8), Poly.constant(1))
-        assert f * fc == GaussianRational(64)
-
-    def test_unhashable(self):
-        # equality cross-multiplies: x/x == 1/1 with different parts
-        x = Poly.constant(1) + r("r1")
-        assert PolyRatio(x, x) == PolyRatio(Poly.constant(1), Poly.constant(1))
-        with pytest.raises(TypeError):
-            hash(PolyRatio(x, x))
 
 
 def test_exponent_vectors():

@@ -46,7 +46,6 @@ def test_unused_import_scan_sees_an_unused_name():
 UNREACHED_ALLOWED = {
     "rref": "perfbench/spans.py traces it, and a traced run stops on a missing module function",
     "rank": "perfbench/spans.py traces it, and a traced run stops on a missing module function",
-    "from_constant_omega": "the symplectic data of the invariant-coframe cohomology model (ROADMAP item 2)",
     "basis_form": "the tests read basis elements of a complex as forms through it",
     "random_symmetric_mu": "the IIA tests draw their coefficient matrices from it",
 }
@@ -60,33 +59,34 @@ def is_click_command(node) -> bool:
 
 
 def public_definitions(tree):
-    """Module-level functions and classes, and the methods of those classes,
-    whose names do not start with an underscore."""
+    """(node, is_method) for the module-level functions and classes, and the
+    methods of those classes, whose names do not start with an underscore."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node
+            yield node, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield item
+                        yield item, True
 
 
 def unreached(sources: dict[str, str]) -> list[str]:
-    """`module.name` of each public definition that no module reads by name,
-    as a variable or an attribute; click commands are reached by the CLI."""
+    """`module.name` of each public definition that no module reads: a method
+    only through an attribute read (`.name`), anything else also as a bare
+    name; click commands are reached by the CLI."""
     trees = {stem: ast.parse(src) for stem, src in sources.items()}
-    named = set()
+    names, attrs = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
     return [
         f"{stem}.{node.name}"
         for stem, tree in trees.items()
-        for node in public_definitions(tree)
-        if node.name not in named and not is_click_command(node)
+        for node, is_method in public_definitions(tree)
+        if node.name not in (attrs if is_method else names | attrs) and not is_click_command(node)
     ]
 
 
@@ -99,11 +99,13 @@ def test_every_public_definition_is_reached():
 
 def test_reachability_scan_sees_an_unreached_definition():
     sources = {
-        "a": "class C:\n    def used(self): pass\n    def lone(self): pass\ndef f(): pass\n",
-        "b": "from .a import C\nC().used()\n",
+        "a": "class C:\n    def used(self): pass\n    def lone(self): pass\n"
+             "    def shadowed(self): pass\ndef f(): pass\n",
+        # a local variable of the same name does not reach a method
+        "b": "from .a import C\nC().used()\nshadowed = 1\nprint(shadowed)\n",
         "cli": "@main.command('x')\ndef cmd_x(): pass\n",
     }
-    assert unreached(sources) == ["a.lone", "a.f"]
+    assert unreached(sources) == ["a.lone", "a.shadowed", "a.f"]
 
 
 def test_every_export_resolves():

@@ -289,8 +289,8 @@ class TestOperatorMatrices:
         ranks = []
         for columns in (
             ty.matrix_on_slot("ddlambda", ty.slot(3, 0), slot),
-            ty.matrix_on_slot("d", slot),
-            ty.matrix_on_slot("dlambda", slot),
+            [ty.images["d"][i] for i in slot],
+            [ty.images["dlambda"][i] for i in slot],
         ):
             cols = len(columns)
             m = [[col.get(r, ZERO) for col in columns] for r in sorted(set().union(*columns))]

@@ -8,11 +8,15 @@ from syzkit.calculus import MissingPairing, exterior_d
 from syzkit.coeffring import GaussianRational, I, ONE, Poly
 from syzkit.exterior import Form, GenClass, frame_collect, frame_expand
 from syzkit.randgen import random_symmetric_mu, trial_rng
+from syzkit.reports import FAIL
 from syzkit.sustruct import (
+    NonConstantFactor,
     Polarization,
     SUStructure,
     check_iia,
     check_iib,
+    check_su,
+    constant_ratio,
     flux_iia,
     flux_iib,
     mirror_transform,
@@ -32,6 +36,19 @@ def flat_su_iib(pair):
     for k in range(1, n + 1):
         omega = omega + Form.monomial(frame, [f"dtc{k}", f"dr{k}"])
     return SUStructure(n, frame, omega, Omega_factors=factors)
+
+
+def scaled_flat_su_iib(pair2, omega_coeff, factor_coeff):
+    """flat_su_iib(pair2) with the dtc1 ^ dr1 term of omega scaled by
+    omega_coeff and the first volume-form factor by factor_coeff."""
+    su = flat_su_iib(pair2)
+    omega = su.omega + Form.monomial(pair2.frame_xc, ["dtc1", "dr1"], omega_coeff - 1)
+    factors = [su.Omega_factors[0] * factor_coeff, su.Omega_factors[1]]
+    return SUStructure(2, pair2.frame_xc, omega, Omega_factors=factors)
+
+
+def failed_ids(rep):
+    return [i.id for i in rep.items if i.status == FAIL]
 
 
 def iwasawa_su_iib(pair3):
@@ -81,18 +98,17 @@ class TestConformalFactor:
             pair2.frame_x, ["dth1", "dth2", "dr1", "dr2"], GaussianRational(-4)
         )
         cf = su.conformal_factor()
-        assert cf.is_constant() and cf.constant_value() == GaussianRational(-4)
-        fc = flat_su_iib(pair2).conformal_factor()
-        assert cf.constant_value() * fc.constant_value() == GaussianRational(16)
+        assert cf == GaussianRational(-4)
+        assert cf * flat_su_iib(pair2).conformal_factor() == GaussianRational(16)
 
     def test_iwasawa_sides_constant(self, pair3):
         su_b = iwasawa_su_iib(pair3)
         cf_b = su_b.conformal_factor()
-        assert cf_b.is_constant() and cf_b.constant_value() == GaussianRational(8)
+        assert cf_b == GaussianRational(8)
         su_a = mirror_transform(pair3, su_b.omega)
         cf_a = su_a.conformal_factor()
-        assert cf_a.is_constant() and cf_a.constant_value() == GaussianRational(8)
-        assert cf_a.constant_value() * cf_b.constant_value() == GaussianRational(2) ** 6
+        assert cf_a == GaussianRational(8)
+        assert cf_a * cf_b == GaussianRational(2) ** 6
 
     def test_degenerate_omega_rejected(self, pair2):
         w = Form.monomial(pair2.frame_xc, ["dtc1", "dr1"])
@@ -104,6 +120,66 @@ class TestConformalFactor:
         )
         with pytest.raises(ValueError):
             su.conformal_factor()
+
+
+class TestNonConstantFactor:
+    # the witnesses are the ratio with its denominator scaled to leading coefficient 1
+    def test_ratio_witness(self, pair2):
+        r1 = Poly.variable("r1")
+        rep = check_su(scaled_flat_su_iib(pair2, 1 + r1 * r1, 1))
+        assert [i.to_json() for i in rep.items[1:]] == [
+            {"id": "conformal-factor-defined", "status": "pass"},
+            {"id": "conformal-factor-nonvanishing", "status": "undetermined",
+             "witness": "(-4)/(1 + r1^2)"},
+        ]
+
+    def test_polynomial_witness(self, pair2):
+        # omega^n has a constant top coefficient, so the witness is a polynomial
+        r1 = Poly.variable("r1")
+        rep = check_su(scaled_flat_su_iib(pair2, 1, 1 + r1))
+        assert [i.to_json() for i in rep.items[1:]] == [
+            {"id": "conformal-factor-defined", "status": "pass"},
+            {"id": "conformal-factor-nonvanishing", "status": "undetermined",
+             "witness": "-4 - 8*r1 - 4*r1^2"},
+        ]
+
+    def test_polynomial_parts_with_constant_ratio_pass(self, pair2):
+        r1 = Poly.variable("r1")
+        rep = check_su(scaled_flat_su_iib(pair2, (1 + r1) * (1 + r1), 1 + r1))
+        assert rep.passed
+        assert rep.items[-1].to_json() == {
+            "id": "conformal-factor-constant", "status": "pass", "witness": "-4"
+        }
+
+    def test_fluxes_raise(self, pair2):
+        r1 = Poly.variable("r1")
+        with pytest.raises(NonConstantFactor, match=r"^\(-4\)/\(1 \+ r1\^2\)$"):
+            flux_iib(scaled_flat_su_iib(pair2, 1 + r1 * r1, 1))
+        su = mirror_transform(pair2, flat_su_iib(pair2).omega)
+        tweaked = SUStructure(
+            2, su.frame, su.omega,
+            Omega_factors=[su.Omega_factors[0] * (1 + r1), su.Omega_factors[1]],
+            prefactor=su.prefactor, polarization=su.polarization,
+        )
+        with pytest.raises(NonConstantFactor):
+            flux_iia(tweaked)
+
+
+class TestConstantRatio:
+    def test_constant_detection(self):
+        den = 1 + Poly.variable("r1")
+        assert constant_ratio(den * 3, den) == GaussianRational(3)
+        assert constant_ratio(den * I, den * 2) == I / 2
+
+    def test_nonconstant(self):
+        r1 = Poly.variable("r1")
+        assert constant_ratio(Poly.constant(1), 1 + r1) is None
+        assert constant_ratio(1 + r1, Poly.constant(1)) is None
+        # equal leading terms, different tails
+        assert constant_ratio(r1 * r1 + 1, r1 * r1 + r1) is None
+
+    def test_zero_numerator(self):
+        assert constant_ratio(Poly(), 1 + Poly.variable("r1")) == 0
 
 
 class TestCheckIIB:
@@ -126,7 +202,7 @@ class TestCheckIIB:
         ]
         su = SUStructure(2, frame, base.omega, Omega_factors=bad_factors)
         rep = check_iib(su)
-        assert "d-Omega-vanishes" in rep.failed_ids
+        assert "d-Omega-vanishes" in failed_ids(rep)
 
 
 class TestCheckIIA:
@@ -201,7 +277,7 @@ class TestCheckIIA:
             polarization=Polarization(GenClass.FIBER_X, 0),  # true phase is pi
         )
         rep = check_iia(wrong)
-        assert "special-phase" in rep.failed_ids
+        assert "special-phase" in failed_ids(rep)
 
 
 class TestFluxes:
@@ -334,7 +410,7 @@ class TestLazyComplexBasis:
         assert su.holo_frame is None
         rep = check_iia(su)
         assert not rep.passed
-        assert "conformal-factor-nonvanishing" in rep.failed_ids
+        assert "conformal-factor-nonvanishing" in failed_ids(rep)
 
 
 class TestSerialization:
