@@ -24,9 +24,11 @@ from .exterior import (
     FrameSpec,
     GenClass,
     Generator,
+    _form,
     bits,
     frame_collect,
     frame_expand,
+    koszul_sign,
 )
 
 # the (p, q) split of the dz/dzb frame: p legs on dz, q legs on dzb
@@ -42,29 +44,47 @@ def exterior_d(form: Form) -> Form:
 
     d(g * gamma) = sum_j (dg/dr_j) dr_j ^ gamma + g * d(gamma), where the
     second part uses the frame's stored structure equations (zero for
-    coordinate generators).
+    coordinate generators).  The terms of both parts are accumulated straight
+    from the frame data, each with its Koszul sign, in one term dict.
     """
     frame = form.frame
-    out = Form.zero(frame)
+    base = [(v, frame.base_one_form(v)) for v in frame.base_vars]
+    out: dict[int, Poly] = {}
+
+    def accumulate(m: int, add: Poly) -> None:
+        t = out.get(m)
+        t = add if t is None else t + add
+        if t.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = t
+
     for mask, c in form.terms.items():
-        mono = Form(frame, {mask: P_ONE})
-        for v in frame.base_vars:
+        for v, dv in base:
             dc = c.diff(v)
             if dc.is_zero():
                 continue
-            dv = frame.base_one_form(v)
             if dv is None:
                 raise FrameMismatch(f"no one-form paired with base variable {v!r}")
-            out = out + (dv * dc).wedge(mono)
+            # (dc dv) ^ mono: each term of dv lands in front of the monomial
+            for m, q in dv.terms.items():
+                if m & mask:
+                    continue
+                add = q * dc
+                accumulate(m | mask, add if koszul_sign(m, mask) > 0 else -add)
         for i in bits(mask):
             dg = frame.d_of_generator(i)
-            if dg is None or dg.is_zero():
+            if dg is None:
                 continue
-            below = (mask & ((1 << i) - 1)).bit_count()
-            rest = Form(frame, {mask ^ (1 << i): c})
-            piece = dg.wedge(rest)
-            out = out + (piece if below % 2 == 0 else -piece)
-    return out
+            # (-1)^(legs below i) d(gen_i) ^ (c * (mono - gen_i))
+            rest = mask ^ (1 << i)
+            sign = -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+            for m, q in dg.terms.items():
+                if m & rest:
+                    continue
+                add = q * c
+                accumulate(m | rest, add if koszul_sign(m, rest) == sign else -add)
+    return _form(frame, out)
 
 
 def coframe(generators: Sequence[Generator], coord: FrameSpec) -> FrameSpec:
@@ -92,6 +112,15 @@ class SymplecticData:
         self.frame = frame
         self.omega = omega
         self.pairing = tuple(tuple(row) for row in pairing)
+        # (bit i, bit j, p^ij / 2, -p^ij / 2) for each nonzero off-diagonal
+        # entry; i_(x_i) i_(x_i) vanishes, so the diagonal contributes nothing
+        halves = []
+        for i, row in enumerate(self.pairing):
+            for j, p in enumerate(row):
+                if i != j and not p.is_zero():
+                    h = p * Fraction(1, 2)
+                    halves.append((1 << i, 1 << j, h, -h))
+        self.half_pairing = tuple(halves)
 
     @staticmethod
     def darboux(frame: FrameSpec, fiber_class: GenClass = GenClass.FIBER_X) -> "SymplecticData":
@@ -127,19 +156,30 @@ class SymplecticData:
 
 
 def dual_lefschetz(form: Form, s: SymplecticData) -> Form:
-    """Lambda(phi) = 1/2 sum_ij (omega^{-1})^{ij} i_{x_i} i_{x_j} phi."""
-    frame = s.frame
-    out = Form.zero(frame)
-    labels = [g.label for g in frame.generators]
-    for i, row in enumerate(s.pairing):
-        for j, p in enumerate(row):
-            if p.is_zero():
+    """Lambda(phi) = 1/2 sum_ij (omega^{-1})^{ij} i_{x_i} i_{x_j} phi.
+
+    Each monomial holding both legs i and j loses them, with the sign of
+    contracting j first and then i.
+    """
+    if form.frame is not s.frame:
+        raise FrameMismatch("the form and the symplectic data live on different frame objects")
+    out: dict[int, Poly] = {}
+    for bi, bj, h, neg_h in s.half_pairing:
+        both = bi | bj
+        for mask, c in form.terms.items():
+            if mask & both != both:
                 continue
-            piece = form.contract(labels[j]).contract(labels[i])
-            if piece.is_zero():
-                continue
-            out = out + piece * (p * Fraction(1, 2))
-    return out
+            rest = mask ^ bj
+            odd = ((mask & (bj - 1)).bit_count() + (rest & (bi - 1)).bit_count()) & 1
+            m = rest ^ bi
+            add = c * (neg_h if odd else h)
+            t = out.get(m)
+            t = add if t is None else t + add
+            if t.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = t
+    return _form(s.frame, out)
 
 
 def d_lambda(form: Form, s: SymplecticData) -> Form:

@@ -335,11 +335,18 @@ class Poly:
         return _poly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            # Q(i) is a field: a nonzero scalar keeps every term nonzero
-            c = GaussianRational.promote(other)
-            return _poly(self.vars, {e: v * c for e, v in self.terms.items()} if c else {})
-        other = Poly.promote(other, self.vars)
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction, GaussianRational)):
+                # Q(i) is a field: a nonzero scalar keeps every term nonzero
+                c = GaussianRational.promote(other)
+                return _poly(self.vars, {e: v * c for e, v in self.terms.items()} if c else {})
+            other = Poly.promote(other, self.vars)
+        # a constant over the empty universe scales the other operand, whose
+        # universe is the union
+        if not other.vars:
+            return _scaled(self, other)
+        if not self.vars:
+            return _scaled(other, self)
         a, b = Poly._aligned(self, other)
         terms: dict[tuple[int, ...], GaussianRational] = {}
         for e1, c1 in a.terms.items():
@@ -532,6 +539,16 @@ def _poly(vars: tuple[str, ...], terms: dict[tuple[int, ...], GaussianRational])
     p.vars = vars
     p.terms = terms
     return p
+
+
+def _scaled(p: Poly, k: Poly) -> Poly:
+    """p * k for a constant k over the empty universe: p itself when k is 1."""
+    if not k.terms:
+        return _poly(p.vars, {})
+    c = k.terms[()]
+    if c == ONE:
+        return p
+    return _poly(p.vars, {e: v * c for e, v in p.terms.items()})
 
 
 P_ONE = Poly.constant(1)

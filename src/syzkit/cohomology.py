@@ -10,9 +10,9 @@ Only the primitive operators get columns of their own: d on both sides, and
 the dual Lefschetz operator Lambda on the symplectic side.  They are built
 from the frame data, not by applying Form operators to the basis: d by its
 Leibniz rule on the frame's base one-forms and structure equations, Lambda as
-the signed double contraction with the inverse pairing (the Form-level
-`calculus.exterior_d` and `calculus.dual_lefschetz` are the tests' oracle for
-them).  The composites are exact sparse products of the stored columns:
+the signed double contraction with the halved inverse pairing (the tests
+check them against a wedge-built d and a contraction-built Lambda).  The
+composites are exact sparse products of the stored columns:
 d^Lambda = d.Lambda - Lambda.d, d d^Lambda = d.d^Lambda, del and dbar are the
 (p+1,q) and (p,q+1) rows of d on the dz/dzb frame, and del-dbar = del.dbar.
 Every term of a primitive column is looked up in the basis, which proves the
@@ -23,7 +23,6 @@ column is the vector of the composite applied to that basis element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -144,13 +143,7 @@ class FiniteComplex:
 
     def _lambda_columns(self, symp: SymplecticData) -> list[linalg.Vec]:
         """Lambda(x^e mono) = 1/2 sum_ij p^ij x^e i_(x_i) i_(x_j) mono."""
-        half = GaussianRational(Fraction(1, 2))
-        pairs = []
-        for i, row in enumerate(symp.pairing):
-            for j, p in enumerate(row):
-                if p.is_zero():
-                    continue
-                pairs.append((1 << i, 1 << j, [(f, c * half) for f, c in self._exponents(p, None)]))
+        pairs = [(bi, bj, self._exponents(h, None)) for bi, bj, h, _ in symp.half_pairing]
         cols = []
         for idx, (mask, e) in enumerate(self.basis):
             acc: dict[Key, GaussianRational] = {}

@@ -7,11 +7,10 @@ bit-reproducible, which the report contract requires.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence
 
-from .coeffring import GaussianRational, Poly
+from .coeffring import GaussianRational, Poly, _reduced
 from .exterior import Form, FrameSpec
 from .fourier import SemiflatPair
 
@@ -20,13 +19,19 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random((seed * 1000003 + trial) & 0xFFFFFFFF)
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 1, 2, 3]))
+# a numerator in [-4, 4] over one of these denominators, drawn by `choice`
+_DENOMINATORS = (1, 1, 1, 2, 3)
 
 
 def random_scalar(rng: random.Random, complex_ok: bool = True) -> GaussianRational:
-    im = random_rational(rng) if complex_ok and rng.random() < 0.5 else 0
-    return GaussianRational(random_rational(rng), im)
+    """re + i*im with re and im drawn as numerator then denominator, the
+    imaginary part first (half the time, when `complex_ok`)."""
+    if complex_ok and rng.random() < 0.5:
+        b, db = rng.randint(-4, 4), rng.choice(_DENOMINATORS)
+    else:
+        b, db = 0, 1
+    a, da = rng.randint(-4, 4), rng.choice(_DENOMINATORS)
+    return _reduced(a * db, b * da, da * db)
 
 
 def random_poly(

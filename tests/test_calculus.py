@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -15,10 +16,11 @@ from syzkit.calculus import (
     polarization_switch,
     polarization_unswitch,
 )
-from syzkit.coeffring import GaussianRational, I, Poly
+from syzkit.coeffring import GaussianRational, I, P_ONE, Poly
 from syzkit.exterior import (
     Form,
     FrameMismatch,
+    FrameSpec,
     GenClass,
     Generator,
     bits,
@@ -80,6 +82,75 @@ def transport_by_labels(form, frame):
             raise FrameMismatch("target frame reorders generators")
         out[sum(1 << i for i in idxs)] = c
     return Form(frame, out)
+
+
+def exterior_d_by_wedging(form):
+    """Oracle for exterior_d: each term's two parts built as Forms, wedged
+    and summed one piece at a time, as the package once computed d."""
+    frame = form.frame
+    out = Form.zero(frame)
+    for mask, c in form.terms.items():
+        mono = Form(frame, {mask: P_ONE})
+        for v in frame.base_vars:
+            dc = c.diff(v)
+            if dc.is_zero():
+                continue
+            dv = frame.base_one_form(v)
+            if dv is None:
+                raise FrameMismatch(f"no one-form paired with base variable {v!r}")
+            out = out + (dv * dc).wedge(mono)
+        for i in bits(mask):
+            dg = frame.d_of_generator(i)
+            if dg is None or dg.is_zero():
+                continue
+            below = (mask & ((1 << i) - 1)).bit_count()
+            rest = Form(frame, {mask ^ (1 << i): c})
+            piece = dg.wedge(rest)
+            out = out + (piece if below % 2 == 0 else -piece)
+    return out
+
+
+def dual_lefschetz_by_contraction(form, s):
+    """Oracle for dual_lefschetz: two single contractions per pairing entry,
+    scaled by half the entry and summed as Forms."""
+    frame = s.frame
+    out = Form.zero(frame)
+    labels = [g.label for g in frame.generators]
+    for i, row in enumerate(s.pairing):
+        for j, p in enumerate(row):
+            if p.is_zero():
+                continue
+            piece = form.contract(labels[j]).contract(labels[i])
+            if piece.is_zero():
+                continue
+            out = out + piece * (p * Fraction(1, 2))
+    return out
+
+
+def d_lambda_by_oracles(form, s):
+    """d Lambda - Lambda d through the two oracles above."""
+    return exterior_d_by_wedging(dual_lefschetz_by_contraction(form, s)) - dual_lefschetz_by_contraction(
+        exterior_d_by_wedging(form), s
+    )
+
+
+def with_random_universes(form, rng):
+    """`form` with each coefficient re-expressed over its used variables plus
+    a random subset of the base variables and a padding variable `s`, so the
+    universes of the operands differ from term to term."""
+    pool = form.frame.base_vars + ("s",)
+    out = {}
+    for m, c in form.terms.items():
+        vs = tuple(sorted(c.used_vars() | {v for v in pool if rng.random() < 0.5}))
+        at = [c.vars.index(v) if v in c.vars else None for v in vs]
+        out[m] = Poly(vs, {tuple(0 if k is None else e[k] for k in at): x for e, x in c.terms.items()})
+    return Form(form.frame, out)
+
+
+def assert_same_form(got, want):
+    """Equal forms whose coefficients also carry equal universes."""
+    assert got == want
+    assert got.to_json() == want.to_json()
 
 
 class TestExteriorD:
@@ -348,3 +419,110 @@ class TestCoframe:
         assert Generator("h", coord_expansion=Form.gen(x, "f12")).leg_class is GenClass.FIBER_MIRROR
         mixed = Form.gen(x, "e12") + Form.gen(x, "f12")
         assert Generator("m", coord_expansion=mixed).leg_class is None
+
+
+@functools.cache
+def oracle_frame(case):
+    """(size, side): a frame of SemiflatPair(size), or of the K=3
+    nilmanifold for size "K3"."""
+    size, side = case
+    return getattr(nil.build(3) if size == "K3" else SemiflatPair(size), side)
+
+
+KERNEL_FRAMES = [(n, side) for n in (1, 2, 3) for side in ("frame_x", "frame_xc", "frame_corr", "holo_frame")] + [
+    ("K3", "x_frame"),
+    ("K3", "xc_frame"),
+]
+KERNEL_IDS = [f"{size}-{side}" for size, side in KERNEL_FRAMES]
+
+
+def kernel_forms(frame, seed, count=30):
+    """Seeded random forms on `frame`, half of them with mixed coefficient universes."""
+    rng = random.Random(seed)
+    for k in range(count):
+        a = random_form(rng, frame, max_terms=4)
+        yield with_random_universes(a, rng) if k % 2 else a
+
+
+def corr_symplectic_data(frame):
+    """A constant pairing on the odd-rank correspondence frame, which has no
+    symplectic form to invert: each base leg pairs with both fiber legs of
+    its index, the mirror one with weight i/3."""
+    pairing = [[Poly() for _ in range(len(frame))] for _ in range(len(frame))]
+    bases = frame.gens_of_class(GenClass.BASE)
+    for cls, w in ((GenClass.FIBER_X, GaussianRational(1)), (GenClass.FIBER_MIRROR, I * Fraction(1, 3))):
+        for f, b in zip(frame.gens_of_class(cls), bases):
+            pairing[f][b], pairing[b][f] = Poly.constant(w), Poly.constant(-w)
+    return SymplecticData(frame, Form.zero(frame), pairing)
+
+
+class TestKernelsMatchOracles:
+    @pytest.mark.parametrize("case", KERNEL_FRAMES, ids=KERNEL_IDS)
+    def test_exterior_d(self, case):
+        frame = oracle_frame(case)
+        for a in kernel_forms(frame, 2100 + KERNEL_FRAMES.index(case)):
+            assert_same_form(exterior_d(a), exterior_d_by_wedging(a))
+
+    @pytest.mark.parametrize("case", KERNEL_FRAMES, ids=KERNEL_IDS)
+    def test_dual_lefschetz_and_d_lambda(self, case):
+        frame = oracle_frame(case)
+        if case[1] == "frame_corr":
+            s = corr_symplectic_data(frame)
+        else:
+            s = SymplecticData.darboux(frame, frame.generators[0].leg_class)
+        for a in kernel_forms(frame, 2200 + KERNEL_FRAMES.index(case)):
+            assert_same_form(dual_lefschetz(a, s), dual_lefschetz_by_contraction(a, s))
+            assert_same_form(d_lambda(a, s), d_lambda_by_oracles(a, s))
+
+    def test_dual_lefschetz_non_darboux(self, pair3):
+        # fiber-fiber and base-base legs in omega, complex and non-unit entries
+        x = pair3.frame_x
+        omega = pair3.darboux_x.omega * GaussianRational(2, 1)
+        omega = omega + Form.monomial(x, ["dth1", "dth2"], Fraction(1, 3))
+        omega = omega + Form.monomial(x, ["dr2", "dr3"], I)
+        s = SymplecticData.from_constant_omega(x, omega)
+        assert any(i >= 3 and j >= 3 for i, row in enumerate(s.pairing) for j, p in enumerate(row) if p)
+        for a in kernel_forms(x, 2300):
+            assert_same_form(dual_lefschetz(a, s), dual_lefschetz_by_contraction(a, s))
+
+    def test_dual_lefschetz_polynomial_pairing(self, pair2):
+        # pairing entries over a nonempty universe, cancelling in pairs
+        x = pair2.frame_x
+        r1 = Poly.variable("r1")
+        pairing = [[Poly() for _ in range(len(x))] for _ in range(len(x))]
+        pairing[0][2], pairing[2][0], pairing[1][3] = r1, r1, -r1 * r1
+        s = SymplecticData(x, pair2.darboux_x.omega, pairing)
+        for a in kernel_forms(x, 2400):
+            assert_same_form(dual_lefschetz(a, s), dual_lefschetz_by_contraction(a, s))
+
+    def test_unpaired_base_variable_rejected_as_by_the_oracle(self):
+        frame = FrameSpec([Generator("a", GenClass.FIBER_X)], ["r1"], 1)
+        a = Form.monomial(frame, ["a"], Poly.variable("r1"))
+        for d in (exterior_d, exterior_d_by_wedging):
+            with pytest.raises(FrameMismatch, match="no one-form"):
+                d(a)
+        # a constant coefficient needs no pairing
+        assert exterior_d(Form.gen(frame, "a")).is_zero()
+
+
+class TestLefschetzFrameCheck:
+    def test_form_from_another_pair_rejected(self):
+        # the same labels on another frame object; a one-form's double
+        # contractions all vanish, so only an up-front frame check sees it
+        s = SemiflatPair(2).darboux_x
+        a = Form.gen(SemiflatPair(2).frame_x, "dr1")
+        with pytest.raises(FrameMismatch):
+            dual_lefschetz(a, s)
+        with pytest.raises(FrameMismatch):
+            d_lambda(a, s)
+
+    def test_form_on_the_complex_side_rejected(self, pair2):
+        # frame_xc has no dth legs to look up
+        a = Form.gen(pair2.frame_xc, "dtc1")
+        with pytest.raises(FrameMismatch):
+            dual_lefschetz(a, pair2.darboux_x)
+
+    def test_nonzero_contraction_from_another_frame_rejected(self, pair2):
+        a = SemiflatPair(2).darboux_x.omega
+        with pytest.raises(FrameMismatch):
+            dual_lefschetz(a, pair2.darboux_x)

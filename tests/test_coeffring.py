@@ -10,11 +10,12 @@ from syzkit.coeffring import (
     GaussianRational,
     I,
     ONE,
+    P_ONE,
     Poly,
     ZERO,
     exponent_vectors,
 )
-from syzkit.randgen import random_poly, random_rational
+from syzkit.randgen import random_poly, random_scalar
 
 
 def r(name):
@@ -203,7 +204,8 @@ def oracle_pair(rng, factors=1):
     handed to both classes as the same two Fractions."""
     o = FractionPair(1)
     for _ in range(factors):
-        f = FractionPair(random_rational(rng), random_rational(rng) if rng.random() < 0.5 else 0)
+        re = random_scalar(rng, complex_ok=False).re
+        f = FractionPair(re, random_scalar(rng, complex_ok=False).re if rng.random() < 0.5 else 0)
         if f or factors == 1:
             o = o * f
     return GaussianRational(o.re, o.im), o
@@ -218,7 +220,7 @@ def operand(rng):
         return oracle_pair(rng, factors=20)
     if kind == "zero":
         return GaussianRational(0), FractionPair(0)
-    x = rng.randint(-6, 6) if kind == "int" else random_rational(rng)
+    x = rng.randint(-6, 6) if kind == "int" else random_scalar(rng, complex_ok=False).re
     return x, x
 
 
@@ -461,6 +463,45 @@ class TestPolyFastConstructor:
             Poly(("r1",), {(1, 0): 1})
         p = Poly(["r1"], {(1,): 0, (2,): Fraction(1, 2)})
         assert p.vars == ("r1",) and list(p.terms) == [(2,)]
+
+
+def aligned_product(p, q):
+    """Oracle for Poly.__mul__: both operands re-expressed over the union
+    universe, then multiplied term by term."""
+    a, b = Poly._aligned(p, q)
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, ZERO) + c1 * c2
+    return Poly(a.vars, terms)
+
+
+class TestConstantScaling:
+    """A constant over the empty universe scales the other operand; the
+    product still equals the aligned route in value, hash and universe."""
+
+    CONSTANTS = [
+        P_ONE, -P_ONE, Poly(), Poly.constant(GaussianRational(Fraction(-2, 3), 1)), Poly.constant(I),
+        Poly.constant(5, ("r1", "r2")), Poly.constant(1, ("r3",)), Poly(("r1",), {}),
+    ]
+
+    @pytest.mark.parametrize("k", range(len(CONSTANTS)))
+    def test_matches_aligned_route_in_both_orders(self, k):
+        c = self.CONSTANTS[k]
+        rng = random.Random(6000 + k)
+        others = [r("r1") * r("r2") - I, *self.CONSTANTS]
+        others += [random_poly(rng, rng.choice(TestPolyFastConstructor.UNIVERSES)) for _ in range(40)]
+        for p in others:
+            for got, want in ((c * p, aligned_product(c, p)), (p * c, aligned_product(p, c))):
+                assert got == want
+                assert hash(got) == hash(want)
+                assert got.to_json() == want.to_json()
+                assert got.vars == want.vars
+
+    def test_one_returns_the_other_operand(self):
+        p = r("r1") * r("r2") + I
+        assert p * P_ONE is p and P_ONE * p is p
 
 
 class TestSerialization:

@@ -10,6 +10,8 @@ from syzkit.coeffring import GaussianRational, I, ONE, Poly
 from syzkit.exterior import BasisChangeError, Form, GenClass, Generator
 from syzkit.fourier import SemiflatPair
 
+from test_calculus import d_lambda_by_oracles, dual_lefschetz_by_contraction, exterior_d_by_wedging
+
 
 @pytest.fixture(scope="module")
 def flat_k3_setting():
@@ -97,16 +99,19 @@ def flat_pair(case):
     return SemiflatPair(size) if kind == "n" else nil.semiflat_pair(size)
 
 
-# the Form-level primitives are the oracle for the columns that the complexes
-# build from the frame data
+# the wedge-built d and the contraction-built Lambda of test_calculus are the
+# oracle for the columns that the complexes build from the frame data (the
+# package's exterior_d and dual_lefschetz apply the same Leibniz formula and
+# double contraction as the columns do)
 
 
 def assert_columns_match_oracle(frame, D, split, symp):
     cpx = coh.FiniteComplex(frame, D, split, symp)
     for i in range(len(cpx.basis)):
         f = cpx.basis_form(i)
-        assert cpx.images["d"][i] == cpx.vectorize(exterior_d(f)), (D, cpx.basis[i])
-        assert cpx.images["lambda"][i] == cpx.vectorize(dual_lefschetz(f, symp)), (D, cpx.basis[i])
+        assert cpx.images["d"][i] == cpx.vectorize(exterior_d_by_wedging(f)), (D, cpx.basis[i])
+        lam = dual_lefschetz_by_contraction(f, symp)
+        assert cpx.images["lambda"][i] == cpx.vectorize(lam), (D, cpx.basis[i])
 
 
 def holo_of_nil_frame(nd):
@@ -172,7 +177,7 @@ class TestPrimitiveColumns:
 
 
 def oracle_ddlambda(f, symp):
-    return exterior_d(d_lambda(f, symp))
+    return exterior_d_by_wedging(d_lambda_by_oracles(f, symp))
 
 
 def oracle_deldbar(f, basis):
@@ -191,7 +196,7 @@ class TestComposedOperators:
         symp = SymplecticData.darboux(pair.frame_x, GenClass.FIBER_X)
         for i in range(len(ty.basis)):
             f = ty.basis_form(i)
-            assert ty.images["dlambda"][i] == ty.vectorize(d_lambda(f, symp))
+            assert ty.images["dlambda"][i] == ty.vectorize(d_lambda_by_oracles(f, symp))
             assert ty.images["ddlambda"][i] == ty.vectorize(oracle_ddlambda(f, symp))
         bc = coh.bc_complex(pair.holo_frame, D)
         dl, db = coh.dolbeault_split(bc, bc.images["d"])

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from syzkit.coeffring import GaussianRational, Poly
 from syzkit.exterior import Form
 from syzkit.fourier import SemiflatPair
-from syzkit.randgen import random_form, random_poly
+from syzkit.randgen import random_form, random_poly, random_scalar
 
 
 def random_form_oracle(rng, frame, max_terms=4, max_degree=2, degrees=None, complex_ok=True):
@@ -35,3 +37,48 @@ def test_random_form_keeps_to_the_degrees(pair2):
     rng = random.Random(7)
     for _ in range(50):
         assert random_form(rng, pair2.frame_x, degrees=[1, 3]).degrees() <= {1, 3}
+
+
+def random_scalar_by_fractions(rng, complex_ok=True):
+    """Oracle for random_scalar: both parts drawn as Fractions, the imaginary
+    part first, and handed to the public constructor."""
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 1, 2, 3]))
+
+    im = rational() if complex_ok and rng.random() < 0.5 else 0
+    return GaussianRational(rational(), im)
+
+
+def random_poly_by_fractions(rng, vars, max_degree=2, max_terms=3, complex_ok=True):
+    """random_poly drawing its coefficients from the Fraction oracle."""
+    vs = tuple(sorted(vars))
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = [0] * len(vs)
+        for _ in range(rng.randint(0, max_degree)):
+            if vs:
+                e[rng.randrange(len(vs))] += 1
+        terms[tuple(e)] = random_scalar_by_fractions(rng, complex_ok)
+    return Poly(vs, terms)
+
+
+@pytest.mark.parametrize("complex_ok", [True, False])
+def test_random_scalar_draws_as_the_fraction_route(complex_ok):
+    for seed in range(3000):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = random_scalar(got_rng, complex_ok)
+        want = random_scalar_by_fractions(want_rng, complex_ok)
+        assert (got._a, got._b, got._d) == (want._a, want._b, want._d), seed
+        assert got_rng.getstate() == want_rng.getstate(), seed
+
+
+@pytest.mark.parametrize("complex_ok", [True, False])
+def test_random_poly_draws_as_the_fraction_route(complex_ok):
+    for seed in range(3000):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        vars = ("r1", "r2", "r3")[: seed % 4]
+        got = random_poly(got_rng, vars, complex_ok=complex_ok)
+        want = random_poly_by_fractions(want_rng, vars, complex_ok=complex_ok)
+        assert got.to_json() == want.to_json(), seed
+        assert got_rng.getstate() == want_rng.getstate(), seed
