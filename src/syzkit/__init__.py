@@ -10,6 +10,7 @@ from .exterior import (
     frame_collect,
     frame_expand,
     koszul_sign,
+    reversal_sign,
     substitute_generators,
 )
 from .calculus import (
@@ -24,7 +25,7 @@ from .calculus import (
     polarization_switch,
     polarization_unswitch,
 )
-from .fourier import IntertwiningReport, SemiflatPair, sign_of_concatenation
+from .fourier import IntertwiningReport, SemiflatPair
 from .sustruct import (
     Polarization,
     SUStructure,
@@ -43,11 +44,12 @@ __all__ = [
     "GaussianRational", "I", "ONE", "ZERO", "Poly",
     "Form", "FrameSpec", "GenClass", "Generator",
     "FrameMismatch",
-    "frame_collect", "frame_expand", "koszul_sign", "substitute_generators",
+    "frame_collect", "frame_expand", "koszul_sign", "reversal_sign",
+    "substitute_generators",
     "BasisChangeError", "MissingPairing", "SymplecticData",
     "d_lambda", "dolbeault", "dual_lefschetz", "exterior_d", "holo_coframe",
     "polarization_switch", "polarization_unswitch",
-    "IntertwiningReport", "SemiflatPair", "sign_of_concatenation",
+    "IntertwiningReport", "SemiflatPair",
     "Polarization", "SUStructure",
     "check_iia", "check_iib", "check_su", "conformal_factor", "flux_iia", "flux_iib",
     "mirror_transform", "proportional_to",

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .coeffring import GaussianRational, Poly, P_ONE
+from .coeffring import GaussianRational, Poly, P_ONE, _accumulate
 from .exterior import (
     BasisChangeError,
     Form,
@@ -50,15 +50,6 @@ def exterior_d(form: Form) -> Form:
     frame = form.frame
     base = [(v, frame.base_one_form(v)) for v in frame.base_vars]
     out: dict[int, Poly] = {}
-
-    def accumulate(m: int, add: Poly) -> None:
-        t = out.get(m)
-        t = add if t is None else t + add
-        if t.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = t
-
     for mask, c in form.terms.items():
         for v, dv in base:
             dc = c.diff(v)
@@ -71,19 +62,19 @@ def exterior_d(form: Form) -> Form:
                 if m & mask:
                     continue
                 add = q * dc
-                accumulate(m | mask, add if koszul_sign(m, mask) > 0 else -add)
+                _accumulate(out, m | mask, add if koszul_sign(m, mask) > 0 else -add)
         for i in bits(mask):
             dg = frame.d_of_generator(i)
             if dg is None:
                 continue
             # (-1)^(legs below i) d(gen_i) ^ (c * (mono - gen_i))
             rest = mask ^ (1 << i)
-            sign = -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+            sign = koszul_sign(1 << i, rest)
             for m, q in dg.terms.items():
                 if m & rest:
                     continue
                 add = q * c
-                accumulate(m | rest, add if koszul_sign(m, rest) == sign else -add)
+                _accumulate(out, m | rest, add if koszul_sign(m, rest) == sign else -add)
     return _form(frame, out)
 
 
@@ -159,7 +150,8 @@ def dual_lefschetz(form: Form, s: SymplecticData) -> Form:
     """Lambda(phi) = 1/2 sum_ij (omega^{-1})^{ij} i_{x_i} i_{x_j} phi.
 
     Each monomial holding both legs i and j loses them, with the sign of
-    contracting j first and then i.
+    contracting j first and then i: one koszul_sign for each leg moved to
+    the front.
     """
     if form.frame is not s.frame:
         raise FrameMismatch("the form and the symplectic data live on different frame objects")
@@ -170,15 +162,9 @@ def dual_lefschetz(form: Form, s: SymplecticData) -> Form:
             if mask & both != both:
                 continue
             rest = mask ^ bj
-            odd = ((mask & (bj - 1)).bit_count() + (rest & (bi - 1)).bit_count()) & 1
             m = rest ^ bi
-            add = c * (neg_h if odd else h)
-            t = out.get(m)
-            t = add if t is None else t + add
-            if t.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = t
+            sign = koszul_sign(bj, rest) * koszul_sign(bi, m)
+            _accumulate(out, m, c * (h if sign > 0 else neg_h))
     return _form(s.frame, out)
 
 

@@ -312,15 +312,7 @@ class Poly:
         a, b = Poly._aligned(self, other)
         terms = dict(a.terms)
         for exps, c in b.terms.items():
-            s = terms.get(exps)
-            if s is None:
-                terms[exps] = c
-            else:
-                s = s + c
-                if s:
-                    terms[exps] = s
-                else:
-                    del terms[exps]
+            _accumulate(terms, exps, c)
         return _poly(a.vars, terms)
 
     __radd__ = __add__
@@ -351,16 +343,7 @@ class Poly:
         terms: dict[tuple[int, ...], GaussianRational] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(e)
-                if s is None:
-                    terms[e] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
+                _accumulate(terms, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
         return _poly(a.vars, terms)
 
     __rmul__ = __mul__
@@ -409,14 +392,8 @@ class Poly:
         terms = {}
         for exps, c in self.terms.items():
             k = exps[i]
-            if k == 0:
-                continue
-            e = exps[:i] + (k - 1,) + exps[i + 1:]
-            s = terms.get(e, ZERO) + c * k
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+            if k:
+                _accumulate(terms, exps[:i] + (k - 1,) + exps[i + 1:], c * k)
         return _poly(self.vars, terms)
 
     def subst(self, assignment: Mapping[str, "Poly | Scalarish"]) -> "Poly":
@@ -539,6 +516,21 @@ def _poly(vars: tuple[str, ...], terms: dict[tuple[int, ...], GaussianRational])
     p.vars = vars
     p.terms = terms
     return p
+
+
+def _accumulate(terms: dict, key, value) -> None:
+    """terms[key] += value for a nonzero `value`: a zero sum deletes the key,
+    and a first value is stored as given.  Every sparse term map in the
+    package (scalars, polynomials, forms, sparse vectors) is summed here."""
+    s = terms.get(key)
+    if s is None:
+        terms[key] = value
+    else:
+        s = s + value
+        if s:
+            terms[key] = s
+        else:
+            del terms[key]
 
 
 def _scaled(p: Poly, k: Poly) -> Poly:

@@ -27,7 +27,7 @@ from operator import add
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import linalg
-from .coeffring import GaussianRational, ONE, Poly, exponent_vectors
+from .coeffring import GaussianRational, ONE, Poly, _accumulate, exponent_vectors
 from .exterior import BasisChangeError, Form, FrameMismatch, FrameSpec, GenClass, bits, koszul_sign
 from .calculus import HOLO_SPLIT, SymplecticData
 from .reports import CheckReport
@@ -55,9 +55,8 @@ def product(*terms: tuple[int, Sequence[linalg.Vec], Sequence[linalg.Vec]]) -> l
                 if sign < 0:
                     b = -b
                 for r, a in outer[k].items():
-                    c = acc.get(r)
-                    acc[r] = b * a if c is None else c + b * a
-        out.append({r: c for r, c in acc.items() if c})
+                    _accumulate(acc, r, b * a)
+        out.append(acc)
     return out
 
 
@@ -124,20 +123,16 @@ class FiniteComplex:
                     if m & mask:
                         continue
                     key = (m | mask, tuple(map(add, low, f)))
-                    c = c * ek if koszul_sign(m, mask) > 0 else c * -ek
-                    s = acc.get(key)
-                    acc[key] = c if s is None else s + c
+                    _accumulate(acc, key, c * ek if koszul_sign(m, mask) > 0 else c * -ek)
             for i in bits(mask):
                 terms = dgen[i]
                 rest = mask ^ (1 << i)
-                sign = -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+                sign = koszul_sign(1 << i, rest)
                 for m, f, c in terms:
                     if m & rest:
                         continue
                     key = (m | rest, tuple(map(add, e, f)))
-                    c = c if koszul_sign(m, rest) == sign else -c
-                    s = acc.get(key)
-                    acc[key] = c if s is None else s + c
+                    _accumulate(acc, key, c if koszul_sign(m, rest) == sign else -c)
             cols.append(self._column(acc, "d", idx))
         return cols
 
@@ -153,13 +148,11 @@ class FiniteComplex:
                 rest = mask ^ bj
                 if not rest & bi:
                     continue
-                odd = ((mask & (bj - 1)).bit_count() + (rest & (bi - 1)).bit_count()) & 1
+                sign = koszul_sign(bj, rest)
                 rest ^= bi
+                sign *= koszul_sign(bi, rest)
                 for f, c in terms:
-                    key = (rest, tuple(map(add, e, f)))
-                    c = -c if odd else c
-                    s = acc.get(key)
-                    acc[key] = c if s is None else s + c
+                    _accumulate(acc, (rest, tuple(map(add, e, f))), c if sign > 0 else -c)
             cols.append(self._column(acc, "lambda", idx))
         return cols
 
@@ -189,8 +182,6 @@ class FiniteComplex:
         a nonzero term outside the basis is a SpanEscape."""
         col: linalg.Vec = {}
         for key, c in acc.items():
-            if not c:
-                continue
             r = self.pos.get(key)
             if r is None:
                 raise SpanEscape(

@@ -1,7 +1,7 @@
 """Graded exterior algebra of invariant forms over polynomial coefficients.
 
-Generator subsets are stored as bitmasks over a fixed frame ordering; Koszul
-signs come from transposition counting.  Forms may have mixed degree (needed
+Generator subsets are stored as bitmasks over a fixed frame ordering; every
+reordering sign comes from `koszul_sign`, by transposition counting.  Forms may have mixed degree (needed
 for exponentials), are immutable by convention, and all operations are pure.
 Operations whose results already hold only nonzero `Poly` coefficients wrap
 them through the private constructor `_form`, which checks nothing; the public
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import linalg
-from .coeffring import GaussianRational, Poly, P_ONE
+from .coeffring import GaussianRational, Poly, P_ONE, _accumulate
 
 Coefflike = Union[int, Fraction, GaussianRational, Poly]
 
@@ -156,6 +156,29 @@ def koszul_sign(mask_a: int, mask_b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
+def reversal_sign(k: int) -> int:
+    """Sign of reversing k one-forms, (-1)^(k(k-1)/2): the koszul_sign of
+    each generator moved past the ones before it."""
+    return -1 if (k * (k - 1) // 2) & 1 else 1
+
+
+def _monomial_mask(frame: FrameSpec, labels: Sequence[str]) -> tuple[int, int]:
+    """(mask, sign): the wedge of the named generators, in the given order, is
+    sign times the ascending monomial `mask`; the sign is 0 when a label
+    repeats.  A label the frame does not have is a FrameMismatch."""
+    mask, sign = 0, 1
+    for lab in labels:
+        i = frame.index.get(lab)
+        if i is None:
+            raise FrameMismatch(
+                f"unknown generator {lab!r} for frame {[g.label for g in frame.generators]}"
+            )
+        bit = 1 << i
+        sign = 0 if mask & bit else sign * koszul_sign(mask, bit)
+        mask |= bit
+    return mask, sign
+
+
 class Form:
     """Element of the exterior algebra: sorted generator subsets -> Poly.
     Immutable by convention: `frame` and `terms` are written only when built."""
@@ -188,10 +211,9 @@ class Form:
     @staticmethod
     def monomial(frame: FrameSpec, labels: Sequence[str], coeff: Coefflike = 1) -> "Form":
         """Wedge of the named generators in the given order, times coeff."""
-        out = Form.scalar(frame, coeff)
-        for lab in labels:
-            out = out.wedge(Form.gen(frame, lab))
-        return out
+        mask, sign = _monomial_mask(frame, labels)
+        p = coeff if isinstance(coeff, Poly) else Poly.constant(coeff)
+        return Form(frame, {mask: p if sign > 0 else -p} if sign else {})
 
     # -- basic algebra -----------------------------------------------------
 
@@ -203,12 +225,7 @@ class Form:
         self._check(other)
         terms = dict(self.terms)
         for m, p in other.terms.items():
-            s = terms.get(m)
-            s = p if s is None else s + p
-            if s.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+            _accumulate(terms, m, p)
         return _form(self.frame, terms)
 
     def __sub__(self, other: "Form") -> "Form":
@@ -231,17 +248,8 @@ class Form:
             for m2, p2 in other.terms.items():
                 if m1 & m2:
                     continue
-                s = koszul_sign(m1, m2)
-                m = m1 | m2
                 add = p1 * p2
-                if s < 0:
-                    add = -add
-                t = terms.get(m)
-                t = add if t is None else t + add
-                if t.is_zero():
-                    terms.pop(m, None)
-                else:
-                    terms[m] = t
+                _accumulate(terms, m1 | m2, add if koszul_sign(m1, m2) > 0 else -add)
         return _form(self.frame, terms)
 
     def __eq__(self, other):
@@ -322,14 +330,7 @@ class Form:
             if m & top != top:
                 continue
             rest = m & ~top
-            s = koszul_sign(top, rest)
-            p = c if s > 0 else -c
-            t = out.get(rest)
-            t = p if t is None else t + p
-            if t.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = t
+            _accumulate(out, rest, c if koszul_sign(top, rest) > 0 else -c)
         return _form(self.frame, out)
 
     def contract(self, label: str) -> "Form":
@@ -340,15 +341,8 @@ class Form:
         for m, c in self.terms.items():
             if not m & bit:
                 continue
-            sign = -1 if (m & (bit - 1)).bit_count() & 1 else 1
             rest = m ^ bit
-            p = c if sign > 0 else -c
-            t = out.get(rest)
-            t = p if t is None else t + p
-            if t.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = t
+            _accumulate(out, rest, c if koszul_sign(bit, rest) > 0 else -c)
         return _form(self.frame, out)
 
     def conjugate(self) -> "Form":
@@ -444,11 +438,13 @@ class Form:
         labels = [g.label for g in frame.generators]
         if obj["frame"] != labels:
             raise FrameMismatch(f"frame labels {obj['frame']} != {labels}")
-        out = Form.zero(frame)
+        terms: dict[int, Poly] = {}
         for t in obj["terms"]:
-            mono = Form.monomial(frame, t["gens"], 1)
-            out = out + mono * Poly.from_json(t["coeff"])
-        return out
+            mask, sign = _monomial_mask(frame, t["gens"])
+            p = Poly.from_json(t["coeff"])
+            if sign and p:
+                _accumulate(terms, mask, p if sign > 0 else -p)
+        return _form(frame, terms)
 
 
 def _form(frame: FrameSpec, terms: dict[int, Poly]) -> Form:
@@ -465,9 +461,9 @@ def substitute_generators(form: Form, target: FrameSpec, images: Mapping[int, Fo
     Every generator used by `form` must have an image; coefficients are
     carried over.
     """
-    out = Form.zero(target)
+    out: dict[int, Poly] = {}
     for m, c in form.terms.items():
-        term = Form.scalar(target, c)
+        term = _form(target, {0: c})
         for i in bits(m):
             img = images.get(i)
             if img is None:
@@ -477,8 +473,9 @@ def substitute_generators(form: Form, target: FrameSpec, images: Mapping[int, Fo
             term = term.wedge(img)
             if term.is_zero():
                 break
-        out = out + term
-    return out
+        for tm, tp in term.terms.items():
+            _accumulate(out, tm, tp)
+    return _form(target, out)
 
 
 def frame_expand(form: Form, coord_frame: FrameSpec) -> Form:

@@ -23,8 +23,18 @@ from .calculus import (
     polarization_switch,
     polarization_unswitch,
 )
-from .coeffring import GaussianRational, I
-from .exterior import Form, FrameMismatch, FrameSpec, GenClass, Generator, frame_collect
+from .coeffring import I
+from .exterior import (
+    Form,
+    FrameMismatch,
+    FrameSpec,
+    GenClass,
+    Generator,
+    bits,
+    frame_collect,
+    koszul_sign,
+    reversal_sign,
+)
 
 
 class SemiflatPair:
@@ -133,33 +143,36 @@ class SemiflatPair:
         return polarization_unswitch(integrated, self.holo_frame)
 
     def fm_roundtrip_sign(self) -> int:
-        return -1 if (self.n * (self.n - 1) // 2) % 2 else 1
+        return reversal_sign(self.n)
 
     # -- closed-form monomial rule --------------------------------------------
+
+    def _check_indices(self, *index_sets: Sequence[int]) -> None:
+        if any(not 1 <= i <= self.n for s in index_sets for i in s):
+            raise ValueError("indices must lie in 1..n")
 
     def fm_monomial(self, I_set: Sequence[int], J_set: Sequence[int]) -> Form:
         """Closed-form image of dz_I ^ dzb_J on the symplectic side.
 
         The result is (-1)^{(n-p)(n-p-1)/2} sign(I, I^c) dth_{I^c} ^ dr_J,
-        with sign(I, I^c) the permutation sign of the concatenation relative
-        to ascending order.
+        with sign(I, I^c) the koszul_sign of the ascending block I followed by
+        its complement.  A repeated index gives the zero form.
         """
-        n = self.n
-        I_list = sorted(I_set)
-        J_list = sorted(J_set)
-        if I_list and not (1 <= I_list[0] and I_list[-1] <= n):
-            raise ValueError("indices must lie in 1..n")
-        if J_list and not (1 <= J_list[0] and J_list[-1] <= n):
-            raise ValueError("indices must lie in 1..n")
-        p = len(I_list)
-        comp = [i for i in range(1, n + 1) if i not in set(I_list)]
-        s = sign_of_concatenation(I_list, comp)
-        e = ((n - p) * (n - p - 1) // 2) % 2
-        coeff = GaussianRational(s if e == 0 else -s)
-        labels = [self.fiber_x_labels[i - 1] for i in comp] + [f"d{self.base_vars[j - 1]}" for j in J_list]
+        self._check_indices(I_set, J_set)
+        # bit i stands for index i; bit 0 stays clear
+        mask_I = 0
+        for i in I_set:
+            mask_I |= 1 << i
+        if mask_I.bit_count() != len(I_set):
+            return Form.zero(self.frame_x)
+        comp = ((1 << (self.n + 1)) - 2) & ~mask_I
+        coeff = koszul_sign(mask_I, comp) * reversal_sign(self.n - len(I_set))
+        labels = [self.fiber_x_labels[i - 1] for i in bits(comp)]
+        labels += [f"d{self.base_vars[j - 1]}" for j in sorted(J_set)]
         return Form.monomial(self.frame_x, labels, coeff)
 
     def holo_monomial(self, I_set: Sequence[int], J_set: Sequence[int], coeff=1) -> Form:
+        self._check_indices(I_set, J_set)
         labels = [self.holo_labels[i - 1] for i in sorted(I_set)]
         labels += [self.holo_labels[j - 1] + "b" for j in sorted(J_set)]
         return Form.monomial(self.holo_frame, labels, coeff)
@@ -197,17 +210,3 @@ class IntertwiningReport:
     @property
     def ok(self) -> bool:
         return self.d_ok and self.d_lambda_ok
-
-
-def sign_of_concatenation(first: Sequence[int], second: Sequence[int]) -> int:
-    """Permutation sign of (first, second) relative to ascending order,
-    by inversion counting."""
-    seq = list(first) + list(second)
-    if len(set(seq)) != len(seq):
-        return 0
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1

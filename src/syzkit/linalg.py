@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Mapping, Sequence
 
-from .coeffring import GaussianRational, ONE, ZERO, Poly
+from .coeffring import GaussianRational, ONE, ZERO, Poly, _accumulate
 
 Vec = dict[int, GaussianRational]
 
@@ -139,7 +139,10 @@ def invert(rows: Sequence[Mapping[int, GaussianRational]]) -> list[list[Gaussian
 
 def poly_det(m: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a Poly matrix by column-subset dynamic programming
-    (division-free)."""
+    (division-free).
+
+    The sign of each new column is counted inline, not by
+    `exterior.koszul_sign`: `exterior` imports this module."""
     n = len(m)
     if n == 0:
         return Poly.constant(1)
@@ -147,8 +150,6 @@ def poly_det(m: Sequence[Sequence[Poly]]) -> Poly:
     for i in range(n):
         cur: dict[int, Poly] = {}
         for mask, val in prev.items():
-            if val.is_zero():
-                continue
             for j in range(n):
                 bit = 1 << j
                 if mask & bit:
@@ -160,9 +161,8 @@ def poly_det(m: Sequence[Sequence[Poly]]) -> Poly:
                 # new inversions: previously used columns larger than j
                 if (mask >> (j + 1)).bit_count() & 1:
                     add = -add
-                k = mask | bit
-                cur[k] = cur.get(k, Poly()) + add
-        prev = {k: v for k, v in cur.items() if not v.is_zero()}
+                _accumulate(cur, mask | bit, add)
+        prev = cur
     return prev.get((1 << n) - 1, Poly())
 
 

@@ -29,6 +29,7 @@ from .exterior import (
     Generator,
     frame_collect,
     frame_expand,
+    reversal_sign,
     substitute_generators,
 )
 from .fourier import SemiflatPair
@@ -305,7 +306,7 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
             omega_fm - su_a.Omega)
 
     c = proportional_to(omega_fm, build_iia_side(nd).Omega)
-    pref = GaussianRational(1 if (n * (n - 1) // 2) % 2 == 0 else -1)
+    pref = GaussianRational(reversal_sign(n))
     rep.add("volume-form-matches-frame-product", c == pref,
             f"constant {c}, expected {pref}")
 

@@ -10,8 +10,8 @@ import random
 from functools import cache
 from typing import Optional, Sequence
 
-from .coeffring import GaussianRational, Poly, _reduced
-from .exterior import Form, FrameSpec
+from .coeffring import GaussianRational, Poly, _accumulate, _poly, _reduced, _universe
+from .exterior import Form, FrameSpec, _form
 from .fourier import SemiflatPair
 
 
@@ -41,7 +41,10 @@ def random_poly(
     max_terms: int = 3,
     complex_ok: bool = True,
 ) -> Poly:
-    vs = tuple(sorted(vars))
+    """A draw of up to `max_terms` terms; a later draw of the same exponents
+    replaces the earlier one.  The universe is checked once, and the drawn
+    scalars are already normalized, so the result is built unchecked."""
+    vs = _universe(sorted(vars))
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         budget = rng.randint(0, max_degree)
@@ -50,7 +53,7 @@ def random_poly(
             if vs:
                 e[rng.randrange(len(vs))] += 1
         terms[tuple(e)] = random_scalar(rng, complex_ok)
-    return Poly(vs, {e: c for e, c in terms.items() if c})
+    return _poly(vs, {e: c for e, c in terms.items() if c})
 
 
 def random_form(
@@ -65,12 +68,13 @@ def random_form(
     size = len(frame)
     # `choice` indexes its argument, so a range draws exactly as its list would
     masks = range(1 << size) if degrees is None else _masks_of_degrees(size, frozenset(degrees))
-    out = Form.zero(frame)
+    terms: dict[int, Poly] = {}
     for _ in range(rng.randint(1, max_terms)):
         m = rng.choice(masks)
         p = random_poly(rng, frame.base_vars, max_degree, 2, complex_ok)
-        out = out + Form(frame, {m: p})
-    return out
+        if p:
+            _accumulate(terms, m, p)
+    return _form(frame, terms)
 
 
 @cache

@@ -27,7 +27,7 @@ from .calculus import (
     holo_coframe,
 )
 from .coeffring import GaussianRational, I, ONE, Poly, ZERO
-from .exterior import Form, FrameSpec, GenClass, Generator, bits, frame_expand
+from .exterior import Form, FrameSpec, GenClass, Generator, bits, frame_expand, reversal_sign
 from .fourier import SemiflatPair
 from .reports import PASS, UNDETERMINED, CheckReport
 
@@ -363,15 +363,15 @@ def mirror_transform(pair: SemiflatPair, omega_check: Form) -> SUStructure:
             if not mu[a][b].is_zero():
                 f = f + Form.gen(pair.frame_x, f"d{pair.base_vars[b]}") * (mu[a][b] * I)
         factors.append(f)
-    pref = ONE if (n * (n - 1) // 2) % 2 == 0 else -ONE
 
     omega = SymplecticData.darboux(pair.frame_x, GenClass.FIBER_X).omega
-    phase = 0 if pref == ONE else 2
+    sign = reversal_sign(n)
+    phase = 0 if sign > 0 else 2
     return SUStructure(
         n,
         pair.frame_x,
         omega,
         Omega_factors=factors,
-        prefactor=pref,
+        prefactor=GaussianRational(sign),
         polarization=Polarization(GenClass.FIBER_X, phase),
     )

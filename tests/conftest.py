@@ -22,6 +22,16 @@ def brute_perm_sign(perm):
     return -1 if swaps % 2 else 1
 
 
+def wedge_chain(frame, labels, coeff=1):
+    """The named generators wedged on one at a time, in the given order,
+    onto the scalar coeff: the route `Form.monomial` once took, kept as the
+    oracle for its sign rule."""
+    out = Form.scalar(frame, coeff)
+    for lab in labels:
+        out = out.wedge(Form.gen(frame, lab))
+    return out
+
+
 def subsets(seq):
     out = []
     for k in range(len(seq) + 1):

@@ -184,6 +184,19 @@ class TestVerifyCommand:
         assert "nofr.json" in res.output
         assert "missing key 'frame'" in res.output
 
+    def test_unknown_generator_label_usage_error(self, runner, fixtures, tmp_path):
+        # once read "missing key 'bogus'", as if the fixture lacked a field
+        doc = json.loads((fixtures / "iib-K3.json").read_text())
+        doc["omega"]["terms"][0]["gens"] = ["bogus"]
+        f = tmp_path / "label.json"
+        f.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "label.json" in res.output
+        assert "unknown generator 'bogus'" in res.output
+        assert "missing key" not in res.output
+
 
 class TestFmCommand:
     def test_forward_constant(self, runner, tmp_path):
@@ -252,6 +265,19 @@ class TestFmCommand:
         assert res.exit_code == 2, res.output
         assert f"{case}.json" in res.output
         assert cause in res.output
+
+    def test_unknown_generator_label_usage_error(self, runner, tmp_path):
+        # once read "missing key 'dz9'"
+        doc = Form.gen(SemiflatPair(2).holo_frame, "dz1").to_json()
+        doc["terms"][0]["gens"] = ["dz9"]
+        src = tmp_path / "label.json"
+        src.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["fm", "--input", str(src), "--direction", "fwd", "--n", "2"])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "unknown generator 'dz9'" in res.output
+        assert "['dz1', 'dz2', 'dz1b', 'dz2b']" in res.output
+        assert "missing key" not in res.output
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_nonpositive_rank_usage_error(self, runner, tmp_path, n):

@@ -22,7 +22,7 @@ from syzkit.exterior import (
 from syzkit.randgen import random_form
 from syzkit import nilmanifold as nil
 
-from conftest import brute_perm_sign, subsets
+from conftest import brute_perm_sign, subsets, wedge_chain
 
 
 def collect_by_unit_pivot(frame):
@@ -353,6 +353,62 @@ class TestTransportAndJson:
         a = Form.gen(pair3.frame_x, "dth1")
         with pytest.raises(FrameMismatch):
             substitute_generators(a, pair3.frame_x, {})
+
+
+# label lists: ascending, unsorted (each sign), a repeat, an odd reversal
+MONOMIAL_LABELS = [
+    [], ["dr2"], ["dth1", "dth3", "dr2"], ["dr2", "dth1"], ["dr1", "dth3", "dth2"],
+    ["dth2", "dr1", "dth2"], ["dr3", "dr2", "dr1", "dth3", "dth2", "dth1"],
+]
+
+
+class TestMonomialAndJson:
+    """Form.monomial and Form.from_json read a label list by one mask-and-sign
+    rule; the oracle wedges the generators on one at a time."""
+
+    @pytest.mark.parametrize("labels", MONOMIAL_LABELS)
+    @pytest.mark.parametrize("coeff", [1, -3, I, Poly.variable("r2") + 1])
+    def test_monomial_matches_wedge_chain(self, pair3, labels, coeff):
+        got = Form.monomial(pair3.frame_x, labels, coeff)
+        want = wedge_chain(pair3.frame_x, labels, coeff)
+        assert got == want and got.to_json() == want.to_json()
+
+    def test_repeated_label_gives_zero(self, pair3):
+        assert Form.monomial(pair3.frame_x, ["dr1", "dth1", "dr1"], 5).is_zero()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_from_json_matches_wedge_chain_sum(self, pair3, seed):
+        rng = random.Random(seed)
+        frame = pair3.frame_x
+        r1 = Poly.variable("r1")
+        terms = []
+        for _ in range(rng.randint(1, 6)):
+            labels = rng.choice(MONOMIAL_LABELS)
+            terms.append((labels, rng.choice([Poly.constant(2), r1 * I, r1 + 1, Poly()])))
+        if rng.random() < 0.5:
+            # the same mask again, reordered, with the sign that cancels it
+            labels, c = terms[0]
+            terms.append((labels[::-1], c * -brute_perm_sign(range(len(labels), 0, -1))))
+        doc = {
+            "frame": [g.label for g in frame.generators],
+            "terms": [{"gens": labels, "coeff": c.to_json()} for labels, c in terms],
+        }
+        got = Form.from_json(doc, frame)
+        want = Form.zero(frame)
+        for labels, c in terms:
+            want = want + wedge_chain(frame, labels) * c
+        assert got == want and got.to_json() == want.to_json(), terms
+
+    @pytest.mark.parametrize("read", ["monomial", "from_json"])
+    def test_unknown_label_names_label_and_frame(self, pair2, read):
+        frame = pair2.holo_frame
+        with pytest.raises(FrameMismatch, match=r"unknown generator 'dz9'.*'dz1', 'dz2'"):
+            if read == "monomial":
+                Form.monomial(frame, ["dz1", "dz9"])
+            else:
+                doc = Form.gen(frame, "dz1").to_json()
+                doc["terms"][0]["gens"] = ["dz9"]
+                Form.from_json(doc, frame)
 
 
 def public_form(frame, pieces):

@@ -6,11 +6,11 @@ import pytest
 
 from syzkit.calculus import exterior_d
 from syzkit.coeffring import GaussianRational, I, Poly
-from syzkit.exterior import Form, FrameMismatch, GenClass, frame_collect
-from syzkit.fourier import SemiflatPair, sign_of_concatenation
+from syzkit.exterior import Form, FrameMismatch, GenClass, frame_collect, reversal_sign
+from syzkit.fourier import SemiflatPair
 from syzkit.randgen import random_complex_side_form
 
-from conftest import brute_perm_sign
+from conftest import brute_perm_sign, wedge_chain
 
 
 def index_subsets(n):
@@ -18,6 +18,32 @@ def index_subsets(n):
     for k in range(n + 1):
         out.extend(itertools.combinations(range(1, n + 1), k))
     return out
+
+
+def sign_of_concatenation(first, second):
+    """Permutation sign of (first, second) relative to ascending order, by
+    inversion counting over the index lists; 0 when an index repeats.  The
+    oracle for the mask-based signs of `fm_monomial`."""
+    seq = list(first) + list(second)
+    if len(set(seq)) != len(seq):
+        return 0
+    inv = 0
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                inv += 1
+    return -1 if inv % 2 else 1
+
+
+def fm_monomial_oracle(pair, I_set, J_set):
+    """(-1)^{(n-p)(n-p-1)/2} sign(I, I^c) dth_{I^c} ^ dr_J as a chain of
+    wedges, with both signs counted over index lists."""
+    n = pair.n
+    comp = [i for i in range(1, n + 1) if i not in set(I_set)]
+    k = n - len(I_set)
+    s = sign_of_concatenation(sorted(I_set), comp) * (-1) ** (k * (k - 1) // 2)
+    labels = [f"dth{i}" for i in comp] + [f"dr{j}" for j in sorted(J_set)]
+    return wedge_chain(pair.frame_x, labels, s)
 
 
 def backward_monomial_oracle(pair, theta_set, r_set):
@@ -44,6 +70,11 @@ class TestSignOfConcatenation:
 
     def test_repeats_give_zero(self):
         assert sign_of_concatenation([1], [1, 2]) == 0
+
+
+def test_reversal_sign_is_the_sign_of_the_reversal():
+    for k in range(13):
+        assert reversal_sign(k) == brute_perm_sign(list(range(k, 0, -1))), k
 
 
 class TestForwardTransform:
@@ -91,6 +122,27 @@ class TestForwardTransform:
 
 
 class TestClosedFormRule:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_against_the_index_list_oracle(self, n):
+        pair = SemiflatPair(n)
+        js = dict.fromkeys([(), (1,), (n,), tuple(range(1, n + 1))])
+        for I_set in index_subsets(n):
+            for J_set in js:
+                got = pair.fm_monomial(I_set, J_set)
+                want = fm_monomial_oracle(pair, I_set, J_set)
+                assert got == want and got.to_json() == want.to_json(), (n, I_set, J_set)
+
+    @pytest.mark.parametrize("I_set, J_set", [([1, 1], []), ([2, 1, 2], [3]), ([1], [2, 2])])
+    def test_repeated_index_gives_zero(self, pair3, I_set, J_set):
+        assert pair3.fm_monomial(I_set, J_set).is_zero()
+
+    @pytest.mark.parametrize("method", ["fm_monomial", "holo_monomial"])
+    @pytest.mark.parametrize("I_set, J_set", [([0], []), ([], [-1]), ([4], []), ([], [1, 4])])
+    def test_rejects_indices_outside_1_to_n(self, pair3, method, I_set, J_set):
+        # holo_monomial once read 0 as dz3 and -1 as dz2b
+        with pytest.raises(ValueError, match="indices must lie in 1..n"):
+            getattr(pair3, method)(I_set, J_set)
+
     def test_full_holomorphic_set_is_constant(self, pair3):
         got = pair3.fm_monomial([1, 2, 3], [])
         assert got == Form.scalar(pair3.frame_x, 1)

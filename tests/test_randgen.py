@@ -10,7 +10,8 @@ from syzkit.randgen import random_form, random_poly, random_scalar
 
 
 def random_form_oracle(rng, frame, max_terms=4, max_degree=2, degrees=None, complex_ok=True):
-    """The mask list rebuilt on every draw, as `random_form` once did."""
+    """The mask list rebuilt on every draw, and each drawn term added as a
+    new Form, as `random_form` once did."""
     size = len(frame)
     masks = list(range(1 << size))
     if degrees is not None:
@@ -29,8 +30,11 @@ def test_random_form_draws_as_the_rebuilt_mask_list(side):
     frame = getattr(SemiflatPair(3), side)
     for seed in range(500):
         for degrees in (None, [seed % (len(frame) + 1)]):
-            got = random_form(random.Random(seed), frame, degrees=degrees)
-            assert got == random_form_oracle(random.Random(seed), frame, degrees=degrees), (seed, degrees)
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = random_form(got_rng, frame, degrees=degrees, complex_ok=seed % 3 > 0)
+            want = random_form_oracle(want_rng, frame, degrees=degrees, complex_ok=seed % 3 > 0)
+            assert got == want and got.to_json() == want.to_json(), (seed, degrees)
+            assert got_rng.getstate() == want_rng.getstate(), (seed, degrees)
 
 
 def test_random_form_keeps_to_the_degrees(pair2):
