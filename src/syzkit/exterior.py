@@ -299,24 +299,27 @@ class Form:
         """Sum_k self^k / k! -- finite because the input is nilpotent.
 
         Requires every term to have even degree >= 2 (so the series is
-        finite and the factors commute).
+        finite and the factors commute).  Grouping the terms by their lowest
+        generator x_a writes self = sum_a x_a ^ eta_a; each piece squares to
+        zero and the pieces commute, so exp = prod_a (1 + x_a ^ eta_a).
         """
-        for m in self.terms:
+        groups: dict[int, dict[int, Poly]] = {}
+        for m, c in self.terms.items():
             k = m.bit_count()
             if k == 0 or k % 2:
                 raise ValueError("exp requires even-degree terms of degree >= 2")
-        out = Form.scalar(self.frame, 1)
-        power = Form.scalar(self.frame, 1)
-        k = 0
-        fact = 1
-        while True:
-            k += 1
-            fact *= k
-            power = power.wedge(self)
-            if power.is_zero():
-                break
-            out = out + power * Fraction(1, fact)
-        return out
+            groups.setdefault(m & -m, {})[m] = c
+        out: dict[int, Poly] = {0: P_ONE}
+        for piece in groups.values():
+            nxt = dict(out)
+            for m1, p1 in out.items():
+                for m2, p2 in piece.items():
+                    if m1 & m2:
+                        continue
+                    add = p1 * p2
+                    _accumulate(nxt, m1 | m2, add if koszul_sign(m1, m2) > 0 else -add)
+            out = nxt
+        return _form(self.frame, out)
 
     def pushforward(self, fiber_class: GenClass) -> "Form":
         """Integrate over the fibers of the given class (volume normalized to 1).
@@ -331,6 +334,25 @@ class Form:
                 continue
             rest = m & ~top
             _accumulate(out, rest, c if koszul_sign(top, rest) > 0 else -c)
+        return _form(self.frame, out)
+
+    def wedge_pushforward(self, other: "Form", fiber_class: GenClass) -> "Form":
+        """self.wedge(other).pushforward(fiber_class), pairing each term of
+        self only with the terms of other whose fiber legs complete it."""
+        self._check(other)
+        top = self.frame.class_mask(fiber_class)
+        by_fiber: dict[int, list[tuple[int, Poly]]] = {}
+        for m2, p2 in other.terms.items():
+            by_fiber.setdefault(m2 & top, []).append((m2, p2))
+        out: dict[int, Poly] = {}
+        for m1, p1 in self.terms.items():
+            for m2, p2 in by_fiber.get(top ^ (m1 & top), ()):
+                if m1 & m2:
+                    continue
+                rest = (m1 | m2) & ~top
+                add = p1 * p2
+                sign = koszul_sign(m1, m2) * koszul_sign(top, rest)
+                _accumulate(out, rest, add if sign > 0 else -add)
         return _form(self.frame, out)
 
     def contract(self, label: str) -> "Form":
@@ -459,18 +481,20 @@ def substitute_generators(form: Form, target: FrameSpec, images: Mapping[int, Fo
     """Algebra map determined by generator images (one-forms on `target`).
 
     Every generator used by `form` must have an image; coefficients are
-    carried over.
+    carried over.  The images are checked before any wedge, so a term that
+    maps to zero early still needs them all.
     """
+    used = 0
+    for m in form.terms:
+        used |= m
+    for i in bits(used):
+        if i not in images:
+            raise FrameMismatch(f"no image for generator {form.frame.generators[i].label!r}")
     out: dict[int, Poly] = {}
     for m, c in form.terms.items():
         term = _form(target, {0: c})
         for i in bits(m):
-            img = images.get(i)
-            if img is None:
-                raise FrameMismatch(
-                    f"no image for generator {form.frame.generators[i].label!r}"
-                )
-            term = term.wedge(img)
+            term = term.wedge(images[i])
             if term.is_zero():
                 break
         for tm, tp in term.terms.items():

@@ -2,7 +2,8 @@
 
 Two independent implementations are kept: the integral path (switch
 polarization, pull back to the fiber product, wedge the exponentiated
-universal curvature, integrate over the dual fibers) and the closed-form
+universal curvature and integrate over the dual fibers, in one
+`Form.wedge_pushforward`) and the closed-form
 monomial rule.  They are cross-validated exhaustively in the tests; sign
 fidelity is the whole point of this module.
 """
@@ -123,7 +124,7 @@ class SemiflatPair:
         out = Form.zero(self.frame_x)
         for (p, q), comp in phi.bidegree_components(HOLO_SPLIT).items():
             lifted = polarization_switch(comp, self.frame_corr)
-            integrated = lifted.wedge(self._exp_plus).pushforward(GenClass.FIBER_MIRROR)
+            integrated = lifted.wedge_pushforward(self._exp_plus, GenClass.FIBER_MIRROR)
             res = integrated.transport(self.frame_x)
             fibs = res.leg_count(GenClass.FIBER_X) - {self.n - p}
             bass = res.leg_count(GenClass.BASE) - {q}
@@ -139,7 +140,7 @@ class SemiflatPair:
             raise FrameMismatch("form does not live on the symplectic side of this pair")
         self._check_invariant(form)
         lifted = form.transport(self.frame_corr)
-        integrated = lifted.wedge(self._exp_minus).pushforward(GenClass.FIBER_X)
+        integrated = lifted.wedge_pushforward(self._exp_minus, GenClass.FIBER_X)
         return polarization_unswitch(integrated, self.holo_frame)
 
     def fm_roundtrip_sign(self) -> int:

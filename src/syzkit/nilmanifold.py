@@ -17,7 +17,6 @@ closed forms de = -e^e and df = -e^f against d of the expansions.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 
 from .calculus import SymplecticData, coframe, exterior_d
@@ -46,7 +45,7 @@ from .sustruct import (
 )
 
 
-DEFAULT_MAX_K = 4
+DEFAULT_MAX_K = 5
 
 
 def _max_k() -> int:
@@ -101,12 +100,6 @@ def _family_pairs(K: int) -> list[tuple[int, int]]:
 def build(K: int) -> NilData:
     """Construct all frames and the lattice action for matrix size K."""
     pairs = _family_pairs(K)
-    if K >= 5:
-        warnings.warn(
-            f"K={K} gives n={K*(K-1)//2}; expanding omega^(n-1) is expensive",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     pair = semiflat_pair(K)
     n = len(pairs)
     x_coord = pair.frame_xc

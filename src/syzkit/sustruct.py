@@ -27,7 +27,7 @@ from .calculus import (
     holo_coframe,
 )
 from .coeffring import GaussianRational, I, ONE, Poly, ZERO
-from .exterior import Form, FrameSpec, GenClass, Generator, bits, frame_expand, reversal_sign
+from .exterior import Form, FrameSpec, GenClass, Generator, _form, bits, frame_expand, reversal_sign
 from .fourier import SemiflatPair
 from .reports import PASS, UNDETERMINED, CheckReport
 
@@ -44,11 +44,11 @@ class SUStructure:
     """A pair (omega, Omega) with optional polarization data.
 
     Omega is `prefactor` times the wedge of `Omega_factors`, its decomposition
-    into complex one-forms; the product is formed once, here.  The induced
-    dz/dzb frame, with the factors named dz1..dzn, is built on the first read
-    of `holo_frame`, and is None when the transition is not exactly
-    invertible.  `omega_power(k)` wedges each power of omega once and keeps
-    it.
+    into complex one-forms; the product is formed once, here.  omega must be
+    a two-form.  The induced dz/dzb frame, with the factors named dz1..dzn, is
+    built on the first read of `holo_frame`, and is None when the transition
+    is not exactly invertible.  `omega_power(k)` reads omega^k off one
+    exponential of omega, formed on first use, and keeps it.
     """
 
     def __init__(
@@ -60,6 +60,8 @@ class SUStructure:
         prefactor: GaussianRational = ONE,
         polarization: Optional[Polarization] = None,
     ):
+        if any(m.bit_count() != 2 for m in omega.terms):
+            raise ValueError("omega must be a two-form")
         self.n = n
         self.frame = frame
         self.omega = omega
@@ -71,7 +73,7 @@ class SUStructure:
         self.prefactor = prefactor
         self.polarization = polarization
         self._conformal: Optional[GaussianRational] = None
-        self._omega_powers = [Form.scalar(frame, 1), omega]
+        self._omega_powers = {0: Form.scalar(frame, 1), 1: omega}
 
     @cached_property
     def holo_frame(self) -> Optional[FrameSpec]:
@@ -81,13 +83,21 @@ class SUStructure:
         except BasisChangeError:
             return None
 
+    @cached_property
+    def _exp_omega_parts(self) -> dict[int, dict[int, Poly]]:
+        """The terms of exp(omega) keyed by half their degree."""
+        parts: dict[int, dict[int, Poly]] = {}
+        for m, c in self.omega.exp_nilpotent().terms.items():
+            parts.setdefault(m.bit_count() // 2, {})[m] = c
+        return parts
+
     def omega_power(self, k: int) -> Form:
-        """omega^k (omega^0 = 1); each power is wedged once, on first use."""
+        """omega^k (omega^0 = 1), as k! times the degree-2k part of exp(omega)."""
         if k < 0:
             raise ValueError("omega power must be non-negative")
         powers = self._omega_powers
-        while len(powers) <= k:
-            powers.append(powers[-1].wedge(self.omega))
+        if k not in powers:
+            powers[k] = _form(self.frame, self._exp_omega_parts.get(k, {})) * factorial(k)
         return powers[k]
 
     def conformal_factor(self) -> GaussianRational:
@@ -182,7 +192,7 @@ def conformal_factor(s: SUStructure) -> GaussianRational:
     """
     if len(s.frame) != 2 * s.n:
         raise ValueError("frame must have exactly 2n one-form generators")
-    oo = s.Omega.wedge(s.Omega.conjugate())
+    oo = _volume_square(s)
     wn = s.omega_power(s.n) * Fraction(1, factorial(s.n))
     den = _top_coefficient(s.frame, wn)
     if den.is_zero():
@@ -195,6 +205,15 @@ def conformal_factor(s: SUStructure) -> GaussianRational:
         num, den = num * unit, den * unit
         raise NonConstantFactor(str(num) if den.is_constant() else f"({num})/({den})")
     return c
+
+
+def _volume_square(s: SUStructure) -> Form:
+    """Omega ^ conj(Omega), as Omega times conj(prefactor) wedged with the
+    conjugate of one factor at a time."""
+    out = s.Omega * s.prefactor.conjugate()
+    for f in s.Omega_factors:
+        out = out.wedge(f.conjugate())
+    return out
 
 
 def proportional_to(form: Form, candidate: Form) -> Optional[GaussianRational]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +31,27 @@ def wedge_chain(frame, labels, coeff=1):
     for lab in labels:
         out = out.wedge(Form.gen(frame, lab))
     return out
+
+
+def series_exp(form):
+    """Sum_k form^k / k! by repeated wedging until a power vanishes, with the
+    input checks of `Form.exp_nilpotent`: the route it once took, kept as the
+    oracle for its factored product."""
+    for m in form.terms:
+        k = m.bit_count()
+        if k == 0 or k % 2:
+            raise ValueError("exp requires even-degree terms of degree >= 2")
+    out = Form.scalar(form.frame, 1)
+    power = Form.scalar(form.frame, 1)
+    k = 0
+    fact = 1
+    while True:
+        k += 1
+        fact *= k
+        power = power.wedge(form)
+        if power.is_zero():
+            return out
+        out = out + power * Fraction(1, fact)
 
 
 def subsets(seq):

@@ -184,6 +184,20 @@ class TestVerifyCommand:
         assert "nofr.json" in res.output
         assert "missing key 'frame'" in res.output
 
+    @pytest.mark.parametrize("gens", [["dth12"], []])
+    def test_omega_not_two_form_usage_error(self, runner, fixtures, tmp_path, gens):
+        # an extra degree-1 or degree-0 term in omega once ran every check
+        # and failed some (exit 1)
+        doc = json.loads((fixtures / "iib-K3.json").read_text())
+        doc["omega"]["terms"].append({"gens": gens, "coeff": doc["omega"]["terms"][0]["coeff"]})
+        f = tmp_path / "mixed.json"
+        f.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "mixed.json: malformed fixture: ValueError: omega must be a two-form" in res.output
+        assert "Traceback" not in res.output
+
     def test_unknown_generator_label_usage_error(self, runner, fixtures, tmp_path):
         # once read "missing key 'bogus'", as if the fixture lacked a field
         doc = json.loads((fixtures / "iib-K3.json").read_text())

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from syzkit import calculus
-from syzkit.coeffring import GaussianRational, I, ONE, Poly
+from syzkit.coeffring import GaussianRational, I, ONE, Poly, _accumulate
 from syzkit.exterior import (
     BasisChangeError,
     Form,
@@ -19,10 +19,11 @@ from syzkit.exterior import (
     koszul_sign,
     substitute_generators,
 )
-from syzkit.randgen import random_form
+from syzkit.fourier import SemiflatPair
+from syzkit.randgen import random_form, random_poly
 from syzkit import nilmanifold as nil
 
-from conftest import brute_perm_sign, subsets, wedge_chain
+from conftest import brute_perm_sign, series_exp, subsets, wedge_chain
 
 
 def collect_by_unit_pivot(frame):
@@ -160,6 +161,98 @@ class TestExpNilpotent:
         a = random_form(rng, pair3.frame_corr, max_terms=2, degrees=[2])
         b = random_form(rng, pair3.frame_corr, max_terms=2, degrees=[2])
         assert (a + b).exp_nilpotent() == a.exp_nilpotent().wedge(b.exp_nilpotent())
+
+
+def assert_same_form(got, want):
+    assert got == want
+    assert got.to_json() == want.to_json()
+
+
+class TestExpFactoredAgainstSeries:
+    """The factored product against `series_exp`, the power series it
+    replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_universal_curvature(self, n):
+        pair = SemiflatPair(n)
+        f = pair.frame_corr
+        a = Form.zero(f)
+        for k in range(1, n + 1):
+            a = a + Form.monomial(f, [f"dtc{k}", f"dth{k}"])
+        assert_same_form(a.exp_nilpotent(), series_exp(a))
+        assert_same_form((-a).exp_nilpotent(), series_exp(-a))
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_twice_the_nilmanifold_omega_on_the_holomorphic_frame(self, K):
+        nd = nil.build(K)
+        a = frame_collect(nil.omega_hermitian(nd) * 2, nd.pair.holo_frame)
+        assert_same_form(a.exp_nilpotent(), series_exp(a))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_degree_two_and_four(self, pair3, seed):
+        rng = random.Random(4100 + seed)
+        a = random_form(rng, pair3.frame_corr, max_terms=8, degrees=[2, 4])
+        assert_same_form(a.exp_nilpotent(), series_exp(a))
+
+    def test_oracle_keeps_the_input_checks(self, pair3):
+        for bad in (Form.gen(pair3.frame_x, "dth1"), Form.scalar(pair3.frame_x, 1),
+                    Form.monomial(pair3.frame_x, ["dth1", "dr1"])
+                    + Form.monomial(pair3.frame_x, ["dth1", "dth2", "dr1"])):
+            for route in (Form.exp_nilpotent, series_exp):
+                with pytest.raises(ValueError, match="even-degree"):
+                    route(bad)
+
+
+def fiber_bucketed_form(rng, frame, fiber_class):
+    """Three fiber masks, each with up to three terms whose other legs are
+    drawn at random: several terms per fiber mask."""
+    top = frame.class_mask(fiber_class)
+    others = ((1 << len(frame)) - 1) & ~top
+    terms = {}
+    for _ in range(3):
+        fiber = rng.randrange(1 << len(frame)) & top
+        for _ in range(3):
+            p = random_poly(rng, frame.base_vars, 2, 2)
+            if p:
+                _accumulate(terms, fiber | (rng.randrange(1 << len(frame)) & others), p)
+    return Form(frame, terms)
+
+
+class TestWedgePushforward:
+    @pytest.mark.parametrize("fiber_class", [GenClass.FIBER_MIRROR, GenClass.FIBER_X])
+    def test_matches_wedge_then_pushforward(self, pair3, fiber_class):
+        f = pair3.frame_corr
+        top = f.class_mask(fiber_class)
+        crowded = collided = nonzero = 0
+        for seed in range(40):
+            rng = random.Random(5200 + seed)
+            a = random_form(rng, f, max_terms=8)
+            b = fiber_bucketed_form(rng, f, fiber_class)
+            got = a.wedge_pushforward(b, fiber_class)
+            assert_same_form(got, a.wedge(b).pushforward(fiber_class))
+            fibers = [m & top for m in b.terms]
+            crowded += len(fibers) > len(set(fibers))
+            collided += any(
+                m1 & m2 and (m1 | m2) & top == top and not m1 & m2 & top
+                for m1 in a.terms for m2 in b.terms
+            )
+            nonzero += bool(got)
+        # the draws exercise shared fiber masks, colliding legs and survivors
+        assert crowded and collided and nonzero
+
+    def test_transform_kernels(self, pair3):
+        rng = random.Random(5300)
+        for _ in range(10):
+            a = random_form(rng, pair3.frame_corr, max_terms=6)
+            for exp, cls in ((pair3._exp_plus, GenClass.FIBER_MIRROR),
+                             (pair3._exp_minus, GenClass.FIBER_X)):
+                assert_same_form(a.wedge_pushforward(exp, cls), a.wedge(exp).pushforward(cls))
+
+    def test_frame_mismatch(self, pair3):
+        with pytest.raises(FrameMismatch):
+            Form.gen(pair3.frame_corr, "dth1").wedge_pushforward(
+                Form.gen(pair3.frame_x, "dth1"), GenClass.FIBER_X
+            )
 
 
 class TestPushforward:
@@ -353,6 +446,14 @@ class TestTransportAndJson:
         a = Form.gen(pair3.frame_x, "dth1")
         with pytest.raises(FrameMismatch):
             substitute_generators(a, pair3.frame_x, {})
+
+    def test_substitute_checks_every_image_before_wedging(self, pair2):
+        # dth1 ^ dth1 vanishes before dr1 is reached; it once returned 0
+        f = pair2.frame_x
+        dth1 = Form.gen(f, "dth1")
+        images = {f.index["dth1"]: dth1, f.index["dth2"]: dth1}
+        with pytest.raises(FrameMismatch, match="'dr1'"):
+            substitute_generators(Form.monomial(f, ["dth1", "dth2", "dr1"]), f, images)
 
 
 # label lists: ascending, unsorted (each sign), a repeat, an odd reversal

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from syzkit.calculus import exterior_d
@@ -26,16 +28,17 @@ class TestBuild:
         with pytest.raises(ValueError):
             nil.build(99)
 
-    def test_default_cap_is_four(self, monkeypatch):
-        # K=5 does not finish inside the budgets the CLI is run with
+    def test_default_cap_is_five(self, monkeypatch):
+        # K=6 (n = 15) is unmeasured; K=5 finishes in well under a minute
         monkeypatch.delenv("SYZKIT_MAX_K", raising=False)
-        with pytest.raises(ValueError, match="exceeds the configured cap 4"):
-            nil.build(5)
+        with pytest.raises(ValueError, match="exceeds the configured cap 5"):
+            nil.build(6)
 
-    def test_cost_warning_at_cap(self, monkeypatch):
-        monkeypatch.setenv("SYZKIT_MAX_K", "5")
-        with pytest.warns(RuntimeWarning):
-            nil.build(5)
+    def test_no_cost_warning_at_cap(self, monkeypatch):
+        monkeypatch.delenv("SYZKIT_MAX_K", raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nil.build(5).n == 10
 
     def test_k3_frames(self, nd3):
         assert nd3.n == 3

@@ -11,6 +11,7 @@ from syzkit.randgen import random_symmetric_mu, trial_rng
 from syzkit.reports import FAIL
 from syzkit.sustruct import (
     NonConstantFactor,
+    _volume_square,
     Polarization,
     SUStructure,
     check_iia,
@@ -61,11 +62,28 @@ def iwasawa_su_iib(pair3):
     )
 
 
-def omega_to_the(su, k):
-    out = Form.scalar(su.frame, 1)
-    for _ in range(k):
-        out = out.wedge(su.omega)
-    return out
+def incremental_powers(su, kmax):
+    """omega^0..omega^kmax, each wedged once onto the one before: the route
+    `omega_power` once took, kept as the oracle for its exponential."""
+    powers = [Form.scalar(su.frame, 1)]
+    while len(powers) <= kmax:
+        powers.append(powers[-1].wedge(su.omega))
+    return powers
+
+
+def nil_structures(K):
+    """Both sides the pipeline builds at size K: the IIB side, its mirror
+    transform and the frame-product IIA side."""
+    nd = nil.build(K)
+    su_b = nil.build_iib_side(nd)
+    return [su_b, mirror_transform(nd.pair, su_b.omega), nil.build_iia_side(nd)]
+
+
+def assert_powers_match_incremental(su):
+    for k, want in enumerate(incremental_powers(su, su.n + 1)):
+        got = su.omega_power(k)
+        assert got == want, k
+        assert got.to_json() == want.to_json(), k
 
 
 class TestOmegaPower:
@@ -77,13 +95,77 @@ class TestOmegaPower:
 
     def test_matches_repeated_wedge(self, pair3):
         for su in self.structures(pair3):
-            for k in range(su.n + 1):
-                assert su.omega_power(k) == omega_to_the(su, k), k
+            assert_powers_match_incremental(su)
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_nilmanifold_sides_match_repeated_wedge(self, K):
+        for su in nil_structures(K):
+            assert_powers_match_incremental(su)
 
     def test_each_power_cached(self, pair3):
         for su in self.structures(pair3):
             first = [su.omega_power(k) for k in range(su.n + 1)]
             assert all(su.omega_power(k) is w for k, w in enumerate(first))
+
+    def test_power_one_is_omega_and_needs_no_exponential(self, pair2):
+        su = flat_su_iib(pair2)
+        assert su.omega_power(1) is su.omega
+        assert "_exp_omega_parts" not in vars(su)
+
+    def test_negative_power_rejected(self, pair2):
+        with pytest.raises(ValueError, match="non-negative"):
+            flat_su_iib(pair2).omega_power(-1)
+
+
+class TestOmegaMustBeTwoForm:
+    @pytest.mark.parametrize("extra", [["dtc1"], [], ["dtc1", "dtc2", "dr1", "dr2"]])
+    def test_other_degrees_rejected(self, pair2, extra):
+        su = flat_su_iib(pair2)
+        omega = su.omega + Form.monomial(pair2.frame_xc, extra)
+        with pytest.raises(ValueError, match="omega must be a two-form"):
+            SUStructure(2, pair2.frame_xc, omega, Omega_factors=su.Omega_factors)
+
+    def test_zero_omega_accepted(self, pair2):
+        su = SUStructure(2, pair2.frame_xc, Form.zero(pair2.frame_xc),
+                         Omega_factors=flat_su_iib(pair2).Omega_factors)
+        assert su.omega_power(2).is_zero()
+
+
+class TestVolumeSquareByFactors:
+    """`_volume_square` against the single wedge Omega ^ conj(Omega)."""
+
+    def check(self, su):
+        got = _volume_square(su)
+        want = su.Omega.wedge(su.Omega.conjugate())
+        assert got == want
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_nilmanifold_sides(self, K):
+        for su in nil_structures(K):
+            self.check(su)
+
+    def test_flat_three_dimensional_and_mirrors(self, pair2, pair3):
+        su_b = iwasawa_su_iib(pair3)
+        for su in (flat_su_iib(pair2), flat_su_iib(pair3), su_b,
+                   mirror_transform(pair3, su_b.omega),
+                   mirror_transform(pair2, flat_su_iib(pair2).omega)):
+            self.check(su)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_mirror_transforms(self, pair3, seed):
+        rng = trial_rng(6100, seed)
+        mu = random_symmetric_mu(rng, 3, pair3.base_vars)
+        w = Form.zero(pair3.frame_xc)
+        for a in range(3):
+            for b in range(3):
+                w = w + Form.monomial(pair3.frame_xc, [f"dtc{a + 1}", f"dr{b + 1}"], mu[a][b])
+        self.check(mirror_transform(pair3, w))
+
+    def test_complex_prefactor(self, pair2):
+        su = flat_su_iib(pair2)
+        self.check(SUStructure(2, pair2.frame_xc, su.omega, Omega_factors=su.Omega_factors,
+                               prefactor=GaussianRational(Fraction(1, 2), 3)))
 
 
 class TestConformalFactor:
