@@ -13,10 +13,11 @@ a frame (`holo_coframe`), so the change of basis is `frame_collect` in and
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .coeffring import GaussianRational, Poly, P_ONE, _accumulate
+from .coeffring import GaussianRational, Poly, P_ONE
 from .exterior import (
     BasisChangeError,
     Form,
@@ -24,7 +25,9 @@ from .exterior import (
     FrameSpec,
     GenClass,
     Generator,
+    _contract_into,
     _form,
+    _wedge_into,
     bits,
     frame_collect,
     frame_expand,
@@ -44,8 +47,8 @@ def exterior_d(form: Form) -> Form:
 
     d(g * gamma) = sum_j (dg/dr_j) dr_j ^ gamma + g * d(gamma), where the
     second part uses the frame's stored structure equations (zero for
-    coordinate generators).  The terms of both parts are accumulated straight
-    from the frame data, each with its Koszul sign, in one term dict.
+    coordinate generators).  Both parts are wedged straight from the frame
+    data into one term dict.
     """
     frame = form.frame
     base = [(v, frame.base_one_form(v)) for v in frame.base_vars]
@@ -58,23 +61,14 @@ def exterior_d(form: Form) -> Form:
             if dv is None:
                 raise FrameMismatch(f"no one-form paired with base variable {v!r}")
             # (dc dv) ^ mono: each term of dv lands in front of the monomial
-            for m, q in dv.terms.items():
-                if m & mask:
-                    continue
-                add = q * dc
-                _accumulate(out, m | mask, add if koszul_sign(m, mask) > 0 else -add)
+            _wedge_into(out, dv.terms, {mask: dc})
         for i in bits(mask):
             dg = frame.d_of_generator(i)
-            if dg is None:
+            if not dg:
                 continue
             # (-1)^(legs below i) d(gen_i) ^ (c * (mono - gen_i))
             rest = mask ^ (1 << i)
-            sign = koszul_sign(1 << i, rest)
-            for m, q in dg.terms.items():
-                if m & rest:
-                    continue
-                add = q * c
-                _accumulate(out, m | rest, add if koszul_sign(m, rest) == sign else -add)
+            _wedge_into(out, dg.terms, {rest: c if koszul_sign(1 << i, rest) > 0 else -c})
     return _form(frame, out)
 
 
@@ -103,15 +97,17 @@ class SymplecticData:
         self.frame = frame
         self.omega = omega
         self.pairing = tuple(tuple(row) for row in pairing)
-        # (bit i, bit j, p^ij / 2, -p^ij / 2) for each nonzero off-diagonal
-        # entry; i_(x_i) i_(x_i) vanishes, so the diagonal contributes nothing
-        halves = []
-        for i, row in enumerate(self.pairing):
-            for j, p in enumerate(row):
-                if i != j and not p.is_zero():
-                    h = p * Fraction(1, 2)
-                    halves.append((1 << i, 1 << j, h, -h))
-        self.half_pairing = tuple(halves)
+        # i_(x_i) i_(x_j) = -i_(x_j) i_(x_i) = -i_(x_i ^ x_j) for i < j, and
+        # i_(x_i) i_(x_i) = 0, so Lambda = sum_(i<j) a i_(x_i ^ x_j) with
+        # a = (p^ji - p^ij) / 2: one block (bit_i | bit_j, (a, -a)) per nonzero a
+        p = self.pairing
+        blocks = []
+        for i, j in combinations(range(len(p)), 2):
+            if p[i][j] or p[j][i]:
+                a = (p[j][i] - p[i][j]) * Fraction(1, 2)
+                if a:
+                    blocks.append((1 << i | 1 << j, (a, -a)))
+        self.blocks = tuple(blocks)
 
     @staticmethod
     def darboux(frame: FrameSpec, fiber_class: GenClass = GenClass.FIBER_X) -> "SymplecticData":
@@ -147,24 +143,13 @@ class SymplecticData:
 
 
 def dual_lefschetz(form: Form, s: SymplecticData) -> Form:
-    """Lambda(phi) = 1/2 sum_ij (omega^{-1})^{ij} i_{x_i} i_{x_j} phi.
-
-    Each monomial holding both legs i and j loses them, with the sign of
-    contracting j first and then i: one koszul_sign for each leg moved to
-    the front.
-    """
+    """Lambda(phi) = 1/2 sum_ij (omega^{-1})^{ij} i_{x_i} i_{x_j} phi, one
+    block contraction per pair i < j (`SymplecticData.blocks`)."""
     if form.frame is not s.frame:
         raise FrameMismatch("the form and the symplectic data live on different frame objects")
     out: dict[int, Poly] = {}
-    for bi, bj, h, neg_h in s.half_pairing:
-        both = bi | bj
-        for mask, c in form.terms.items():
-            if mask & both != both:
-                continue
-            rest = mask ^ bj
-            m = rest ^ bi
-            sign = koszul_sign(bj, rest) * koszul_sign(bi, m)
-            _accumulate(out, m, c * (h if sign > 0 else neg_h))
+    for legs, scale in s.blocks:
+        _contract_into(out, form.terms, legs, scale)
     return _form(s.frame, out)
 
 

@@ -497,7 +497,11 @@ class Poly:
 
     @staticmethod
     def from_json(obj) -> "Poly":
-        terms = {tuple(t["exp"]): GaussianRational.from_json(t) for t in obj["terms"]}
+        terms = {}
+        for t in obj["terms"]:
+            if any(type(x) is not int or x < 0 for x in t["exp"]):
+                raise ValueError(f"exponents must be nonnegative integers, got {t['exp']!r}")
+            terms[tuple(t["exp"])] = GaussianRational.from_json(t)
         return Poly(obj["vars"], terms)
 
 

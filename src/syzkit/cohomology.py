@@ -10,8 +10,8 @@ Only the primitive operators get columns of their own: d on both sides, and
 the dual Lefschetz operator Lambda on the symplectic side.  They are built
 from the frame data, not by applying Form operators to the basis: d by its
 Leibniz rule on the frame's base one-forms and structure equations, Lambda as
-the signed double contraction with the halved inverse pairing (the tests
-check them against a wedge-built d and a contraction-built Lambda).  The
+one signed block contraction per pair of legs i < j (the tests check them
+against a wedge-built d and two contraction-built Lambdas).  The
 composites are exact sparse products of the stored columns:
 d^Lambda = d.Lambda - Lambda.d, d d^Lambda = d.d^Lambda, del and dbar are the
 (p+1,q) and (p,q+1) rows of d on the dz/dzb frame, and del-dbar = del.dbar.
@@ -137,22 +137,18 @@ class FiniteComplex:
         return cols
 
     def _lambda_columns(self, symp: SymplecticData) -> list[linalg.Vec]:
-        """Lambda(x^e mono) = 1/2 sum_ij p^ij x^e i_(x_i) i_(x_j) mono."""
-        pairs = [(bi, bj, self._exponents(h, None)) for bi, bj, h, _ in symp.half_pairing]
+        """Lambda(x^e mono) = sum of a x^e i_legs mono over the blocks (legs, (a, -a))."""
+        blocks = [(legs, self._exponents(a, None)) for legs, (a, _) in symp.blocks]
         cols = []
         for idx, (mask, e) in enumerate(self.basis):
             acc: dict[Key, GaussianRational] = {}
-            for bi, bj, terms in pairs:
-                if not mask & bj:
+            for legs, terms in blocks:
+                if mask & legs != legs:
                     continue
-                rest = mask ^ bj
-                if not rest & bi:
-                    continue
-                sign = koszul_sign(bj, rest)
-                rest ^= bi
-                sign *= koszul_sign(bi, rest)
+                rest = mask ^ legs
+                positive = koszul_sign(legs, rest) > 0
                 for f, c in terms:
-                    _accumulate(acc, (rest, tuple(map(add, e, f))), c if sign > 0 else -c)
+                    _accumulate(acc, (rest, tuple(map(add, e, f))), c if positive else -c)
             cols.append(self._column(acc, "lambda", idx))
         return cols
 

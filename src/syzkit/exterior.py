@@ -1,8 +1,11 @@
 """Graded exterior algebra of invariant forms over polynomial coefficients.
 
 Generator subsets are stored as bitmasks over a fixed frame ordering; every
-reordering sign comes from `koszul_sign`, by transposition counting.  Forms may have mixed degree (needed
-for exponentials), are immutable by convention, and all operations are pure.
+reordering sign comes from `koszul_sign`, by transposition counting.  Products
+go through `_wedge_into` (`wedge_pushforward` keeps its fiber-filtered loop),
+interior products with a block of legs through `_contract_into`.  Forms may
+have mixed degree (needed for exponentials), are immutable by convention, and
+all operations are pure.
 Operations whose results already hold only nonzero `Poly` coefficients wrap
 them through the private constructor `_form`, which checks nothing; the public
 constructor promotes scalars and drops zero terms.
@@ -243,14 +246,7 @@ class Form:
 
     def wedge(self, other: "Form") -> "Form":
         self._check(other)
-        terms: dict[int, Poly] = {}
-        for m1, p1 in self.terms.items():
-            for m2, p2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                add = p1 * p2
-                _accumulate(terms, m1 | m2, add if koszul_sign(m1, m2) > 0 else -add)
-        return _form(self.frame, terms)
+        return _form(self.frame, _wedge_into({}, self.terms, other.terms))
 
     def __eq__(self, other):
         if not isinstance(other, Form):
@@ -311,14 +307,7 @@ class Form:
             groups.setdefault(m & -m, {})[m] = c
         out: dict[int, Poly] = {0: P_ONE}
         for piece in groups.values():
-            nxt = dict(out)
-            for m1, p1 in out.items():
-                for m2, p2 in piece.items():
-                    if m1 & m2:
-                        continue
-                    add = p1 * p2
-                    _accumulate(nxt, m1 | m2, add if koszul_sign(m1, m2) > 0 else -add)
-            out = nxt
+            out = _wedge_into(dict(out), out, piece)
         return _form(self.frame, out)
 
     def pushforward(self, fiber_class: GenClass) -> "Form":
@@ -327,14 +316,7 @@ class Form:
         Keeps only terms containing the full top wedge of fiber generators,
         moved to the front in frame order with the Koszul sign.
         """
-        top = self.frame.class_mask(fiber_class)
-        out: dict[int, Poly] = {}
-        for m, c in self.terms.items():
-            if m & top != top:
-                continue
-            rest = m & ~top
-            _accumulate(out, rest, c if koszul_sign(top, rest) > 0 else -c)
-        return _form(self.frame, out)
+        return _form(self.frame, _contract_into({}, self.terms, self.frame.class_mask(fiber_class)))
 
     def wedge_pushforward(self, other: "Form", fiber_class: GenClass) -> "Form":
         """self.wedge(other).pushforward(fiber_class), pairing each term of
@@ -344,28 +326,21 @@ class Form:
         by_fiber: dict[int, list[tuple[int, Poly]]] = {}
         for m2, p2 in other.terms.items():
             by_fiber.setdefault(m2 & top, []).append((m2, p2))
+        negs: dict[int, Poly] = {}
         out: dict[int, Poly] = {}
         for m1, p1 in self.terms.items():
             for m2, p2 in by_fiber.get(top ^ (m1 & top), ()):
                 if m1 & m2:
                     continue
                 rest = (m1 | m2) & ~top
-                add = p1 * p2
-                sign = koszul_sign(m1, m2) * koszul_sign(top, rest)
-                _accumulate(out, rest, add if sign > 0 else -add)
+                if koszul_sign(m1, m2) != koszul_sign(top, rest):
+                    p2 = negs.get(m2) or negs.setdefault(m2, -p2)
+                _accumulate(out, rest, p1 * p2)
         return _form(self.frame, out)
 
     def contract(self, label: str) -> "Form":
         """Interior product with the dual vector of the named generator."""
-        i = self.frame.index[label]
-        bit = 1 << i
-        out: dict[int, Poly] = {}
-        for m, c in self.terms.items():
-            if not m & bit:
-                continue
-            rest = m ^ bit
-            _accumulate(out, rest, c if koszul_sign(bit, rest) > 0 else -c)
-        return _form(self.frame, out)
+        return _form(self.frame, _contract_into({}, self.terms, 1 << self.frame.index[label]))
 
     def conjugate(self) -> "Form":
         """Complex-conjugate the coefficients (generators are real)."""
@@ -477,6 +452,35 @@ def _form(frame: FrameSpec, terms: dict[int, Poly]) -> Form:
     return f
 
 
+def _wedge_into(out: dict[int, Poly], a: Mapping[int, Poly], b: Mapping[int, Poly]) -> dict[int, Poly]:
+    """out += a ^ b over term dicts; returns out.  A negative Koszul sign
+    takes a negated copy of b's coefficient, made at most once per term of b
+    (a coefficient is never zero, so a cached copy is truthy)."""
+    negs: dict[int, Poly] = {}
+    for m1, p1 in a.items():
+        for m2, p2 in b.items():
+            if m1 & m2:
+                continue
+            if koszul_sign(m1, m2) < 0:
+                p2 = negs.get(m2) or negs.setdefault(m2, -p2)
+            _accumulate(out, m1 | m2, p1 * p2)
+    return out
+
+
+def _contract_into(
+    out: dict[int, Poly], terms: Mapping[int, Poly], legs: int, scale: tuple[Poly, Poly] = (P_ONE, -P_ONE)
+) -> dict[int, Poly]:
+    """out += the interior product of `terms` with the ascending block of
+    generators `legs`; returns out.  A term legs ^ rest gives its coefficient
+    at rest, times scale[0] when koszul_sign(legs, rest) is +1, else scale[1]."""
+    pos, neg = scale
+    for m, c in terms.items():
+        if m & legs == legs:
+            rest = m ^ legs
+            _accumulate(out, rest, c * (pos if koszul_sign(legs, rest) > 0 else neg))
+    return out
+
+
 def substitute_generators(form: Form, target: FrameSpec, images: Mapping[int, Form]) -> Form:
     """Algebra map determined by generator images (one-forms on `target`).
 
@@ -490,14 +494,16 @@ def substitute_generators(form: Form, target: FrameSpec, images: Mapping[int, Fo
     for i in bits(used):
         if i not in images:
             raise FrameMismatch(f"no image for generator {form.frame.generators[i].label!r}")
+        if images[i].frame is not target:
+            raise FrameMismatch("operands live on different frame objects")
     out: dict[int, Poly] = {}
     for m, c in form.terms.items():
-        term = _form(target, {0: c})
+        term = {0: c}
         for i in bits(m):
-            term = term.wedge(images[i])
-            if term.is_zero():
+            term = _wedge_into({}, term, images[i].terms)
+            if not term:
                 break
-        for tm, tp in term.terms.items():
+        for tm, tp in term.items():
             _accumulate(out, tm, tp)
     return _form(target, out)
 

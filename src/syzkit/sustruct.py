@@ -137,9 +137,10 @@ class SUStructure:
         gens = []
         for lab, cls, paired in zip(fr["labels"], fr["classes"], fr["paired"]):
             gens.append(Generator(lab, GenClass(cls), paired_base_var=paired))
-        frame = FrameSpec(gens, fr["base_vars"], obj["n"])
-        if obj["n"] < 1:
-            raise ValueError(f"n must be at least 1, got {obj['n']}")
+        n = obj["n"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be at least 1 and an integer, got {n!r}")
+        frame = FrameSpec(gens, fr["base_vars"], n)
         omega = Form.from_json(obj["omega"], frame)
         pol = None
         if obj.get("polarization"):
@@ -149,7 +150,7 @@ class SUStructure:
             )
         factors = [Form.from_json(f, frame) for f in obj["Omega_factors"]]
         return SUStructure(
-            obj["n"],
+            n,
             frame,
             omega,
             Omega_factors=factors,

@@ -16,7 +16,7 @@ from syzkit.calculus import (
     polarization_switch,
     polarization_unswitch,
 )
-from syzkit.coeffring import GaussianRational, I, P_ONE, Poly
+from syzkit.coeffring import GaussianRational, I, P_ONE, Poly, _accumulate
 from syzkit.exterior import (
     Form,
     FrameMismatch,
@@ -26,6 +26,7 @@ from syzkit.exterior import (
     bits,
     frame_collect,
     frame_expand,
+    koszul_sign,
     substitute_generators,
 )
 from syzkit.fourier import SemiflatPair
@@ -125,6 +126,26 @@ def dual_lefschetz_by_contraction(form, s):
                 continue
             out = out + piece * (p * Fraction(1, 2))
     return out
+
+
+def dual_lefschetz_by_halved_entries(form, s):
+    """Oracle for dual_lefschetz that calls no kernel: the loop it replaced,
+    one pass per nonzero off-diagonal entry p^ij with half the entry, each
+    monomial holding legs i and j losing j and then i, one koszul_sign per leg."""
+    out = {}
+    for i, row in enumerate(s.pairing):
+        for j, p in enumerate(row):
+            if i == j or p.is_zero():
+                continue
+            h = p * Fraction(1, 2)
+            bi, bj = 1 << i, 1 << j
+            for mask, c in form.terms.items():
+                if mask & (bi | bj) != bi | bj:
+                    continue
+                rest = mask ^ bj
+                sign = koszul_sign(bj, rest) * koszul_sign(bi, rest ^ bi)
+                _accumulate(out, rest ^ bi, c * h if sign > 0 else c * -h)
+    return Form(s.frame, out)
 
 
 def d_lambda_by_oracles(form, s):
@@ -456,6 +477,25 @@ def corr_symplectic_data(frame):
     return SymplecticData(frame, Form.zero(frame), pairing)
 
 
+def mixed_symplectic_data(frame):
+    """A pairing with Darboux entries, a diagonal entry and, past rank one, a
+    symmetric polynomial fiber-base entry, an antisymmetric complex
+    fiber-fiber entry and a one-sided polynomial base-base entry."""
+    fibers = [i for i, g in enumerate(frame.generators) if g.leg_class is not GenClass.BASE]
+    bases = frame.gens_of_class(GenClass.BASE)
+    r = Poly.variable(frame.base_vars[0])
+    pairing = [[Poly() for _ in range(len(frame))] for _ in range(len(frame))]
+    for f, b in zip(fibers, bases):
+        pairing[f][b], pairing[b][f] = P_ONE, -P_ONE
+    pairing[fibers[0]][fibers[0]] = r
+    if len(bases) > 1:
+        pairing[fibers[0]][bases[1]] = pairing[bases[1]][fibers[0]] = r * 3
+        pairing[fibers[1]][fibers[0]] = Poly.constant(GaussianRational(Fraction(1, 3), 1))
+        pairing[fibers[0]][fibers[1]] = Poly.constant(GaussianRational(Fraction(-1, 3), -1))
+        pairing[bases[0]][bases[1]] = r * r + I
+    return SymplecticData(frame, Form.zero(frame), pairing)
+
+
 class TestKernelsMatchOracles:
     @pytest.mark.parametrize("case", KERNEL_FRAMES, ids=KERNEL_IDS)
     def test_exterior_d(self, case):
@@ -472,6 +512,7 @@ class TestKernelsMatchOracles:
             s = SymplecticData.darboux(frame, frame.generators[0].leg_class)
         for a in kernel_forms(frame, 2200 + KERNEL_FRAMES.index(case)):
             assert_same_form(dual_lefschetz(a, s), dual_lefschetz_by_contraction(a, s))
+            assert_same_form(dual_lefschetz(a, s), dual_lefschetz_by_halved_entries(a, s))
             assert_same_form(d_lambda(a, s), d_lambda_by_oracles(a, s))
 
     def test_dual_lefschetz_non_darboux(self, pair3):
@@ -484,6 +525,7 @@ class TestKernelsMatchOracles:
         assert any(i >= 3 and j >= 3 for i, row in enumerate(s.pairing) for j, p in enumerate(row) if p)
         for a in kernel_forms(x, 2300):
             assert_same_form(dual_lefschetz(a, s), dual_lefschetz_by_contraction(a, s))
+            assert_same_form(dual_lefschetz(a, s), dual_lefschetz_by_halved_entries(a, s))
 
     def test_dual_lefschetz_polynomial_pairing(self, pair2):
         # pairing entries over a nonempty universe, cancelling in pairs
@@ -494,6 +536,23 @@ class TestKernelsMatchOracles:
         s = SymplecticData(x, pair2.darboux_x.omega, pairing)
         for a in kernel_forms(x, 2400):
             assert_same_form(dual_lefschetz(a, s), dual_lefschetz_by_contraction(a, s))
+            assert_same_form(dual_lefschetz(a, s), dual_lefschetz_by_halved_entries(a, s))
+
+    # the frames that d^Lambda reads in the IIA flux (the nilmanifold's two
+    # invariant frames) and in the fm intertwining (frame_x of the flat pair)
+    FLUX_AND_FM = [("K3", "x_frame"), ("K3", "xc_frame")] + [(n, "frame_x") for n in (1, 2, 3)]
+
+    @pytest.mark.parametrize("case", FLUX_AND_FM, ids=[f"{size}-{side}" for size, side in FLUX_AND_FM])
+    def test_mixed_pairing_on_the_flux_and_fm_frames(self, case):
+        frame = oracle_frame(case)
+        s = mixed_symplectic_data(frame)
+        # each pair of legs i < j becomes one block; the symmetric entries
+        # and the diagonal leave none
+        assert len(s.blocks) == len(frame) // 2 + 2 * (len(frame) > 2)
+        for a in kernel_forms(frame, 2500 + self.FLUX_AND_FM.index(case)):
+            assert_same_form(dual_lefschetz(a, s), dual_lefschetz_by_halved_entries(a, s))
+            assert_same_form(dual_lefschetz(a, s), dual_lefschetz_by_contraction(a, s))
+            assert_same_form(d_lambda(a, s), d_lambda_by_oracles(a, s))
 
     def test_unpaired_base_variable_rejected_as_by_the_oracle(self):
         frame = FrameSpec([Generator("a", GenClass.FIBER_X)], ["r1"], 1)

@@ -9,7 +9,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from syzkit import calculus
+from syzkit import calculus, cli
 from syzkit.cli import main
 from syzkit.coeffring import I, Poly
 from syzkit.exterior import Form
@@ -151,6 +151,35 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
         assert res.exit_code == 2, res.output
         assert "n must be at least 1" in res.output
+
+    @pytest.mark.parametrize("n", [1.5, 1.0, True], ids=["half", "float-one", "true"])
+    def test_non_integer_n_usage_error(self, runner, fixtures, tmp_path, n):
+        # 1.5 and 1.0 once ended in a TypeError traceback from factorial in
+        # omega_power, and true was read as 1
+        doc = json.loads((fixtures / "iib-K3.json").read_text())
+        doc["n"] = n
+        f = tmp_path / "n.json"
+        f.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"n.json: malformed fixture: ValueError: n must be at least 1 and an integer, got {n!r}" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("exp", [[1.5], [-1], [True]], ids=["half", "negative", "true"])
+    def test_bad_exponent_usage_error(self, runner, fixtures, tmp_path, exp):
+        # each once ran every check on a coefficient r12^exp
+        doc = json.loads((fixtures / "iib-K3.json").read_text())
+        doc["omega"]["terms"][0]["coeff"] = {
+            "vars": ["r12"], "terms": [{"exp": exp, "re": [1, 1], "im": [0, 1]}]
+        }
+        f = tmp_path / "exp.json"
+        f.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"exponents must be nonnegative integers, got {exp!r}" in res.output
+        assert "Traceback" not in res.output
 
     def test_iia_without_polarization_usage_error(self, runner, fixtures):
         # once a ValueError traceback from check_iia
@@ -302,6 +331,18 @@ class TestFmCommand:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert "--n" in res.output
+
+    def test_rank_past_the_cap_rejected_before_any_pair_is_built(self, runner, tmp_path, monkeypatch):
+        # the exponentiated curvature has 2^n terms: --n 30 could not finish
+        src = tmp_path / "one.json"
+        src.write_text(json.dumps(Form.scalar(SemiflatPair(1).holo_frame, 1).to_json()))
+        built = []
+        monkeypatch.setattr(cli, "SemiflatPair", lambda n: built.append(n))
+        res = runner.invoke(main, ["fm", "--input", str(src), "--direction", "fwd", "--n", "17"])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "--n" in res.output and "1<=x<=16" in res.output
+        assert built == []
 
     def test_wrong_side_rejected(self, runner, tmp_path):
         pair = SemiflatPair(2)

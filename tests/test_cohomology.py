@@ -10,7 +10,12 @@ from syzkit.coeffring import GaussianRational, I, ONE, Poly
 from syzkit.exterior import BasisChangeError, Form, GenClass, Generator
 from syzkit.fourier import SemiflatPair
 
-from test_calculus import d_lambda_by_oracles, dual_lefschetz_by_contraction, exterior_d_by_wedging
+from test_calculus import (
+    d_lambda_by_oracles,
+    dual_lefschetz_by_contraction,
+    dual_lefschetz_by_halved_entries,
+    exterior_d_by_wedging,
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,10 +104,11 @@ def flat_pair(case):
     return SemiflatPair(size) if kind == "n" else nil.semiflat_pair(size)
 
 
-# the wedge-built d and the contraction-built Lambda of test_calculus are the
-# oracle for the columns that the complexes build from the frame data (the
+# the wedge-built d and the contraction-built Lambda of test_calculus, and the
+# halved-entry double contraction that Lambda's columns once made, are the
+# oracles for the columns that the complexes build from the frame data (the
 # package's exterior_d and dual_lefschetz apply the same Leibniz formula and
-# double contraction as the columns do)
+# per-pair block contraction as the columns do)
 
 
 def assert_columns_match_oracle(frame, D, split, symp):
@@ -112,6 +118,7 @@ def assert_columns_match_oracle(frame, D, split, symp):
         assert cpx.images["d"][i] == cpx.vectorize(exterior_d_by_wedging(f)), (D, cpx.basis[i])
         lam = dual_lefschetz_by_contraction(f, symp)
         assert cpx.images["lambda"][i] == cpx.vectorize(lam), (D, cpx.basis[i])
+        assert cpx.images["lambda"][i] == cpx.vectorize(dual_lefschetz_by_halved_entries(f, symp))
 
 
 def holo_of_nil_frame(nd):

@@ -24,6 +24,7 @@ from syzkit.randgen import random_form, random_poly
 from syzkit import nilmanifold as nil
 
 from conftest import brute_perm_sign, series_exp, subsets, wedge_chain
+from test_calculus import KERNEL_FRAMES, KERNEL_IDS, kernel_forms, oracle_frame
 
 
 def collect_by_unit_pivot(frame):
@@ -576,3 +577,119 @@ class TestFormFastConstructor:
             for m, p in got.terms.items():
                 assert type(m) is int and type(p) is Poly and p, op
             assert got.terms == want.terms, op
+
+
+# the loops that the two kernels replaced, kept as oracles: `_wedge_into`
+# behind wedge and substitution, `_contract_into` behind contract and
+# pushforward (the Lambda oracles live in test_calculus)
+
+
+def wedge_by_negated_products(a, b):
+    """Oracle for Form.wedge: the per-pair loop that negated each product
+    with a negative Koszul sign."""
+    out = {}
+    for m1, p1 in a.terms.items():
+        for m2, p2 in b.terms.items():
+            if m1 & m2:
+                continue
+            add = p1 * p2
+            _accumulate(out, m1 | m2, add if koszul_sign(m1, m2) > 0 else -add)
+    return Form(a.frame, out)
+
+
+def wedge_by_permutation(a, b):
+    """Oracle for Form.wedge that calls neither kernel nor koszul_sign: each
+    product signed by sorting the concatenated legs with swap counting."""
+    out = {}
+    for m1, p1 in a.terms.items():
+        for m2, p2 in b.terms.items():
+            if not m1 & m2:
+                _accumulate(out, m1 | m2, p1 * p2 * brute_perm_sign(list(bits(m1)) + list(bits(m2))))
+    return Form(a.frame, out)
+
+
+def substitute_by_form_chain(form, target, images):
+    """Oracle for substitute_generators: each term a chain of Form.wedge
+    calls on Forms, the route it once took."""
+    out = {}
+    for m, c in form.terms.items():
+        term = Form(target, {0: c})
+        for i in bits(m):
+            term = term.wedge(images[i])
+            if term.is_zero():
+                break
+        for tm, tp in term.terms.items():
+            _accumulate(out, tm, tp)
+    return Form(target, out)
+
+
+def contract_by_leg(form, label):
+    """Oracle for Form.contract: the single-leg loop it replaced."""
+    bit = 1 << form.frame.index[label]
+    out = {}
+    for m, c in form.terms.items():
+        if m & bit:
+            _accumulate(out, m ^ bit, c if koszul_sign(bit, m ^ bit) > 0 else -c)
+    return Form(form.frame, out)
+
+
+def pushforward_by_class(form, fiber_class):
+    """Oracle for Form.pushforward: the fiber-mask loop it replaced."""
+    top = form.frame.class_mask(fiber_class)
+    out = {}
+    for m, c in form.terms.items():
+        if m & top == top:
+            rest = m & ~top
+            _accumulate(out, rest, c if koszul_sign(top, rest) > 0 else -c)
+    return Form(form.frame, out)
+
+
+SUBST_FRAMES = [(n, "holo_frame") for n in (1, 2, 3)] + [("K3", "x_frame"), ("K3", "xc_frame")]
+SUBST_IDS = [f"{size}-{side}" for size, side in SUBST_FRAMES]
+
+
+class TestKernelsMatchLoops:
+    """Every caller of the two kernels against the loop it replaced, on the
+    seeded mixed-universe forms, in == and in to_json()."""
+
+    @pytest.mark.parametrize("case", KERNEL_FRAMES, ids=KERNEL_IDS)
+    def test_wedge(self, case):
+        frame = oracle_frame(case)
+        forms = list(kernel_forms(frame, 2600 + KERNEL_FRAMES.index(case)))
+        for a, b in zip(forms, forms[1:]):
+            got = a.wedge(b)
+            assert_same_form(got, wedge_by_negated_products(a, b))
+            assert_same_form(got, wedge_by_permutation(a, b))
+
+    @pytest.mark.parametrize("case", KERNEL_FRAMES, ids=KERNEL_IDS)
+    def test_contract_and_pushforward(self, case):
+        frame = oracle_frame(case)
+        for a in kernel_forms(frame, 2700 + KERNEL_FRAMES.index(case)):
+            for g in frame.generators:
+                assert_same_form(a.contract(g.label), contract_by_leg(a, g.label))
+            for cls in GenClass:
+                assert_same_form(a.pushforward(cls), pushforward_by_class(a, cls))
+
+    @pytest.mark.parametrize("case", SUBST_FRAMES, ids=SUBST_IDS)
+    def test_substitute_generators(self, case):
+        frame = oracle_frame(case)
+        coord = frame.generators[0].coord_expansion.frame
+        seed = 2800 + SUBST_FRAMES.index(case)
+        expand = {i: g.coord_expansion for i, g in enumerate(frame.generators)}
+        for a in kernel_forms(frame, seed):
+            want = substitute_by_form_chain(a, coord, expand)
+            assert_same_form(substitute_generators(a, coord, expand), want)
+            assert_same_form(frame_expand(a, coord), want)
+        collect = {i: frame_collect(Form.gen(coord, g.label), frame) for i, g in enumerate(coord.generators)}
+        for a in kernel_forms(coord, seed + 50):
+            want = substitute_by_form_chain(a, frame, collect)
+            assert_same_form(substitute_generators(a, frame, collect), want)
+            assert_same_form(frame_collect(a, frame), want)
+
+    def test_image_on_another_frame_rejected(self, pair2):
+        # images are checked before any wedge, the frame of each as well
+        x = pair2.frame_x
+        images = {i: Form.gen(x, g.label) for i, g in enumerate(x.generators)}
+        images[3] = Form.gen(SemiflatPair(2).frame_x, "dr2")
+        with pytest.raises(FrameMismatch, match="different frame"):
+            substitute_generators(Form.gen(x, "dr2"), x, images)
