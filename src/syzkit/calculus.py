@@ -48,27 +48,35 @@ def exterior_d(form: Form) -> Form:
     d(g * gamma) = sum_j (dg/dr_j) dr_j ^ gamma + g * d(gamma), where the
     second part uses the frame's stored structure equations (zero for
     coordinate generators).  Both parts are wedged straight from the frame
-    data into one term dict.
+    data into one term dict, one wedge per base variable and per structure
+    equation.
     """
     frame = form.frame
-    base = [(v, frame.base_one_form(v)) for v in frame.base_vars]
+    terms = form.terms.items()
     out: dict[int, Poly] = {}
-    for mask, c in form.terms.items():
-        for v, dv in base:
-            dc = c.diff(v)
-            if dc.is_zero():
-                continue
+    for v in frame.base_vars:
+        dc = {}
+        for mask, c in terms:
+            d = c.diff(v)
+            if d:
+                dc[mask] = d
+        if dc:
+            dv = frame.base_one_form(v)
             if dv is None:
                 raise FrameMismatch(f"no one-form paired with base variable {v!r}")
-            # (dc dv) ^ mono: each term of dv lands in front of the monomial
-            _wedge_into(out, dv.terms, {mask: dc})
-        for i in bits(mask):
-            dg = frame.d_of_generator(i)
-            if not dg:
-                continue
+            _wedge_into(out, dv.terms, dc)
+    for i in range(len(frame)):
+        dg = frame.d_of_generator(i)
+        if dg:
             # (-1)^(legs below i) d(gen_i) ^ (c * (mono - gen_i))
-            rest = mask ^ (1 << i)
-            _wedge_into(out, dg.terms, {rest: c if koszul_sign(1 << i, rest) > 0 else -c})
+            bit = 1 << i
+            rest = {}
+            for mask, c in terms:
+                if mask & bit:
+                    r = mask ^ bit
+                    rest[r] = c if koszul_sign(bit, r) > 0 else -c
+            if rest:
+                _wedge_into(out, dg.terms, rest)
     return _form(frame, out)
 
 

@@ -13,7 +13,6 @@ under a redirected stdout would keep its captured output.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -32,22 +31,9 @@ from .sustruct import SUStructure, check_iia, check_iib
 FIXTURE_SCHEMA = "syzkit-fixture-v1"
 REPORT_SCHEMA = "syzkit-report-v1"
 
-DEFAULT_MAX_DEGREE = 4
-
 # the largest `fm --n`: the exponentiated curvature has 2^n terms, and
 # building the pair takes about 4x longer every two ranks (0.57 s at n = 16)
 MAX_FM_RANK = 16
-
-
-def _max_degree() -> int:
-    """The cohomology degree cap, read from SYZKIT_MAX_DEGREE when it is used."""
-    raw = os.environ.get("SYZKIT_MAX_DEGREE")
-    if raw is None:
-        return DEFAULT_MAX_DEGREE
-    try:
-        return int(raw)
-    except ValueError:
-        raise click.UsageError(f"SYZKIT_MAX_DEGREE must be an integer, got {raw!r}") from None
 
 
 # what a structurally malformed JSON document raises while it is parsed
@@ -104,16 +90,13 @@ def main():
 
 
 @main.command("nil")
-@click.option("--K", "k", type=int, required=True, help="matrix size (>= 2)")
+@click.option("--K", "k", type=click.IntRange(2, nil.MAX_K), required=True, help="matrix size")
 @click.option("--out", type=click.Path(), default=None, help="output directory for fixtures + report")
 def cmd_nil(k: int, out: str | None):
     """Build the size-K family and verify structure, invariance, balancedness,
     duality pairing, and the full mirror pipeline."""
     t0 = time.time()
-    try:
-        nd = nil.build(k)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    nd = nil.build(k)
     rep = CheckReport("nil", config={"K": k, "n": nd.n})
     rep.extend(nil.structure_equations(nd))
     rep.extend(nil.check_gamma_invariance(nd))
@@ -210,7 +193,7 @@ def cmd_verify(system: str, input_path: str, out: str | None):
 
 
 @main.command("cohomology")
-@click.option("--K", "k", type=int, required=True)
+@click.option("--K", "k", type=click.IntRange(2, nil.MAX_K), required=True, help="matrix size")
 @click.option("--which", type=click.Choice(["bc", "ty", "mirror"]), required=True,
               help="bc = complex side (xcheck), ty = symplectic side (x), mirror = both")
 @click.option("--p", "p", type=int, required=True)
@@ -221,17 +204,11 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
     """Cohomology dimensions (and the mirror comparison) of the flat
     semi-flat pair, written with the size-K family's variable names, at
     coefficient degree <= degree.  This is not the nilmanifold's cohomology:
-    the dimensions are per-degree data and grow with the degree."""
+    the dimensions are per-degree data and grow with the degree.  A complex
+    has 4^n C(n + degree, degree) basis elements; past 2^17 it is a usage
+    error."""
     t0 = time.time()
-    cap = _max_degree()
-    if degree > cap:
-        raise click.UsageError(
-            f"--degree {degree} exceeds cap {cap} (set SYZKIT_MAX_DEGREE to raise)"
-        )
-    try:
-        pair = nil.semiflat_pair(k)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    pair = nil.semiflat_pair(k)
     for name, v in (("--p", p), ("--q", q)):
         if not 0 <= v <= pair.n:
             raise click.UsageError(f"{name} {v} is outside 0..{pair.n} (n = {pair.n} at K={k})")
@@ -260,6 +237,8 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
             extra["cohomology"] = {"bc": bc_r.to_json(), "ty": ty_r.to_json()}
     except cohmod.SpanEscape as e:
         raise click.UsageError(f"{e}; raise --degree")
+    except cohmod.ComplexTooLarge as e:
+        raise click.UsageError(f"{e}; lower --degree or --K")
     _emit(rep, out, "cohomology", t0, extra)
 
 

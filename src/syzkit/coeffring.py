@@ -204,11 +204,12 @@ def _ratio(x: Rationalish) -> tuple[int, int]:
 
 def _json_fraction(pair) -> Fraction:
     """The Fraction of a JSON [numerator, denominator] pair of integers."""
-    n, d = pair[0], pair[1]
-    for v in (n, d):
+    if type(pair) is not list or len(pair) != 2:
+        raise ValueError(f"a fraction must be a [numerator, denominator] list, got {pair!r}")
+    for v in pair:
         if type(v) is not int:
             raise ValueError(f"numerator and denominator must be integers, got {v!r}")
-    return Fraction(n, d)
+    return Fraction(*pair)
 
 
 def _imag_str(v: Fraction) -> str:
@@ -499,9 +500,12 @@ class Poly:
     def from_json(obj) -> "Poly":
         terms = {}
         for t in obj["terms"]:
-            if any(type(x) is not int or x < 0 for x in t["exp"]):
+            exps = tuple(t["exp"])
+            if any(type(x) is not int or x < 0 for x in exps):
                 raise ValueError(f"exponents must be nonnegative integers, got {t['exp']!r}")
-            terms[tuple(t["exp"])] = GaussianRational.from_json(t)
+            if exps in terms:
+                raise ValueError(f"exponent vector {t['exp']!r} appears twice")
+            terms[exps] = GaussianRational.from_json(t)
         return Poly(obj["vars"], terms)
 
 

@@ -18,11 +18,13 @@ d^Lambda = d.Lambda - Lambda.d, d d^Lambda = d.d^Lambda, del and dbar are the
 Every term of a primitive column is looked up in the basis, which proves the
 span closed, and `vectorize` is linear and injective there, so each product
 column is the vector of the composite applied to that basis element.
+A complex past MAX_BASIS basis elements is refused before it is enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from operator import add
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -33,6 +35,14 @@ from .calculus import HOLO_SPLIT, SymplecticData
 from .reports import CheckReport
 
 Key = tuple[int, tuple[int, ...]]  # a basis monomial: (generator mask, coefficient exponents)
+
+# the most basis elements a complex may have, 2^(frame size) * C(variables + D, D):
+# the largest admitted one takes at most 11.2 s on a 2-vCPU machine (README)
+MAX_BASIS = 1 << 17
+
+
+class ComplexTooLarge(ValueError):
+    """A complex would have more than MAX_BASIS basis elements."""
 
 
 class SpanEscape(ValueError):
@@ -78,13 +88,19 @@ class FiniteComplex:
     ):
         if D < 0:
             raise ValueError("degree bound must be nonnegative")
+        size = len(frame)
+        self.vars = tuple(sorted(frame.base_vars))
+        count = (1 << size) * comb(len(self.vars) + D, D)
+        if count > MAX_BASIS:
+            raise ComplexTooLarge(
+                f"the degree-{D} complex on {size} generators and {len(self.vars)} variables "
+                f"would have {count} basis elements, past the bound {MAX_BASIS}"
+            )
         self.frame = frame
         self.D = D
         self.split = split
-        self.vars = tuple(sorted(frame.base_vars))
         self.exps = exponent_vectors(len(self.vars), D)
         self.basis: list[Key] = []
-        size = len(frame)
         # the (p, q) bidegree of every generator mask, indexed by the mask
         self.mask_bidegree = [frame.bidegree(mask, split) for mask in range(1 << size)]
         for mask in range(1 << size):

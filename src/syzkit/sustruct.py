@@ -134,9 +134,11 @@ class SUStructure:
     @staticmethod
     def from_json(obj) -> "SUStructure":
         fr = obj["frame"]
-        gens = []
-        for lab, cls, paired in zip(fr["labels"], fr["classes"], fr["paired"]):
-            gens.append(Generator(lab, GenClass(cls), paired_base_var=paired))
+        lists = fr["labels"], fr["classes"], fr["paired"]
+        if len({len(v) for v in lists}) != 1:
+            lengths = ", ".join(str(len(v)) for v in lists)
+            raise ValueError(f"frame lists 'labels', 'classes' and 'paired' differ in length: {lengths}")
+        gens = [Generator(lab, GenClass(cls), paired_base_var=paired) for lab, cls, paired in zip(*lists)]
         n = obj["n"]
         if type(n) is not int or n < 1:
             raise ValueError(f"n must be at least 1 and an integer, got {n!r}")

@@ -40,14 +40,17 @@ class TestNilCommand:
 
     def test_k1_usage_error(self, runner):
         res = runner.invoke(main, ["nil", "--K", "1"])
-        assert res.exit_code != 0
-        assert "at least 2" in res.output
-
-    def test_bad_k_cap_names_variable(self, runner, monkeypatch):
-        monkeypatch.setenv("SYZKIT_MAX_K", "five")
-        res = runner.invoke(main, ["nil", "--K", "3"])
         assert res.exit_code == 2
-        assert "SYZKIT_MAX_K" in res.output
+        assert "2<=x<=5" in res.output
+
+    def test_k_above_cap_usage_error(self, runner, monkeypatch):
+        def no_build(k):
+            raise AssertionError("nil built a size past the cap")
+
+        monkeypatch.setattr(cli.nil, "build", no_build)
+        res = runner.invoke(main, ["nil", "--K", "6"])
+        assert res.exit_code == 2
+        assert "2<=x<=5" in res.output
 
     def test_reports_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -203,6 +206,33 @@ class TestVerifyCommand:
         assert res.exit_code == 2, res.output
         assert "coeff.json" in res.output
         assert f"got {shown}" in res.output
+
+    @pytest.mark.parametrize("case, message", [
+        ("long-fraction", "a fraction must be a [numerator, denominator] list, got [1, 2, 99]"),
+        ("repeated-exponent", "exponent vector [1] appears twice"),
+        ("extra-class", "frame lists 'labels', 'classes' and 'paired' differ in length: 6, 7, 6"),
+        ("short-paired", "frame lists 'labels', 'classes' and 'paired' differ in length: 6, 6, 5"),
+    ])
+    def test_dropped_fixture_entries_usage_error(self, runner, fixtures, tmp_path, case, message):
+        # each was once read with the extra or earlier entry silently dropped
+        doc = json.loads((fixtures / "iib-K3.json").read_text())
+        if case == "long-fraction":
+            doc["omega"]["terms"][0]["coeff"]["terms"][0]["re"] = [1, 2, 99]
+        elif case == "repeated-exponent":
+            doc["omega"]["terms"][0]["coeff"] = {"vars": ["r12"], "terms": [
+                {"exp": [1], "re": [1, 1], "im": [0, 1]}, {"exp": [1], "re": [5, 1], "im": [0, 1]},
+            ]}
+        elif case == "extra-class":
+            doc["frame"]["classes"].append(doc["frame"]["classes"][0])
+        else:
+            doc["frame"]["paired"].pop()
+        f = tmp_path / "dropped.json"
+        f.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"dropped.json: malformed fixture: ValueError: {message}" in res.output
+        assert "Traceback" not in res.output
 
     def test_fixture_missing_key_usage_error(self, runner, tmp_path):
         # once a KeyError traceback
@@ -376,13 +406,31 @@ class TestCohomologyCommand:
         )
 
     def test_degree_cap(self, runner):
+        # 2^6 masks times C(3 + 99, 3) monomials: refused before any is enumerated
         res = runner.invoke(
             main,
             ["cohomology", "--K", "3", "--which", "bc", "--p", "1", "--q", "1", "--degree", "99"],
         )
-        assert res.exit_code != 0
-        assert "cap" in res.output
+        assert res.exit_code == 2
+        assert "would have 10988800 basis elements, past the bound 131072" in res.output
 
+
+    def test_k5_refused_by_its_basis_size(self, runner):
+        # every K = 5 complex has at least 2^20 basis elements
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "5", "--which", "mirror", "--p", "1", "--q", "1", "--degree", "0"],
+        )
+        assert res.exit_code == 2
+        assert "would have 1048576 basis elements, past the bound 131072" in res.output
+
+    def test_degree_past_the_old_cap_admitted(self, runner):
+        # 2^6 masks times C(8, 3) monomials: inside the basis bound
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "3", "--which", "mirror", "--p", "2", "--q", "2", "--degree", "5"],
+        )
+        assert res.exit_code == 0, res.output
 
     def test_side_option_removed(self, runner, tmp_path):
         # --side only validated or mislabelled; the side follows from --which
@@ -420,50 +468,21 @@ class TestCohomologyCommand:
         assert res.exit_code == 2
         assert "outside 0..3" in res.output
 
-    def test_bad_degree_cap_names_variable(self, runner, monkeypatch):
-        monkeypatch.setenv("SYZKIT_MAX_DEGREE", "abc")
-        assert runner.invoke(main, ["--help"]).exit_code == 0
-        res = runner.invoke(
-            main,
-            ["cohomology", "--K", "3", "--which", "bc", "--p", "1", "--q", "1", "--degree", "0"],
-        )
-        assert res.exit_code == 2
-        assert "SYZKIT_MAX_DEGREE" in res.output
-
-    def test_degree_cap_read_at_use(self, runner, monkeypatch):
-        monkeypatch.setenv("SYZKIT_MAX_DEGREE", "0")
-        res = runner.invoke(
-            main,
-            ["cohomology", "--K", "3", "--which", "bc", "--p", "1", "--q", "1", "--degree", "1"],
-        )
-        assert res.exit_code == 2
-        assert "exceeds cap 0" in res.output
-
     def test_k1_usage_error(self, runner):
         res = runner.invoke(
             main,
             ["cohomology", "--K", "1", "--which", "bc", "--p", "0", "--q", "0", "--degree", "0"],
         )
         assert res.exit_code == 2
-        assert "at least 2" in res.output
+        assert "2<=x<=5" in res.output
 
-    def test_k_above_cap_usage_error(self, runner, monkeypatch):
-        monkeypatch.setenv("SYZKIT_MAX_K", "2")
+    def test_k_above_cap_usage_error(self, runner):
         res = runner.invoke(
             main,
-            ["cohomology", "--K", "3", "--which", "bc", "--p", "1", "--q", "1", "--degree", "0"],
+            ["cohomology", "--K", "6", "--which", "bc", "--p", "1", "--q", "1", "--degree", "0"],
         )
         assert res.exit_code == 2
-        assert "exceeds the configured cap 2" in res.output
-
-    def test_bad_k_cap_names_variable(self, runner, monkeypatch):
-        monkeypatch.setenv("SYZKIT_MAX_K", "five")
-        res = runner.invoke(
-            main,
-            ["cohomology", "--K", "3", "--which", "bc", "--p", "1", "--q", "1", "--degree", "0"],
-        )
-        assert res.exit_code == 2
-        assert "SYZKIT_MAX_K" in res.output
+        assert "2<=x<=5" in res.output
 
     def test_builds_no_nilmanifold(self, runner, monkeypatch):
         # the flat pair needs only the family's labels, not its frames

@@ -197,6 +197,19 @@ class TestFloatRejected:
         with pytest.raises(ZeroDivisionError):
             GaussianRational.from_json({"re": [1, 0], "im": [0, 1]})
 
+    @pytest.mark.parametrize("pair", [[1, 2, 99], [1], [], "1/2", {"0": 1, "1": 2}])
+    def test_from_json_needs_a_two_entry_list(self, pair):
+        # [1, 2, 99] was once read as 1/2
+        with pytest.raises(ValueError, match=r"a fraction must be a \[numerator, denominator\] list"):
+            GaussianRational.from_json({"re": pair, "im": [0, 1]})
+
+    def test_poly_from_json_rejects_a_repeated_exponent(self):
+        # once read as 5*r1, the last term kept
+        terms = [{"exp": [1], "re": [1, 1], "im": [0, 1]}, {"exp": [1], "re": [5, 1], "im": [0, 1]}]
+        with pytest.raises(ValueError, match=r"exponent vector \[1\] appears twice"):
+            Poly.from_json({"vars": ["r1"], "terms": terms})
+        assert Poly.from_json({"vars": ["r1"], "terms": terms[1:]}) == Poly.variable("r1") * 5
+
 
 def oracle_pair(rng, factors=1):
     """A random element of Q(i) as (GaussianRational, FractionPair): one randgen

@@ -99,6 +99,34 @@ class TestComplexConstruction:
                     assert cpx.slot(p, q) == want, (p, q)
 
 
+class TestBasisBound:
+    @pytest.mark.parametrize("n, D", [(1, 32767), (3, 21), (6, 2)])
+    def test_largest_admitted_degree(self, n, D, monkeypatch):
+        # the size is 2^(2n) C(n + D, D): D is admitted and D + 1 is not
+        assert 4 ** n * comb(n + D, D) <= coh.MAX_BASIS < 4 ** n * comb(n + D + 1, D + 1)
+        built = []
+        monkeypatch.setattr(coh, "exponent_vectors", lambda *a: built.append(a) or [])
+        frame = SemiflatPair(n).frame_x
+        coh.FiniteComplex(frame, D, (GenClass.FIBER_X, GenClass.BASE))
+        assert built == [(n, D)]
+        with pytest.raises(coh.ComplexTooLarge):
+            coh.FiniteComplex(frame, D + 1, (GenClass.FIBER_X, GenClass.BASE))
+        assert built == [(n, D)]
+
+    def test_rejected_before_any_mask(self, monkeypatch):
+        # n = 10 (K = 5) has 2^20 masks at D = 0; the frame is never asked
+        # for the bidegree of one
+        frame = SemiflatPair(10).frame_x
+        monkeypatch.setattr(frame, "bidegree", None)
+        with pytest.raises(coh.ComplexTooLarge) as err:
+            coh.ty_complex(frame, 0)
+        assert str(err.value) == (
+            "the degree-0 complex on 20 generators and 10 variables would have "
+            "1048576 basis elements, past the bound 131072"
+        )
+        assert not isinstance(err.value, coh.SpanEscape)
+
+
 def flat_pair(case):
     kind, size = case
     return SemiflatPair(size) if kind == "n" else nil.semiflat_pair(size)

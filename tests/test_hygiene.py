@@ -1,6 +1,6 @@
 """Package hygiene: no unused imports in the package or the tests, nothing
-defined that nothing reaches, every export resolves, and every traced
-function exists.
+defined that nothing reaches, no environment reads, every export resolves,
+and every traced function exists.
 
 The benchmark's span table (`perfbench/spans.py` `SPANS`) names functions by
 module and attribute path.  A missing class is recorded as zero calls, but a
@@ -106,6 +106,39 @@ def test_reachability_scan_sees_an_unreached_definition():
         "cli": "@main.command('x')\ndef cmd_x(): pass\n",
     }
     assert unreached(sources) == ["a.lone", "a.shadowed", "a.f"]
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Each `os.environ`/`os.getenv` use and each import of those names from
+    os, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"from os import {a.name}") for a in node.names
+                      if a.name in ENVIRONMENT_NAMES]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_environment_reads(path):
+    # a report is a function of argv and the input files only
+    assert environment_reads(path.read_text()) == []
+
+
+def test_environment_scan_sees_each_read():
+    source = (
+        "import os\nfrom os import getenv, sep\n"
+        "a = os.environ.get('X')\nb = os.getenv('Y')\nc = os.sep\n"
+    )
+    assert environment_reads(source) == [
+        "line 2: from os import getenv", "line 3: os.environ", "line 4: os.getenv",
+    ]
 
 
 def test_every_export_resolves():

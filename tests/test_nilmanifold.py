@@ -28,14 +28,15 @@ class TestBuild:
         with pytest.raises(ValueError):
             nil.build(99)
 
-    def test_default_cap_is_five(self, monkeypatch):
+    def test_default_cap_is_five(self):
         # K=6 (n = 15) is unmeasured; K=5 finishes in well under a minute
-        monkeypatch.delenv("SYZKIT_MAX_K", raising=False)
-        with pytest.raises(ValueError, match="exceeds the configured cap 5"):
+        assert nil.MAX_K == 5
+        with pytest.raises(ValueError, match=r"K=6 is outside 2\.\.5; .* grows as 4\^n"):
             nil.build(6)
+        with pytest.raises(ValueError, match=r"K=1 is outside 2\.\.5"):
+            nil.semiflat_pair(1)
 
-    def test_no_cost_warning_at_cap(self, monkeypatch):
-        monkeypatch.delenv("SYZKIT_MAX_K", raising=False)
+    def test_no_cost_warning_at_cap(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert nil.build(5).n == 10

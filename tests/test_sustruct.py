@@ -504,6 +504,16 @@ class TestSerialization:
         assert back.Omega == su.Omega.transport(back.frame)
         assert check_iib(back).passed
 
+    @pytest.mark.parametrize("key, lengths", [
+        ("labels", "7, 6, 6"), ("classes", "6, 7, 6"), ("paired", "6, 6, 7"),
+    ])
+    def test_frame_lists_of_unequal_length_rejected(self, pair3, key, lengths):
+        # the longer list's extra entries were once dropped by zip
+        obj = iwasawa_su_iib(pair3).to_json()
+        obj["frame"][key].append(obj["frame"][key][0])
+        with pytest.raises(ValueError, match=f"'labels', 'classes' and 'paired' differ in length: {lengths}"):
+            SUStructure.from_json(obj)
+
     def test_roundtrip_iia(self, pair3):
         su = mirror_transform(pair3, iwasawa_omega_check(pair3))
         blob = json.dumps(su.to_json(), sort_keys=True)
