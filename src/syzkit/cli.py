@@ -1,9 +1,10 @@
 """Command-line driver: fixtures, verification campaigns, machine reports.
 
-Human-readable lines (including wall-clock timings) go to stdout; report and
-fixture files are canonical JSON with no timing data, so a rerun with the same
-configuration and seed is byte-identical.  Exit code 0 means every check
-passed.
+Human-readable lines (including wall-clock timings) go to stdout: the
+non-passing checks, at most MAX_SHOWN of them, then a status line with a count
+per status.  Report and fixture files are canonical JSON with every check and
+no timing data, so a rerun with the same configuration and seed is
+byte-identical.  Exit code 0 means every check passed.
 
 Every `click.echo` names `sys.stdout` as its file: without one, click caches a
 wrapper per stream that holds the stream alive, so each in-process `main` call
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -34,6 +36,10 @@ REPORT_SCHEMA = "syzkit-report-v1"
 # the largest `fm --n`: the exponentiated curvature has 2^n terms, and
 # building the pair takes about 4x longer every two ranks (0.57 s at n = 16)
 MAX_FM_RANK = 16
+
+# the most non-passing checks printed; passing ones go to the report file only,
+# so a run prints at most MAX_SHOWN + 3 lines however many checks it makes
+MAX_SHOWN = 20
 
 
 # what a structurally malformed JSON document raises while it is parsed
@@ -74,12 +80,21 @@ def _emit(report: CheckReport, out: str | None, command: str, t0: float, extra: 
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if out:
         Path(out).write_text(text)
-    for line in report.summary_lines():
-        click.echo(line, file=sys.stdout)
-    status = "ok" if report.passed else "FAILED"
-    click.echo(f"{command}: {status} ({len(report.items)} checks, {time.time() - t0:.2f}s)", file=sys.stdout)
-    if not report.passed:
-        first = next(i for i in report.items if i.status != PASS)
+    failing = [i for i in report.items if i.status != PASS]
+    for i in failing[:MAX_SHOWN]:
+        suffix = f"  [{i.witness}]" if i.witness else ""
+        click.echo(f"{i.status.upper():>12}  {i.id}{suffix}", file=sys.stdout)
+    if len(failing) > MAX_SHOWN:
+        click.echo(f"... and {len(failing) - MAX_SHOWN} more non-passing checks", file=sys.stdout)
+    status = "FAILED" if failing else "ok"
+    tally = Counter(i.status for i in report.items)
+    counts = ", ".join(f"{tally[name]} {name}" for name in sorted(tally))
+    click.echo(
+        f"{command}: {status} ({len(report.items)} checks: {counts}; {time.time() - t0:.2f}s)",
+        file=sys.stdout,
+    )
+    if failing:
+        first = failing[0]
         click.echo(f"first non-passing check: {first.id} ({first.status})", file=sys.stdout)
         sys.exit(1)
 
@@ -221,24 +236,25 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
         if which == "bc":
             cpx = cohmod.bc_complex(pair.holo_frame, degree)
             r = cohmod.bott_chern(cpx, p, q)
-            rep.add_status(f"bc-dim({p},{q})", "pass", str(r.dim))
+            dims = rep.add_status(f"bc-dim({p},{q})", "pass", str(r.dim))
             extra["cohomology"] = {"bc": r.to_json()}
         elif which == "ty":
             cpx = cohmod.ty_complex(pair.frame_x, degree)
             r = cohmod.tseng_yau(cpx, p, q)
-            rep.add_status(f"ty-dim({p},{q})", "pass", str(r.dim))
+            dims = rep.add_status(f"ty-dim({p},{q})", "pass", str(r.dim))
             extra["cohomology"] = {"ty": r.to_json()}
         else:
             ty = cohmod.ty_complex(pair.frame_x, degree)
             bc = cohmod.bc_complex(pair.holo_frame, degree)
             mrep, bc_r, ty_r = cohmod.mirror_compare(ty, bc, p, q, pair.fm_forward)
             rep.extend(mrep)
-            rep.add_status("dims", "pass", f"bc={bc_r.dim} ty={ty_r.dim}")
+            dims = rep.add_status("dims", "pass", f"bc={bc_r.dim} ty={ty_r.dim}")
             extra["cohomology"] = {"bc": bc_r.to_json(), "ty": ty_r.to_json()}
     except cohmod.SpanEscape as e:
         raise click.UsageError(f"{e}; raise --degree")
     except cohmod.ComplexTooLarge as e:
         raise click.UsageError(f"{e}; lower --degree or --K")
+    click.echo(f"{dims.id}: {dims.witness}", file=sys.stdout)
     _emit(rep, out, "cohomology", t0, extra)
 
 

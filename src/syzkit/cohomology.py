@@ -12,12 +12,15 @@ from the frame data, not by applying Form operators to the basis: d by its
 Leibniz rule on the frame's base one-forms and structure equations, Lambda as
 one signed block contraction per pair of legs i < j (the tests check them
 against a wedge-built d and two contraction-built Lambdas).  The
-composites are exact sparse products of the stored columns:
+composites are exact sparse products of the primitive columns:
 d^Lambda = d.Lambda - Lambda.d, d d^Lambda = d.d^Lambda, del and dbar are the
 (p+1,q) and (p,q+1) rows of d on the dz/dzb frame, and del-dbar = del.dbar.
 Every term of a primitive column is looked up in the basis, which proves the
 span closed, and `vectorize` is linear and injective there, so each product
 column is the vector of the composite applied to that basis element.
+Columns, kernels and the mirror comparison's transformed representatives are
+sparse vectors keyed by basis index: each representative is vectorized once,
+and only the quotients' representatives become forms again.
 A complex past MAX_BASIS basis elements is refused before it is enumerated.
 """
 
@@ -72,20 +75,15 @@ def product(*terms: tuple[int, Sequence[linalg.Vec], Sequence[linalg.Vec]]) -> l
 
 class FiniteComplex:
     """Monomial basis of invariant forms with coefficient degree <= D, with
-    the columns of d on it, and of Lambda when symplectic data is given.
+    the columns of d on it.
 
-    `images[op][i]` is the sparse vector, keyed by basis index, of op applied
-    to basis element i.  The primitive columns are built from the frame data
-    when the complex is built; the concrete complexes add each composite as an
-    exact product of them (`product`), and `apply` reads the stored columns."""
+    Every vector, column and kernel is keyed by basis index: `images[op][i]`
+    is the sparse vector of op applied to basis element i.  The columns of d
+    are built from the frame data when the complex is built, those of Lambda
+    by `lambda_columns`; the concrete complexes add each composite as an exact
+    product of them (`product`), and `apply` reads the stored columns."""
 
-    def __init__(
-        self,
-        frame: FrameSpec,
-        D: int,
-        split: tuple[GenClass, GenClass],
-        symp: Optional[SymplecticData] = None,
-    ):
+    def __init__(self, frame: FrameSpec, D: int, split: tuple[GenClass, GenClass]):
         if D < 0:
             raise ValueError("degree bound must be nonnegative")
         size = len(frame)
@@ -108,8 +106,6 @@ class FiniteComplex:
                 self.basis.append((mask, e))
         self.pos = {key: i for i, key in enumerate(self.basis)}
         self.images: dict[str, list[linalg.Vec]] = {"d": self._d_columns()}
-        if symp is not None:
-            self.images["lambda"] = self._lambda_columns(symp)
 
     # -- primitive columns ----------------------------------------------------
 
@@ -152,7 +148,7 @@ class FiniteComplex:
             cols.append(self._column(acc, "d", idx))
         return cols
 
-    def _lambda_columns(self, symp: SymplecticData) -> list[linalg.Vec]:
+    def lambda_columns(self, symp: SymplecticData) -> list[linalg.Vec]:
         """Lambda(x^e mono) = sum of a x^e i_legs mono over the blocks (legs, (a, -a))."""
         blocks = [(legs, self._exponents(a, None)) for legs, (a, _) in symp.blocks]
         cols = []
@@ -239,19 +235,23 @@ class FiniteComplex:
         bidegree = self.mask_bidegree
         return [i for i, (mask, _) in enumerate(self.basis) if bidegree[mask] == (p, q)]
 
-    def apply(self, op: str, form: Form) -> Form:
-        """op applied to a form of the span, through the stored columns."""
-        return self.form_of(product((1, self.images[op], [self.vectorize(form)]))[0])
+    def apply(self, op: str, vec: linalg.Vec) -> linalg.Vec:
+        """op applied to a vector of the span, through the stored columns."""
+        return product((1, self.images[op], [vec]))[0]
 
     def matrix_on_slot(self, op: str, from_idx: Sequence[int], to_idx: Sequence[int]) -> list[linalg.Vec]:
-        """Sparse columns, one per basis element of `from_idx`: its image
-        under op, keyed by position in `to_idx` (after checking nothing
-        leaks outside it)."""
+        """The stored columns of op on the basis elements of `from_idx`,
+        after checking that none leaks outside `to_idx`."""
         cols = [self.images[op][i] for i in from_idx]
-        at = {r: k for k, r in enumerate(to_idx)}
-        if any(r not in at for col in cols for r in col):
+        if _outside(cols, to_idx) is not None:
             raise SpanEscape(f"operator {op} leaks outside the target slot")
-        return [{at[r]: c for r, c in col.items()} for col in cols]
+        return cols
+
+
+def _outside(vecs: Sequence[linalg.Vec], slot: Sequence[int]) -> Optional[int]:
+    """The index of the first vector with an entry outside `slot`, or None."""
+    inside = set(slot)
+    return next((k for k, vec in enumerate(vecs) if not inside.issuperset(vec)), None)
 
 
 @dataclass
@@ -287,16 +287,13 @@ def _quotient_report(
         {k * size + r: c for k, op in enumerate(kernel_ops) for r, c in cpx.images[op][i].items()}
         for i in slot
     ]
-    ker = linalg.nullspace(stacked)
+    # slot is ascending, so keying by basis index keeps the elimination order
+    ker = [{slot[k]: c for k, c in vec.items()} for vec in linalg.nullspace(stacked)]
     im_cols = cpx.matrix_on_slot(image_op, cpx.slot(*image_from), slot)
     pivots = linalg.column_space_pivots(im_cols + ker)
     rank_im = sum(1 for piv in pivots if piv < len(im_cols))
     dim = len(ker) - rank_im
-    reps = [
-        cpx.form_of({slot[k]: c for k, c in ker[piv - len(im_cols)].items()})
-        for piv in pivots
-        if piv >= len(im_cols)
-    ]
+    reps = [cpx.form_of(ker[piv - len(im_cols)]) for piv in pivots if piv >= len(im_cols)]
     if len(reps) != dim:
         raise ArithmeticError("representative count disagrees with the computed dimension")
     ranks = {f"ker({'+'.join(kernel_ops)})": len(ker), f"rank({image_op})": rank_im}
@@ -343,11 +340,10 @@ def bc_complex(holo_frame: FrameSpec, D: int) -> FiniteComplex:
 def ty_complex(frame: FrameSpec, D: int) -> FiniteComplex:
     """Symplectic-side complex: d and Lambda (Darboux pairing of the x-fiber
     and base legs) applied to the basis; d^Lambda = d . Lambda - Lambda . d
-    and d d^Lambda = d . d^Lambda taken from their images.  Lambda's images
-    are kept only until then."""
-    symp = SymplecticData.darboux(frame, GenClass.FIBER_X)
-    cpx = FiniteComplex(frame, D, (GenClass.FIBER_X, GenClass.BASE), symp)
-    d, lam = cpx.images["d"], cpx.images.pop("lambda")
+    and d d^Lambda = d . d^Lambda taken from their images.  Lambda's columns
+    are not stored."""
+    cpx = FiniteComplex(frame, D, (GenClass.FIBER_X, GenClass.BASE))
+    d, lam = cpx.images["d"], cpx.lambda_columns(SymplecticData.darboux(frame, GenClass.FIBER_X))
     dl = product((1, d, lam), (-1, lam, d))
     cpx.images.update({"dlambda": dl, "ddlambda": product((1, d, dl))})
     return cpx
@@ -382,16 +378,17 @@ def mirror_compare(
 
     slot = ty.slot(n - p, q)
     im_cols = ty.matrix_on_slot("ddlambda", ty.slot(n - p + 1, q - 1), slot)
-    at = {r: k for k, r in enumerate(slot)}
     mapped_cols = []
-    for f in bc_rep.representatives:
+    for i, f in enumerate(bc_rep.representatives):
         g = transform(f)
         vec = ty.vectorize(g)
-        if any(r not in at for r in vec):
-            raise SpanEscape("transformed representative leaves the mirror slot", g)
-        rep.add(f"image-d-closed[{len(mapped_cols)}]", ty.apply("d", g).is_zero(), g)
-        rep.add(f"image-dlambda-closed[{len(mapped_cols)}]", ty.apply("dlambda", g).is_zero(), g)
-        mapped_cols.append({at[r]: c for r, c in vec.items()})
+        rep.add(f"image-d-closed[{i}]", not ty.apply("d", vec), g)
+        rep.add(f"image-dlambda-closed[{i}]", not ty.apply("dlambda", vec), g)
+        mapped_cols.append(vec)
+    leak = _outside(mapped_cols, slot)
+    if leak is not None:
+        raise SpanEscape("transformed representative leaves the mirror slot",
+                         transform(bc_rep.representatives[leak]))
     pivots = linalg.column_space_pivots(im_cols + mapped_cols)
     base_rank = sum(1 for piv in pivots if piv < len(im_cols))
     tot_rank = len(pivots)

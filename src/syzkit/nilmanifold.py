@@ -259,13 +259,10 @@ def semiflat_pair(K: int) -> SemiflatPair:
 
 @dataclass
 class MirrorArtifacts:
-    pair: SemiflatPair
     su_iib: SUStructure
     su_mirror: SUStructure
-    omega_iib: Form
     rho_a: Form
     rho_b: Form
-    ft_of_rho_a: Form
 
 
 def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
@@ -306,16 +303,7 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
     want = flux_b * (GaussianRational(2) ** (2 * n + 2))
     rep.add("flux-correspondence", ft_rho_real == want, ft_rho_real - want)
 
-    arts = MirrorArtifacts(
-        pair=pair,
-        su_iib=su_b,
-        su_mirror=su_a,
-        omega_iib=w,
-        rho_a=flux_a,
-        rho_b=flux_b,
-        ft_of_rho_a=ft_rho_real,
-    )
-    return rep, arts
+    return rep, MirrorArtifacts(su_iib=su_b, su_mirror=su_a, rho_a=flux_a, rho_b=flux_b)
 
 
 def dual_pairing_matrix(nd: NilData) -> list[list[Poly]]:

@@ -50,13 +50,6 @@ class CheckReport:
     def passed(self) -> bool:
         return all(i.status == PASS for i in self.items)
 
-    def summary_lines(self) -> list[str]:
-        lines = []
-        for i in self.items:
-            suffix = f"  [{i.witness}]" if i.witness else ""
-            lines.append(f"{i.status.upper():>12}  {i.id}{suffix}")
-        return lines
-
 
 def _render(witness) -> Optional[str]:
     if witness is None:

@@ -376,7 +376,9 @@ def mirror_transform(pair: SemiflatPair, omega_check: Form) -> SUStructure:
                 raise ValueError("coefficient matrix is not symmetric")
     det = linalg.poly_det(mu)
     if det.is_zero():
-        raise ValueError("degenerate coefficient matrix: the one-forms are dependent")
+        # each factor dth_a + i mu_a.dr has its own dth_a leg, so the factors
+        # are independent for every mu; det mu = 0 is a degenerate omega_check
+        raise ValueError("omega_check is degenerate: its coefficient matrix has determinant 0")
 
     factors = []
     for a in range(n):

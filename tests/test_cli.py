@@ -3,7 +3,9 @@ import gc
 import hashlib
 import io
 import json
+import re
 import sys
+import time
 import weakref
 
 import pytest
@@ -14,6 +16,7 @@ from syzkit.cli import main
 from syzkit.coeffring import I, Poly
 from syzkit.exterior import Form
 from syzkit.fourier import SemiflatPair
+from syzkit.reports import UNDETERMINED, CheckReport
 from syzkit.sustruct import SUStructure
 
 
@@ -498,6 +501,42 @@ class TestCohomologyCommand:
         )
         assert res.exit_code == 0, res.output
         assert "bc=9 ty=9" in res.output
+
+    def test_passing_run_prints_constant_lines(self, runner):
+        # 59 passing checks: they stay in the report, stdout has the
+        # dimensions and the status line
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "3", "--which", "mirror", "--p", "1", "--q", "1", "--degree", "2"],
+        )
+        assert res.exit_code == 0, res.output
+        lines = res.output.splitlines()
+        assert len(lines) == 2
+        assert lines[0] == "dims: bc=28 ty=28"
+        assert re.fullmatch(r"cohomology: ok \(59 checks: 59 pass; [0-9.]+s\)", lines[1])
+
+
+class TestEmit:
+    def test_non_passing_checks_capped(self, capsys):
+        rep = CheckReport("many")
+        for k in range(cli.MAX_SHOWN + 5):
+            rep.add(f"bad[{k}]", False, k)
+        rep.add("good", True)
+        rep.add_status("open", UNDETERMINED)
+        with pytest.raises(SystemExit) as err:
+            cli._emit(rep, None, "many", time.time())
+        assert err.value.code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == cli.MAX_SHOWN + 3
+        assert lines[0] == "        FAIL  bad[0]  [0]"
+        assert lines[cli.MAX_SHOWN - 1] == f"        FAIL  bad[{cli.MAX_SHOWN - 1}]  [{cli.MAX_SHOWN - 1}]"
+        assert lines[cli.MAX_SHOWN] == "... and 6 more non-passing checks"
+        assert re.fullmatch(
+            rf"many: FAILED \({cli.MAX_SHOWN + 7} checks: {cli.MAX_SHOWN + 5} fail, 1 pass, "
+            r"1 undetermined; [0-9.]+s\)",
+            lines[-2],
+        )
+        assert lines[-1] == "first non-passing check: bad[0] (fail)"
 
 
 class TestEmbeddedCalls:

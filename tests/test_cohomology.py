@@ -30,17 +30,17 @@ class TestComplexConstruction:
         ty = coh.ty_complex(pair2.frame_x, 1)
         for cpx, ops in ((bc, ["d", "deldbar"]), (ty, ["d", "dlambda", "ddlambda"])):
             for i in range(len(cpx.basis)):
-                f = cpx.basis_form(i)
-                assert cpx.apply("d", cpx.apply("d", f)).is_zero()
+                v = cpx.vectorize(cpx.basis_form(i))
+                assert cpx.apply("d", cpx.apply("d", v)) == {}
         for i in range(len(bc.basis)):
-            f = bc.basis_form(i)
-            assert bc.apply("deldbar", bc.apply("deldbar", f)).is_zero()
-            assert bc.apply("d", bc.apply("deldbar", f)).is_zero()
+            v = bc.vectorize(bc.basis_form(i))
+            assert bc.apply("deldbar", bc.apply("deldbar", v)) == {}
+            assert bc.apply("d", bc.apply("deldbar", v)) == {}
         for i in range(len(ty.basis)):
-            f = ty.basis_form(i)
-            assert ty.apply("dlambda", ty.apply("dlambda", f)).is_zero()
-            assert ty.apply("d", ty.apply("ddlambda", f)).is_zero()
-            assert ty.apply("dlambda", ty.apply("ddlambda", f)).is_zero()
+            v = ty.vectorize(ty.basis_form(i))
+            assert ty.apply("dlambda", ty.apply("dlambda", v)) == {}
+            assert ty.apply("d", ty.apply("ddlambda", v)) == {}
+            assert ty.apply("dlambda", ty.apply("ddlambda", v)) == {}
 
     def test_vectorize_roundtrip(self, pair2):
         ty = coh.ty_complex(pair2.frame_x, 1)
@@ -140,13 +140,14 @@ def flat_pair(case):
 
 
 def assert_columns_match_oracle(frame, D, split, symp):
-    cpx = coh.FiniteComplex(frame, D, split, symp)
+    cpx = coh.FiniteComplex(frame, D, split)
+    lam_cols = cpx.lambda_columns(symp)
     for i in range(len(cpx.basis)):
         f = cpx.basis_form(i)
         assert cpx.images["d"][i] == cpx.vectorize(exterior_d_by_wedging(f)), (D, cpx.basis[i])
         lam = dual_lefschetz_by_contraction(f, symp)
-        assert cpx.images["lambda"][i] == cpx.vectorize(lam), (D, cpx.basis[i])
-        assert cpx.images["lambda"][i] == cpx.vectorize(dual_lefschetz_by_halved_entries(f, symp))
+        assert lam_cols[i] == cpx.vectorize(lam), (D, cpx.basis[i])
+        assert lam_cols[i] == cpx.vectorize(dual_lefschetz_by_halved_entries(f, symp))
 
 
 def holo_of_nil_frame(nd):
@@ -198,8 +199,8 @@ class TestPrimitiveColumns:
             pairing[f][b] = pairing[b][f] = Poly.variable("r1")
         symp = SymplecticData(x, SymplecticData.darboux(x).omega, pairing)
         assert_columns_match_oracle(x, 1, (GenClass.FIBER_X, GenClass.BASE), symp)
-        cpx = coh.FiniteComplex(x, 1, (GenClass.FIBER_X, GenClass.BASE), symp)
-        assert all(col == {} for col in cpx.images["lambda"])
+        cpx = coh.FiniteComplex(x, 1, (GenClass.FIBER_X, GenClass.BASE))
+        assert all(col == {} for col in cpx.lambda_columns(symp))
 
     def test_missing_pairing_rejected(self, pair1):
         # the dz/dzb frame has no x-fiber legs to pair with its base legs
@@ -339,7 +340,28 @@ class TestFlatPairNilLabelsRegression:
         r = coh.bott_chern(bc, 1, 1)
         assert len(r.representatives) == r.dim
         for f in r.representatives:
-            assert bc.apply("d", f).is_zero()
+            assert bc.apply("d", bc.vectorize(f)) == {}
+
+    def test_each_representative_vectorized_once(self, flat_k3_setting, monkeypatch):
+        # the transformed representatives stay vectors: one vectorize each,
+        # and only the two quotients' representatives become forms
+        _, pair = flat_k3_setting
+        bc = coh.bc_complex(pair.holo_frame, 1)
+        ty = coh.ty_complex(pair.frame_x, 1)
+        calls = {"vectorize": 0, "form_of": 0}
+
+        def counting(name, fn):
+            def wrapped(self, *args):
+                calls[name] += 1
+                return fn(self, *args)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(coh.FiniteComplex, name, counting(name, getattr(coh.FiniteComplex, name)))
+        rep, bcr, tyr = coh.mirror_compare(ty, bc, 1, 1, pair.fm_forward)
+        assert rep.passed and bcr.dim == tyr.dim == 19
+        assert calls == {"vectorize": bcr.dim, "form_of": bcr.dim + tyr.dim}
 
     def test_involution_on_representatives(self, flat_k3_setting):
         nd, pair = flat_k3_setting

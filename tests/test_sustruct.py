@@ -445,7 +445,7 @@ class TestMirrorTransform:
         w = Form.monomial(pair2.frame_xc, ["dtc1", "dr1"]) + Form.monomial(
             pair2.frame_xc, ["dtc2", "dr2"], Poly()
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="omega_check is degenerate: .* determinant 0"):
             mirror_transform(pair2, w)
 
     def test_asymmetric_mu_rejected(self, pair2):
