@@ -18,6 +18,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -67,19 +68,23 @@ def _malformed(path: str, what: str, e: Exception) -> click.UsageError:
     return click.UsageError(f"{path}: malformed {what}: {cause}")
 
 
-def _emit(report: CheckReport, out: str | None, command: str, t0: float, extra: dict | None = None) -> None:
-    doc = {
-        "schema": REPORT_SCHEMA,
-        "command": command,
-        "config": report.config,
-        "checks": [i.to_json() for i in report.items],
-        "passed": report.passed,
-    }
-    if extra:
-        doc.update(extra)
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def _emit(
+    report: CheckReport, out: str | None, command: str, t0: float, extra: Callable[[], dict] | None = None
+) -> None:
+    """Write the report document to `out`, if given, and print the summary.
+    `extra` gives the command's own top-level keys; like the rest of the
+    document, it is built only when the document is written."""
     if out:
-        Path(out).write_text(text)
+        doc = {
+            "schema": REPORT_SCHEMA,
+            "command": command,
+            "config": report.config,
+            "checks": [i.to_json() for i in report.items],
+            "passed": report.passed,
+        }
+        if extra:
+            doc.update(extra())
+        Path(out).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     failing = [i for i in report.items if i.status != PASS]
     for i in failing[:MAX_SHOWN]:
         suffix = f"  [{i.witness}]" if i.witness else ""
@@ -220,8 +225,9 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
     semi-flat pair, written with the size-K family's variable names, at
     coefficient degree <= degree.  This is not the nilmanifold's cohomology:
     the dimensions are per-degree data and grow with the degree.  A complex
-    has 4^n C(n + degree, degree) basis elements; past 2^17 it is a usage
-    error."""
+    has 4^n C(n + degree, degree) basis elements, and a query builds the
+    columns of the few bidegree slots it reads; past 2^17 of them it is a
+    usage error."""
     t0 = time.time()
     pair = nil.semiflat_pair(k)
     for name, v in (("--p", p), ("--q", q)):
@@ -231,31 +237,30 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
         "K": k, "side": {"bc": "xcheck", "ty": "x"}.get(which, "both"), "which": which,
         "p": p, "q": q, "D": degree,
     })
-    extra: dict = {}
     try:
         if which == "bc":
             cpx = cohmod.bc_complex(pair.holo_frame, degree)
             r = cohmod.bott_chern(cpx, p, q)
             dims = rep.add_status(f"bc-dim({p},{q})", "pass", str(r.dim))
-            extra["cohomology"] = {"bc": r.to_json()}
+            quotients = {"bc": r}
         elif which == "ty":
             cpx = cohmod.ty_complex(pair.frame_x, degree)
             r = cohmod.tseng_yau(cpx, p, q)
             dims = rep.add_status(f"ty-dim({p},{q})", "pass", str(r.dim))
-            extra["cohomology"] = {"ty": r.to_json()}
+            quotients = {"ty": r}
         else:
             ty = cohmod.ty_complex(pair.frame_x, degree)
             bc = cohmod.bc_complex(pair.holo_frame, degree)
             mrep, bc_r, ty_r = cohmod.mirror_compare(ty, bc, p, q, pair.fm_forward)
             rep.extend(mrep)
             dims = rep.add_status("dims", "pass", f"bc={bc_r.dim} ty={ty_r.dim}")
-            extra["cohomology"] = {"bc": bc_r.to_json(), "ty": ty_r.to_json()}
+            quotients = {"bc": bc_r, "ty": ty_r}
     except cohmod.SpanEscape as e:
         raise click.UsageError(f"{e}; raise --degree")
     except cohmod.ComplexTooLarge as e:
-        raise click.UsageError(f"{e}; lower --degree or --K")
+        raise click.UsageError(f"{e}; lower --degree or --K, or choose another --p and --q")
     click.echo(f"{dims.id}: {dims.witness}", file=sys.stdout)
-    _emit(rep, out, "cohomology", t0, extra)
+    _emit(rep, out, "cohomology", t0, lambda: {"cohomology": {k: r.to_json() for k, r in quotients.items()}})
 
 
 @main.command("proptest")

@@ -6,6 +6,11 @@ so the span closes.  Ranks and kernels come from the deterministic exact
 elimination in `linalg`; dimensions at a given degree bound are reported as
 such (per-D data, no asymptotic claims).
 
+The basis is never enumerated.  Basis element i is the generator mask i // E
+times the coefficient monomial exps[i % E], where E = len(exps), so the index
+of (mask, e) is mask * E plus the position of e in exps, and a bidegree slot
+is generated from combinations of the two classes' generators.
+
 Only the primitive operators get columns of their own: d on both sides, and
 the dual Lefschetz operator Lambda on the symplectic side.  They are built
 from the frame data, not by applying Form operators to the basis: d by its
@@ -15,21 +20,28 @@ against a wedge-built d and two contraction-built Lambdas).  The
 composites are exact sparse products of the primitive columns:
 d^Lambda = d.Lambda - Lambda.d, d d^Lambda = d.d^Lambda, del and dbar are the
 (p+1,q) and (p,q+1) rows of d on the dz/dzb frame, and del-dbar = del.dbar.
-Every term of a primitive column is looked up in the basis, which proves the
-span closed, and `vectorize` is linear and injective there, so each product
-column is the vector of the composite applied to that basis element.
+Every term of a primitive column is looked up in the basis, which proves that
+column inside the span, and `vectorize` is linear and injective there, so each
+product column is the vector of the composite applied to that basis element.
+
+Every column is built the first time it is read, so a query builds only the
+columns of the slots it reads.  A column that no query reads is never built,
+so a span escape there is never checked.  MAX_BASIS bounds the basis elements
+whose columns one query reads on one complex; that count comes from the slot
+sizes and the bidegree steps of the primitives, before any column is built.
 Columns, kernels and the mirror comparison's transformed representatives are
 sparse vectors keyed by basis index: each representative is vectorized once,
 and only the quotients' representatives become forms again.
-A complex past MAX_BASIS basis elements is refused before it is enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 from math import comb
 from operator import add
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import linalg
 from .coeffring import GaussianRational, ONE, Poly, _accumulate, exponent_vectors
@@ -38,14 +50,16 @@ from .calculus import HOLO_SPLIT, SymplecticData
 from .reports import CheckReport
 
 Key = tuple[int, tuple[int, ...]]  # a basis monomial: (generator mask, coefficient exponents)
+Bidegree = tuple[int, int]
 
-# the most basis elements a complex may have, 2^(frame size) * C(variables + D, D):
-# the largest admitted one takes at most 11.2 s on a 2-vCPU machine (README)
+# the most basis elements whose columns one query reads on one complex: the
+# slowest admitted query measured, K = 5 (3,4) at D = 0, takes about 13 s on a
+# 2-vCPU machine (README)
 MAX_BASIS = 1 << 17
 
 
 class ComplexTooLarge(ValueError):
-    """A complex would have more than MAX_BASIS basis elements."""
+    """A query would read the columns of more than MAX_BASIS basis elements."""
 
 
 class SpanEscape(ValueError):
@@ -73,102 +87,72 @@ def product(*terms: tuple[int, Sequence[linalg.Vec], Sequence[linalg.Vec]]) -> l
     return out
 
 
-class FiniteComplex:
-    """Monomial basis of invariant forms with coefficient degree <= D, with
-    the columns of d on it.
-
-    Every vector, column and kernel is keyed by basis index: `images[op][i]`
-    is the sparse vector of op applied to basis element i.  The columns of d
-    are built from the frame data when the complex is built, those of Lambda
-    by `lambda_columns`; the concrete complexes add each composite as an exact
-    product of them (`product`), and `apply` reads the stored columns."""
+class MonomialBasis:
+    """The monomials x^e mono of a complex, with coefficient degree <= D,
+    indexed by arithmetic: element i is (i // E, exps[i % E]), E = len(exps),
+    with `exps` in degree-then-lex order."""
 
     def __init__(self, frame: FrameSpec, D: int, split: tuple[GenClass, GenClass]):
-        if D < 0:
-            raise ValueError("degree bound must be nonnegative")
-        size = len(frame)
-        self.vars = tuple(sorted(frame.base_vars))
-        count = (1 << size) * comb(len(self.vars) + D, D)
-        if count > MAX_BASIS:
-            raise ComplexTooLarge(
-                f"the degree-{D} complex on {size} generators and {len(self.vars)} variables "
-                f"would have {count} basis elements, past the bound {MAX_BASIS}"
-            )
         self.frame = frame
         self.D = D
         self.split = split
-        self.exps = exponent_vectors(len(self.vars), D)
-        self.basis: list[Key] = []
-        # the (p, q) bidegree of every generator mask, indexed by the mask
-        self.mask_bidegree = [frame.bidegree(mask, split) for mask in range(1 << size)]
-        for mask in range(1 << size):
-            for e in self.exps:
-                self.basis.append((mask, e))
-        self.pos = {key: i for i, key in enumerate(self.basis)}
-        self.images: dict[str, list[linalg.Vec]] = {"d": self._d_columns()}
+        self.vars = tuple(sorted(frame.base_vars))
+        self.E = comb(len(self.vars) + D, D)
+        self.size = self.E << len(frame)
+        self.classes = [frame.gens_of_class(cls) for cls in split]
+        self.class_masks = [frame.class_mask(cls) for cls in split]
 
-    # -- primitive columns ----------------------------------------------------
+    # the monomials are listed when a column or a vector first needs them, so
+    # a query refused by its size never lists them
+    @cached_property
+    def exps(self) -> list[tuple[int, ...]]:
+        return exponent_vectors(len(self.vars), self.D)
 
-    def _d_columns(self) -> list[linalg.Vec]:
-        """d(x^e mono) = sum_v e_v x^(e - 1_v) dv ^ mono
-        + sum_(i in mono) (-1)^(legs of mono below i) x^e d(gen_i) ^ (mono - i)."""
-        frame = self.frame
-        dvar = []
-        for v in self.vars:
-            dv = frame.base_one_form(v)
-            dvar.append(None if dv is None else self._flatten(dv))
-        dgen = []
-        for i in range(len(frame)):
-            dg = frame.d_of_generator(i)
-            dgen.append(() if dg is None else self._flatten(dg))
-        cols = []
-        for idx, (mask, e) in enumerate(self.basis):
-            acc: dict[Key, GaussianRational] = {}
-            for k, ek in enumerate(e):
-                if not ek:
-                    continue
-                terms = dvar[k]
-                if terms is None:
-                    raise FrameMismatch(f"no one-form paired with base variable {self.vars[k]!r}")
-                low = e[:k] + (ek - 1,) + e[k + 1:]
-                for m, f, c in terms:
-                    if m & mask:
-                        continue
-                    key = (m | mask, tuple(map(add, low, f)))
-                    _accumulate(acc, key, c * ek if koszul_sign(m, mask) > 0 else c * -ek)
-            for i in bits(mask):
-                terms = dgen[i]
-                rest = mask ^ (1 << i)
-                sign = koszul_sign(1 << i, rest)
-                for m, f, c in terms:
-                    if m & rest:
-                        continue
-                    key = (m | rest, tuple(map(add, e, f)))
-                    _accumulate(acc, key, c if koszul_sign(m, rest) == sign else -c)
-            cols.append(self._column(acc, "d", idx))
-        return cols
+    @cached_property
+    def exp_index(self) -> dict[tuple[int, ...], int]:
+        return {e: k for k, e in enumerate(self.exps)}
 
-    def lambda_columns(self, symp: SymplecticData) -> list[linalg.Vec]:
-        """Lambda(x^e mono) = sum of a x^e i_legs mono over the blocks (legs, (a, -a))."""
-        blocks = [(legs, self._exponents(a, None)) for legs, (a, _) in symp.blocks]
-        cols = []
-        for idx, (mask, e) in enumerate(self.basis):
-            acc: dict[Key, GaussianRational] = {}
-            for legs, terms in blocks:
-                if mask & legs != legs:
-                    continue
-                rest = mask ^ legs
-                positive = koszul_sign(legs, rest) > 0
-                for f, c in terms:
-                    _accumulate(acc, (rest, tuple(map(add, e, f))), c if positive else -c)
-            cols.append(self._column(acc, "lambda", idx))
-        return cols
+    def __len__(self) -> int:
+        return self.size
 
-    def _flatten(self, form: Form) -> list[tuple[int, tuple[int, ...], GaussianRational]]:
-        """The terms of a frame-data form as (mask, exponents over vars, coefficient)."""
-        return [(mask, e, c) for mask, poly in form.terms.items() for e, c in self._exponents(poly, form)]
+    def __getitem__(self, i: int) -> Key:
+        if not 0 <= i < self.size:
+            raise IndexError("basis index out of range")
+        mask, k = divmod(i, self.E)
+        return mask, self.exps[k]
 
-    def _exponents(self, poly: Poly, witness: Optional[Form]):
+    def bidegree(self, i: int) -> Optional[Bidegree]:
+        return self.frame.bidegree(i // self.E, self.split)
+
+    def step(self, mask: int) -> Bidegree:
+        """The legs of `mask` in each class of the split."""
+        m1, m2 = self.class_masks
+        return (mask & m1).bit_count(), (mask & m2).bit_count()
+
+    def slot(self, p: int, q: int) -> list[int]:
+        """The indices of bidegree (p, q), ascending."""
+        if p < 0 or q < 0:
+            return []
+        a, b = self.classes
+        masks = sorted(
+            sum(1 << g for g in ga + gb) for ga in combinations(a, p) for gb in combinations(b, q)
+        )
+        E = self.E
+        return [mask * E + k for mask in masks for k in range(E)]
+
+    def slot_size(self, p: int, q: int) -> int:
+        if p < 0 or q < 0:
+            return 0
+        a, b = self.classes
+        return comb(len(a), p) * comb(len(b), q) * self.E
+
+    def covered(self) -> bool:
+        """Whether every generator lies in a class of the split, so that the
+        slots partition the basis."""
+        m1, m2 = self.class_masks
+        return m1 | m2 == (1 << len(self.frame)) - 1
+
+    def exponents(self, poly: Poly, witness: Optional[Form]):
         """The terms of `poly` with exponent vectors over `self.vars`; a
         variable outside them with a nonzero exponent is a SpanEscape."""
         if poly.vars == self.vars:
@@ -185,20 +169,221 @@ class FiniteComplex:
             out.append((tuple(e), c))
         return out
 
-    def _column(self, acc: Mapping[Key, GaussianRational], op: str, idx: int) -> linalg.Vec:
+    def column(self, acc: Mapping[Key, GaussianRational], op: str, idx: int) -> linalg.Vec:
         """The sparse vector of an image given by its (mask, exponent) terms;
         a nonzero term outside the basis is a SpanEscape."""
+        exp_index, E = self.exp_index, self.E
         col: linalg.Vec = {}
-        for key, c in acc.items():
-            r = self.pos.get(key)
-            if r is None:
+        for (mask, e), c in acc.items():
+            k = exp_index.get(e)
+            if k is None:
                 raise SpanEscape(
-                    f"{op} of basis element {idx}: a term of coefficient degree {sum(key[1])} "
+                    f"{op} of basis element {idx}: a term of coefficient degree {sum(e)} "
                     f"escapes the degree-{self.D} span",
-                    self._form_of_keys(acc),
+                    self.form(acc),
                 )
-            col[r] = c
+            col[mask * E + k] = c
         return col
+
+    def form(self, coeffs: Mapping[Key, GaussianRational]) -> Form:
+        terms: dict[int, dict[tuple[int, ...], GaussianRational]] = {}
+        for (mask, e), c in coeffs.items():
+            terms.setdefault(mask, {})[e] = c
+        return Form(self.frame, {mask: Poly(self.vars, t) for mask, t in terms.items()})
+
+
+# -- columns built on first read ----------------------------------------------
+#
+# Each mapping holds the basis and the mappings it reads, never the complex,
+# so a complex is freed as soon as its last reference goes.
+
+
+class Columns(dict):
+    """Sparse columns keyed by basis index, each built the first time it is
+    read.  `steps` holds every bidegree step from a basis element to the rows
+    of its column."""
+
+    steps: frozenset[Bidegree]
+
+    def reads(self, at: Bidegree) -> set[Bidegree]:
+        """The bidegrees whose columns are read to build the columns at `at`."""
+        return {at}
+
+
+class DColumns(Columns):
+    """d(x^e mono) = sum_v e_v x^(e - 1_v) dv ^ mono
+    + sum_(i in mono) (-1)^(legs of mono below i) x^e d(gen_i) ^ (mono - i)."""
+
+    def __init__(self, basis: MonomialBasis):
+        super().__init__()
+        frame = basis.frame
+        self.basis = basis
+        self.dvar = []
+        for v in basis.vars:
+            dv = frame.base_one_form(v)
+            self.dvar.append(None if dv is None else _flatten(basis, dv))
+        self.dgen = []
+        for i in range(len(frame)):
+            dg = frame.d_of_generator(i)
+            self.dgen.append(() if dg is None else _flatten(basis, dg))
+        step = basis.step
+        steps = {step(m) for terms in self.dvar if terms for m, _, _ in terms}
+        for i, terms in enumerate(self.dgen):
+            p, q = step(1 << i)
+            steps.update((a - p, b - q) for a, b in (step(m) for m, _, _ in terms))
+        self.steps = frozenset(steps)
+
+    def __missing__(self, idx: int) -> linalg.Vec:
+        basis = self.basis
+        mask, e = basis[idx]
+        acc: dict[Key, GaussianRational] = {}
+        for k, ek in enumerate(e):
+            if not ek:
+                continue
+            terms = self.dvar[k]
+            if terms is None:
+                raise FrameMismatch(f"no one-form paired with base variable {basis.vars[k]!r}")
+            low = e[:k] + (ek - 1,) + e[k + 1:]
+            for m, f, c in terms:
+                if m & mask:
+                    continue
+                key = (m | mask, tuple(map(add, low, f)))
+                _accumulate(acc, key, c * ek if koszul_sign(m, mask) > 0 else c * -ek)
+        for i in bits(mask):
+            terms = self.dgen[i]
+            rest = mask ^ (1 << i)
+            sign = koszul_sign(1 << i, rest)
+            for m, f, c in terms:
+                if m & rest:
+                    continue
+                key = (m | rest, tuple(map(add, e, f)))
+                _accumulate(acc, key, c if koszul_sign(m, rest) == sign else -c)
+        col = self[idx] = basis.column(acc, "d", idx)
+        return col
+
+
+class LambdaColumns(Columns):
+    """Lambda(x^e mono) = sum of a x^e i_legs mono over the blocks (legs, (a, -a))."""
+
+    def __init__(self, basis: MonomialBasis, symp: SymplecticData):
+        super().__init__()
+        self.basis = basis
+        self.blocks = [(legs, basis.exponents(a, None)) for legs, (a, _) in symp.blocks]
+        self.steps = frozenset((-p, -q) for p, q in (basis.step(legs) for legs, _ in self.blocks))
+
+    def __missing__(self, idx: int) -> linalg.Vec:
+        mask, e = self.basis[idx]
+        acc: dict[Key, GaussianRational] = {}
+        for legs, terms in self.blocks:
+            if mask & legs != legs:
+                continue
+            rest = mask ^ legs
+            positive = koszul_sign(legs, rest) > 0
+            for f, c in terms:
+                _accumulate(acc, (rest, tuple(map(add, e, f))), c if positive else -c)
+        col = self[idx] = self.basis.column(acc, "lambda", idx)
+        return col
+
+
+class RowsOfD(Columns):
+    """The rows of each column of d one bidegree step away, (1, 0) for del
+    and (0, 1) for dbar.  A row at any other step than those two means d
+    leaves the adjacent bidegrees, so the basis is not integrable."""
+
+    def __init__(self, d: DColumns, step: Bidegree):
+        super().__init__()
+        self.d, self.step = d, step
+        self.steps = frozenset([step])
+
+    def __missing__(self, idx: int) -> linalg.Vec:
+        bidegree = self.d.basis.bidegree
+        p, q = bidegree(idx)
+        want = (p + self.step[0], q + self.step[1])
+        adjacent = ((p + 1, q), (p, q + 1))
+        col: linalg.Vec = {}
+        for r, c in self.d[idx].items():
+            at = bidegree(r)
+            if at == want:
+                col[r] = c
+            elif at not in adjacent:
+                raise BasisChangeError("d leaves the adjacent bidegrees; basis not integrable")
+        self[idx] = col
+        return col
+
+    def reads(self, at: Bidegree) -> set[Bidegree]:
+        return self.d.reads(at)
+
+
+class ProductColumns(Columns):
+    """The sum of sign * (outer . inner) over the terms (sign, outer, inner),
+    one column at a time, accumulated as `product` accumulates it."""
+
+    def __init__(self, *terms: tuple[int, Columns, Columns]):
+        super().__init__()
+        self.terms = terms
+        self.steps = frozenset(
+            (a + c, b + d) for _, outer, inner in terms for a, b in inner.steps for c, d in outer.steps
+        )
+
+    def __missing__(self, idx: int) -> linalg.Vec:
+        col = self[idx] = product(*((sign, outer, [inner[idx]]) for sign, outer, inner in self.terms))[0]
+        return col
+
+    def reads(self, at: Bidegree) -> set[Bidegree]:
+        out = set()
+        for _, outer, inner in self.terms:
+            out |= inner.reads(at)
+            for a, b in inner.steps:
+                out |= outer.reads((at[0] + a, at[1] + b))
+        return out
+
+
+def _flatten(basis: MonomialBasis, form: Form) -> list[tuple[int, tuple[int, ...], GaussianRational]]:
+    """The terms of a frame-data form as (mask, exponents over vars, coefficient)."""
+    return [(mask, e, c) for mask, poly in form.terms.items() for e, c in basis.exponents(poly, form)]
+
+
+class FiniteComplex:
+    """Monomial basis of invariant forms with coefficient degree <= D, with
+    the columns of d on it.
+
+    Every vector, column and kernel is keyed by basis index: `images[op][i]`
+    is the sparse vector of op applied to basis element i, built when it is
+    first read.  The concrete complexes add Lambda (`lambda_columns`) and the
+    composites, and `apply` reads the columns."""
+
+    def __init__(self, frame: FrameSpec, D: int, split: tuple[GenClass, GenClass]):
+        if D < 0:
+            raise ValueError("degree bound must be nonnegative")
+        self.frame = frame
+        self.D = D
+        self.split = split
+        self.basis = MonomialBasis(frame, D, split)
+        self.vars = self.basis.vars
+        self.images: dict[str, Columns] = {"d": DColumns(self.basis)}
+
+    def lambda_columns(self, symp: SymplecticData) -> LambdaColumns:
+        return LambdaColumns(self.basis, symp)
+
+    def admit(self, reads: Iterable[tuple[str, Bidegree]]) -> int:
+        """The number of basis elements whose columns are built to read the
+        columns of each (op, bidegree) slot in `reads`; past MAX_BASIS it is
+        a ComplexTooLarge, raised before any column is built."""
+        basis = self.basis
+        if basis.covered():
+            at: set[Bidegree] = set()
+            for op, pq in reads:
+                at |= self.images[op].reads(pq)
+            count = sum(basis.slot_size(*pq) for pq in at)
+        else:
+            count = len(basis)
+        if count > MAX_BASIS:
+            raise ComplexTooLarge(
+                f"the query would build the columns of {count} basis elements of the degree-{self.D} "
+                f"complex on {len(self.frame)} generators and {len(self.vars)} variables, "
+                f"past the bound {MAX_BASIS}"
+            )
+        return count
 
     # -- vectorization -------------------------------------------------------
 
@@ -208,50 +393,40 @@ class FiniteComplex:
 
     def vectorize(self, form: Form) -> linalg.Vec:
         """The sparse vector of `form`, keyed by basis index."""
+        basis = self.basis
+        exp_index, E = basis.exp_index, basis.E
         v: linalg.Vec = {}
         for mask, poly in form.terms.items():
-            for e, c in self._exponents(poly, form):
-                i = self.pos.get((mask, e))
-                if i is None:
+            for e, c in basis.exponents(poly, form):
+                k = exp_index.get(e)
+                if k is None:
                     raise SpanEscape(
                         f"term of coefficient degree {sum(e)} escapes the degree-{self.D} span",
                         form,
                     )
-                v[i] = c
+                v[mask * E + k] = c
         return v
 
     def form_of(self, vec: Mapping[int, GaussianRational]) -> Form:
-        return self._form_of_keys({self.basis[i]: vec[i] for i in sorted(vec)})
-
-    def _form_of_keys(self, coeffs: Mapping[Key, GaussianRational]) -> Form:
-        terms: dict[int, dict[tuple[int, ...], GaussianRational]] = {}
-        for (mask, e), c in coeffs.items():
-            terms.setdefault(mask, {})[e] = c
-        return Form(self.frame, {mask: Poly(self.vars, t) for mask, t in terms.items()})
+        return self.basis.form({self.basis[i]: vec[i] for i in sorted(vec)})
 
     # -- structure ------------------------------------------------------------
 
     def slot(self, p: int, q: int) -> list[int]:
-        bidegree = self.mask_bidegree
-        return [i for i, (mask, _) in enumerate(self.basis) if bidegree[mask] == (p, q)]
+        return self.basis.slot(p, q)
 
     def apply(self, op: str, vec: linalg.Vec) -> linalg.Vec:
-        """op applied to a vector of the span, through the stored columns."""
+        """op applied to a vector of the span, through the columns."""
         return product((1, self.images[op], [vec]))[0]
 
     def matrix_on_slot(self, op: str, from_idx: Sequence[int], to_idx: Sequence[int]) -> list[linalg.Vec]:
-        """The stored columns of op on the basis elements of `from_idx`,
-        after checking that none leaks outside `to_idx`."""
+        """The columns of op on the basis elements of `from_idx`, after
+        checking that none leaks outside `to_idx`."""
         cols = [self.images[op][i] for i in from_idx]
-        if _outside(cols, to_idx) is not None:
+        inside = set(to_idx)
+        if not all(inside.issuperset(col) for col in cols):
             raise SpanEscape(f"operator {op} leaks outside the target slot")
         return cols
-
-
-def _outside(vecs: Sequence[linalg.Vec], slot: Sequence[int]) -> Optional[int]:
-    """The index of the first vector with an entry outside `slot`, or None."""
-    inside = set(slot)
-    return next((k for k, vec in enumerate(vecs) if not inside.issuperset(vec)), None)
 
 
 @dataclass
@@ -272,14 +447,23 @@ class CohomologyReport:
         }
 
 
-def _quotient_report(
-    cpx: FiniteComplex,
-    p: int,
-    q: int,
-    kernel_ops: Sequence[str],
-    image_op: str,
-    image_from: tuple[int, int],
-) -> CohomologyReport:
+# a quotient at (p, q): the operators whose kernel it takes on the (p, q) slot,
+# the operator whose image it divides by, and the step from (p, q) to the slot
+# that image arrives from
+Quotient = tuple[tuple[str, ...], str, Bidegree]
+BOTT_CHERN: Quotient = (("d",), "deldbar", (-1, -1))
+TSENG_YAU: Quotient = (("d", "dlambda"), "ddlambda", (1, -1))
+
+
+def quotient_reads(quotient: Quotient, p: int, q: int) -> list[tuple[str, Bidegree]]:
+    """The (operator, bidegree) slots whose columns the quotient at (p, q) reads."""
+    kernel_ops, image_op, (dp, dq) = quotient
+    return [(op, (p, q)) for op in kernel_ops] + [(image_op, (p + dp, q + dq))]
+
+
+def _quotient_report(cpx: FiniteComplex, quotient: Quotient, p: int, q: int) -> CohomologyReport:
+    cpx.admit(quotient_reads(quotient, p, q))
+    kernel_ops, image_op, (dp, dq) = quotient
     slot = cpx.slot(p, q)
     # one column per slot element: its images under every kernel operator, stacked
     size = len(cpx.basis)
@@ -289,7 +473,7 @@ def _quotient_report(
     ]
     # slot is ascending, so keying by basis index keeps the elimination order
     ker = [{slot[k]: c for k, c in vec.items()} for vec in linalg.nullspace(stacked)]
-    im_cols = cpx.matrix_on_slot(image_op, cpx.slot(*image_from), slot)
+    im_cols = cpx.matrix_on_slot(image_op, cpx.slot(p + dp, q + dq), slot)
     pivots = linalg.column_space_pivots(im_cols + ker)
     rank_im = sum(1 for piv in pivots if piv < len(im_cols))
     dim = len(ker) - rank_im
@@ -303,61 +487,36 @@ def _quotient_report(
 # -- concrete complexes ------------------------------------------------------
 
 
-def dolbeault_split(
-    cpx: FiniteComplex, d_cols: Sequence[linalg.Vec]
-) -> tuple[list[linalg.Vec], list[linalg.Vec]]:
-    """(del, dbar): the (p+1,q) and (p,q+1) rows of each column of d, where
-    column i is the image of the (p,q) basis element i.  Any other row means
-    d leaves the adjacent bidegrees, so the basis is not integrable."""
-    bidegree = [cpx.mask_bidegree[mask] for mask, _ in cpx.basis]
-    dl: list[linalg.Vec] = []
-    db: list[linalg.Vec] = []
-    for i, col in enumerate(d_cols):
-        p, q = bidegree[i]
-        a: linalg.Vec = {}
-        b: linalg.Vec = {}
-        for r, c in col.items():
-            if bidegree[r] == (p + 1, q):
-                a[r] = c
-            elif bidegree[r] == (p, q + 1):
-                b[r] = c
-            else:
-                raise BasisChangeError("d leaves the adjacent bidegrees; basis not integrable")
-        dl.append(a)
-        db.append(b)
-    return dl, db
-
-
 def bc_complex(holo_frame: FrameSpec, D: int) -> FiniteComplex:
-    """Complex-side complex on the dz/dzb monomial frame: d applied to the
-    basis, and del-dbar = del . dbar from the split of its images."""
+    """Complex-side complex on the dz/dzb monomial frame: d, its del and dbar
+    rows, and del-dbar = del . dbar."""
     cpx = FiniteComplex(holo_frame, D, HOLO_SPLIT)
-    dl, db = dolbeault_split(cpx, cpx.images["d"])
-    cpx.images["deldbar"] = product((1, dl, db))
+    d = cpx.images["d"]
+    dl, db = RowsOfD(d, (1, 0)), RowsOfD(d, (0, 1))
+    cpx.images.update({"del": dl, "dbar": db, "deldbar": ProductColumns((1, dl, db))})
     return cpx
 
 
 def ty_complex(frame: FrameSpec, D: int) -> FiniteComplex:
     """Symplectic-side complex: d and Lambda (Darboux pairing of the x-fiber
-    and base legs) applied to the basis; d^Lambda = d . Lambda - Lambda . d
-    and d d^Lambda = d . d^Lambda taken from their images.  Lambda's columns
-    are not stored."""
+    and base legs), d^Lambda = d . Lambda - Lambda . d and
+    d d^Lambda = d . d^Lambda."""
     cpx = FiniteComplex(frame, D, (GenClass.FIBER_X, GenClass.BASE))
     d, lam = cpx.images["d"], cpx.lambda_columns(SymplecticData.darboux(frame, GenClass.FIBER_X))
-    dl = product((1, d, lam), (-1, lam, d))
-    cpx.images.update({"dlambda": dl, "ddlambda": product((1, d, dl))})
+    dl = ProductColumns((1, d, lam), (-1, lam, d))
+    cpx.images.update({"lambda": lam, "dlambda": dl, "ddlambda": ProductColumns((1, d, dl))})
     return cpx
 
 
 def bott_chern(cpx: FiniteComplex, p: int, q: int) -> CohomologyReport:
     """Closed (p,q) monomial forms modulo del-dbar images, exactly."""
-    return _quotient_report(cpx, p, q, ["d"], "deldbar", (p - 1, q - 1))
+    return _quotient_report(cpx, BOTT_CHERN, p, q)
 
 
 def tseng_yau(cpx: FiniteComplex, p: int, q: int) -> CohomologyReport:
     """Forms killed by d and d^Lambda in the (p,q) slot modulo d d^Lambda
     images (which arrive from the (p+1, q-1) slot)."""
-    return _quotient_report(cpx, p, q, ["d", "dlambda"], "ddlambda", (p + 1, q - 1))
+    return _quotient_report(cpx, TSENG_YAU, p, q)
 
 
 def mirror_compare(
@@ -371,24 +530,28 @@ def mirror_compare(
     (n-p, q) symplectic-side quotient, and the transform must carry
     representatives to closed forms independent modulo images."""
     n = ty.frame.n
+    # both sides are admitted before either builds a column; the comparison
+    # below reads only columns that the (n-p, q) Tseng-Yau quotient reads
+    ty.admit(quotient_reads(TSENG_YAU, n - p, q))
+    bc.admit(quotient_reads(BOTT_CHERN, p, q))
     rep = CheckReport("cohomology-mirror", config={"p": p, "q": q, "D": ty.D})
     bc_rep = bott_chern(bc, p, q)
     ty_rep = tseng_yau(ty, n - p, q)
     rep.add("dims-equal", bc_rep.dim == ty_rep.dim, f"bc={bc_rep.dim} ty={ty_rep.dim}")
 
     slot = ty.slot(n - p, q)
+    inside = set(slot)
     im_cols = ty.matrix_on_slot("ddlambda", ty.slot(n - p + 1, q - 1), slot)
     mapped_cols = []
     for i, f in enumerate(bc_rep.representatives):
         g = transform(f)
         vec = ty.vectorize(g)
+        # before the applies, so that they read only the planned columns
+        if not inside.issuperset(vec):
+            raise SpanEscape("transformed representative leaves the mirror slot", g)
         rep.add(f"image-d-closed[{i}]", not ty.apply("d", vec), g)
         rep.add(f"image-dlambda-closed[{i}]", not ty.apply("dlambda", vec), g)
         mapped_cols.append(vec)
-    leak = _outside(mapped_cols, slot)
-    if leak is not None:
-        raise SpanEscape("transformed representative leaves the mirror slot",
-                         transform(bc_rep.representatives[leak]))
     pivots = linalg.column_space_pivots(im_cols + mapped_cols)
     base_rank = sum(1 for piv in pivots if piv < len(im_cols))
     tot_rank = len(pivots)

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from syzkit import calculus, cli
+from syzkit import cohomology as cohmod
 from syzkit.cli import main
 from syzkit.coeffring import I, Poly
 from syzkit.exterior import Form
@@ -409,23 +410,47 @@ class TestCohomologyCommand:
         )
 
     def test_degree_cap(self, runner):
-        # 2^6 masks times C(3 + 99, 3) monomials: refused before any is enumerated
+        # the (1,1), (0,0) and (0,1) slots, 13 masks times C(3 + 99, 3)
+        # monomials: refused before any monomial is listed
         res = runner.invoke(
             main,
             ["cohomology", "--K", "3", "--which", "bc", "--p", "1", "--q", "1", "--degree", "99"],
         )
         assert res.exit_code == 2
-        assert "would have 10988800 basis elements, past the bound 131072" in res.output
-
+        assert "would build the columns of 2232100 basis elements" in res.output
+        assert "past the bound 131072" in res.output
 
     def test_k5_refused_by_its_basis_size(self, runner):
-        # every K = 5 complex has at least 2^20 basis elements
+        # K = 5 at D = 0: the (5,5) query reads the columns of more basis
+        # elements than the bound (the (1,1) one is admitted)
         res = runner.invoke(
             main,
-            ["cohomology", "--K", "5", "--which", "mirror", "--p", "1", "--q", "1", "--degree", "0"],
+            ["cohomology", "--K", "5", "--which", "mirror", "--p", "5", "--q", "5", "--degree", "0"],
         )
         assert res.exit_code == 2
-        assert "would have 1048576 basis elements, past the bound 131072" in res.output
+        assert "would build the columns of 340704 basis elements" in res.output
+        assert "past the bound 131072" in res.output
+        assert "Traceback" not in res.output
+
+    def test_report_document_built_only_when_written(self, runner, tmp_path, monkeypatch):
+        # without --out no representative is serialized, and stdout is the
+        # same; with it the report bytes are the pinned ones
+        calls = []
+        to_json = cohmod.CohomologyReport.to_json
+        monkeypatch.setattr(cohmod.CohomologyReport, "to_json", lambda r: calls.append(r) or to_json(r))
+        argv = ["cohomology", "--K", "3", "--which", "mirror", "--p", "2", "--q", "1", "--degree", "1"]
+        bare = runner.invoke(main, argv)
+        assert bare.exit_code == 0, bare.output
+        assert calls == []
+        out = tmp_path / "cohomology-21-D1.json"
+        written = runner.invoke(main, argv + ["--out", str(out)])
+        assert written.exit_code == 0, written.output
+        assert len(calls) == 2
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "76b361c9592527e83188cd2809bbd614f4fca2774b62399cea242b2fd784ac30"
+        )
+        untimed = [re.sub(r"[0-9.]+s\)$", "s)", line) for line in bare.output.splitlines()]
+        assert untimed == [re.sub(r"[0-9.]+s\)$", "s)", line) for line in written.output.splitlines()]
 
     def test_degree_past_the_old_cap_admitted(self, runner):
         # 2^6 masks times C(8, 3) monomials: inside the basis bound

@@ -1,4 +1,7 @@
+import gc
+import weakref
 from math import comb
+from operator import add
 
 import pytest
 
@@ -6,8 +9,8 @@ from syzkit import cohomology as coh
 from syzkit import nilmanifold as nil
 from syzkit import calculus
 from syzkit.calculus import HOLO_SPLIT, SymplecticData, d_lambda, dolbeault, dual_lefschetz, exterior_d
-from syzkit.coeffring import GaussianRational, I, ONE, Poly
-from syzkit.exterior import BasisChangeError, Form, GenClass, Generator
+from syzkit.coeffring import GaussianRational, I, ONE, Poly, _accumulate, exponent_vectors
+from syzkit.exterior import BasisChangeError, Form, FrameMismatch, GenClass, Generator, bits, koszul_sign
 from syzkit.fourier import SemiflatPair
 
 from test_calculus import (
@@ -49,10 +52,13 @@ class TestComplexConstruction:
 
     def test_span_escape_raises(self, pair2):
         # g1 = dth1 + r1^2 dr2 has d g1 = 2 r1 dr1^dr2, one degree above x^e g1
+        # the escape shows when its columns are read
         frame = self.coframe_over(pair2, Poly.variable("r1") ** 2)
         for D in (0, 1, 2):
+            cpx = coh.FiniteComplex(frame, D, (GenClass.FIBER_X, GenClass.BASE))
             with pytest.raises(coh.SpanEscape) as err:
-                coh.FiniteComplex(frame, D, (GenClass.FIBER_X, GenClass.BASE))
+                for i in range(len(cpx.basis)):
+                    cpx.images["d"][i]
             assert err.value.witness is not None and err.value.witness.frame == frame
 
     def test_foreign_variable_in_frame_data_escapes(self, pair2):
@@ -89,42 +95,75 @@ class TestComplexConstruction:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_slot_matches_per_element_bidegree(self, n):
-        # the oracle asks the frame for each basis element's bidegree
+        # the oracle enumerates the basis and asks the frame for each basis
+        # element's bidegree
         pair = SemiflatPair(n)
         for cpx in (coh.bc_complex(pair.holo_frame, 1), coh.ty_complex(pair.frame_x, 1)):
+            basis = enumerated_basis(cpx.frame, cpx.D)
             for p in range(-1, n + 2):
                 for q in range(-1, n + 2):
-                    want = [i for i, (mask, _) in enumerate(cpx.basis)
+                    want = [i for i, (mask, _) in enumerate(basis)
                             if cpx.frame.bidegree(mask, cpx.split) == (p, q)]
                     assert cpx.slot(p, q) == want, (p, q)
+                    assert cpx.basis.slot_size(p, q) == len(want)
+
+
+def fail_to_build(self, idx):
+    raise AssertionError("a column was built")
+
+
+def no_column_builds(monkeypatch):
+    """Make every column builder, and the monomial listing, fail."""
+    for cls in (coh.DColumns, coh.LambdaColumns, coh.RowsOfD, coh.ProductColumns):
+        monkeypatch.setattr(cls, "__missing__", fail_to_build)
+    monkeypatch.setattr(coh, "exponent_vectors", lambda *a: pytest.fail("the monomials were listed"))
 
 
 class TestBasisBound:
     @pytest.mark.parametrize("n, D", [(1, 32767), (3, 21), (6, 2)])
     def test_largest_admitted_degree(self, n, D, monkeypatch):
-        # the size is 2^(2n) C(n + D, D): D is admitted and D + 1 is not
+        # D is the largest degree whose whole complex, 2^(2n) C(n + D, D)
+        # elements, fits the bound; a query reads at most the whole basis, so
+        # every query at D is admitted, and counting builds nothing
         assert 4 ** n * comb(n + D, D) <= coh.MAX_BASIS < 4 ** n * comb(n + D + 1, D + 1)
-        built = []
-        monkeypatch.setattr(coh, "exponent_vectors", lambda *a: built.append(a) or [])
-        frame = SemiflatPair(n).frame_x
-        coh.FiniteComplex(frame, D, (GenClass.FIBER_X, GenClass.BASE))
-        assert built == [(n, D)]
-        with pytest.raises(coh.ComplexTooLarge):
-            coh.FiniteComplex(frame, D + 1, (GenClass.FIBER_X, GenClass.BASE))
-        assert built == [(n, D)]
+        no_column_builds(monkeypatch)
+        pair = SemiflatPair(n)
+        bc, ty = coh.bc_complex(pair.holo_frame, D), coh.ty_complex(pair.frame_x, D)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                for cpx, quotient in ((bc, coh.BOTT_CHERN), (ty, coh.TSENG_YAU)):
+                    assert cpx.admit(coh.quotient_reads(quotient, p, q)) <= len(cpx.basis) <= coh.MAX_BASIS
 
     def test_rejected_before_any_mask(self, monkeypatch):
-        # n = 10 (K = 5) has 2^20 masks at D = 0; the frame is never asked
-        # for the bidegree of one
-        frame = SemiflatPair(10).frame_x
-        monkeypatch.setattr(frame, "bidegree", None)
+        # K = 5 (n = 10) at D = 0: the (5,5) mirror query is refused before
+        # any column is built or any monomial listed, and the refusal names
+        # the count of basis elements whose columns it would build
+        pair = nil.semiflat_pair(5)
+        no_column_builds(monkeypatch)
+        ty, bc = coh.ty_complex(pair.frame_x, 0), coh.bc_complex(pair.holo_frame, 0)
         with pytest.raises(coh.ComplexTooLarge) as err:
-            coh.ty_complex(frame, 0)
+            coh.mirror_compare(ty, bc, 5, 5, pair.fm_forward)
         assert str(err.value) == (
-            "the degree-0 complex on 20 generators and 10 variables would have "
-            "1048576 basis elements, past the bound 131072"
+            "the query would build the columns of 340704 basis elements of the degree-0 complex "
+            "on 20 generators and 10 variables, past the bound 131072"
         )
         assert not isinstance(err.value, coh.SpanEscape)
+        assert all(not cols for cpx in (ty, bc) for cols in cpx.images.values())
+
+    def test_count_is_the_union_of_the_slots_read(self, monkeypatch):
+        # Bott-Chern (1,1) on the K = 5 dz/dzb frame reads d on (1,1) and
+        # del-dbar on (0,0); del-dbar reads d on (0,0) and, through dbar, on (0,1)
+        pair = nil.semiflat_pair(5)
+        no_column_builds(monkeypatch)
+        bc = coh.bc_complex(pair.holo_frame, 0)
+        assert bc.admit(coh.quotient_reads(coh.BOTT_CHERN, 1, 1)) == 10 * 10 + 1 + 10
+
+    def test_k5_mirror_passes(self):
+        pair = nil.semiflat_pair(5)
+        ty, bc = coh.ty_complex(pair.frame_x, 0), coh.bc_complex(pair.holo_frame, 0)
+        rep, bcr, tyr = coh.mirror_compare(ty, bc, 1, 1, pair.fm_forward)
+        assert rep.passed
+        assert bcr.dim == tyr.dim == 100
 
 
 def flat_pair(case):
@@ -156,6 +195,199 @@ def holo_of_nil_frame(nd):
     return calculus.holo_coframe(
         x, [(f"dz{i}{j}", Form.gen(x, f"f{i}{j}") + Form.gen(x, f"e{i}{j}") * I) for i, j in nd.pairs]
     )
+
+
+# the all-columns route the complexes took before their columns were built on
+# first read, kept as the oracle for the lazy columns: the basis enumerated
+# mask by mask, a dict from (mask, e) to index, and every column of d, Lambda
+# and the composites built up front
+
+
+def enumerated_basis(frame, D):
+    exps = exponent_vectors(len(frame.base_vars), D)
+    return [(mask, e) for mask in range(1 << len(frame)) for e in exps]
+
+
+class EagerComplex:
+    def __init__(self, frame, D, split):
+        self.frame, self.D, self.split = frame, D, split
+        self.vars = tuple(sorted(frame.base_vars))
+        self.basis = enumerated_basis(frame, D)
+        self.pos = {key: i for i, key in enumerate(self.basis)}
+        self.mask_bidegree = [frame.bidegree(mask, split) for mask in range(1 << len(frame))]
+        self.images = {"d": self.d_columns()}
+
+    def exponents(self, poly):
+        at = [self.vars.index(v) for v in poly.vars]
+        out = []
+        for exps, c in poly.terms.items():
+            e = [0] * len(self.vars)
+            for k, x in zip(at, exps):
+                e[k] = x
+            out.append((tuple(e), c))
+        return out
+
+    def flatten(self, form):
+        return [(mask, e, c) for mask, poly in form.terms.items() for e, c in self.exponents(poly)]
+
+    def column(self, acc):
+        return {self.pos[key]: c for key, c in acc.items()}
+
+    def d_columns(self):
+        frame = self.frame
+        dvar = []
+        for v in self.vars:
+            dv = frame.base_one_form(v)
+            dvar.append(None if dv is None else self.flatten(dv))
+        dgen = []
+        for i in range(len(frame)):
+            dg = frame.d_of_generator(i)
+            dgen.append(() if dg is None else self.flatten(dg))
+        cols = []
+        for mask, e in self.basis:
+            acc = {}
+            for k, ek in enumerate(e):
+                if not ek:
+                    continue
+                terms = dvar[k]
+                if terms is None:
+                    raise FrameMismatch(f"no one-form paired with base variable {self.vars[k]!r}")
+                low = e[:k] + (ek - 1,) + e[k + 1:]
+                for m, f, c in terms:
+                    if m & mask:
+                        continue
+                    key = (m | mask, tuple(map(add, low, f)))
+                    _accumulate(acc, key, c * ek if koszul_sign(m, mask) > 0 else c * -ek)
+            for i in bits(mask):
+                rest = mask ^ (1 << i)
+                sign = koszul_sign(1 << i, rest)
+                for m, f, c in dgen[i]:
+                    if m & rest:
+                        continue
+                    key = (m | rest, tuple(map(add, e, f)))
+                    _accumulate(acc, key, c if koszul_sign(m, rest) == sign else -c)
+            cols.append(self.column(acc))
+        return cols
+
+    def lambda_columns(self, symp):
+        blocks = [(legs, self.exponents(a)) for legs, (a, _) in symp.blocks]
+        cols = []
+        for mask, e in self.basis:
+            acc = {}
+            for legs, terms in blocks:
+                if mask & legs != legs:
+                    continue
+                rest = mask ^ legs
+                positive = koszul_sign(legs, rest) > 0
+                for f, c in terms:
+                    _accumulate(acc, (rest, tuple(map(add, e, f))), c if positive else -c)
+            cols.append(self.column(acc))
+        return cols
+
+
+def dolbeault_split(cpx, d_cols):
+    """(del, dbar): the (p+1,q) and (p,q+1) rows of each column of d."""
+    bidegree = [cpx.mask_bidegree[mask] for mask, _ in cpx.basis]
+    dl, db = [], []
+    for i, col in enumerate(d_cols):
+        p, q = bidegree[i]
+        a, b = {}, {}
+        for r, c in col.items():
+            if bidegree[r] == (p + 1, q):
+                a[r] = c
+            elif bidegree[r] == (p, q + 1):
+                b[r] = c
+            else:
+                raise BasisChangeError("d leaves the adjacent bidegrees; basis not integrable")
+        dl.append(a)
+        db.append(b)
+    return dl, db
+
+
+def eager_bc_complex(holo_frame, D):
+    cpx = EagerComplex(holo_frame, D, HOLO_SPLIT)
+    dl, db = dolbeault_split(cpx, cpx.images["d"])
+    cpx.images.update({"del": dl, "dbar": db, "deldbar": coh.product((1, dl, db))})
+    return cpx
+
+
+def eager_ty_complex(frame, D):
+    cpx = EagerComplex(frame, D, (GenClass.FIBER_X, GenClass.BASE))
+    d = cpx.images["d"]
+    lam = cpx.lambda_columns(SymplecticData.darboux(frame, GenClass.FIBER_X))
+    dl = coh.product((1, d, lam), (-1, lam, d))
+    cpx.images.update({"lambda": lam, "dlambda": dl, "ddlambda": coh.product((1, d, dl))})
+    return cpx
+
+
+def planned_indices(cpx, reads):
+    """The basis indices of every slot whose columns the reads may build."""
+    at = set().union(*(cpx.images[op].reads(pq) for op, pq in reads))
+    return {i for pq in at for i in cpx.slot(*pq)}
+
+
+class TestLazyColumns:
+    CASES = [(("n", n), D) for n in (1, 2, 3) for D in (0, 1)] + [(("K", 3), D) for D in (0, 1, 2)]
+
+    @pytest.mark.parametrize("case, D", CASES, ids=[f"{k}{s}-D{D}" for (k, s), D in CASES])
+    def test_columns_match_the_eager_oracle(self, case, D):
+        pair = flat_pair(case)
+        for lazy, eager in (
+            (coh.bc_complex(pair.holo_frame, D), eager_bc_complex(pair.holo_frame, D)),
+            (coh.ty_complex(pair.frame_x, D), eager_ty_complex(pair.frame_x, D)),
+        ):
+            assert set(lazy.images) == set(eager.images)
+            assert len(lazy.basis) == len(eager.basis)
+            for i, key in enumerate(eager.basis):
+                # the arithmetic index agrees with the enumeration both ways
+                assert lazy.basis[i] == key
+                assert lazy.vectorize(lazy.basis_form(i)) == {i: ONE}
+            # the composites first, so that they build the columns they read
+            for op in sorted(eager.images, key=lambda op: op == "d"):
+                for i in range(len(eager.basis)):
+                    assert lazy.images[op][i] == eager.images[op][i], (op, eager.basis[i])
+
+    def test_mirror_query_builds_only_what_it_planned(self, flat_k3_setting):
+        # K = 3 at D = 2 has 640 basis elements on each side; the (1,1)
+        # comparison reads a few slots of each
+        _, pair = flat_k3_setting
+        bc, ty = coh.bc_complex(pair.holo_frame, 2), coh.ty_complex(pair.frame_x, 2)
+        planned = [
+            (bc, bc.admit(coh.quotient_reads(coh.BOTT_CHERN, 1, 1))),
+            (ty, ty.admit(coh.quotient_reads(coh.TSENG_YAU, 2, 1))),
+        ]
+        rep, bcr, tyr = coh.mirror_compare(ty, bc, 1, 1, pair.fm_forward)
+        assert rep.passed and bcr.dim == tyr.dim == 28
+        for (cpx, count), reads in zip(planned, (coh.quotient_reads(coh.BOTT_CHERN, 1, 1),
+                                                 coh.quotient_reads(coh.TSENG_YAU, 2, 1))):
+            assert len(cpx.basis) == 640
+            assert len(cpx.images["d"]) < 640
+            built = set().union(*cpx.images.values())
+            assert built <= planned_indices(cpx, reads)
+            assert len(built) <= count < 640
+
+    def test_leaving_representative_refused_before_its_columns_are_read(self, pair2):
+        # a dth1 image is (1,0), outside the (1,1) mirror slot
+        bc, ty = coh.bc_complex(pair2.holo_frame, 1), coh.ty_complex(pair2.frame_x, 1)
+        stray = Form.gen(pair2.frame_x, "dth1")
+        with pytest.raises(coh.SpanEscape, match="leaves the mirror slot") as err:
+            coh.mirror_compare(ty, bc, 1, 1, lambda f: stray)
+        assert err.value.witness is stray
+        reads = coh.quotient_reads(coh.TSENG_YAU, 1, 1)
+        assert set().union(*ty.images.values()) <= planned_indices(ty, reads)
+
+    def test_complex_freed_without_the_cycle_collector(self, pair2):
+        # the columns hold the basis and each other, never the complex
+        gc.disable()
+        try:
+            bc, ty = coh.bc_complex(pair2.holo_frame, 1), coh.ty_complex(pair2.frame_x, 1)
+            rep, bcr, tyr = coh.mirror_compare(ty, bc, 1, 1, pair2.fm_forward)
+            assert rep.passed and any(ty.images.values()) and any(bc.images.values())
+            refs = [weakref.ref(bc), weakref.ref(ty)]
+            del bc, ty
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestPrimitiveColumns:
@@ -235,7 +467,7 @@ class TestComposedOperators:
             assert ty.images["dlambda"][i] == ty.vectorize(d_lambda_by_oracles(f, symp))
             assert ty.images["ddlambda"][i] == ty.vectorize(oracle_ddlambda(f, symp))
         bc = coh.bc_complex(pair.holo_frame, D)
-        dl, db = coh.dolbeault_split(bc, bc.images["d"])
+        dl, db = bc.images["del"], bc.images["dbar"]
         for i in range(len(bc.basis)):
             f = bc.basis_form(i)
             del_f, dbar_f = dolbeault(f, pair.holo_frame)
@@ -260,23 +492,27 @@ class TestComposedOperators:
         ):
             monkeypatch.setattr(calculus, name, counting(name, fn))
             monkeypatch.setattr(coh, name, counting(name, fn), raising=False)
-        coh.ty_complex(pair2.frame_x, 1)
-        coh.bc_complex(pair2.holo_frame, 1)
+        # the queries build the columns they read
+        ty = coh.ty_complex(pair2.frame_x, 1)
+        bc = coh.bc_complex(pair2.holo_frame, 1)
+        coh.mirror_compare(ty, bc, 1, 1, pair2.fm_forward)
+        assert all(ty.images.values()) and all(bc.images.values())
         assert calls == {"exterior_d": 0, "dual_lefschetz": 0, "d_lambda": 0, "dolbeault": 0}
 
     def test_split_rejects_non_adjacent_bidegree(self, pair1):
+        # a column of d planted before it is built: del and dbar split it
         bc = coh.bc_complex(pair1.holo_frame, 0)
         at = {bc.frame.bidegree(mask, bc.split): i for i, (mask, _) in enumerate(bc.basis)}
-        cols = [{} for _ in bc.basis]
         # the (0,0) element: a (1,0) and a (0,1) row split into del and dbar
-        cols[at[(0, 0)]] = {at[(1, 0)]: ONE, at[(0, 1)]: GaussianRational(0, 2)}
-        dl, db = coh.dolbeault_split(bc, cols)
-        assert dl[at[(0, 0)]] == {at[(1, 0)]: ONE}
-        assert db[at[(0, 0)]] == {at[(0, 1)]: GaussianRational(0, 2)}
+        bc.images["d"][at[(0, 0)]] = {at[(1, 0)]: ONE, at[(0, 1)]: GaussianRational(0, 2)}
+        assert bc.images["del"][at[(0, 0)]] == {at[(1, 0)]: ONE}
+        assert bc.images["dbar"][at[(0, 0)]] == {at[(0, 1)]: GaussianRational(0, 2)}
         # a (1,1) row two steps away is not a del or dbar row
-        cols[at[(0, 0)]] = {at[(1, 0)]: ONE, at[(1, 1)]: ONE}
-        with pytest.raises(BasisChangeError):
-            coh.dolbeault_split(bc, cols)
+        bc = coh.bc_complex(pair1.holo_frame, 0)
+        bc.images["d"][at[(0, 0)]] = {at[(1, 0)]: ONE, at[(1, 1)]: ONE}
+        for op in ("del", "dbar"):
+            with pytest.raises(BasisChangeError):
+                bc.images[op][at[(0, 0)]]
 
 
 class TestFlatTables:
