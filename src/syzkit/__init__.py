@@ -25,7 +25,7 @@ from .calculus import (
     polarization_switch,
     polarization_unswitch,
 )
-from .fourier import IntertwiningReport, SemiflatPair
+from .fourier import SemiflatPair
 from .sustruct import (
     Polarization,
     SUStructure,
@@ -49,7 +49,7 @@ __all__ = [
     "BasisChangeError", "MissingPairing", "SymplecticData",
     "d_lambda", "dolbeault", "dual_lefschetz", "exterior_d", "holo_coframe",
     "polarization_switch", "polarization_unswitch",
-    "IntertwiningReport", "SemiflatPair",
+    "SemiflatPair",
     "Polarization", "SUStructure",
     "check_iia", "check_iib", "check_su", "conformal_factor", "flux_iia", "flux_iib",
     "mirror_transform", "proportional_to",

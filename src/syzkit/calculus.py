@@ -202,25 +202,29 @@ def dolbeault(form: Form, holo_frame: FrameSpec) -> tuple[Form, Form]:
     """Split d into its (1,0) and (0,1) parts on the dz/dzb frame
     `holo_frame` (a form on its real frame is collected onto it first).
 
-    Returns (del, dbar).  Raises if d escapes the two adjacent bidegrees,
-    which would mean the basis is not integrable.
+    Returns (del, dbar).  Each term of d of a (p, q) component goes to del
+    at (p+1, q) or to dbar at (p, q+1), so the components write disjoint
+    terms of each part; a term at any other bidegree means the basis is not
+    integrable.
     """
     if form.frame is not holo_frame:
         exp = holo_frame.generators[0].coord_expansion
         if exp is None or form.frame is not exp.frame:
             raise BasisChangeError("form lives on neither the real nor the complex frame")
         form = frame_collect(form, holo_frame)
-    del_part = Form.zero(holo_frame)
-    dbar_part = Form.zero(holo_frame)
+    bidegree = holo_frame.bidegree
+    del_terms: dict[int, Poly] = {}
+    dbar_terms: dict[int, Poly] = {}
     for (p, q), comp in form.bidegree_components(HOLO_SPLIT).items():
-        dc = exterior_d(comp)
-        a = dc.bidegree_project(p + 1, q, HOLO_SPLIT)
-        b = dc.bidegree_project(p, q + 1, HOLO_SPLIT)
-        if a + b != dc:
-            raise BasisChangeError("d leaves the adjacent bidegrees; basis not integrable")
-        del_part = del_part + a
-        dbar_part = dbar_part + b
-    return del_part, dbar_part
+        for mask, c in exterior_d(comp).terms.items():
+            at = bidegree(mask, HOLO_SPLIT)
+            if at == (p + 1, q):
+                del_terms[mask] = c
+            elif at == (p, q + 1):
+                dbar_terms[mask] = c
+            else:
+                raise BasisChangeError("d leaves the adjacent bidegrees; basis not integrable")
+    return _form(holo_frame, del_terms), _form(holo_frame, dbar_terms)
 
 
 def _switch_index(holo_frame: FrameSpec, target: FrameSpec) -> dict[int, int]:

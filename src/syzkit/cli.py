@@ -69,16 +69,22 @@ def _malformed(path: str, what: str, e: Exception) -> click.UsageError:
 
 
 def _emit(
-    report: CheckReport, out: str | None, command: str, t0: float, extra: Callable[[], dict] | None = None
+    report: CheckReport,
+    out: str | None,
+    command: str,
+    config: dict,
+    t0: float,
+    extra: Callable[[], dict] | None = None,
 ) -> None:
     """Write the report document to `out`, if given, and print the summary.
-    `extra` gives the command's own top-level keys; like the rest of the
-    document, it is built only when the document is written."""
+    `config` is the document's configuration object; `extra` gives the
+    command's own top-level keys and, like the rest of the document, is built
+    only when the document is written."""
     if out:
         doc = {
             "schema": REPORT_SCHEMA,
             "command": command,
-            "config": report.config,
+            "config": config,
             "checks": [i.to_json() for i in report.items],
             "passed": report.passed,
         }
@@ -117,7 +123,7 @@ def cmd_nil(k: int, out: str | None):
     duality pairing, and the full mirror pipeline."""
     t0 = time.time()
     nd = nil.build(k)
-    rep = CheckReport("nil", config={"K": k, "n": nd.n})
+    rep = CheckReport()
     rep.extend(nil.structure_equations(nd))
     rep.extend(nil.check_gamma_invariance(nd))
 
@@ -144,9 +150,8 @@ def cmd_nil(k: int, out: str | None):
             (outdir / f"{name}-K{k}.json").write_text(
                 json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
             )
-        _emit(rep, str(outdir / f"nil-K{k}-report.json"), "nil", t0)
-    else:
-        _emit(rep, None, "nil", t0)
+        out = str(outdir / f"nil-K{k}-report.json")
+    _emit(rep, out, "nil", {"K": k, "n": nd.n}, t0)
 
 
 @main.command("fm")
@@ -208,8 +213,7 @@ def cmd_verify(system: str, input_path: str, out: str | None):
     if system == "iia" and su.polarization is None:
         raise click.UsageError(f"{input_path}: --system iia needs a fixture with a polarization")
     rep = check_iia(su) if system == "iia" else check_iib(su)
-    rep.config = {"system": system, "n": su.n}
-    _emit(rep, out, "verify", t0)
+    _emit(rep, out, "verify", {"system": system, "n": su.n}, t0)
 
 
 @main.command("cohomology")
@@ -233,10 +237,11 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
     for name, v in (("--p", p), ("--q", q)):
         if not 0 <= v <= pair.n:
             raise click.UsageError(f"{name} {v} is outside 0..{pair.n} (n = {pair.n} at K={k})")
-    rep = CheckReport("cohomology", config={
+    config = {
         "K": k, "side": {"bc": "xcheck", "ty": "x"}.get(which, "both"), "which": which,
         "p": p, "q": q, "D": degree,
-    })
+    }
+    rep = CheckReport()
     try:
         if which == "bc":
             cpx = cohmod.bc_complex(pair.holo_frame, degree)
@@ -260,7 +265,8 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
     except cohmod.ComplexTooLarge as e:
         raise click.UsageError(f"{e}; lower --degree or --K, or choose another --p and --q")
     click.echo(f"{dims.id}: {dims.witness}", file=sys.stdout)
-    _emit(rep, out, "cohomology", t0, lambda: {"cohomology": {k: r.to_json() for k, r in quotients.items()}})
+    _emit(rep, out, "cohomology", config, t0,
+          lambda: {"cohomology": {k: r.to_json() for k, r in quotients.items()}})
 
 
 @main.command("proptest")
@@ -272,8 +278,7 @@ def cmd_proptest(suite: str, trials: int, seed: int, out: str | None):
     """Run a named randomized campaign with per-trial derived seeds."""
     t0 = time.time()
     rep = SUITES[suite](trials, seed)
-    rep.config = {"suite": suite, "trials": trials, "seed": seed}
-    _emit(rep, out, "proptest", t0)
+    _emit(rep, out, "proptest", {"suite": suite, "trials": trials, "seed": seed}, t0)
 
 
 if __name__ == "__main__":

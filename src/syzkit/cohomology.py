@@ -44,7 +44,7 @@ from operator import add
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import linalg
-from .coeffring import GaussianRational, ONE, Poly, _accumulate, exponent_vectors
+from .coeffring import GaussianRational, Poly, _accumulate, exponent_vectors
 from .exterior import BasisChangeError, Form, FrameMismatch, FrameSpec, GenClass, bits, koszul_sign
 from .calculus import HOLO_SPLIT, SymplecticData
 from .reports import CheckReport
@@ -70,21 +70,14 @@ class SpanEscape(ValueError):
         self.witness = witness
 
 
-def product(*terms: tuple[int, Sequence[linalg.Vec], Sequence[linalg.Vec]]) -> list[linalg.Vec]:
-    """Sparse columns of the sum of sign * (outer . inner) over the terms
-    (sign, outer, inner): column i of outer . inner is the image under
-    `outer` of the vector inner[i], the sum of inner[i][k] * outer[k]."""
-    out = []
-    for i in range(len(terms[0][2])):
-        acc: linalg.Vec = {}
-        for sign, outer, inner in terms:
-            for k, b in inner[i].items():
-                if sign < 0:
-                    b = -b
-                for r, a in outer[k].items():
-                    _accumulate(acc, r, b * a)
-        out.append(acc)
-    return out
+def _add_image(acc: linalg.Vec, sign: int, cols: Mapping[int, linalg.Vec], vec: linalg.Vec) -> None:
+    """acc += sign * (the image of vec under cols), the sum of
+    vec[k] * cols[k] over the entries of vec in order."""
+    for k, b in vec.items():
+        if sign < 0:
+            b = -b
+        for r, a in cols[k].items():
+            _accumulate(acc, r, b * a)
 
 
 class MonomialBasis:
@@ -169,21 +162,24 @@ class MonomialBasis:
             out.append((tuple(e), c))
         return out
 
-    def column(self, acc: Mapping[Key, GaussianRational], op: str, idx: int) -> linalg.Vec:
-        """The sparse vector of an image given by its (mask, exponent) terms;
-        a nonzero term outside the basis is a SpanEscape."""
+    def vector(
+        self, acc: Mapping[Key, GaussianRational], op: Optional[str] = None, idx: int = 0
+    ) -> linalg.Vec:
+        """The sparse vector of the (mask, exponent) terms `acc`, keyed by
+        basis index; a term outside the basis is a SpanEscape, which names
+        the column when `acc` is `op` applied to basis element `idx`."""
         exp_index, E = self.exp_index, self.E
-        col: linalg.Vec = {}
+        vec: linalg.Vec = {}
         for (mask, e), c in acc.items():
             k = exp_index.get(e)
             if k is None:
+                what = "term" if op is None else f"{op} of basis element {idx}: a term"
                 raise SpanEscape(
-                    f"{op} of basis element {idx}: a term of coefficient degree {sum(e)} "
-                    f"escapes the degree-{self.D} span",
+                    f"{what} of coefficient degree {sum(e)} escapes the degree-{self.D} span",
                     self.form(acc),
                 )
-            col[mask * E + k] = c
-        return col
+            vec[mask * E + k] = c
+        return vec
 
     def form(self, coeffs: Mapping[Key, GaussianRational]) -> Form:
         terms: dict[int, dict[tuple[int, ...], GaussianRational]] = {}
@@ -258,7 +254,7 @@ class DColumns(Columns):
                     continue
                 key = (m | rest, tuple(map(add, e, f)))
                 _accumulate(acc, key, c if koszul_sign(m, rest) == sign else -c)
-        col = self[idx] = basis.column(acc, "d", idx)
+        col = self[idx] = basis.vector(acc, "d", idx)
         return col
 
 
@@ -281,7 +277,7 @@ class LambdaColumns(Columns):
             positive = koszul_sign(legs, rest) > 0
             for f, c in terms:
                 _accumulate(acc, (rest, tuple(map(add, e, f))), c if positive else -c)
-        col = self[idx] = self.basis.column(acc, "lambda", idx)
+        col = self[idx] = self.basis.vector(acc, "lambda", idx)
         return col
 
 
@@ -316,7 +312,8 @@ class RowsOfD(Columns):
 
 class ProductColumns(Columns):
     """The sum of sign * (outer . inner) over the terms (sign, outer, inner),
-    one column at a time, accumulated as `product` accumulates it."""
+    one column at a time: column i is the sum of the images under `outer` of
+    the vectors inner[i]."""
 
     def __init__(self, *terms: tuple[int, Columns, Columns]):
         super().__init__()
@@ -326,7 +323,10 @@ class ProductColumns(Columns):
         )
 
     def __missing__(self, idx: int) -> linalg.Vec:
-        col = self[idx] = product(*((sign, outer, [inner[idx]]) for sign, outer, inner in self.terms))[0]
+        col: linalg.Vec = {}
+        for sign, outer, inner in self.terms:
+            _add_image(col, sign, outer, inner[idx])
+        self[idx] = col
         return col
 
     def reads(self, at: Bidegree) -> set[Bidegree]:
@@ -387,25 +387,12 @@ class FiniteComplex:
 
     # -- vectorization -------------------------------------------------------
 
-    def basis_form(self, idx: int) -> Form:
-        mask, e = self.basis[idx]
-        return Form(self.frame, {mask: Poly(self.vars, {e: ONE})})
-
     def vectorize(self, form: Form) -> linalg.Vec:
         """The sparse vector of `form`, keyed by basis index."""
         basis = self.basis
-        exp_index, E = basis.exp_index, basis.E
-        v: linalg.Vec = {}
-        for mask, poly in form.terms.items():
-            for e, c in basis.exponents(poly, form):
-                k = exp_index.get(e)
-                if k is None:
-                    raise SpanEscape(
-                        f"term of coefficient degree {sum(e)} escapes the degree-{self.D} span",
-                        form,
-                    )
-                v[mask * E + k] = c
-        return v
+        return basis.vector(
+            {(mask, e): c for mask, poly in form.terms.items() for e, c in basis.exponents(poly, form)}
+        )
 
     def form_of(self, vec: Mapping[int, GaussianRational]) -> Form:
         return self.basis.form({self.basis[i]: vec[i] for i in sorted(vec)})
@@ -417,7 +404,9 @@ class FiniteComplex:
 
     def apply(self, op: str, vec: linalg.Vec) -> linalg.Vec:
         """op applied to a vector of the span, through the columns."""
-        return product((1, self.images[op], [vec]))[0]
+        acc: linalg.Vec = {}
+        _add_image(acc, 1, self.images[op], vec)
+        return acc
 
     def matrix_on_slot(self, op: str, from_idx: Sequence[int], to_idx: Sequence[int]) -> list[linalg.Vec]:
         """The columns of op on the basis elements of `from_idx`, after
@@ -534,7 +523,7 @@ def mirror_compare(
     # below reads only columns that the (n-p, q) Tseng-Yau quotient reads
     ty.admit(quotient_reads(TSENG_YAU, n - p, q))
     bc.admit(quotient_reads(BOTT_CHERN, p, q))
-    rep = CheckReport("cohomology-mirror", config={"p": p, "q": q, "D": ty.D})
+    rep = CheckReport()
     bc_rep = bott_chern(bc, p, q)
     ty_rep = tseng_yau(ty, n - p, q)
     rep.add("dims-equal", bc_rep.dim == ty_rep.dim, f"bc={bc_rep.dim} ty={ty_rep.dim}")

@@ -10,7 +10,6 @@ fidelity is the whole point of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -36,6 +35,7 @@ from .exterior import (
     koszul_sign,
     reversal_sign,
 )
+from .reports import CheckReport
 
 
 class SemiflatPair:
@@ -66,7 +66,6 @@ class SemiflatPair:
             raise ValueError("label lists must all have length n")
         self.base_vars = tuple(rv)
         self.fiber_x_labels = tuple(tx)
-        self.fiber_mirror_labels = tuple(tc)
         self.holo_labels = tuple(zl)
 
         def base_gens():
@@ -180,34 +179,19 @@ class SemiflatPair:
 
     # -- intertwining ----------------------------------------------------------
 
-    def check_intertwining(self, form: Form) -> "IntertwiningReport":
-        """Both identities relating (del, dbar) on the complex side to
-        (d^Lambda, d) on the symplectic side, checked exactly."""
+    def check_intertwining(self, form: Form) -> CheckReport:
+        """FT(dbar phi) = c d FT(phi) and FT(del phi) = c d^Lambda FT(phi),
+        c = (-1)^n i/2, checked exactly: one item each, witnessed by the
+        difference of its two sides."""
         phi = self.to_complex_side(form)
         del_phi, dbar_phi = dolbeault(phi, self.holo_frame)
         ft_phi = self.fm_forward(phi)
         c = I * Fraction(1, 2)
         if self.n % 2:
             c = -c
-        lhs_d = self.fm_forward(dbar_phi)
-        rhs_d = exterior_d(ft_phi) * c
-        lhs_dl = self.fm_forward(del_phi)
-        rhs_dl = d_lambda(ft_phi, self.darboux_x) * c
-        return IntertwiningReport(
-            d_ok=(lhs_d == rhs_d),
-            d_lambda_ok=(lhs_dl == rhs_dl),
-            d_diff=lhs_d - rhs_d,
-            d_lambda_diff=lhs_dl - rhs_dl,
-        )
-
-
-@dataclass
-class IntertwiningReport:
-    d_ok: bool
-    d_lambda_ok: bool
-    d_diff: Form
-    d_lambda_diff: Form
-
-    @property
-    def ok(self) -> bool:
-        return self.d_ok and self.d_lambda_ok
+        rep = CheckReport()
+        d_diff = self.fm_forward(dbar_phi) - exterior_d(ft_phi) * c
+        rep.add("d-intertwines-dbar", d_diff.is_zero(), d_diff)
+        dl_diff = self.fm_forward(del_phi) - d_lambda(ft_phi, self.darboux_x) * c
+        rep.add("dlambda-intertwines-del", dl_diff.is_zero(), dl_diff)
+        return rep

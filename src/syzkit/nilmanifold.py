@@ -51,7 +51,6 @@ MAX_K = 5
 
 @dataclass
 class NilData:
-    K: int
     n: int
     pairs: list[tuple[int, int]]
     pair: SemiflatPair         # the flat pair with the family's labels
@@ -148,7 +147,6 @@ def build(K: int) -> NilData:
         x_images[x_coord.index[f"dth{i}{k}"]] = dth_img
 
     return NilData(
-        K=K,
         n=n,
         pairs=pairs,
         pair=pair,
@@ -171,7 +169,7 @@ def gamma_pullback(nd: NilData, form: Form) -> Form:
 
 def check_gamma_invariance(nd: NilData) -> CheckReport:
     """Every frame one-form equals its own pullback, identically in r and a."""
-    rep = CheckReport("gamma-invariance", config={"K": nd.K})
+    rep = CheckReport()
     for i, j in nd.pairs:
         for name, form in ((f"e{i}{j}", nd.e_forms[(i, j)]), (f"f{i}{j}", nd.f_forms[(i, j)])):
             diff = gamma_pullback(nd, form) - form
@@ -183,7 +181,7 @@ def structure_equations(nd: NilData) -> CheckReport:
     """Differentiate the coordinate expansions and compare with the structure
     equations de_ij = -sum_k e_ik ^ e_kj and df_ij = -sum_k e_ik ^ f_kj, and
     with the derived dfc_ij stored on the symplectic-side frame."""
-    rep = CheckReport("structure-equations", config={"K": nd.K})
+    rep = CheckReport()
     x = nd.x_frame
     for i, j in nd.pairs:
         de = Form.zero(x)
@@ -268,7 +266,7 @@ class MirrorArtifacts:
 def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
     """Full transform pipeline on the pair: volume-form match, conformal
     product, both supersymmetry systems, and the flux correspondence."""
-    rep = CheckReport("mirror-pair", config={"K": nd.K, "n": nd.n})
+    rep = CheckReport()
     n = nd.n
     pair = nd.pair
     su_b = build_iib_side(nd)

@@ -27,7 +27,7 @@ def _law(rep: CheckReport, id: str, trials: int, seed: int, fn: Callable[[random
 
 
 def suite_ring_axioms(trials: int, seed: int) -> CheckReport:
-    rep = CheckReport("ring-axioms", config={"trials": trials, "seed": seed})
+    rep = CheckReport()
     vars = ("r1", "r2", "r3")
 
     def rand3(rng):
@@ -61,7 +61,7 @@ def suite_ring_axioms(trials: int, seed: int) -> CheckReport:
 
 
 def suite_wedge(trials: int, seed: int) -> CheckReport:
-    rep = CheckReport("wedge-algebra", config={"trials": trials, "seed": seed})
+    rep = CheckReport()
     pair = SemiflatPair(3)
     frame = pair.frame_corr
 
@@ -125,7 +125,7 @@ def suite_wedge(trials: int, seed: int) -> CheckReport:
 
 
 def suite_operator_algebra(trials: int, seed: int) -> CheckReport:
-    rep = CheckReport("operator-algebra", config={"trials": trials, "seed": seed})
+    rep = CheckReport()
     pair = SemiflatPair(3)
     symp = pair.darboux_x
 
@@ -193,7 +193,7 @@ def suite_operator_algebra(trials: int, seed: int) -> CheckReport:
 
 
 def suite_ft_involution(trials: int, seed: int) -> CheckReport:
-    rep = CheckReport("ft-involution", config={"trials": trials, "seed": seed})
+    rep = CheckReport()
     for n in range(1, 5):
         pair = SemiflatPair(n)
         sign = pair.fm_roundtrip_sign()
@@ -208,7 +208,7 @@ def suite_ft_involution(trials: int, seed: int) -> CheckReport:
 
 
 def suite_ft_closed_form(trials: int, seed: int) -> CheckReport:
-    rep = CheckReport("ft-closed-form", config={"trials": trials, "seed": seed})
+    rep = CheckReport()
     for n in range(1, 5):
         pair = SemiflatPair(n)
         ok = True
@@ -231,13 +231,13 @@ def suite_ft_closed_form(trials: int, seed: int) -> CheckReport:
 
 
 def suite_intertwining(trials: int, seed: int) -> CheckReport:
-    rep = CheckReport("intertwining", config={"trials": trials, "seed": seed})
+    rep = CheckReport()
     for n in (1, 2, 3):
         pair = SemiflatPair(n)
 
         def run(rng, pair=pair):
             a = random_complex_side_form(rng, pair)
-            return pair.check_intertwining(a).ok
+            return pair.check_intertwining(a).passed
 
         _law(rep, f"intertwining-n{n}", max(1, trials // 3), seed + n, run)
     return rep

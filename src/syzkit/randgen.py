@@ -92,22 +92,3 @@ def random_complex_side_form(
     """Random form on the dz/dzb monomial frame of the pair."""
     return random_form(rng, pair.holo_frame, max_terms, max_degree)
 
-
-def random_symmetric_mu(
-    rng: random.Random,
-    n: int,
-    vars: Sequence[str],
-    max_degree: int = 1,
-) -> list[list[Poly]]:
-    """Random real symmetric coefficient matrix, identity plus a perturbation.
-    No package module calls it: the IIA tests draw their matrices from it."""
-    vs = tuple(sorted(vars))
-    mu = [[Poly.constant(1 if i == j else 0, vs) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            if rng.random() < 0.6:
-                p = random_poly(rng, vs, max_degree, 2, complex_ok=False)
-                mu[i][j] = mu[i][j] + p
-                if i != j:
-                    mu[j][i] = mu[j][i] + p
-    return mu

@@ -29,9 +29,7 @@ class CheckItem:
 
 @dataclass
 class CheckReport:
-    name: str
     items: list[CheckItem] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
 
     def add(self, id: str, ok: bool, witness=None) -> CheckItem:
         item = CheckItem(id, PASS if ok else FAIL, None if ok else _render(witness))

@@ -11,7 +11,6 @@ failure of the Calabi-Yau equations on each side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import factorial
 from typing import Optional, Sequence
@@ -196,8 +195,8 @@ def conformal_factor(s: SUStructure) -> GaussianRational:
     if len(s.frame) != 2 * s.n:
         raise ValueError("frame must have exactly 2n one-form generators")
     oo = _volume_square(s)
-    wn = s.omega_power(s.n) * Fraction(1, factorial(s.n))
-    den = _top_coefficient(s.frame, wn)
+    # omega^n / n! is the degree-2n part of exp(omega)
+    den = _top_coefficient(s.frame, _form(s.frame, s._exp_omega_parts.get(s.n, {})))
     if den.is_zero():
         raise ValueError("omega is degenerate: omega^n = 0")
     num = _top_coefficient(s.frame, oo)
@@ -237,7 +236,7 @@ def proportional_to(form: Form, candidate: Form) -> Optional[GaussianRational]:
 
 def check_su(s: SUStructure) -> CheckReport:
     """The defining compatibilities of an SU(n) structure."""
-    rep = CheckReport("su-structure")
+    rep = CheckReport()
     ow = s.Omega.wedge(s.omega)
     rep.add("Omega-wedge-omega-vanishes", ow.is_zero(), ow)
     try:
@@ -257,7 +256,7 @@ def check_su(s: SUStructure) -> CheckReport:
 
 def check_iib(s: SUStructure) -> CheckReport:
     """Closed volume form + balanced metric, each exactly."""
-    rep = CheckReport("iib-system")
+    rep = CheckReport()
     rep.extend(check_su(s))
     dO = exterior_d(s.Omega)
     rep.add("d-Omega-vanishes", dO.is_zero(), dO)
@@ -270,7 +269,7 @@ def check_iia(s: SUStructure) -> CheckReport:
     """Symplectic form + closedness of the (n,0) and (1,n-1) projections."""
     if s.polarization is None:
         raise ValueError("IIA check needs a polarization")
-    rep = CheckReport("iia-system")
+    rep = CheckReport()
     rep.extend(check_su(s))
     dw = exterior_d(s.omega)
     rep.add("d-omega-vanishes", dw.is_zero(), dw)
@@ -317,7 +316,7 @@ def flux_iib(s: SUStructure) -> tuple[Form, CheckReport]:
     hf = s.holo_frame
     if hf is None:
         raise ValueError("IIB flux needs the complex basis")
-    rep = CheckReport("flux-iib")
+    rep = CheckReport()
     cf = s.conformal_factor()
     if not cf:
         raise ValueError("conformal factor vanishes")
@@ -337,7 +336,7 @@ def flux_iia(s: SUStructure) -> tuple[Form, CheckReport]:
     symp = SymplecticData.darboux(s.frame, s.polarization.fiber_class)
     if symp.omega != s.omega:
         raise MissingPairing("IIA flux requires the canonical Darboux omega")
-    rep = CheckReport("flux-iia")
+    rep = CheckReport()
     arg = (s.pq_project(s.n - 1, 1) + s.pq_project(0, s.n)) * s.conformal_factor()
     rho = exterior_d(d_lambda(arg, symp)) * (-I)
     d_rho = exterior_d(rho)

@@ -7,6 +7,7 @@ import pytest
 from syzkit.coeffring import Poly
 from syzkit.exterior import Form
 from syzkit.fourier import SemiflatPair
+from syzkit.randgen import random_poly
 
 
 def brute_perm_sign(perm):
@@ -94,3 +95,18 @@ def iwasawa_omega_check(pair3):
     w = w + Form.monomial(f, ["dtc3", "dr2"], -r1)
     w = w + Form.monomial(f, ["dtc3", "dr3"])
     return w
+
+
+def random_symmetric_mu(rng, n, vars, max_degree=1):
+    """Random real symmetric coefficient matrix, identity plus a perturbation:
+    the IIA tests draw their matrices from it."""
+    vs = tuple(sorted(vars))
+    mu = [[Poly.constant(1 if i == j else 0, vs) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.6:
+                p = random_poly(rng, vs, max_degree, 2, complex_ok=False)
+                mu[i][j] = mu[i][j] + p
+                if i != j:
+                    mu[j][i] = mu[j][i] + p
+    return mu

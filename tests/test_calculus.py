@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from syzkit.calculus import (
+    HOLO_SPLIT,
     BasisChangeError,
     MissingPairing,
     SymplecticData,
@@ -31,6 +32,7 @@ from syzkit.exterior import (
 )
 from syzkit.fourier import SemiflatPair
 from syzkit.randgen import random_complex_side_form, random_form, random_poly
+from syzkit import calculus
 from syzkit import nilmanifold as nil
 
 from conftest import iwasawa_omega_check
@@ -153,6 +155,22 @@ def d_lambda_by_oracles(form, s):
     return exterior_d_by_wedging(dual_lefschetz_by_contraction(form, s)) - dual_lefschetz_by_contraction(
         exterior_d_by_wedging(form), s
     )
+
+
+def dolbeault_by_projection(form, holo_frame):
+    """(del, dbar) of a form on the dz/dzb frame by projecting d of each
+    (p, q) component onto (p+1, q) and (p, q+1) and summing the
+    projections: the route `dolbeault` once took."""
+    del_part = dbar_part = Form.zero(holo_frame)
+    for (p, q), comp in form.bidegree_components(HOLO_SPLIT).items():
+        dc = exterior_d(comp)
+        a = dc.bidegree_project(p + 1, q, HOLO_SPLIT)
+        b = dc.bidegree_project(p, q + 1, HOLO_SPLIT)
+        if a + b != dc:
+            raise BasisChangeError("d leaves the adjacent bidegrees; basis not integrable")
+        del_part = del_part + a
+        dbar_part = dbar_part + b
+    return del_part, dbar_part
 
 
 def with_random_universes(form, rng):
@@ -332,6 +350,14 @@ class TestDolbeault:
         dbl, dbb = dolbeault(db, hf)
         assert dll.is_zero() and dbb.is_zero()
         assert dlb == -dbl
+
+    def test_non_adjacent_term_rejected(self, pair1, monkeypatch):
+        # a d whose image of a function has a (1,1) term leaves the adjacent
+        # bidegrees (1,0) and (0,1)
+        hf = pair1.holo_frame
+        monkeypatch.setattr(calculus, "exterior_d", lambda form: Form.monomial(hf, ["dz1", "dz1b"]))
+        with pytest.raises(BasisChangeError, match="not integrable"):
+            dolbeault(Form.scalar(hf, 1), hf)
 
     def test_round_trip_guard(self, pair2):
         # a non-invertible candidate basis must be rejected at construction
@@ -553,6 +579,23 @@ class TestKernelsMatchOracles:
             assert_same_form(dual_lefschetz(a, s), dual_lefschetz_by_halved_entries(a, s))
             assert_same_form(dual_lefschetz(a, s), dual_lefschetz_by_contraction(a, s))
             assert_same_form(d_lambda(a, s), d_lambda_by_oracles(a, s))
+
+    HOLO_FRAMES = [(n, "holo_frame") for n in (1, 2, 3)] + [("K3", "invariant")]
+
+    @pytest.mark.parametrize("case", HOLO_FRAMES, ids=[f"{size}-{side}" for size, side in HOLO_FRAMES])
+    def test_dolbeault(self, case):
+        if case[1] == "invariant":
+            nd = nil.build(3)
+            x = nd.x_frame
+            frame = holo_coframe(
+                x, [(f"dz{i}{j}", Form.gen(x, f"f{i}{j}") + Form.gen(x, f"e{i}{j}") * I) for i, j in nd.pairs]
+            )
+        else:
+            frame = oracle_frame(case)
+        for a in kernel_forms(frame, 2600 + self.HOLO_FRAMES.index(case)):
+            got, want = dolbeault(a, frame), dolbeault_by_projection(a, frame)
+            assert_same_form(got[0], want[0])
+            assert_same_form(got[1], want[1])
 
     def test_unpaired_base_variable_rejected_as_by_the_oracle(self):
         frame = FrameSpec([Generator("a", GenClass.FIBER_X)], ["r1"], 1)

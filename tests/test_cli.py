@@ -541,15 +541,49 @@ class TestCohomologyCommand:
         assert re.fullmatch(r"cohomology: ok \(59 checks: 59 pass; [0-9.]+s\)", lines[1])
 
 
+class TestReportConfig:
+    """The exact `config` object of each command's report: one per command,
+    built from its own arguments."""
+
+    def write(self, runner, tmp_path, argv):
+        out = tmp_path / "report.json"
+        res = runner.invoke(main, argv + ["--out", str(out)])
+        assert res.exit_code == 0, res.output
+        return json.loads(out.read_text())["config"]
+
+    def test_nil(self, runner, tmp_path):
+        res = runner.invoke(main, ["nil", "--K", "2", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert json.loads((tmp_path / "nil-K2-report.json").read_text())["config"] == {"K": 2, "n": 1}
+
+    @pytest.mark.parametrize("system", ["iib", "iia"])
+    def test_verify(self, runner, tmp_path, system):
+        res = runner.invoke(main, ["nil", "--K", "3", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        argv = ["verify", "--system", system, "--input", str(tmp_path / f"{system}-K3.json")]
+        assert self.write(runner, tmp_path, argv) == {"system": system, "n": 3}
+
+    @pytest.mark.parametrize("which, side", [("bc", "xcheck"), ("ty", "x"), ("mirror", "both")])
+    def test_cohomology(self, runner, tmp_path, which, side):
+        argv = ["cohomology", "--K", "2", "--which", which, "--p", "1", "--q", "0", "--degree", "0"]
+        assert self.write(runner, tmp_path, argv) == {
+            "K": 2, "side": side, "which": which, "p": 1, "q": 0, "D": 0,
+        }
+
+    def test_proptest(self, runner, tmp_path):
+        argv = ["proptest", "--suite", "ring-axioms", "--trials", "3", "--seed", "7"]
+        assert self.write(runner, tmp_path, argv) == {"suite": "ring-axioms", "trials": 3, "seed": 7}
+
+
 class TestEmit:
     def test_non_passing_checks_capped(self, capsys):
-        rep = CheckReport("many")
+        rep = CheckReport()
         for k in range(cli.MAX_SHOWN + 5):
             rep.add(f"bad[{k}]", False, k)
         rep.add("good", True)
         rep.add_status("open", UNDETERMINED)
         with pytest.raises(SystemExit) as err:
-            cli._emit(rep, None, "many", time.time())
+            cli._emit(rep, None, "many", {}, time.time())
         assert err.value.code == 1
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == cli.MAX_SHOWN + 3

@@ -21,10 +21,15 @@ from test_calculus import (
 )
 
 
+def basis_form(cpx, idx):
+    """Basis element idx of a complex as a form."""
+    mask, e = cpx.basis[idx]
+    return Form(cpx.frame, {mask: Poly(cpx.vars, {e: ONE})})
+
+
 @pytest.fixture(scope="module")
 def flat_k3_setting():
-    nd = nil.build(3)
-    return nd, nil.semiflat_pair(nd.K)
+    return nil.build(3), nil.semiflat_pair(3)
 
 
 class TestComplexConstruction:
@@ -33,14 +38,14 @@ class TestComplexConstruction:
         ty = coh.ty_complex(pair2.frame_x, 1)
         for cpx, ops in ((bc, ["d", "deldbar"]), (ty, ["d", "dlambda", "ddlambda"])):
             for i in range(len(cpx.basis)):
-                v = cpx.vectorize(cpx.basis_form(i))
+                v = cpx.vectorize(basis_form(cpx, i))
                 assert cpx.apply("d", cpx.apply("d", v)) == {}
         for i in range(len(bc.basis)):
-            v = bc.vectorize(bc.basis_form(i))
+            v = bc.vectorize(basis_form(bc, i))
             assert bc.apply("deldbar", bc.apply("deldbar", v)) == {}
             assert bc.apply("d", bc.apply("deldbar", v)) == {}
         for i in range(len(ty.basis)):
-            v = ty.vectorize(ty.basis_form(i))
+            v = ty.vectorize(basis_form(ty, i))
             assert ty.apply("dlambda", ty.apply("dlambda", v)) == {}
             assert ty.apply("d", ty.apply("ddlambda", v)) == {}
             assert ty.apply("dlambda", ty.apply("ddlambda", v)) == {}
@@ -56,10 +61,19 @@ class TestComplexConstruction:
         frame = self.coframe_over(pair2, Poly.variable("r1") ** 2)
         for D in (0, 1, 2):
             cpx = coh.FiniteComplex(frame, D, (GenClass.FIBER_X, GenClass.BASE))
-            with pytest.raises(coh.SpanEscape) as err:
+            message = rf"^d of basis element \d+: a term of coefficient degree {D + 1} escapes the degree-{D} span$"
+            with pytest.raises(coh.SpanEscape, match=message) as err:
                 for i in range(len(cpx.basis)):
                     cpx.images["d"][i]
             assert err.value.witness is not None and err.value.witness.frame == frame
+
+    def test_vectorize_degree_escape(self, pair2):
+        # the message of a form names no basis element; the witness is the form
+        ty = coh.ty_complex(pair2.frame_x, 1)
+        f = Form.monomial(pair2.frame_x, ["dth1"], Poly.variable("r1") ** 2)
+        with pytest.raises(coh.SpanEscape, match="^term of coefficient degree 2 escapes the degree-1 span$") as err:
+            ty.vectorize(f)
+        assert err.value.witness == f
 
     def test_foreign_variable_in_frame_data_escapes(self, pair2):
         # d g1 = s dr1^dr2 has a coefficient in a variable outside the base
@@ -182,7 +196,7 @@ def assert_columns_match_oracle(frame, D, split, symp):
     cpx = coh.FiniteComplex(frame, D, split)
     lam_cols = cpx.lambda_columns(symp)
     for i in range(len(cpx.basis)):
-        f = cpx.basis_form(i)
+        f = basis_form(cpx, i)
         assert cpx.images["d"][i] == cpx.vectorize(exterior_d_by_wedging(f)), (D, cpx.basis[i])
         lam = dual_lefschetz_by_contraction(f, symp)
         assert lam_cols[i] == cpx.vectorize(lam), (D, cpx.basis[i])
@@ -304,10 +318,27 @@ def dolbeault_split(cpx, d_cols):
     return dl, db
 
 
+def product(*terms):
+    """Sparse columns of the sum of sign * (outer . inner) over the terms
+    (sign, outer, inner): column i of outer . inner is the image under
+    `outer` of the vector inner[i], the sum of inner[i][k] * outer[k]."""
+    out = []
+    for i in range(len(terms[0][2])):
+        acc = {}
+        for sign, outer, inner in terms:
+            for k, b in inner[i].items():
+                if sign < 0:
+                    b = -b
+                for r, a in outer[k].items():
+                    _accumulate(acc, r, b * a)
+        out.append(acc)
+    return out
+
+
 def eager_bc_complex(holo_frame, D):
     cpx = EagerComplex(holo_frame, D, HOLO_SPLIT)
     dl, db = dolbeault_split(cpx, cpx.images["d"])
-    cpx.images.update({"del": dl, "dbar": db, "deldbar": coh.product((1, dl, db))})
+    cpx.images.update({"del": dl, "dbar": db, "deldbar": product((1, dl, db))})
     return cpx
 
 
@@ -315,8 +346,8 @@ def eager_ty_complex(frame, D):
     cpx = EagerComplex(frame, D, (GenClass.FIBER_X, GenClass.BASE))
     d = cpx.images["d"]
     lam = cpx.lambda_columns(SymplecticData.darboux(frame, GenClass.FIBER_X))
-    dl = coh.product((1, d, lam), (-1, lam, d))
-    cpx.images.update({"lambda": lam, "dlambda": dl, "ddlambda": coh.product((1, d, dl))})
+    dl = product((1, d, lam), (-1, lam, d))
+    cpx.images.update({"lambda": lam, "dlambda": dl, "ddlambda": product((1, d, dl))})
     return cpx
 
 
@@ -341,7 +372,7 @@ class TestLazyColumns:
             for i, key in enumerate(eager.basis):
                 # the arithmetic index agrees with the enumeration both ways
                 assert lazy.basis[i] == key
-                assert lazy.vectorize(lazy.basis_form(i)) == {i: ONE}
+                assert lazy.vectorize(basis_form(lazy, i)) == {i: ONE}
             # the composites first, so that they build the columns they read
             for op in sorted(eager.images, key=lambda op: op == "d"):
                 for i in range(len(eager.basis)):
@@ -463,13 +494,13 @@ class TestComposedOperators:
         ty = coh.ty_complex(pair.frame_x, D)
         symp = SymplecticData.darboux(pair.frame_x, GenClass.FIBER_X)
         for i in range(len(ty.basis)):
-            f = ty.basis_form(i)
+            f = basis_form(ty, i)
             assert ty.images["dlambda"][i] == ty.vectorize(d_lambda_by_oracles(f, symp))
             assert ty.images["ddlambda"][i] == ty.vectorize(oracle_ddlambda(f, symp))
         bc = coh.bc_complex(pair.holo_frame, D)
         dl, db = bc.images["del"], bc.images["dbar"]
         for i in range(len(bc.basis)):
-            f = bc.basis_form(i)
+            f = basis_form(bc, i)
             del_f, dbar_f = dolbeault(f, pair.holo_frame)
             assert dl[i] == bc.vectorize(del_f)
             assert db[i] == bc.vectorize(dbar_f)
@@ -620,7 +651,7 @@ class TestMatrixLevelTransformConjugation:
         if pair2.n % 2:
             c = -c
         for i in range(len(bc.basis)):
-            v = bc.basis_form(i)
+            v = basis_form(bc, i)
             lhs = exterior_d(pair2.fm_forward(v))
             _, dbar_v = dolbeault(v, pair2.holo_frame)
             rhs = pair2.fm_forward(dbar_v) * (ONE / c)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from syzkit.calculus import exterior_d
+from syzkit import fourier
+from syzkit.calculus import dolbeault, exterior_d
 from syzkit.coeffring import GaussianRational, I, Poly
 from syzkit.exterior import Form, FrameMismatch, GenClass, frame_collect, reversal_sign
 from syzkit.fourier import SemiflatPair
@@ -212,13 +213,13 @@ class TestIntertwining:
         g = Poly.variable("r1")
         a = Form.monomial(pair1.holo_frame, ["dz1b"], g)
         rep = pair1.check_intertwining(a)
-        assert rep.ok
+        assert rep.passed
         assert pair1.fm_forward(a) == Form.monomial(pair1.frame_x, ["dth1", "dr1"], g)
 
     def test_constant_monomial_both_sides_zero(self, pair3):
         a = pair3.holo_monomial([1], [2])
         rep = pair3.check_intertwining(a)
-        assert rep.ok
+        assert rep.passed
         assert pair3.fm_forward(exterior_d(Form.zero(pair3.frame_xc))).is_zero()
 
     def test_explicit_function_case(self, pair1):
@@ -239,10 +240,28 @@ class TestIntertwining:
             rng = random.Random(1000 * n + seed)
             a = random_complex_side_form(rng, pair)
             rep = pair.check_intertwining(a)
-            assert rep.d_ok and rep.d_lambda_ok, (n, seed)
+            assert rep.passed, (n, seed)
 
     def test_difference_witness_shape(self, pair2):
         rng = random.Random(4)
         a = random_complex_side_form(rng, pair2)
         rep = pair2.check_intertwining(a)
-        assert rep.d_diff.is_zero() and rep.d_lambda_diff.is_zero()
+        assert [(i.id, i.status, i.witness) for i in rep.items] == [
+            ("d-intertwines-dbar", "pass", None),
+            ("dlambda-intertwines-del", "pass", None),
+        ]
+
+    def test_failing_identity_is_witnessed_by_its_difference(self, pair2, monkeypatch):
+        # with d replaced by zero on the symplectic side, the d identity reads
+        # FT(dbar phi) = 0, so its witness is FT(dbar phi); d^Lambda keeps
+        # its own d and still passes
+        a = Form.scalar(pair2.holo_frame, 1) * Poly.variable("r1") ** 2
+        _, dbar_a = dolbeault(a, pair2.holo_frame)
+        want = pair2.fm_forward(dbar_a)
+        assert not want.is_zero()
+        monkeypatch.setattr(fourier, "exterior_d", lambda form: Form.zero(form.frame))
+        rep = pair2.check_intertwining(a)
+        assert [(i.id, i.status, i.witness) for i in rep.items] == [
+            ("d-intertwines-dbar", "fail", str(want)),
+            ("dlambda-intertwines-del", "pass", None),
+        ]

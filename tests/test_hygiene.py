@@ -1,6 +1,6 @@
 """Package hygiene: no unused imports in the package or the tests, nothing
-defined that nothing reaches, no environment reads, every export resolves,
-and every traced function exists.
+defined that nothing reaches, nothing stored that nothing reads, no
+environment reads, every export resolves, and every traced function exists.
 
 The benchmark's span table (`perfbench/spans.py` `SPANS`) names functions by
 module and attribute path.  A missing class is recorded as zero calls, but a
@@ -46,8 +46,6 @@ def test_unused_import_scan_sees_an_unused_name():
 UNREACHED_ALLOWED = {
     "rref": "perfbench/spans.py traces it, and a traced run stops on a missing module function",
     "rank": "perfbench/spans.py traces it, and a traced run stops on a missing module function",
-    "basis_form": "the tests read basis elements of a complex as forms through it",
-    "random_symmetric_mu": "the IIA tests draw their coefficient matrices from it",
 }
 
 
@@ -106,6 +104,79 @@ def test_reachability_scan_sees_an_unreached_definition():
         "cli": "@main.command('x')\ndef cmd_x(): pass\n",
     }
     assert unreached(sources) == ["a.lone", "a.shadowed", "a.f"]
+
+
+# stored attributes that no package module reads, each with the reason it stays
+UNREAD_ALLOWED = {
+    "MirrorArtifacts.rho_a": "the tests read the IIA flux of a mirror pair through it",
+    "MirrorArtifacts.rho_b": "the tests read the IIB flux of a mirror pair through it",
+}
+
+
+def is_dataclass(node) -> bool:
+    """Whether a class is decorated with `@dataclass` or `@dataclass(...)`."""
+    return any(
+        isinstance(f, ast.Name) and f.id == "dataclass"
+        for f in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    )
+
+
+def stored_attributes(tree):
+    """(class, attribute) for every dataclass field and every `self.x = ...`
+    (plain, annotated, augmented or tuple target) inside a class."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if is_dataclass(cls):
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield cls.name, item.target.id
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self":
+                        yield cls.name, t.attr
+
+
+def unread(sources: dict[str, str]) -> list[str]:
+    """`module.Class.attr` of each stored attribute that no module reads as `.attr`."""
+    trees = {stem: ast.parse(src) for stem, src in sources.items()}
+    reads = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted({
+        f"{stem}.{cls}.{attr}"
+        for stem, tree in trees.items()
+        for cls, attr in stored_attributes(tree)
+        if attr not in reads
+    })
+
+
+def test_every_stored_attribute_is_read():
+    found = unread({p.stem: p.read_text() for p in MODULES})
+    # an allowlist entry whose attribute is gone or now read is stale
+    assert [f.split(".", 1)[1] for f in found] == sorted(UNREAD_ALLOWED)
+
+
+def test_unread_scan_sees_an_unread_attribute():
+    sources = {
+        "a": "@dataclass\nclass R:\n    name: str\n    items: list\n"
+             "class P:\n    def __init__(self):\n        self.kept, self.lone = 1, 2\n"
+             "        self.count: int = 0\n        self.total += 1\n"
+             "@dataclass(frozen=True)\nclass S:\n    size: int\n",
+        # a store or a bare name does not read an attribute; a load does
+        "b": "r.items.append(1)\nprint(p.kept, p.total)\np.count = 3\nname = 1\n",
+    }
+    assert unread(sources) == ["a.P.count", "a.P.lone", "a.R.name", "a.S.size"]
 
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}

@@ -184,7 +184,7 @@ def random_unit_det_matrix(rng, n):
 
 def flat_pair_with_nil_labels(k):
     nd = nil.build(k)
-    return nd, nil.semiflat_pair(nd.K)
+    return nd, nil.semiflat_pair(k)
 
 
 def mirror_transition(k):

@@ -7,7 +7,7 @@ from syzkit import nilmanifold as nil
 from syzkit.calculus import MissingPairing, exterior_d
 from syzkit.coeffring import GaussianRational, I, ONE, Poly
 from syzkit.exterior import Form, GenClass, frame_collect, frame_expand
-from syzkit.randgen import random_symmetric_mu, trial_rng
+from syzkit.randgen import trial_rng
 from syzkit.reports import FAIL
 from syzkit.sustruct import (
     NonConstantFactor,
@@ -24,7 +24,7 @@ from syzkit.sustruct import (
     proportional_to,
 )
 
-from conftest import iwasawa_omega_check
+from conftest import iwasawa_omega_check, random_symmetric_mu
 
 
 def flat_su_iib(pair):
