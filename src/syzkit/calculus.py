@@ -49,17 +49,19 @@ def exterior_d(form: Form) -> Form:
     second part uses the frame's stored structure equations (zero for
     coordinate generators).  Both parts are wedged straight from the frame
     data into one term dict, one wedge per base variable and per structure
-    equation.
+    equation.  Each coefficient is differentiated in one pass
+    (`Poly.partials`).
     """
     frame = form.frame
     terms = form.terms.items()
     out: dict[int, Poly] = {}
-    for v in frame.base_vars:
-        dc = {}
-        for mask, c in terms:
-            d = c.diff(v)
-            if d:
+    by_var: dict[str, dict[int, Poly]] = {v: {} for v in frame.base_vars}
+    for mask, c in terms:
+        for v, d in c.partials().items():
+            dc = by_var.get(v)
+            if dc is not None:
                 dc[mask] = d
+    for v, dc in by_var.items():
         if dc:
             dv = frame.base_one_form(v)
             if dv is None:
@@ -229,7 +231,12 @@ def dolbeault(form: Form, holo_frame: FrameSpec) -> tuple[Form, Form]:
 
 def _switch_index(holo_frame: FrameSpec, target: FrameSpec) -> dict[int, int]:
     """dz_k -> the k-th mirror-fiber generator and dzb_k -> the k-th base
-    generator of `target`, as generator positions."""
+    generator of `target`, as generator positions; built once per pair of
+    frames."""
+    return holo_frame.pair_table("switch", target, lambda: _build_switch_index(holo_frame, target))
+
+
+def _build_switch_index(holo_frame: FrameSpec, target: FrameSpec) -> dict[int, int]:
     holo = holo_frame.gens_of_class(GenClass.FIBER_MIRROR)
     anti = holo_frame.gens_of_class(GenClass.BASE)
     fibers = target.gens_of_class(GenClass.FIBER_MIRROR)
@@ -250,5 +257,7 @@ def polarization_switch(form: Form, target: FrameSpec) -> Form:
 def polarization_unswitch(form: Form, holo_frame: FrameSpec) -> Form:
     """Inverse switch: k-th mirror-fiber generator to dz_k, k-th base
     generator to dzb_k."""
-    index = _switch_index(holo_frame, form.frame)
-    return form.relabel(holo_frame, {t: h for h, t in index.items()})
+    index = holo_frame.pair_table(
+        "unswitch", form.frame, lambda: {t: h for h, t in _switch_index(holo_frame, form.frame).items()}
+    )
+    return form.relabel(holo_frame, index)

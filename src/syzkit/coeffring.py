@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Iterable, Mapping, Union
 
 Rationalish = Union[int, Fraction]
@@ -344,7 +345,7 @@ class Poly:
         terms: dict[tuple[int, ...], GaussianRational] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                _accumulate(terms, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                _accumulate(terms, tuple(map(add, e1, e2)), c1 * c2)
         return _poly(a.vars, terms)
 
     __rmul__ = __mul__
@@ -397,23 +398,65 @@ class Poly:
                 _accumulate(terms, exps[:i] + (k - 1,) + exps[i + 1:], c * k)
         return _poly(self.vars, terms)
 
+    def partials(self) -> dict[str, "Poly"]:
+        """Every nonzero partial derivative, by variable, in one pass over the
+        terms; each equals `self.diff(var)`.  Lowering one exponent maps
+        distinct terms to distinct terms, so each is stored, not summed."""
+        vs = self.vars
+        acc: list[dict] = [{} for _ in vs]
+        for exps, c in self.terms.items():
+            for i, k in enumerate(exps):
+                if k:
+                    acc[i][exps[:i] + (k - 1,) + exps[i + 1:]] = c if k == 1 else c * k
+        return {v: _poly(vs, terms) for v, terms in zip(vs, acc) if terms}
+
     def subst(self, assignment: Mapping[str, "Poly | Scalarish"]) -> "Poly":
-        """Ring-homomorphic substitution; unmapped variables stay themselves."""
-        images = {}
-        for v in self.vars:
+        """Ring-homomorphic substitution; unmapped variables stay themselves.
+
+        Each image is raised to each power the terms use once, over the union
+        of the universes of the images the terms use, and every term's
+        product is added straight into the result over that universe.
+        """
+        vs = self.vars
+        images = []
+        for v in vs:
             img = assignment.get(v)
             if img is None:
-                images[v] = Poly.variable(v)
-            else:
-                images[v] = Poly.promote(img) if not isinstance(img, Poly) else img
-        out = Poly((), {})
-        for exps, c in self.terms.items():
-            term = Poly.constant(c)
-            for v, e in zip(self.vars, exps):
+                img = Poly.variable(v)
+            elif not isinstance(img, Poly):
+                img = Poly.promote(img)
+            images.append(img)
+        used: set[str] = set()
+        top = [0] * len(vs)
+        for exps in self.terms:
+            for i, e in enumerate(exps):
                 if e:
-                    term = term * images[v] ** e
-            out = out + term
-        return out
+                    used.update(images[i].vars)
+                    if e > top[i]:
+                        top[i] = e
+        universe = tuple(sorted(used))
+        # powers[i][e] = images[i] ** e over the universe, for 1 <= e <= top[i]
+        powers = []
+        for img, k in zip(images, top):
+            row = [None]
+            if k:
+                row.append(img._over(universe))
+                for _ in range(k - 1):
+                    row.append(row[-1] * row[1])
+            powers.append(row)
+        out: dict[tuple[int, ...], GaussianRational] = {}
+        for exps, c in self.terms.items():
+            term = None
+            for i, e in enumerate(exps):
+                if e:
+                    p = powers[i][e]
+                    term = p if term is None else term * p
+            if term is None:
+                _accumulate(out, (0,) * len(universe), c)
+            else:
+                for e, v in term.terms.items():
+                    _accumulate(out, e, v * c)
+        return _poly(universe, out)
 
     def conjugate(self) -> "Poly":
         return _poly(self.vars, {e: c.conjugate() for e, c in self.terms.items()})

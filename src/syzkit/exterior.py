@@ -101,6 +101,7 @@ class FrameSpec:
             if g.leg_class is not None:
                 self._class_masks[g.leg_class] = self._class_masks.get(g.leg_class, 0) | 1 << i
         self._collect_images: Optional[dict[str, Form]] = None
+        self._pair_tables: dict[tuple[str, FrameSpec], dict] = {}
 
     def __len__(self):
         return len(self.generators)
@@ -128,6 +129,16 @@ class FrameSpec:
 
     def d_of_generator(self, i: int) -> Optional["Form"]:
         return self._d_gen[i]
+
+    def pair_table(self, job: str, other: "FrameSpec", build: Callable[[], dict]) -> dict:
+        """The table `build()` that `job` keeps for this frame and `other`,
+        built on first use.  It is keyed by the frame object itself, never by
+        its id(), which a freed frame hands on to the next one."""
+        key = (job, other)
+        table = self._pair_tables.get(key)
+        if table is None:
+            table = self._pair_tables[key] = build()
+        return table
 
     # `calculus.coframe` calls these once, before the frame is shared
     def _set_structure(self, label: str, d_form: "Form") -> None:
@@ -347,11 +358,12 @@ class Form:
         return _form(self.frame, {m: p.conjugate() for m, p in self.terms.items()})
 
     def transport(self, frame: FrameSpec) -> "Form":
-        """Re-express on another frame by matching generator labels."""
-        target = frame.index
-        return self.relabel(
-            frame, {i: target[g.label] for i, g in enumerate(self.frame.generators) if g.label in target}
-        )
+        """Re-express on another frame by matching generator labels (the
+        index map is built once per pair of frames)."""
+        index = self.frame.pair_table("transport", frame, lambda: {
+            i: frame.index[g.label] for i, g in enumerate(self.frame.generators) if g.label in frame.index
+        })
+        return self.relabel(frame, index)
 
     def relabel(self, frame: FrameSpec, index: Mapping[int, int]) -> "Form":
         """Move generator i to generator index[i] of `frame`, coefficients
@@ -481,12 +493,17 @@ def _contract_into(
     return out
 
 
-def substitute_generators(form: Form, target: FrameSpec, images: Mapping[int, Form]) -> Form:
+def substitute_generators(
+    form: Form, target: FrameSpec, images: Mapping[int, Form], monomials: Optional[dict] = None
+) -> Form:
     """Algebra map determined by generator images (one-forms on `target`).
 
     Every generator used by `form` must have an image; coefficients are
     carried over.  The images are checked before any wedge, so a term that
-    maps to zero early still needs them all.
+    maps to zero early still needs them all.  The image of each monomial of
+    two or more legs is the image of its lower legs wedged with the image of
+    its top leg, built once into `monomials` (mask -> term dict), which a
+    caller may keep across calls with the same images (see `frame_expand`).
     """
     used = 0
     for m in form.terms:
@@ -496,27 +513,49 @@ def substitute_generators(form: Form, target: FrameSpec, images: Mapping[int, Fo
             raise FrameMismatch(f"no image for generator {form.frame.generators[i].label!r}")
         if images[i].frame is not target:
             raise FrameMismatch("operands live on different frame objects")
+    if monomials is None:
+        monomials = {}
     out: dict[int, Poly] = {}
     for m, c in form.terms.items():
-        term = {0: c}
-        for i in bits(m):
-            term = _wedge_into({}, term, images[i].terms)
-            if not term:
-                break
-        for tm, tp in term.items():
-            _accumulate(out, tm, tp)
+        if not m:
+            _accumulate(out, 0, c)
+            continue
+        image = monomials.get(m)
+        if image is None:
+            image = _monomial_image(monomials, images, m)
+        for tm, tp in image.items():
+            _accumulate(out, tm, c * tp)
     return _form(target, out)
+
+
+def _monomial_image(monomials: dict, images: Mapping[int, Form], m: int) -> dict[int, Poly]:
+    """The image of the generator monomial `m` (nonzero), stored into
+    `monomials` with the images of its lower legs."""
+    top = m.bit_length() - 1
+    rest = m ^ (1 << top)
+    last = images[top].terms
+    if not rest:
+        image = last
+    else:
+        below = monomials.get(rest)
+        if below is None:
+            below = _monomial_image(monomials, images, rest)
+        image = _wedge_into({}, below, last) if below else {}
+    monomials[m] = image
+    return image
 
 
 def frame_expand(form: Form, coord_frame: FrameSpec) -> Form:
     """Replace every generator by its expansion on `coord_frame` (a used
-    generator with no expansion there is a FrameMismatch)."""
-    images = {
+    generator with no expansion there is a FrameMismatch).  The image of
+    each monomial is built once per pair of frames and kept."""
+    images = form.frame.pair_table("expand-images", coord_frame, lambda: {
         i: g.coord_expansion
         for i, g in enumerate(form.frame.generators)
         if g.coord_expansion is not None and g.coord_expansion.frame is coord_frame
-    }
-    return substitute_generators(form, coord_frame, images)
+    })
+    monomials = form.frame.pair_table("expand-monomials", coord_frame, dict)
+    return substitute_generators(form, coord_frame, images, monomials)
 
 
 def _collect_images(frame: FrameSpec) -> dict[str, Form]:

@@ -2,13 +2,19 @@
 
 Plain `random.Random` with per-trial derived seeds keeps every campaign
 bit-reproducible, which the report contract requires.
+
+Every integer draw reads the generator's bits directly by CPython's rejection
+rule (`_below`): k = n.bit_length() bits from `getrandbits`, drawn again while
+the value is n or more.  That is exactly what `randint(a, b)` (n = b - a + 1),
+`randrange(n)` and `choice` (n = its length) consume and return, so a draw
+here and one through those methods leave the generator in the same state.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .coeffring import GaussianRational, Poly, _accumulate, _poly, _reduced, _universe
 from .exterior import Form, FrameSpec, _form
@@ -19,18 +25,42 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random((seed * 1000003 + trial) & 0xFFFFFFFF)
 
 
-# a numerator in [-4, 4] over one of these denominators, drawn by `choice`
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A draw from [0, n) through `bits` (a generator's `getrandbits`), as
+    `randrange(n)` makes it.  An empty range (n < 1) raises ValueError, as
+    `randrange` does, instead of drawing forever."""
+    if n < 1:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+# a numerator in [-4, 4] over one of these denominators, drawn as by `choice`
 _DENOMINATORS = (1, 1, 1, 2, 3)
+
+
+def _ratio_draw(bits: Callable[[int], int]) -> tuple[int, int]:
+    """(numerator, denominator): `_below(bits, 9) - 4`, then
+    `_DENOMINATORS[_below(bits, 5)]`, written out since every scalar draws
+    them."""
+    n = bits(4)
+    while n >= 9:
+        n = bits(4)
+    d = bits(3)
+    while d >= 5:
+        d = bits(3)
+    return n - 4, _DENOMINATORS[d]
 
 
 def random_scalar(rng: random.Random, complex_ok: bool = True) -> GaussianRational:
     """re + i*im with re and im drawn as numerator then denominator, the
     imaginary part first (half the time, when `complex_ok`)."""
-    if complex_ok and rng.random() < 0.5:
-        b, db = rng.randint(-4, 4), rng.choice(_DENOMINATORS)
-    else:
-        b, db = 0, 1
-    a, da = rng.randint(-4, 4), rng.choice(_DENOMINATORS)
+    bits = rng.getrandbits
+    b, db = _ratio_draw(bits) if complex_ok and rng.random() < 0.5 else (0, 1)
+    a, da = _ratio_draw(bits)
     return _reduced(a * db, b * da, da * db)
 
 
@@ -44,14 +74,16 @@ def random_poly(
     """A draw of up to `max_terms` terms; a later draw of the same exponents
     replaces the earlier one.  The universe is checked once, and the drawn
     scalars are already normalized, so the result is built unchecked."""
-    vs = _universe(sorted(vars))
+    vs = _sorted_universe(tuple(vars))
+    bits = rng.getrandbits
+    nv = len(vs)
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        budget = rng.randint(0, max_degree)
-        e = [0] * len(vs)
-        for _ in range(budget):
-            if vs:
-                e[rng.randrange(len(vs))] += 1
+    for _ in range(1 + _below(bits, max_terms)):
+        budget = _below(bits, max_degree + 1)
+        e = [0] * nv
+        if nv:
+            for _ in range(budget):
+                e[_below(bits, nv)] += 1
         terms[tuple(e)] = random_scalar(rng, complex_ok)
     return _poly(vs, {e: c for e, c in terms.items() if c})
 
@@ -64,17 +96,25 @@ def random_form(
     degrees: Optional[Sequence[int]] = None,
     complex_ok: bool = True,
 ) -> Form:
-    """Random invariant form; optionally restricted to the given form degrees."""
+    """Random invariant form; optionally restricted to the given form degrees
+    (a set no mask has raises IndexError, as `choice` of nothing does)."""
     size = len(frame)
-    # `choice` indexes its argument, so a range draws exactly as its list would
     masks = range(1 << size) if degrees is None else _masks_of_degrees(size, frozenset(degrees))
+    if not masks:
+        raise IndexError(f"no generator monomial of degree {sorted(degrees)} on {frame!r}")
+    bits = rng.getrandbits
     terms: dict[int, Poly] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        m = rng.choice(masks)
+    for _ in range(1 + _below(bits, max_terms)):
+        m = masks[_below(bits, len(masks))]
         p = random_poly(rng, frame.base_vars, max_degree, 2, complex_ok)
         if p:
             _accumulate(terms, m, p)
     return _form(frame, terms)
+
+
+@cache
+def _sorted_universe(vars: tuple[str, ...]) -> tuple[str, ...]:
+    return _universe(sorted(vars))
 
 
 @cache

@@ -533,3 +533,77 @@ def test_exponent_vectors():
     assert out[0] == (0, 0)
     assert set(out) == {(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)}
     assert exponent_vectors(0, 3) == [()]
+
+
+def subst_by_pow(p, assignment):
+    """Oracle for Poly.subst: every term rebuilt as its coefficient times each
+    image raised by `**`, summed with `+` from the empty polynomial, the route
+    it once took (so the oracle fixes the result's universe too)."""
+    images = {}
+    for v in p.vars:
+        img = assignment.get(v)
+        if img is None:
+            images[v] = Poly.variable(v)
+        else:
+            images[v] = Poly.promote(img) if not isinstance(img, Poly) else img
+    out = Poly((), {})
+    for exps, c in p.terms.items():
+        term = Poly.constant(c)
+        for v, e in zip(p.vars, exps):
+            if e:
+                term = term * images[v] ** e
+        out = out + term
+    return out
+
+
+class TestKernelsMatchOracles:
+    UNIVERSES = [(), ("r1",), ("r1", "r2"), ("r2", "r3"), ("r1", "r2", "r3"), ("s", "t")]
+
+    def polys(self, rng):
+        """Seeded polys of degree up to 4 over varied universes, with the zero
+        poly, constants over an empty and a padded universe, and a constant
+        term mixed into a nonconstant poly."""
+        yield Poly()
+        yield Poly(("r1", "r2"), {})
+        yield Poly.constant(GaussianRational(Fraction(2, 3), -1))
+        yield Poly.constant(5, ("r1", "r3"))
+        yield r("r1") * r("r2") + 7
+        for _ in range(40):
+            yield random_poly(rng, rng.choice(self.UNIVERSES), max_degree=4, max_terms=4)
+
+    def assignment(self, rng):
+        """Images for a random part of r1, r2, r3, s: polys over their own
+        universes (the zero poly among them), ints and scalars; the other
+        variables stay unmapped."""
+        out = {}
+        for v in ("r1", "r2", "r3", "s"):
+            pick = rng.random()
+            if pick < 0.3:
+                continue
+            if pick < 0.4:
+                out[v] = rng.choice([0, 3, GaussianRational(1, 2)])
+            elif pick < 0.45:
+                out[v] = Poly(("r2",), {})
+            else:
+                out[v] = random_poly(rng, rng.choice(self.UNIVERSES), max_degree=2, max_terms=3)
+        return out
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_subst(self, seed):
+        rng = random.Random(9100 + seed)
+        for p in self.polys(rng):
+            sub = self.assignment(rng)
+            got, want = p.subst(sub), subst_by_pow(p, sub)
+            assert got == want, (p, sub)
+            assert got.vars == want.vars, (p, sub)
+            assert got.to_json() == want.to_json(), (p, sub)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_partials(self, seed):
+        rng = random.Random(9200 + seed)
+        for p in self.polys(rng):
+            got = p.partials()
+            want = {v: p.diff(v) for v in p.vars if p.diff(v)}
+            assert list(got) == list(want)
+            for v, d in got.items():
+                assert d.vars == want[v].vars and d.to_json() == want[v].to_json()

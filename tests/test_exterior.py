@@ -693,3 +693,47 @@ class TestKernelsMatchLoops:
         images[3] = Form.gen(SemiflatPair(2).frame_x, "dr2")
         with pytest.raises(FrameMismatch, match="different frame"):
             substitute_generators(Form.gen(x, "dr2"), x, images)
+
+
+class TestFrameTables:
+    """The per-pair tables (monomial images, relabel maps) are built once per
+    pair of frame objects and keyed by the frame object itself."""
+
+    @pytest.mark.parametrize("case", SUBST_FRAMES, ids=SUBST_IDS)
+    def test_warm_table_expands_as_the_wedge_chain(self, case):
+        # a fresh frame of the case, so every call after the first reads
+        # monomial images an earlier call built
+        size, side = case
+        frame = getattr(nil.build(3) if size == "K3" else SemiflatPair(size), side)
+        coord = frame.generators[0].coord_expansion.frame
+        expand = {i: g.coord_expansion for i, g in enumerate(frame.generators)}
+        forms = list(kernel_forms(frame, 2900 + SUBST_FRAMES.index(case)))
+        for _ in range(2):
+            for a in forms:
+                assert_same_form(frame_expand(a, coord), substitute_by_form_chain(a, coord, expand))
+
+    def test_frames_with_the_same_labels_never_share_an_entry(self):
+        a, b = SemiflatPair(2), SemiflatPair(2)
+        dz = Form.monomial(a.holo_frame, ["dz1", "dz2b"])
+        assert frame_expand(dz, a.frame_xc).frame is a.frame_xc
+        # b's real frame has a's labels, yet a's holomorphic generators do not
+        # expand on it: the warm table of a's real frame does not answer
+        with pytest.raises(FrameMismatch, match="no image"):
+            frame_expand(dz, b.frame_xc)
+        x = Form.gen(a.frame_x, "dth1")
+        assert x.transport(a.frame_corr).frame is a.frame_corr
+        assert x.transport(b.frame_corr).frame is b.frame_corr
+        keys = list(a.frame_x._pair_tables)
+        assert keys == [("transport", a.frame_corr), ("transport", b.frame_corr)]
+        assert all(type(other) is FrameSpec for _, other in a.holo_frame._pair_tables)
+
+    def test_tables_outlive_no_frame(self):
+        # frames freed and rebuilt with the same labels: every result lands on
+        # the frame object it was asked for
+        for _ in range(30):
+            pair = SemiflatPair(1)
+            got = frame_expand(Form.gen(pair.holo_frame, "dz1"), pair.frame_xc)
+            assert got.frame is pair.frame_xc
+            assert got == Form.gen(pair.frame_xc, "dtc1") + Form.gen(pair.frame_xc, "dr1") * I
+            lifted = Form.gen(pair.frame_x, "dr1").transport(pair.frame_corr)
+            assert lifted.frame is pair.frame_corr

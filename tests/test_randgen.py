@@ -6,7 +6,7 @@ import pytest
 from syzkit.coeffring import GaussianRational, Poly
 from syzkit.exterior import Form
 from syzkit.fourier import SemiflatPair
-from syzkit.randgen import random_form, random_poly, random_scalar
+from syzkit.randgen import _below, random_form, random_poly, random_scalar
 
 
 def random_form_oracle(rng, frame, max_terms=4, max_degree=2, degrees=None, complex_ok=True):
@@ -85,4 +85,32 @@ def test_random_poly_draws_as_the_fraction_route(complex_ok):
         got = random_poly(got_rng, vars, complex_ok=complex_ok)
         want = random_poly_by_fractions(want_rng, vars, complex_ok=complex_ok)
         assert got.to_json() == want.to_json(), seed
+        assert got_rng.getstate() == want_rng.getstate(), seed
+
+
+def test_degrees_no_mask_has_raise_index_error(pair2):
+    with pytest.raises(IndexError):
+        random_form(random.Random(0), pair2.frame_x, degrees=[99])
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_empty_range_raises_rather_than_draws_forever(n):
+    calls = []
+
+    def bits(k):
+        calls.append(k)
+        return 0
+
+    with pytest.raises(ValueError, match="empty range"):
+        _below(bits, n)
+    assert calls == []
+
+
+def test_below_draws_as_randrange():
+    for seed in range(200):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for n in (1, 2, 3, 5, 8, 9, 16, 17, 100):
+            assert _below(got_rng.getrandbits, n) == want_rng.randrange(n), (seed, n)
+            assert _below(got_rng.getrandbits, n) == want_rng.randint(0, n - 1), (seed, n)
+            assert _below(got_rng.getrandbits, n) == want_rng.choice(range(n)), (seed, n)
         assert got_rng.getstate() == want_rng.getstate(), seed
