@@ -50,12 +50,38 @@ MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, ZeroDi
 def _read_object(path: str) -> dict:
     """The JSON object in `path`; anything else is a usage error naming the file."""
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise click.UsageError(f"{path}: invalid JSON: {e}") from None
+    except UnicodeDecodeError as e:
+        raise click.UsageError(f"{path}: not UTF-8 text: {e}") from None
     if not isinstance(obj, dict):
         raise click.UsageError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def _in_existing_directory(ctx, param, value: str | None) -> str | None:
+    """A file `--out` whose directory exists, checked before any work."""
+    if value is not None and not Path(value).parent.is_dir():
+        raise click.BadParameter(f"{value!r}: directory {str(Path(value).parent)!r} does not exist")
+    return value
+
+
+def _makeable_directory(ctx, param, value: str | None) -> str | None:
+    """A directory `--out` that exists or can be made: the nearest existing
+    path on the way up to it is a directory, checked before any work."""
+    path = Path(value or ".")
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise click.BadParameter(f"{value!r}: {str(path)!r} is not a directory")
+    return value
+
+
+# the options that name an input file and an output file; click refuses a
+# directory for either, and an input that does not exist, before any work
+INPUT_FILE = click.Path(exists=True, dir_okay=False)
+OUT_FILE = {"type": click.Path(dir_okay=False), "default": None, "callback": _in_existing_directory}
 
 
 def _malformed(path: str, what: str, e: Exception) -> click.UsageError:
@@ -117,7 +143,8 @@ def main():
 
 @main.command("nil")
 @click.option("--K", "k", type=click.IntRange(2, nil.MAX_K), required=True, help="matrix size")
-@click.option("--out", type=click.Path(), default=None, help="output directory for fixtures + report")
+@click.option("--out", default=None, callback=_makeable_directory,
+              help="output directory for fixtures + report")
 def cmd_nil(k: int, out: str | None):
     """Build the size-K family and verify structure, invariance, balancedness,
     duality pairing, and the full mirror pipeline."""
@@ -155,15 +182,15 @@ def cmd_nil(k: int, out: str | None):
 
 
 @main.command("fm")
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
+@click.option("--input", "input_path", type=INPUT_FILE, required=True)
 @click.option("--direction", type=click.Choice(["fwd", "back"]), required=True)
 @click.option("--n", "n", type=click.IntRange(1, MAX_FM_RANK), required=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", **OUT_FILE)
 def cmd_fm(input_path: str, direction: str, n: int, out: str | None):
     """Transform a form (JSON) across the standard rank-n pair."""
     t0 = time.time()
-    pair = SemiflatPair(n)
     obj = _read_object(input_path)
+    pair = SemiflatPair(n)
     frames = {
         tuple(g.label for g in f.generators): f
         for f in (pair.holo_frame, pair.frame_xc, pair.frame_x)
@@ -198,8 +225,8 @@ def cmd_fm(input_path: str, direction: str, n: int, out: str | None):
 
 @main.command("verify")
 @click.option("--system", type=click.Choice(["iia", "iib"]), required=True)
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--input", "input_path", type=INPUT_FILE, required=True)
+@click.option("--out", **OUT_FILE)
 def cmd_verify(system: str, input_path: str, out: str | None):
     """Run the supersymmetry-system checks on a structure fixture."""
     t0 = time.time()
@@ -212,7 +239,11 @@ def cmd_verify(system: str, input_path: str, out: str | None):
         raise _malformed(input_path, "fixture", e) from None
     if system == "iia" and su.polarization is None:
         raise click.UsageError(f"{input_path}: --system iia needs a fixture with a polarization")
-    rep = check_iia(su) if system == "iia" else check_iib(su)
+    try:
+        rep = check_iia(su) if system == "iia" else check_iib(su)
+    except OverflowError as e:
+        # a product of the fixture's coefficients past the monomial degree bound
+        raise click.UsageError(f"{input_path}: {e}") from None
     _emit(rep, out, "verify", {"system": system, "n": su.n}, t0)
 
 
@@ -223,7 +254,7 @@ def cmd_verify(system: str, input_path: str, out: str | None):
 @click.option("--p", "p", type=int, required=True)
 @click.option("--q", "q", type=int, required=True)
 @click.option("--degree", "degree", type=click.IntRange(min=0), default=1)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", **OUT_FILE)
 def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | None):
     """Cohomology dimensions (and the mirror comparison) of the flat
     semi-flat pair, written with the size-K family's variable names, at
@@ -273,7 +304,7 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
 @click.option("--suite", type=click.Choice(sorted(SUITES)), required=True)
 @click.option("--trials", type=click.IntRange(min=1), default=100)
 @click.option("--seed", type=int, default=0)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", **OUT_FILE)
 def cmd_proptest(suite: str, trials: int, seed: int, out: str | None):
     """Run a named randomized campaign with per-trial derived seeds."""
     t0 = time.time()

@@ -6,18 +6,22 @@ structural equality after normalization.  There is no floating point anywhere:
 a Gaussian rational is three Python integers, and a `float` operand is a
 `TypeError`.
 
-Ring operations build their results already normalized (scalars in lowest
-terms, polynomials without zero terms over a sorted universe) and wrap them
-through the private constructors `_gr` and `_poly`, which check nothing.  The
-public constructors keep every check.
+A polynomial is only its terms: a map from monomials, each one int, to
+nonzero scalars.  Variable names come back only at the JSON and rendering
+boundary.  Ring operations build their results already normalized (scalars in
+lowest terms, polynomials without zero terms) and wrap them through the
+private constructors `_gr` and `_poly`, which check nothing.  The public
+constructors keep every check.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
+from functools import reduce
 from math import gcd
-from operator import add
-from typing import Iterable, Mapping, Union
+from operator import itemgetter, or_
+from typing import Iterable, Mapping, Sequence, Union
 
 Rationalish = Union[int, Fraction]
 Scalarish = Union[int, Fraction, "GaussianRational"]
@@ -160,11 +164,10 @@ class GaussianRational:
         return f"{re}{sign}{_imag_str(abs(im))}"
 
     def to_json(self):
-        re, im = self.re, self.im
-        return {
-            "re": [re.numerator, re.denominator],
-            "im": [im.numerator, im.denominator],
-        }
+        # a/d and b/d in lowest terms, as the Fractions `re` and `im` hold them
+        a, b, d = self._a, self._b, self._d
+        g, h = gcd(a, d), gcd(b, d)
+        return {"re": [a // g, d // g], "im": [b // h, d // h]}
 
     @staticmethod
     def from_json(obj) -> "GaussianRational":
@@ -226,134 +229,164 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def _term_key(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), exps)
+# -- monomials -----------------------------------------------------------------
+#
+# A monomial is one int.  Its low _WIDTH bits hold the total degree, and each
+# variable owns the _WIDTH-bit field above them that the process-wide,
+# append-only table _SHIFT gave it when the variable was first named.  Every
+# stored monomial has total degree below DEGREE_BOUND, half the field's range,
+# so the sum of two stored monomials never carries out of a field: a product
+# of monomials is an int add, and a sum whose degree reaches the bound is
+# refused.  No other module reads a field; variable names come back through
+# `exponents`.
+
+_WIDTH = 16
+_FIELD = (1 << _WIDTH) - 1
+DEGREE_BOUND = 1 << (_WIDTH - 1)
+_SHIFT: dict[str, int] = {}
+_BY_NAME: list[tuple[str, int]] = []  # (name, shift) for every variable, in name order
+
+
+def variable_monomial(name: str) -> int:
+    """The monomial of one variable, naming it in the table on first use."""
+    s = _SHIFT.get(name)
+    if s is None:
+        s = _SHIFT[name] = _WIDTH * (len(_SHIFT) + 1)
+        insort(_BY_NAME, (name, s))
+    return (1 << s) | 1
+
+
+def total_degree(m: int) -> int:
+    return m & _FIELD
+
+
+def exponents(m: int, vars: Iterable[str]) -> tuple[int, ...]:
+    """The exponents of monomial `m` over `vars`, in their order."""
+    return _exponents(m, [_SHIFT.get(v, 0) for v in vars])
+
+
+def _exponents(m: int, shifts: list[int]) -> tuple[int, ...]:
+    # shift 0 stands for a variable that no monomial uses
+    return tuple([m >> s & _FIELD if s else 0 for s in shifts])
+
+
+def monomials(vars: Sequence[str], max_total: int) -> list[int]:
+    """Every monomial in `vars` of total degree <= max_total, ordered by
+    degree and then by the exponents over `vars`."""
+    if not 0 <= max_total < DEGREE_BOUND:
+        raise ValueError(f"total degree {max_total} is outside 0..{DEGREE_BOUND - 1}")
+    out = [0]
+    for v in vars:
+        unit = variable_monomial(v)
+        out = [m + e * unit for m in out for e in range(max_total - (m & _FIELD) + 1)]
+    shifts = [_SHIFT[v] for v in vars]
+    return sorted(out, key=lambda m: (m & _FIELD, _exponents(m, shifts)))
 
 
 class Poly:
-    """Sparse multivariate polynomial over Q(i).
+    """Sparse multivariate polynomial over Q(i): `terms` maps monomials (see
+    `variable_monomial`) to nonzero coefficients, and nothing else is stored,
+    so `==` and `hash` read the terms alone.
 
-    Exponent vectors are dense tuples over the (sorted) variable universe;
-    universes of two operands are merged by variable name.  No zero terms are
-    stored and the term order used for printing/JSON is (degree, exponents).
-    The public constructor checks the universe and the exponent lengths and
-    drops zero terms; ring operations, whose results already satisfy this, go
-    through `_poly`.  As with `GaussianRational`, immutability is by
-    convention: `vars` and `terms` are written only when an instance is built.
+    Variable names come back only for rendering and JSON, where the terms
+    are ordered by degree and then by their exponents over the sorted
+    variables they use.  The public constructor takes exponent vectors over
+    sorted, unique `vars`, checks them and drops zero terms; ring operations,
+    whose results are already clean, go through `_poly`.  As with
+    `GaussianRational`, immutability is by convention: `terms` is written only
+    when an instance is built.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
     def __init__(self, vars: Iterable[str] = (), terms: Mapping[tuple[int, ...], Scalarish] | None = None):
         vs = _universe(vars)
-        clean: dict[tuple[int, ...], GaussianRational] = {}
+        clean: dict[int, GaussianRational] = {}
         for exps, c in (terms or {}).items():
-            c = GaussianRational.promote(c)
-            if not c:
-                continue
             exps = tuple(exps)
             if len(exps) != len(vs):
-                raise ValueError("exponent vector length does not match universe")
-            clean[exps] = c
-        self.vars = vs
+                raise ValueError("exponent vector length does not match the variables")
+            if any(type(x) is not int or x < 0 for x in exps):
+                raise ValueError(f"exponents must be nonnegative integers, got {list(exps)!r}")
+            if sum(exps) >= DEGREE_BOUND:
+                raise ValueError(f"exponents {list(exps)!r} reach the total degree bound {DEGREE_BOUND}")
+            c = GaussianRational.promote(c)
+            if c:
+                # only the variables a term uses are named, so the table that
+                # `_used` scans grows with the data, not with the listed names
+                clean[sum(e * variable_monomial(v) for v, e in zip(vs, exps) if e)] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(c: Scalarish, vars: Iterable[str] = ()) -> "Poly":
-        vs = tuple(vars)
+    def constant(c: Scalarish) -> "Poly":
         c = GaussianRational.promote(c)
-        if not c:
-            return Poly(vs, {})
-        return Poly(vs, {(0,) * len(vs): c})
+        return _poly({0: c} if c else {})
 
     @staticmethod
     def variable(name: str) -> "Poly":
-        return Poly((name,), {(1,): ONE})
+        return _poly({variable_monomial(name): ONE})
 
     @staticmethod
-    def promote(x, vars: Iterable[str] = ()) -> "Poly":
+    def promote(x) -> "Poly":
         if isinstance(x, Poly):
             return x
         if isinstance(x, (int, Fraction, GaussianRational)):
-            return Poly.constant(x, vars)
+            return Poly.constant(x)
         raise TypeError(f"cannot promote {type(x).__name__} to Poly")
-
-    # -- universe management ----------------------------------------------
-
-    def _over(self, vars: tuple[str, ...]) -> "Poly":
-        """Re-express over a sorted, unique universe containing self.vars."""
-        if vars == self.vars:
-            return self
-        pos = []
-        for v in self.vars:
-            if v not in vars:
-                raise ValueError(f"universe {vars} does not contain {v}")
-            pos.append(vars.index(v))
-        n = len(vars)
-        terms = {}
-        for exps, c in self.terms.items():
-            e = [0] * n
-            for p, x in zip(pos, exps):
-                e[p] = x
-            terms[tuple(e)] = c
-        return _poly(vars, terms)
-
-    @staticmethod
-    def _aligned(p: "Poly", q: "Poly") -> tuple["Poly", "Poly"]:
-        if p.vars == q.vars:
-            return p, q
-        vs = tuple(sorted(set(p.vars) | set(q.vars)))
-        return p._over(vs), q._over(vs)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = Poly.promote(other, self.vars)
-        a, b = Poly._aligned(self, other)
-        terms = dict(a.terms)
-        for exps, c in b.terms.items():
-            _accumulate(terms, exps, c)
-        return _poly(a.vars, terms)
+        if type(other) is not Poly:
+            other = Poly.promote(other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            _accumulate(terms, m, c)
+        return _poly(terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-Poly.promote(other, self.vars))
+        return self + (-Poly.promote(other))
 
     def __rsub__(self, other):
-        return Poly.promote(other, self.vars) - self
+        return Poly.promote(other) - self
 
     def __neg__(self):
-        return _poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if type(other) is not Poly:
-            if isinstance(other, (int, Fraction, GaussianRational)):
-                # Q(i) is a field: a nonzero scalar keeps every term nonzero
-                c = GaussianRational.promote(other)
-                return _poly(self.vars, {e: v * c for e, v in self.terms.items()} if c else {})
-            other = Poly.promote(other, self.vars)
-        # a constant over the empty universe scales the other operand, whose
-        # universe is the union
-        if not other.vars:
-            return _scaled(self, other)
-        if not self.vars:
-            return _scaled(other, self)
-        a, b = Poly._aligned(self, other)
-        terms: dict[tuple[int, ...], GaussianRational] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                _accumulate(terms, tuple(map(add, e1, e2)), c1 * c2)
-        return _poly(a.vars, terms)
+            other = Poly.promote(other)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _poly({})
+        # a constant operand scales the other one; Q(i) is a field, so a
+        # nonzero scalar keeps every term nonzero, and 1 keeps the operand
+        if len(b) == 1 and 0 in b:
+            c = b[0]
+            return self if c == ONE else _poly({m: v * c for m, v in a.items()})
+        if len(a) == 1 and 0 in a:
+            c = a[0]
+            return other if c == ONE else _poly({m: c * v for m, v in b.items()})
+        terms: dict[int, GaussianRational] = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                _accumulate(terms, m1 + m2, c1 * c2)
+        # the sum of two stored monomials never carries out of the degree
+        # field, so a degree past the bound shows in the field's top bit
+        if any(map(DEGREE_BOUND.__and__, terms)):
+            raise OverflowError(f"a product reaches the total degree bound {DEGREE_BOUND}")
+        return _poly(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.constant(1, self.vars)
+        out = P_ONE
         base = self
         while k:
             if k & 1:
@@ -364,22 +397,16 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Poly.constant(other, self.vars)
+            other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = Poly._aligned(self, other)
-        return a.terms == b.terms
+        return self.terms == other.terms
 
     def __hash__(self):
         # a constant equals its scalar (see __eq__), so it hashes as one
         if self.is_constant():
             return hash(self.constant_value())
-        # hash ignores padding variables so that equal polys hash equal
-        core = frozenset(
-            (tuple((v, e) for v, e in zip(self.vars, exps) if e), c)
-            for exps, c in self.terms.items()
-        )
-        return hash(core)
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -387,79 +414,70 @@ class Poly:
     # -- calculus-facing operations ----------------------------------------
 
     def diff(self, var: str) -> "Poly":
-        """Formal partial derivative with respect to `var`."""
-        if var not in self.vars:
-            return _poly(self.vars, {})
-        i = self.vars.index(var)
+        """Formal partial derivative with respect to `var`.  Lowering one
+        exponent maps distinct terms to distinct terms, so each is stored,
+        not summed."""
+        s = _SHIFT.get(var)
         terms = {}
-        for exps, c in self.terms.items():
-            k = exps[i]
-            if k:
-                _accumulate(terms, exps[:i] + (k - 1,) + exps[i + 1:], c * k)
-        return _poly(self.vars, terms)
+        if s is not None:
+            unit = (1 << s) | 1
+            for m, c in self.terms.items():
+                k = m >> s & _FIELD
+                if k:
+                    terms[m - unit] = c if k == 1 else c * k
+        return _poly(terms)
 
     def partials(self) -> dict[str, "Poly"]:
-        """Every nonzero partial derivative, by variable, in one pass over the
-        terms; each equals `self.diff(var)`.  Lowering one exponent maps
-        distinct terms to distinct terms, so each is stored, not summed."""
-        vs = self.vars
-        acc: list[dict] = [{} for _ in vs]
-        for exps, c in self.terms.items():
-            for i, k in enumerate(exps):
+        """Every nonzero partial derivative, by variable in name order; each
+        equals `self.diff(var)`."""
+        out = {}
+        for v, s in self._used():
+            unit = (1 << s) | 1
+            terms = {}
+            for m, c in self.terms.items():
+                k = m >> s & _FIELD
                 if k:
-                    acc[i][exps[:i] + (k - 1,) + exps[i + 1:]] = c if k == 1 else c * k
-        return {v: _poly(vs, terms) for v, terms in zip(vs, acc) if terms}
+                    terms[m - unit] = c if k == 1 else c * k
+            out[v] = _poly(terms)
+        return out
 
     def subst(self, assignment: Mapping[str, "Poly | Scalarish"]) -> "Poly":
         """Ring-homomorphic substitution; unmapped variables stay themselves.
 
-        Each image is raised to each power the terms use once, over the union
-        of the universes of the images the terms use, and every term's
-        product is added straight into the result over that universe.
+        Each image is raised to each power the terms use once, and every
+        term's product is added straight into the result.
         """
-        vs = self.vars
-        images = []
-        for v in vs:
-            img = assignment.get(v)
-            if img is None:
-                img = Poly.variable(v)
-            elif not isinstance(img, Poly):
-                img = Poly.promote(img)
-            images.append(img)
-        used: set[str] = set()
-        top = [0] * len(vs)
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.update(images[i].vars)
-                    if e > top[i]:
-                        top[i] = e
-        universe = tuple(sorted(used))
-        # powers[i][e] = images[i] ** e over the universe, for 1 <= e <= top[i]
+        used = self._used()
+        shifts = [s for _, s in used]
+        # powers[i][e] = (image of the i-th used variable) ** e, for 1 <= e <= the top exponent
         powers = []
-        for img, k in zip(images, top):
-            row = [None]
-            if k:
-                row.append(img._over(universe))
-                for _ in range(k - 1):
-                    row.append(row[-1] * row[1])
+        for v, s in used:
+            img = assignment.get(v)
+            img = Poly.variable(v) if img is None else Poly.promote(img)
+            row = [None, img]
+            for _ in range(max(m >> s & _FIELD for m in self.terms) - 1):
+                row.append(row[-1] * img)
             powers.append(row)
-        out: dict[tuple[int, ...], GaussianRational] = {}
-        for exps, c in self.terms.items():
+        out: dict[int, GaussianRational] = {}
+        for m, c in self.terms.items():
             term = None
-            for i, e in enumerate(exps):
+            for row, s in zip(powers, shifts):
+                e = m >> s & _FIELD
                 if e:
-                    p = powers[i][e]
-                    term = p if term is None else term * p
+                    term = row[e] if term is None else term * row[e]
             if term is None:
-                _accumulate(out, (0,) * len(universe), c)
+                _accumulate(out, 0, c)
             else:
-                for e, v in term.terms.items():
-                    _accumulate(out, e, v * c)
-        return _poly(universe, out)
+                for k, v in term.terms.items():
+                    _accumulate(out, k, v * c)
+        return _poly(out)
 
     def conjugate(self) -> "Poly":
-        return _poly(self.vars, {e: c.conjugate() for e, c in self.terms.items()})
+        return _poly({m: c.conjugate() for m, c in self.terms.items()})
+
+    def below(self, d: int) -> "Poly":
+        """The terms of total degree < d."""
+        return _poly({m: c for m, c in self.terms.items() if m & _FIELD < d})
 
     # -- queries -----------------------------------------------------------
 
@@ -467,49 +485,52 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.terms)
+
+    def constant_term(self) -> GaussianRational:
+        return self.terms.get(0, ZERO)
 
     def constant_value(self) -> GaussianRational:
-        if not self.terms:
-            return ZERO
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()))
+        return self.constant_term()
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(_FIELD.__and__, self.terms), default=-1)
+
+    def _used(self) -> list[tuple[str, int]]:
+        """(name, shift) of each variable the terms use, in name order."""
+        acc = reduce(or_, self.terms, 0)
+        return [(v, s) for v, s in _BY_NAME if acc >> s & _FIELD]
 
     def used_vars(self) -> set[str]:
-        out = set()
-        for exps in self.terms:
-            for v, e in zip(self.vars, exps):
-                if e:
-                    out.add(v)
-        return out
+        return {v for v, _ in self._used()}
 
-    def leading(self) -> tuple[tuple[int, ...], GaussianRational]:
-        """Term maximal in (degree, exponent) order."""
+    def leading_coefficient(self) -> GaussianRational:
+        """The coefficient of the last term in the order of `str` and JSON."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_term_key)
-        return e, self.terms[e]
+        return self._rows([s for _, s in self._used()])[-1][2]
 
     # -- rendering / serialization ------------------------------------------
+
+    def _rows(self, shifts: list[int]) -> list[tuple[int, tuple[int, ...], GaussianRational]]:
+        """The terms as (degree, exponents over the fields at `shifts`,
+        coefficient), ordered by degree and then by exponents; the fields are
+        those of sorted variables, among them every used one."""
+        rows = [(m & _FIELD, _exponents(m, shifts), c) for m, c in self.terms.items()]
+        if len(rows) > 1:
+            rows.sort(key=itemgetter(0, 1))
+        return rows
 
     def __str__(self):
         if not self.terms:
             return "0"
+        used = self._used()
         bits = []
-        for exps in sorted(self.terms, key=_term_key):
-            c = self.terms[exps]
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.vars, exps)
-                if e
-            )
+        for _, exps, c in self._rows([s for _, s in used]):
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for (v, _), e in zip(used, exps) if e)
             cs = str(c)
             if mono:
                 if c == ONE:
@@ -530,13 +551,22 @@ class Poly:
     def __repr__(self):
         return f"Poly({self})"
 
-    def to_json(self):
+    def to_json(self, vars: Iterable[str] | None = None):
+        """Exponent vectors over `vars` (sorted and unique), or over the
+        sorted used variables when it is None."""
+        if vars is None:
+            used = self._used()
+            vs, shifts = [v for v, _ in used], [s for _, s in used]
+        else:
+            vs = _universe(vars)
+            shifts = [_SHIFT.get(v, 0) for v in vs]
+            fields = reduce(or_, (_FIELD << s for s in shifts), _FIELD)
+            if reduce(or_, self.terms, 0) & ~fields:
+                missing = self.used_vars().difference(vs)
+                raise ValueError(f"variables {sorted(missing)} are used but not among {list(vs)}")
         return {
-            "vars": list(self.vars),
-            "terms": [
-                {"exp": list(exps), **self.terms[exps].to_json()}
-                for exps in sorted(self.terms, key=_term_key)
-            ],
+            "vars": list(vs),
+            "terms": [{"exp": list(exps), **c.to_json()} for _, exps, c in self._rows(shifts)],
         }
 
     @staticmethod
@@ -544,8 +574,6 @@ class Poly:
         terms = {}
         for t in obj["terms"]:
             exps = tuple(t["exp"])
-            if any(type(x) is not int or x < 0 for x in exps):
-                raise ValueError(f"exponents must be nonnegative integers, got {t['exp']!r}")
             if exps in terms:
                 raise ValueError(f"exponent vector {t['exp']!r} appears twice")
             terms[exps] = GaussianRational.from_json(t)
@@ -560,11 +588,9 @@ def _universe(vars: Iterable[str]) -> tuple[str, ...]:
     return vs
 
 
-def _poly(vars: tuple[str, ...], terms: dict[tuple[int, ...], GaussianRational]) -> Poly:
-    """A Poly over the sorted universe `vars` from nonzero terms whose exponent
-    tuples have the universe's length; nothing is checked or copied."""
+def _poly(terms: dict[int, GaussianRational]) -> Poly:
+    """A Poly from nonzero terms keyed by monomial; nothing is checked or copied."""
     p = _new(Poly)
-    p.vars = vars
     p.terms = terms
     return p
 
@@ -584,32 +610,4 @@ def _accumulate(terms: dict, key, value) -> None:
             del terms[key]
 
 
-def _scaled(p: Poly, k: Poly) -> Poly:
-    """p * k for a constant k over the empty universe: p itself when k is 1."""
-    if not k.terms:
-        return _poly(p.vars, {})
-    c = k.terms[()]
-    if c == ONE:
-        return p
-    return _poly(p.vars, {e: v * c for e, v in p.terms.items()})
-
-
 P_ONE = Poly.constant(1)
-
-
-def exponent_vectors(nvars: int, max_total: int) -> list[tuple[int, ...]]:
-    """All exponent tuples with total degree <= max_total, in degree-then-lex order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    if nvars == 0:
-        return [()]
-    rec([], max_total, nvars)
-    out.sort(key=lambda e: (sum(e), e))
-    return out

@@ -9,7 +9,9 @@ such (per-D data, no asymptotic claims).
 The basis is never enumerated.  Basis element i is the generator mask i // E
 times the coefficient monomial exps[i % E], where E = len(exps), so the index
 of (mask, e) is mask * E plus the position of e in exps, and a bidegree slot
-is generated from combinations of the two classes' generators.
+is generated from combinations of the two classes' generators.  Coefficient
+monomials are the ints of `coeffring`, so a column adds them; each basis
+monomial is decoded into its variables once per basis.
 
 Only the primitive operators get columns of their own: d on both sides, and
 the dual Lefschetz operator Lambda on the symplectic side.  They are built
@@ -40,16 +42,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from operator import add
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import linalg
-from .coeffring import GaussianRational, Poly, _accumulate, exponent_vectors
+from .coeffring import (
+    GaussianRational, Poly, _accumulate, _poly, exponents, monomials, total_degree, variable_monomial,
+)
 from .exterior import BasisChangeError, Form, FrameMismatch, FrameSpec, GenClass, bits, koszul_sign
 from .calculus import HOLO_SPLIT, SymplecticData
 from .reports import CheckReport
 
-Key = tuple[int, tuple[int, ...]]  # a basis monomial: (generator mask, coefficient exponents)
+Key = tuple[int, int]  # a basis monomial: (generator mask, coefficient monomial)
 Bidegree = tuple[int, int]
 
 # the most basis elements whose columns one query reads on one complex: the
@@ -83,7 +86,7 @@ def _add_image(acc: linalg.Vec, sign: int, cols: Mapping[int, linalg.Vec], vec: 
 class MonomialBasis:
     """The monomials x^e mono of a complex, with coefficient degree <= D,
     indexed by arithmetic: element i is (i // E, exps[i % E]), E = len(exps),
-    with `exps` in degree-then-lex order."""
+    with `exps` in degree-then-lex order over the sorted base variables."""
 
     def __init__(self, frame: FrameSpec, D: int, split: tuple[GenClass, GenClass]):
         self.frame = frame
@@ -98,12 +101,21 @@ class MonomialBasis:
     # the monomials are listed when a column or a vector first needs them, so
     # a query refused by its size never lists them
     @cached_property
-    def exps(self) -> list[tuple[int, ...]]:
-        return exponent_vectors(len(self.vars), self.D)
+    def exps(self) -> list[int]:
+        return monomials(self.vars, self.D)
 
     @cached_property
-    def exp_index(self) -> dict[tuple[int, ...], int]:
+    def exp_index(self) -> dict[int, int]:
         return {e: k for k, e in enumerate(self.exps)}
+
+    @cached_property
+    def lowerings(self) -> list[list[tuple[int, int, int]]]:
+        """For each monomial x^e of `exps`, the triples (k, e_k, x^e / v_k)
+        over the variables v_k of `vars` that it uses."""
+        units = [variable_monomial(v) for v in self.vars]
+        return [
+            [(k, ek, e - units[k]) for k, ek in enumerate(exponents(e, self.vars)) if ek] for e in self.exps
+        ]
 
     def __len__(self) -> int:
         return self.size
@@ -145,22 +157,12 @@ class MonomialBasis:
         m1, m2 = self.class_masks
         return m1 | m2 == (1 << len(self.frame)) - 1
 
-    def exponents(self, poly: Poly, witness: Optional[Form]):
-        """The terms of `poly` with exponent vectors over `self.vars`; a
-        variable outside them with a nonzero exponent is a SpanEscape."""
-        if poly.vars == self.vars:
-            return poly.terms.items()
-        at = [self.vars.index(v) if v in self.vars else None for v in poly.vars]
-        out = []
-        for exps, c in poly.terms.items():
-            e = [0] * len(self.vars)
-            for k, x in zip(at, exps):
-                if x:
-                    if k is None:
-                        raise SpanEscape(f"coefficients use variables outside {self.vars}", witness)
-                    e[k] = x
-            out.append((tuple(e), c))
-        return out
+    def terms(self, poly: Poly, witness: Optional[Form]):
+        """The terms of `poly`; a variable outside `self.vars` that they use
+        is a SpanEscape."""
+        if not poly.used_vars().issubset(self.vars):
+            raise SpanEscape(f"coefficients use variables outside {self.vars}", witness)
+        return poly.terms.items()
 
     def vector(
         self, acc: Mapping[Key, GaussianRational], op: Optional[str] = None, idx: int = 0
@@ -175,17 +177,17 @@ class MonomialBasis:
             if k is None:
                 what = "term" if op is None else f"{op} of basis element {idx}: a term"
                 raise SpanEscape(
-                    f"{what} of coefficient degree {sum(e)} escapes the degree-{self.D} span",
+                    f"{what} of coefficient degree {total_degree(e)} escapes the degree-{self.D} span",
                     self.form(acc),
                 )
             vec[mask * E + k] = c
         return vec
 
     def form(self, coeffs: Mapping[Key, GaussianRational]) -> Form:
-        terms: dict[int, dict[tuple[int, ...], GaussianRational]] = {}
+        terms: dict[int, dict[int, GaussianRational]] = {}
         for (mask, e), c in coeffs.items():
             terms.setdefault(mask, {})[e] = c
-        return Form(self.frame, {mask: Poly(self.vars, t) for mask, t in terms.items()})
+        return Form(self.frame, {mask: _poly(t) for mask, t in terms.items()})
 
 
 # -- columns built on first read ----------------------------------------------
@@ -233,17 +235,14 @@ class DColumns(Columns):
         basis = self.basis
         mask, e = basis[idx]
         acc: dict[Key, GaussianRational] = {}
-        for k, ek in enumerate(e):
-            if not ek:
-                continue
+        for k, ek, low in basis.lowerings[idx % basis.E]:
             terms = self.dvar[k]
             if terms is None:
                 raise FrameMismatch(f"no one-form paired with base variable {basis.vars[k]!r}")
-            low = e[:k] + (ek - 1,) + e[k + 1:]
             for m, f, c in terms:
                 if m & mask:
                     continue
-                key = (m | mask, tuple(map(add, low, f)))
+                key = (m | mask, low + f)
                 _accumulate(acc, key, c * ek if koszul_sign(m, mask) > 0 else c * -ek)
         for i in bits(mask):
             terms = self.dgen[i]
@@ -252,7 +251,7 @@ class DColumns(Columns):
             for m, f, c in terms:
                 if m & rest:
                     continue
-                key = (m | rest, tuple(map(add, e, f)))
+                key = (m | rest, e + f)
                 _accumulate(acc, key, c if koszul_sign(m, rest) == sign else -c)
         col = self[idx] = basis.vector(acc, "d", idx)
         return col
@@ -264,7 +263,7 @@ class LambdaColumns(Columns):
     def __init__(self, basis: MonomialBasis, symp: SymplecticData):
         super().__init__()
         self.basis = basis
-        self.blocks = [(legs, basis.exponents(a, None)) for legs, (a, _) in symp.blocks]
+        self.blocks = [(legs, basis.terms(a, None)) for legs, (a, _) in symp.blocks]
         self.steps = frozenset((-p, -q) for p, q in (basis.step(legs) for legs, _ in self.blocks))
 
     def __missing__(self, idx: int) -> linalg.Vec:
@@ -276,7 +275,7 @@ class LambdaColumns(Columns):
             rest = mask ^ legs
             positive = koszul_sign(legs, rest) > 0
             for f, c in terms:
-                _accumulate(acc, (rest, tuple(map(add, e, f))), c if positive else -c)
+                _accumulate(acc, (rest, e + f), c if positive else -c)
         col = self[idx] = self.basis.vector(acc, "lambda", idx)
         return col
 
@@ -338,9 +337,9 @@ class ProductColumns(Columns):
         return out
 
 
-def _flatten(basis: MonomialBasis, form: Form) -> list[tuple[int, tuple[int, ...], GaussianRational]]:
-    """The terms of a frame-data form as (mask, exponents over vars, coefficient)."""
-    return [(mask, e, c) for mask, poly in form.terms.items() for e, c in basis.exponents(poly, form)]
+def _flatten(basis: MonomialBasis, form: Form) -> list[tuple[int, int, GaussianRational]]:
+    """The terms of a frame-data form as (mask, coefficient monomial, coefficient)."""
+    return [(mask, e, c) for mask, poly in form.terms.items() for e, c in basis.terms(poly, form)]
 
 
 class FiniteComplex:
@@ -391,7 +390,7 @@ class FiniteComplex:
         """The sparse vector of `form`, keyed by basis index."""
         basis = self.basis
         return basis.vector(
-            {(mask, e): c for mask, poly in form.terms.items() for e, c in basis.exponents(poly, form)}
+            {(mask, e): c for mask, poly in form.terms.items() for e, c in basis.terms(poly, form)}
         )
 
     def form_of(self, vec: Mapping[int, GaussianRational]) -> Form:
@@ -424,6 +423,8 @@ class CohomologyReport:
     bidegree: tuple[int, int]
     dim: int
     representatives: list[Form]
+    # the complex's base variables, over which the representatives are written
+    coeff_vars: tuple[str, ...]
     operator_ranks: dict[str, int] = field(default_factory=dict)
 
     def to_json(self):
@@ -431,7 +432,7 @@ class CohomologyReport:
             "D": self.D,
             "bidegree": list(self.bidegree),
             "dim": self.dim,
-            "representatives": [f.to_json() for f in self.representatives],
+            "representatives": [f.to_json(self.coeff_vars) for f in self.representatives],
             "operator_ranks": dict(sorted(self.operator_ranks.items())),
         }
 
@@ -470,7 +471,7 @@ def _quotient_report(cpx: FiniteComplex, quotient: Quotient, p: int, q: int) -> 
     if len(reps) != dim:
         raise ArithmeticError("representative count disagrees with the computed dimension")
     ranks = {f"ker({'+'.join(kernel_ops)})": len(ker), f"rank({image_op})": rank_im}
-    return CohomologyReport(cpx.D, (p, q), dim, reps, ranks)
+    return CohomologyReport(cpx.D, (p, q), dim, reps, cpx.vars, ranks)
 
 
 # -- concrete complexes ------------------------------------------------------

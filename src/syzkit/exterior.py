@@ -433,11 +433,12 @@ class Form:
     def __repr__(self):
         return f"Form({self})"
 
-    def to_json(self):
+    def to_json(self, coeff_vars: Optional[Sequence[str]] = None):
+        """Each coefficient written as `Poly.to_json(coeff_vars)`."""
         return {
             "frame": [g.label for g in self.frame.generators],
             "terms": [
-                {"gens": self._labels(m), "coeff": self.terms[m].to_json()}
+                {"gens": self._labels(m), "coeff": self.terms[m].to_json(coeff_vars)}
                 for m in sorted(self.terms, key=lambda m: (m.bit_count(), m))
             ],
         }

@@ -181,11 +181,6 @@ def _poly_mat_mul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]]) -> l
     return out
 
 
-def _truncate(p: Poly, below: int) -> Poly:
-    """The terms of p of total degree < below."""
-    return Poly(p.vars, {e: c for e, c in p.terms.items() if sum(e) < below})
-
-
 def poly_matrix_inverse_unit_det(m: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
     """Inverse of a Poly matrix whose determinant is a nonzero constant.
 
@@ -202,7 +197,7 @@ def poly_matrix_inverse_unit_det(m: Sequence[Sequence[Poly]]) -> list[list[Poly]
     n = len(m)
     if n == 0:
         return []
-    const = [{j: c for j, p in enumerate(row) if (c := p.terms.get((0,) * len(p.vars)))} for row in m]
+    const = [{j: c for j, p in enumerate(row) if (c := p.constant_term())} for row in m]
     x = [[Poly.constant(v) for v in row] for row in invert(const)]
     bound = (n - 1) * max(p.degree() for row in m for p in row)
     eye = [[Poly.constant(1 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -217,5 +212,5 @@ def poly_matrix_inverse_unit_det(m: Sequence[Sequence[Poly]]) -> list[list[Poly]
                 f"past the adjugate bound {bound}"
             )
         d *= 2
-        err = [[_truncate(eye[i][j] - mx[i][j], d) for j in range(n)] for i in range(n)]
-        x = [[p + _truncate(q, d) for p, q in zip(xr, cr)] for xr, cr in zip(x, _poly_mat_mul(x, err))]
+        err = [[(eye[i][j] - mx[i][j]).below(d) for j in range(n)] for i in range(n)]
+        x = [[p + q.below(d) for p, q in zip(xr, cr)] for xr, cr in zip(x, _poly_mat_mul(x, err))]

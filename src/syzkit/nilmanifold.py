@@ -37,6 +37,7 @@ from .sustruct import (
     SUStructure,
     check_iia,
     check_iib,
+    flux_correspondence,
     flux_iia,
     flux_iib,
     mirror_transform,
@@ -296,10 +297,8 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
     flux_b, rep_b = flux_iib(su_b)
     rep.extend(rep_b)
 
-    ft_rho = pair.fm_backward(flux_a)
-    ft_rho_real = frame_expand(ft_rho, pair.frame_xc)
-    want = flux_b * (GaussianRational(2) ** (2 * n + 2))
-    rep.add("flux-correspondence", ft_rho_real == want, ft_rho_real - want)
+    got, want = flux_correspondence(pair, flux_a, flux_b)
+    rep.add("flux-correspondence", got == want, got - want)
 
     return rep, MirrorArtifacts(su_iib=su_b, su_mirror=su_a, rho_a=flux_a, rho_b=flux_b)
 

@@ -16,7 +16,9 @@ import random
 from functools import cache
 from typing import Callable, Optional, Sequence
 
-from .coeffring import GaussianRational, Poly, _accumulate, _poly, _reduced, _universe
+from .coeffring import (
+    DEGREE_BOUND, GaussianRational, Poly, _accumulate, _poly, _reduced, _universe, variable_monomial,
+)
 from .exterior import Form, FrameSpec, _form
 from .fourier import SemiflatPair
 
@@ -71,21 +73,25 @@ def random_poly(
     max_terms: int = 3,
     complex_ok: bool = True,
 ) -> Poly:
-    """A draw of up to `max_terms` terms; a later draw of the same exponents
-    replaces the earlier one.  The universe is checked once, and the drawn
-    scalars are already normalized, so the result is built unchecked."""
-    vs = _sorted_universe(tuple(vars))
+    """A draw of up to `max_terms` terms, each monomial a sum of `budget`
+    variable monomials drawn from the sorted `vars`; a later draw of the same
+    monomial replaces the earlier one.  The variables are checked once, and
+    the drawn scalars are already normalized, so the result is built
+    unchecked."""
+    if max_degree >= DEGREE_BOUND:
+        raise ValueError(f"max_degree {max_degree} reaches the total degree bound {DEGREE_BOUND}")
+    units = _variable_monomials(tuple(vars))
     bits = rng.getrandbits
-    nv = len(vs)
+    nv = len(units)
     terms = {}
     for _ in range(1 + _below(bits, max_terms)):
         budget = _below(bits, max_degree + 1)
-        e = [0] * nv
+        m = 0
         if nv:
             for _ in range(budget):
-                e[_below(bits, nv)] += 1
-        terms[tuple(e)] = random_scalar(rng, complex_ok)
-    return _poly(vs, {e: c for e, c in terms.items() if c})
+                m += units[_below(bits, nv)]
+        terms[m] = random_scalar(rng, complex_ok)
+    return _poly({m: c for m, c in terms.items() if c})
 
 
 def random_form(
@@ -113,8 +119,9 @@ def random_form(
 
 
 @cache
-def _sorted_universe(vars: tuple[str, ...]) -> tuple[str, ...]:
-    return _universe(sorted(vars))
+def _variable_monomials(vars: tuple[str, ...]) -> tuple[int, ...]:
+    """The monomials of `vars` in name order; the names must be unique."""
+    return tuple(map(variable_monomial, _universe(sorted(vars))))
 
 
 @cache

@@ -177,7 +177,7 @@ def constant_ratio(num: Poly, den: Poly) -> Optional[GaussianRational]:
     """The constant c with num == c * den exactly, or None; den is nonzero."""
     if num.is_zero():
         return ZERO
-    c = num.leading()[1] / den.leading()[1]
+    c = num.leading_coefficient() / den.leading_coefficient()
     return c if num == den * c else None
 
 
@@ -203,7 +203,7 @@ def conformal_factor(s: SUStructure) -> GaussianRational:
     den = den * I ** s.n
     c = constant_ratio(num, den)
     if c is None:
-        unit = ONE / den.leading()[1]
+        unit = ONE / den.leading_coefficient()
         num, den = num * unit, den * unit
         raise NonConstantFactor(str(num) if den.is_constant() else f"({num})/({den})")
     return c
@@ -342,6 +342,33 @@ def flux_iia(s: SUStructure) -> tuple[Form, CheckReport]:
     d_rho = exterior_d(rho)
     rep.add("flux-closed", d_rho.is_zero(), d_rho)
     return rho, rep
+
+
+def flux_constant(n: int) -> GaussianRational:
+    """The k with fm_backward(rho_A) = k * rho_B: -reversal_sign(n) * 2^(2n+2).
+
+    Write FT for `fm_forward`, w for the complex-side omega with conformal
+    factor Fc, and Omega_A = FT(exp(2w)) for the mirror volume form with
+    conformal factor F; both factors are constant and F * Fc = 2^(2n).
+    - FT carries the degree-2 and top-degree parts of exp(2w) to the
+      (n-1,1) and (0,n) parts of Omega_A, so their sum, the argument of
+      `flux_iia`, is F * FT(2w + (2w)^n / n!).
+    - del-dbar kills the top-degree term, and the intertwining laws with
+      c = (-1)^n i/2 (`check_intertwining`) give
+      d d^Lambda FT(phi) = FT(dbar del phi) / c^2 = -4 FT(dbar del phi).
+    - So rho_A = -i F d d^Lambda FT(2w) = 8i F FT(dbar del w), and
+      rho_B = 2i del dbar (w / Fc) = -2i dbar del w / Fc gives
+      rho_A = -4 F Fc FT(rho_B) = -2^(2n+2) FT(rho_B).
+    - `fm_backward` after `fm_forward` is reversal_sign(n), which gives k.
+    """
+    return GaussianRational(-reversal_sign(n) * 2 ** (2 * n + 2))
+
+
+def flux_correspondence(pair: SemiflatPair, rho_a: Form, rho_b: Form) -> tuple[Form, Form]:
+    """The two sides of the flux correspondence, equal when it holds:
+    `fm_backward` of the IIA flux read on the complex side's `frame_xc`, and
+    flux_constant(n) times the IIB flux."""
+    return frame_expand(pair.fm_backward(rho_a), pair.frame_xc), rho_b * flux_constant(pair.n)
 
 
 def mirror_transform(pair: SemiflatPair, omega_check: Form) -> SUStructure:

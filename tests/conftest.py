@@ -101,7 +101,7 @@ def random_symmetric_mu(rng, n, vars, max_degree=1):
     """Random real symmetric coefficient matrix, identity plus a perturbation:
     the IIA tests draw their matrices from it."""
     vs = tuple(sorted(vars))
-    mu = [[Poly.constant(1 if i == j else 0, vs) for j in range(n)] for i in range(n)]
+    mu = [[Poly.constant(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i, n):
             if rng.random() < 0.6:

@@ -17,7 +17,7 @@ from syzkit.calculus import (
     polarization_switch,
     polarization_unswitch,
 )
-from syzkit.coeffring import GaussianRational, I, P_ONE, Poly, _accumulate
+from syzkit.coeffring import GaussianRational, I, P_ONE, Poly, _accumulate, exponents
 from syzkit.exterior import (
     Form,
     FrameMismatch,
@@ -207,20 +207,19 @@ def dolbeault_by_projection(form, holo_frame):
 
 
 def with_random_universes(form, rng):
-    """`form` with each coefficient re-expressed over its used variables plus
-    a random subset of the base variables and a padding variable `s`, so the
-    universes of the operands differ from term to term."""
+    """`form` with each coefficient rebuilt through the public constructor
+    over its used variables plus a random subset of the base variables and a
+    padding variable `s`, which no term uses."""
     pool = form.frame.base_vars + ("s",)
     out = {}
     for m, c in form.terms.items():
         vs = tuple(sorted(c.used_vars() | {v for v in pool if rng.random() < 0.5}))
-        at = [c.vars.index(v) if v in c.vars else None for v in vs]
-        out[m] = Poly(vs, {tuple(0 if k is None else e[k] for k in at): x for e, x in c.terms.items()})
+        out[m] = Poly(vs, {exponents(e, vs): x for e, x in c.terms.items()})
     return Form(form.frame, out)
 
 
 def assert_same_form(got, want):
-    """Equal forms whose coefficients also carry equal universes."""
+    """Equal forms that also write equal JSON."""
     assert got == want
     assert got.to_json() == want.to_json()
 

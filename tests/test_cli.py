@@ -188,6 +188,36 @@ class TestVerifyCommand:
         assert f"exponents must be nonnegative integers, got {exp!r}" in res.output
         assert "Traceback" not in res.output
 
+    def test_exponent_past_the_bound_usage_error(self, runner, fixtures, tmp_path):
+        # a monomial's total degree must stay below 2^15, so that the sum of
+        # two never carries out of its exponent field
+        doc = json.loads((fixtures / "iib-K3.json").read_text())
+        doc["omega"]["terms"][0]["coeff"] = {
+            "vars": ["r12"], "terms": [{"exp": [40000], "re": [1, 1], "im": [0, 1]}]
+        }
+        f = tmp_path / "bigexp.json"
+        f.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "bigexp.json: malformed fixture: ValueError: exponents [40000] reach the total degree bound 32768" in res.output
+        assert "Traceback" not in res.output
+
+    def test_product_past_the_bound_usage_error(self, runner, fixtures, tmp_path):
+        # each exponent is admitted, but omega^3 multiplies three of them
+        doc = json.loads((fixtures / "iib-K3.json").read_text())
+        for t in doc["omega"]["terms"]:
+            fiber, base = t["gens"]
+            if base == "dr" + fiber[3:]:
+                t["coeff"] = {"vars": ["r12"], "terms": [{"exp": [12000], "re": [1, 1], "im": [0, 1]}]}
+        f = tmp_path / "deg.json"
+        f.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "deg.json: a product reaches the total degree bound 32768" in res.output
+        assert "Traceback" not in res.output
+
     def test_iia_without_polarization_usage_error(self, runner, fixtures):
         # once a ValueError traceback from check_iia
         res = runner.invoke(
@@ -651,3 +681,76 @@ class TestProptestCommand:
         runner.invoke(main, ["proptest", "--suite", "wedge", "--trials", "15", "--seed", "2", "--out", str(b)])
         assert json.loads(a.read_text())["config"]["seed"] == 1
         assert json.loads(b.read_text())["config"]["seed"] == 2
+
+
+class TestPathErrors:
+    """Unusable input and output paths are usage errors (exit 2, no
+    traceback), found before any work: each once exited 1 with a traceback,
+    `nil --out` on a file only after every check had run."""
+
+    @staticmethod
+    def no_work(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        for name in ("build", "semiflat_pair"):
+            monkeypatch.setattr(cli.nil, name, fail)
+        monkeypatch.setattr(cli, "SemiflatPair", fail)
+        monkeypatch.setattr(cli.SUStructure, "from_json", fail)
+        monkeypatch.setitem(cli.SUITES, "wedge", fail)
+
+    @staticmethod
+    def assert_usage_error(res, *phrases):
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        for phrase in phrases:
+            assert phrase in res.output
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--system", "iib"], ["fm", "--direction", "fwd", "--n", "2"],
+    ], ids=["verify", "fm"])
+    def test_input_directory(self, runner, tmp_path, monkeypatch, command):
+        self.no_work(monkeypatch)
+        res = runner.invoke(main, [*command, "--input", str(tmp_path)])
+        self.assert_usage_error(res, "--input", "is a directory")
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--system", "iib"], ["fm", "--direction", "fwd", "--n", "2"],
+    ], ids=["verify", "fm"])
+    def test_input_not_utf8(self, runner, tmp_path, monkeypatch, command):
+        self.no_work(monkeypatch)
+        f = tmp_path / "latin1.json"
+        f.write_bytes(b'{"schema": "caf\xe9"}')
+        res = runner.invoke(main, [*command, "--input", str(f)])
+        self.assert_usage_error(res, "latin1.json: not UTF-8 text")
+
+    REPORTS = {
+        "verify": ["verify", "--system", "iib", "--input", __file__],
+        "cohomology": ["cohomology", "--K", "2", "--which", "bc", "--p", "0", "--q", "0"],
+        "proptest": ["proptest", "--suite", "wedge", "--trials", "1"],
+        "fm": ["fm", "--direction", "fwd", "--n", "2", "--input", __file__],
+    }
+
+    @pytest.mark.parametrize("command", sorted(REPORTS))
+    def test_out_directory(self, runner, tmp_path, monkeypatch, command):
+        self.no_work(monkeypatch)
+        res = runner.invoke(main, [*self.REPORTS[command], "--out", str(tmp_path)])
+        self.assert_usage_error(res, "--out", "is a directory")
+
+    @pytest.mark.parametrize("command", sorted(REPORTS))
+    def test_out_in_missing_directory(self, runner, tmp_path, monkeypatch, command):
+        self.no_work(monkeypatch)
+        out = tmp_path / "missing" / "report.json"
+        res = runner.invoke(main, [*self.REPORTS[command], "--out", str(out)])
+        self.assert_usage_error(res, "--out", "does not exist")
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+    def test_nil_out_existing_file(self, runner, tmp_path, monkeypatch, below):
+        self.no_work(monkeypatch)
+        f = tmp_path / "taken"
+        f.write_text("keep")
+        res = runner.invoke(main, ["nil", "--K", "2", "--out", str(f / below)])
+        self.assert_usage_error(res, "--out", f"{str(f)!r} is not a directory")
+        assert f.read_text() == "keep"

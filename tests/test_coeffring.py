@@ -7,13 +7,16 @@ from fractions import Fraction
 import pytest
 
 from syzkit.coeffring import (
+    DEGREE_BOUND,
     GaussianRational,
     I,
     ONE,
     P_ONE,
     Poly,
     ZERO,
-    exponent_vectors,
+    exponents,
+    monomials,
+    total_degree,
 )
 from syzkit.randgen import random_poly, random_scalar
 
@@ -347,22 +350,22 @@ class TestPolyBasics:
     def test_universe_merge(self):
         assert r("r2") + r("r1") == r("r1") + r("r2")
         p = (r("r1") + r("r3")) * r("r2")
-        assert set(p.vars) == {"r1", "r2", "r3"}
+        assert p.used_vars() == {"r1", "r2", "r3"}
 
     @pytest.mark.parametrize("x", [3, Fraction(1, 2), I, 0])
     def test_constant_hashes_as_its_scalar(self, x):
         # a constant equals its scalar, so set and dict lookups cross the
-        # types; x = 0 over () is the zero Poly()
-        for vars in ((), ("r1", "r2")):
-            p = Poly.constant(x, vars)
+        # types; x = 0 is the zero Poly()
+        for p in (Poly.constant(x), Poly(("r1", "r2"), {(0, 0): x})):
             assert p == x and hash(p) == hash(x)
             assert x in {p}
 
     def test_padded_universes_hash_equal(self):
+        # variables that no term uses leave no trace in the value
         p = r("r1") * r("r2") + Poly.constant(I)
-        padded = p._over(("r0", "r1", "r2", "r3"))
-        assert padded.vars != p.vars
+        padded = Poly(("r0", "r1", "r2", "r3"), {(0, 1, 1, 0): 1, (0, 0, 0, 0): I})
         assert padded == p and hash(padded) == hash(p)
+        assert padded.to_json() == p.to_json() and str(padded) == str(p)
         assert hash(Poly()) == hash(Poly(("r1",), {})) == hash(0)
 
 
@@ -396,8 +399,23 @@ class TestPolyProperties:
 
 
 def named_terms(p):
-    """`p`'s terms keyed by their (variable, exponent) pairs, zero exponents left out."""
-    return {tuple((v, k) for v, k in zip(p.vars, e) if k): c for e, c in p.terms.items()}
+    """`p`'s terms keyed by their (variable, exponent) pairs over its sorted
+    used variables, zero exponents left out."""
+    vs = sorted(p.used_vars())
+    return {tuple((v, k) for v, k in zip(vs, exponents(m, vs)) if k): c for m, c in p.terms.items()}
+
+
+def named_product(a, b):
+    """The product of two named-term maps, monomials merged by variable."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = dict(m1)
+            for v, k in m2:
+                mono[v] = mono.get(v, 0) + k
+            key = tuple(sorted(mono.items()))
+            out[key] = out.get(key, ZERO) + c1 * c2
+    return out
 
 
 def public_poly(vars, named):
@@ -413,28 +431,53 @@ def public_poly(vars, named):
     return Poly(vars, terms)
 
 
-def public_route(op, p, q, var, universe):
-    """The same result as `op`, routed through the public constructor."""
-    vs = tuple(sorted(set(p.vars) | set(q.vars)))
+def named_json(named, vars):
+    """The JSON document of a named-term map over the sorted `vars`: terms in
+    (degree, exponents) order, zero terms left out."""
+    rows = []
+    for mono, c in named.items():
+        if c:
+            e = tuple(dict(mono).get(v, 0) for v in vars)
+            rows.append((sum(e), e, c))
+    rows.sort(key=lambda row: row[:2])
+    return {"vars": list(vars), "terms": [{"exp": list(e), **c.to_json()} for _, e, c in rows]}
+
+
+def public_route(op, p, q, var, sub):
+    """The same result as `op`, routed through named terms and the public
+    constructor."""
+    vs = sorted(p.used_vars() | q.used_vars())
     pn, qn = named_terms(p), named_terms(q)
     if op == "+":
         return public_poly(vs, [*pn.items(), *qn.items()])
     if op == "-":
         return public_poly(vs, [*pn.items(), *((m, -c) for m, c in qn.items())])
     if op == "*":
-        return public_poly(vs, [(m1 + m2, c1 * c2) for m1, c1 in pn.items() for m2, c2 in qn.items()])
+        return public_poly(vs, named_product(pn, qn).items())
     if op == "neg":
-        return public_poly(p.vars, [(m, -c) for m, c in pn.items()])
+        return public_poly(vs, [(m, -c) for m, c in pn.items()])
     if op == "conjugate":
-        return public_poly(p.vars, [(m, c.conjugate()) for m, c in pn.items()])
+        return public_poly(vs, [(m, c.conjugate()) for m, c in pn.items()])
     if op == "diff":
         out = []
         for m, c in pn.items():
             k = dict(m).get(var, 0)
             if k:
                 out.append((tuple((v, e - (v == var)) for v, e in m), c * k))
-        return public_poly(p.vars, out)
-    return public_poly(universe, list(pn.items()))
+        return public_poly(vs, out)
+    if op == "subst":
+        # each term is its coefficient times every image multiplied in
+        images = {v: named_terms(img) for v, img in sub.items()}
+        out = []
+        for m, c in pn.items():
+            term = {(): c}
+            for v, k in m:
+                for _ in range(k):
+                    term = named_product(term, images.get(v, {((v, 1),): ONE}))
+            out += term.items()
+        used = {v for mono, _ in out for v, _ in mono}
+        return public_poly(sorted(used), out)
+    raise ValueError(op)
 
 
 class TestPolyFastConstructor:
@@ -452,20 +495,25 @@ class TestPolyFastConstructor:
             q = q - p  # cancellations in + and -
         elif len(p.terms) > 1 and rng.random() < 0.5:
             # q is p with its first term negated: (t + s)(s - t) cancels its cross terms
-            e, c = next(iter(p.terms.items()))
-            q = p - Poly(p.vars, {e: 2 * c})
+            m, c = next(iter(p.terms.items()))
+            vs = sorted(p.used_vars())
+            q = p - Poly(vs, {exponents(m, vs): 2 * c})
         var = rng.choice(["r1", "r2", "r3"])
-        universe = tuple(sorted(set(p.vars) | {"r1", "r4"}))
+        sub = {v: random_poly(rng, rng.choice(self.UNIVERSES), max_degree=2, max_terms=2)
+               for v in rng.sample(["r1", "r2", "r3"], rng.randint(0, 3))}
         for op, got in [
             ("+", p + q), ("-", p - q), ("*", p * q), ("neg", -p),
-            ("conjugate", p.conjugate()), ("diff", p.diff(var)), ("_over", p._over(universe)),
+            ("conjugate", p.conjugate()), ("diff", p.diff(var)), ("subst", p.subst(sub)),
         ]:
-            assert list(got.vars) == sorted(set(got.vars)), op
-            for e, c in got.terms.items():
-                assert type(e) is tuple and len(e) == len(got.vars), op
+            for m, c in got.terms.items():
+                assert type(m) is int and 0 <= total_degree(m) < DEGREE_BOUND, op
                 assert type(c) is GaussianRational and c, op
-            want = public_route(op, p, q, var, universe)
-            assert got.vars == want.vars and got.terms == want.terms, op
+            want = public_route(op, p, q, var, sub)
+            assert got.terms == want.terms, op
+        # JSON over the used variables, and over a padded universe
+        padded = sorted(p.used_vars() | {"r1", "r4"})
+        assert p.to_json() == named_json(named_terms(p), sorted(p.used_vars()))
+        assert p.to_json(padded) == named_json(named_terms(p), padded)
 
     def test_public_constructor_still_checks(self):
         with pytest.raises(ValueError, match="sorted"):
@@ -475,28 +523,59 @@ class TestPolyFastConstructor:
         with pytest.raises(ValueError, match="length"):
             Poly(("r1",), {(1, 0): 1})
         p = Poly(["r1"], {(1,): 0, (2,): Fraction(1, 2)})
-        assert p.vars == ("r1",) and list(p.terms) == [(2,)]
+        assert [exponents(m, ["r1"]) for m in p.terms] == [(2,)]
+
+    @pytest.mark.parametrize("exps", [(-1,), (1.5,), (True,), ("1",), (DEGREE_BOUND,), (40000,)])
+    def test_public_constructor_refuses_exponents_out_of_range(self, exps):
+        with pytest.raises(ValueError, match="exponents"):
+            Poly(("r1",), {exps: 1})
+
+    def test_total_degree_bound_spans_the_variables(self):
+        # each exponent fits a field, but their total does not
+        half = DEGREE_BOUND // 2
+        assert Poly(("r1", "r2"), {(half, half - 1): 1}).degree() == DEGREE_BOUND - 1
+        with pytest.raises(ValueError, match="total degree bound"):
+            Poly(("r1", "r2"), {(half, half): 1})
+        with pytest.raises(ValueError, match="exponents"):
+            Poly.from_json({"vars": ["r1"], "terms": [{"exp": [40000], "re": [1, 1], "im": [0, 1]}]})
+
+
+class TestDegreeBound:
+    """A product whose total degree reaches the bound raises instead of
+    carrying into the next variable's field."""
+
+    def test_power_past_the_bound_raises(self):
+        # cheap by squaring: r1^(2^15) is r1^(2^14) squared
+        assert (r("r1") ** (DEGREE_BOUND - 1)).degree() == DEGREE_BOUND - 1
+        with pytest.raises(OverflowError, match="total degree bound"):
+            r("r1") ** DEGREE_BOUND
+        # the bound is on the total degree, not on one variable's exponent
+        half = r("r1") ** (DEGREE_BOUND // 2)
+        with pytest.raises(OverflowError):
+            half * (r("r2") ** (DEGREE_BOUND // 2) + 1)
+
+    def test_no_carry_below_the_bound(self):
+        # the largest admitted product in r1 leaves r2's field alone
+        p = r("r1") ** (DEGREE_BOUND // 2) * r("r1") ** (DEGREE_BOUND // 2 - 1)
+        assert p.used_vars() == {"r1"}
+        assert p.diff("r2").is_zero()
+        assert p.to_json()["terms"][0]["exp"] == [DEGREE_BOUND - 1]
 
 
 def aligned_product(p, q):
-    """Oracle for Poly.__mul__: both operands re-expressed over the union
-    universe, then multiplied term by term."""
-    a, b = Poly._aligned(p, q)
-    terms = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            terms[e] = terms.get(e, ZERO) + c1 * c2
-    return Poly(a.vars, terms)
+    """Oracle for Poly.__mul__: both operands' terms keyed by variable name,
+    aligned over the union of their used variables, multiplied term by term
+    and built by the public constructor."""
+    return public_route("*", p, q, None, None)
 
 
 class TestConstantScaling:
-    """A constant over the empty universe scales the other operand; the
-    product still equals the aligned route in value, hash and universe."""
+    """Any constant operand scales the other operand; the product still
+    equals the aligned product in value, hash and JSON."""
 
     CONSTANTS = [
         P_ONE, -P_ONE, Poly(), Poly.constant(GaussianRational(Fraction(-2, 3), 1)), Poly.constant(I),
-        Poly.constant(5, ("r1", "r2")), Poly.constant(1, ("r3",)), Poly(("r1",), {}),
+        Poly(("r1", "r2"), {(0, 0): 5}), Poly(("r3",), {(0,): 1}), Poly(("r1",), {}),
     ]
 
     @pytest.mark.parametrize("k", range(len(CONSTANTS)))
@@ -510,7 +589,6 @@ class TestConstantScaling:
                 assert got == want
                 assert hash(got) == hash(want)
                 assert got.to_json() == want.to_json()
-                assert got.vars == want.vars
 
     def test_one_returns_the_other_operand(self):
         p = r("r1") * r("r2") + I
@@ -529,27 +607,31 @@ class TestSerialization:
 
 
 def test_exponent_vectors():
-    out = exponent_vectors(2, 2)
-    assert out[0] == (0, 0)
-    assert set(out) == {(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)}
-    assert exponent_vectors(0, 3) == [()]
+    vs = ("r1", "r2")
+    out = [exponents(m, vs) for m in monomials(vs, 2)]
+    assert out == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert [total_degree(m) for m in monomials(vs, 2)] == [0, 1, 1, 2, 2, 2]
+    assert monomials((), 3) == [0]
+    with pytest.raises(ValueError):
+        monomials(vs, DEGREE_BOUND)
 
 
 def subst_by_pow(p, assignment):
     """Oracle for Poly.subst: every term rebuilt as its coefficient times each
     image raised by `**`, summed with `+` from the empty polynomial, the route
-    it once took (so the oracle fixes the result's universe too)."""
+    it once took."""
+    vs = sorted(p.used_vars())
     images = {}
-    for v in p.vars:
+    for v in vs:
         img = assignment.get(v)
         if img is None:
             images[v] = Poly.variable(v)
         else:
             images[v] = Poly.promote(img) if not isinstance(img, Poly) else img
     out = Poly((), {})
-    for exps, c in p.terms.items():
+    for m, c in p.terms.items():
         term = Poly.constant(c)
-        for v, e in zip(p.vars, exps):
+        for v, e in zip(vs, exponents(m, vs)):
             if e:
                 term = term * images[v] ** e
         out = out + term
@@ -566,7 +648,7 @@ class TestKernelsMatchOracles:
         yield Poly()
         yield Poly(("r1", "r2"), {})
         yield Poly.constant(GaussianRational(Fraction(2, 3), -1))
-        yield Poly.constant(5, ("r1", "r3"))
+        yield Poly(("r1", "r3"), {(0, 0): 5})
         yield r("r1") * r("r2") + 7
         for _ in range(40):
             yield random_poly(rng, rng.choice(self.UNIVERSES), max_degree=4, max_terms=4)
@@ -595,7 +677,6 @@ class TestKernelsMatchOracles:
             sub = self.assignment(rng)
             got, want = p.subst(sub), subst_by_pow(p, sub)
             assert got == want, (p, sub)
-            assert got.vars == want.vars, (p, sub)
             assert got.to_json() == want.to_json(), (p, sub)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -603,7 +684,7 @@ class TestKernelsMatchOracles:
         rng = random.Random(9200 + seed)
         for p in self.polys(rng):
             got = p.partials()
-            want = {v: p.diff(v) for v in p.vars if p.diff(v)}
+            want = {v: p.diff(v) for v in sorted(p.used_vars())}
             assert list(got) == list(want)
             for v, d in got.items():
-                assert d.vars == want[v].vars and d.to_json() == want[v].to_json()
+                assert d.to_json() == want[v].to_json()

@@ -7,6 +7,7 @@ from syzkit import nilmanifold as nil
 from syzkit.calculus import MissingPairing, exterior_d
 from syzkit.coeffring import GaussianRational, I, ONE, Poly
 from syzkit.exterior import Form, GenClass, frame_collect, frame_expand
+from syzkit.fourier import SemiflatPair
 from syzkit.randgen import trial_rng
 from syzkit.reports import FAIL
 from syzkit.sustruct import (
@@ -18,6 +19,7 @@ from syzkit.sustruct import (
     check_iib,
     check_su,
     constant_ratio,
+    flux_correspondence,
     flux_iia,
     flux_iib,
     mirror_transform,
@@ -46,6 +48,24 @@ def scaled_flat_su_iib(pair2, omega_coeff, factor_coeff):
     omega = su.omega + Form.monomial(pair2.frame_xc, ["dtc1", "dr1"], omega_coeff - 1)
     factors = [su.Omega_factors[0] * factor_coeff, su.Omega_factors[1]]
     return SUStructure(2, pair2.frame_xc, omega, Omega_factors=factors)
+
+
+def unimodular_su_iib(pair, rng):
+    """The flat pair's IIB structure with omega = sum mu_ab dtc_a ^ dr_b,
+    mu = A^T A for an upper unitriangular A whose entries above the diagonal
+    are c * r_k + c0, so det mu = 1."""
+    n, frame = pair.n, pair.frame_xc
+    r = [Poly.variable(v) for v in pair.base_vars]
+    A = [[Poly.constant(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            A[i][j] = r[rng.randrange(n)] * rng.choice([-2, -1, 1, 2]) + rng.randint(-1, 1)
+    omega = Form.zero(frame)
+    for a in range(n):
+        for b in range(n):
+            mu = sum((A[k][a] * A[k][b] for k in range(n)), Poly())
+            omega = omega + Form.monomial(frame, [f"dtc{a + 1}", f"dr{b + 1}"], mu)
+    return SUStructure(n, frame, omega, Omega_factors=flat_su_iib(pair).Omega_factors)
 
 
 def failed_ids(rep):
@@ -395,6 +415,25 @@ class TestFluxes:
         rho_b, _ = flux_iib(su_b)
         ft = frame_expand(pair3.fm_backward(rho_a), pair3.frame_xc)
         assert ft == rho_b * (GaussianRational(2) ** 8)
+
+    # fm_backward(rho_A) / rho_B on one seeded unimodular draw per n: the
+    # sign is -(-1)^(n(n-1)/2), so it turns at n = 4, which the nilmanifold
+    # family (n = 1, 3, 6, 10) never reaches
+    RATIOS = {2: 2 ** 6, 3: 2 ** 8, 4: -(2 ** 10), 5: -(2 ** 12)}
+
+    @pytest.mark.parametrize("n", sorted(RATIOS))
+    def test_flux_constant_on_unimodular_flat_pairs(self, n):
+        pair = SemiflatPair(n)
+        su_b = unimodular_su_iib(pair, trial_rng(0, n))
+        su_a = mirror_transform(pair, su_b.omega)
+        # det mu = 1: both conformal factors are constant
+        assert su_a.conformal_factor() * su_b.conformal_factor() == 2 ** (2 * n)
+        rho_a, _ = flux_iia(su_a)
+        rho_b, _ = flux_iib(su_b)
+        assert not rho_b.is_zero()
+        got, want = flux_correspondence(pair, rho_a, rho_b)
+        assert proportional_to(got, rho_b) == self.RATIOS[n]
+        assert got == want
 
     def test_flux_iia_requires_darboux(self, pair3):
         su = mirror_transform(pair3, iwasawa_omega_check(pair3))
