@@ -3,7 +3,10 @@ the Dolbeault pair in a complex basis, and the polarization switch.
 
 d acts through the stored frame data: coefficients are differentiated against
 the base variables (each paired with a one-form), and frame generators
-contribute their structure equations.  `coframe` is the one builder of a frame
+contribute their structure equations.  d and Lambda are each written once, as
+a kernel on one scalar term (`d_term`, `lambda_term`), which the Form
+operators sum over a form's terms and the cohomology columns apply to one
+basis element.  `coframe` is the one builder of a frame
 of one-forms over another frame: it derives the frame's base one-forms and
 structure equations from the generators' expansions.  A complex basis is such
 a frame (`holo_coframe`), so the change of basis is `frame_collect` in and
@@ -17,7 +20,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .coeffring import GaussianRational, Poly, P_ONE
+from .coeffring import ONE, GaussianRational, Poly, P_ONE, _accumulate, exponents, group_terms, variable_monomial
 from .exterior import (
     BasisChangeError,
     Form,
@@ -25,9 +28,7 @@ from .exterior import (
     FrameSpec,
     GenClass,
     Generator,
-    _contract_into,
     _form,
-    _wedge_into,
     bits,
     frame_collect,
     frame_expand,
@@ -42,44 +43,72 @@ class MissingPairing(ValueError):
     """The dual Lefschetz operator needs an exact inverse pairing."""
 
 
-def exterior_d(form: Form) -> Form:
-    """Exterior derivative of an invariant form.
+def d_rule(frame: FrameSpec) -> tuple:
+    """The frame data that d reads, flattened to (mask, monomial, scalar)
+    triples once per frame, on first use: for each base variable in
+    `frame.base_vars` (its name, its monomial, and the triples of its one-form
+    or None when it has none), then for each generator the triples of its
+    structure equation."""
+    rule = frame._d_rule
+    if rule is None:
+        dvar = tuple((v, variable_monomial(v), _triples(frame.base_one_form(v))) for v in frame.base_vars)
+        dgen = tuple(_triples(frame.d_of_generator(i)) or () for i in range(len(frame)))
+        rule = frame._d_rule = (dvar, dgen)
+    return rule
 
-    d(g * gamma) = sum_j (dg/dr_j) dr_j ^ gamma + g * d(gamma), where the
-    second part uses the frame's stored structure equations (zero for
-    coordinate generators).  Both parts are wedged straight from the frame
-    data into one term dict, one wedge per base variable and per structure
-    equation.  Each coefficient is differentiated in one pass
-    (`Poly.partials`).
+
+def _triples(form: Form | None) -> tuple | None:
+    """The terms of `form` as (mask, monomial, scalar) triples; None for None."""
+    if form is None:
+        return None
+    return tuple((mask, f, c) for mask, poly in form.terms.items() for f, c in poly.terms.items())
+
+
+def d_term(acc: dict, rule: tuple, mask: int, e: int, exps: Sequence[int], c: GaussianRational) -> None:
+    """acc += d(c x^e mono) as (mask, monomial) -> scalar terms, where mono
+    is the generator monomial `mask`, `exps` are the exponents of x^e over
+    the frame's base variables and `rule` is `d_rule(frame)`:
+
+    d(c x^e mono) = sum_v e_v c x^(e - 1_v) dv ^ mono
+        + sum_(i in mono) (-1)^(legs of mono below i) c x^e d(gen_i) ^ (mono - i).
+
+    The d of every form and every column of d in `cohomology` is this sum.
+    A `c` that is the object ONE is not multiplied.
     """
+    dvar, dgen = rule
+    for ek, (v, unit, terms) in zip(exps, dvar):
+        if not ek:
+            continue
+        if terms is None:
+            raise FrameMismatch(f"no one-form paired with base variable {v!r}")
+        low = e - unit
+        k = c if ek == 1 else c * ek
+        for m, f, a in terms:
+            if not m & mask:
+                x = a if k is ONE else a * k
+                _accumulate(acc, (m | mask, low + f), x if koszul_sign(m, mask) > 0 else -x)
+    for i in bits(mask):
+        terms = dgen[i]
+        if terms:
+            rest = mask ^ (1 << i)
+            sign = koszul_sign(1 << i, rest)
+            for m, f, a in terms:
+                if not m & rest:
+                    x = a if c is ONE else a * c
+                    _accumulate(acc, (m | rest, e + f), x if koszul_sign(m, rest) == sign else -x)
+
+
+def exterior_d(form: Form) -> Form:
+    """Exterior derivative of an invariant form: `d_term` summed over its
+    scalar terms."""
     frame = form.frame
-    terms = form.terms.items()
-    out: dict[int, Poly] = {}
-    by_var: dict[str, dict[int, Poly]] = {v: {} for v in frame.base_vars}
-    for mask, c in terms:
-        for v, d in c.partials().items():
-            dc = by_var.get(v)
-            if dc is not None:
-                dc[mask] = d
-    for v, dc in by_var.items():
-        if dc:
-            dv = frame.base_one_form(v)
-            if dv is None:
-                raise FrameMismatch(f"no one-form paired with base variable {v!r}")
-            _wedge_into(out, dv.terms, dc)
-    for i in range(len(frame)):
-        dg = frame.d_of_generator(i)
-        if dg:
-            # (-1)^(legs below i) d(gen_i) ^ (c * (mono - gen_i))
-            bit = 1 << i
-            rest = {}
-            for mask, c in terms:
-                if mask & bit:
-                    r = mask ^ bit
-                    rest[r] = c if koszul_sign(bit, r) > 0 else -c
-            if rest:
-                _wedge_into(out, dg.terms, rest)
-    return _form(frame, out)
+    rule = d_rule(frame)
+    vars = frame.base_vars
+    acc: dict = {}
+    for mask, poly in form.terms.items():
+        for e, c in poly.terms.items():
+            d_term(acc, rule, mask, e, exponents(e, vars) if e else (), c)
+    return _form(frame, group_terms(acc))
 
 
 def coframe(generators: Sequence[Generator], coord: FrameSpec) -> FrameSpec:
@@ -109,14 +138,15 @@ class SymplecticData:
         self.pairing = tuple(tuple(row) for row in pairing)
         # i_(x_i) i_(x_j) = -i_(x_j) i_(x_i) = -i_(x_i ^ x_j) for i < j, and
         # i_(x_i) i_(x_i) = 0, so Lambda = sum_(i<j) a i_(x_i ^ x_j) with
-        # a = (p^ji - p^ij) / 2: one block (bit_i | bit_j, (a, -a)) per nonzero a
+        # a = (p^ji - p^ij) / 2: one block (bit_i | bit_j, the (monomial,
+        # scalar) terms of a) per nonzero a
         p = self.pairing
         blocks = []
         for i, j in combinations(range(len(p)), 2):
             if p[i][j] or p[j][i]:
                 a = (p[j][i] - p[i][j]) * Fraction(1, 2)
                 if a:
-                    blocks.append((1 << i | 1 << j, (a, -a)))
+                    blocks.append((1 << i | 1 << j, tuple(a.terms.items())))
         self.blocks = tuple(blocks)
 
     @staticmethod
@@ -152,15 +182,32 @@ class SymplecticData:
         return SymplecticData(frame, omega, pairing)
 
 
+def lambda_term(acc: dict, blocks: tuple, mask: int, e: int, exps: Sequence[int], c: GaussianRational) -> None:
+    """acc += Lambda(c x^e mono) as (mask, monomial) -> scalar terms, one
+    signed block contraction per block (legs, terms of a) of
+    `SymplecticData.blocks`: a c x^e i_legs mono.  It has the signature of
+    `d_term`; `exps` is not read.  A `c` that is the object ONE is not
+    multiplied."""
+    for legs, terms in blocks:
+        if mask & legs == legs:
+            rest = mask ^ legs
+            positive = koszul_sign(legs, rest) > 0
+            for f, a in terms:
+                x = a if c is ONE else a * c
+                _accumulate(acc, (rest, e + f), x if positive else -x)
+
+
 def dual_lefschetz(form: Form, s: SymplecticData) -> Form:
-    """Lambda(phi) = 1/2 sum_ij (omega^{-1})^{ij} i_{x_i} i_{x_j} phi, one
-    block contraction per pair i < j (`SymplecticData.blocks`)."""
+    """Lambda(phi) = 1/2 sum_ij (omega^{-1})^{ij} i_{x_i} i_{x_j} phi:
+    `lambda_term` summed over the scalar terms of phi."""
     if form.frame is not s.frame:
         raise FrameMismatch("the form and the symplectic data live on different frame objects")
-    out: dict[int, Poly] = {}
-    for legs, scale in s.blocks:
-        _contract_into(out, form.terms, legs, scale)
-    return _form(s.frame, out)
+    blocks = s.blocks
+    acc: dict = {}
+    for mask, poly in form.terms.items():
+        for e, c in poly.terms.items():
+            lambda_term(acc, blocks, mask, e, (), c)
+    return _form(s.frame, group_terms(acc))
 
 
 def d_lambda(form: Form, s: SymplecticData) -> Form:

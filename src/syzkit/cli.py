@@ -25,6 +25,7 @@ import click
 from . import cohomology as cohmod
 from . import nilmanifold as nil
 from .calculus import exterior_d
+from .coeffring import DEGREE_BOUND
 from .exterior import Form, FrameMismatch, GenClass
 from .fourier import SemiflatPair
 from .proptest import SUITES
@@ -253,7 +254,7 @@ def cmd_verify(system: str, input_path: str, out: str | None):
               help="bc = complex side (xcheck), ty = symplectic side (x), mirror = both")
 @click.option("--p", "p", type=int, required=True)
 @click.option("--q", "q", type=int, required=True)
-@click.option("--degree", "degree", type=click.IntRange(min=0), default=1)
+@click.option("--degree", "degree", type=click.IntRange(0, DEGREE_BOUND - 1), default=1)
 @click.option("--out", **OUT_FILE)
 def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | None):
     """Cohomology dimensions (and the mirror comparison) of the flat
@@ -262,7 +263,8 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
     the dimensions are per-degree data and grow with the degree.  A complex
     has 4^n C(n + degree, degree) basis elements, and a query builds the
     columns of the few bidegree slots it reads; past 2^17 of them it is a
-    usage error."""
+    usage error, as is a degree past 32767, the largest total degree of a
+    monomial."""
     t0 = time.time()
     pair = nil.semiflat_pair(k)
     for name, v in (("--p", p), ("--q", q)):

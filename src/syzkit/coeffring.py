@@ -427,20 +427,6 @@ class Poly:
                     terms[m - unit] = c if k == 1 else c * k
         return _poly(terms)
 
-    def partials(self) -> dict[str, "Poly"]:
-        """Every nonzero partial derivative, by variable in name order; each
-        equals `self.diff(var)`."""
-        out = {}
-        for v, s in self._used():
-            unit = (1 << s) | 1
-            terms = {}
-            for m, c in self.terms.items():
-                k = m >> s & _FIELD
-                if k:
-                    terms[m - unit] = c if k == 1 else c * k
-            out[v] = _poly(terms)
-        return out
-
     def subst(self, assignment: Mapping[str, "Poly | Scalarish"]) -> "Poly":
         """Ring-homomorphic substitution; unmapped variables stay themselves.
 
@@ -593,6 +579,21 @@ def _poly(terms: dict[int, GaussianRational]) -> Poly:
     p = _new(Poly)
     p.terms = terms
     return p
+
+
+def group_terms(terms: Mapping[tuple, GaussianRational]) -> dict:
+    """The nonzero scalar terms {(key, monomial): c} as {key: Poly}.  A
+    monomial that is the sum of two stored ones may reach DEGREE_BOUND, which
+    is an OverflowError, as it is for a product."""
+    out: dict = {}
+    for (key, m), c in terms.items():
+        if m & DEGREE_BOUND:
+            raise OverflowError(f"a product reaches the total degree bound {DEGREE_BOUND}")
+        t = out.get(key)
+        if t is None:
+            t = out[key] = {}
+        t[m] = c
+    return {key: _poly(t) for key, t in out.items()}
 
 
 def _accumulate(terms: dict, key, value) -> None:

@@ -11,13 +11,15 @@ times the coefficient monomial exps[i % E], where E = len(exps), so the index
 of (mask, e) is mask * E plus the position of e in exps, and a bidegree slot
 is generated from combinations of the two classes' generators.  Coefficient
 monomials are the ints of `coeffring`, so a column adds them; each basis
-monomial is decoded into its variables once per basis.
+monomial is decoded into its exponents once per basis.
 
 Only the primitive operators get columns of their own: d on both sides, and
-the dual Lefschetz operator Lambda on the symplectic side.  They are built
-from the frame data, not by applying Form operators to the basis: d by its
-Leibniz rule on the frame's base one-forms and structure equations, Lambda as
-one signed block contraction per pair of legs i < j (the tests check them
+the dual Lefschetz operator Lambda on the symplectic side.  Column i of each
+is one call of the per-term kernel that `exterior_d` and `dual_lefschetz`
+also sum over a form's terms (`calculus.d_term`: the Leibniz rule on the
+frame's base one-forms and structure equations; `calculus.lambda_term`: one
+signed block contraction per pair of legs i < j), on basis element i with
+coefficient 1, so each rule is written once (the tests check the columns
 against a wedge-built d and two contraction-built Lambdas).  The
 composites are exact sparse products of the primitive columns:
 d^Lambda = d.Lambda - Lambda.d, d d^Lambda = d.d^Lambda, del and dbar are the
@@ -45,11 +47,9 @@ from math import comb
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import linalg
-from .coeffring import (
-    GaussianRational, Poly, _accumulate, _poly, exponents, monomials, total_degree, variable_monomial,
-)
-from .exterior import BasisChangeError, Form, FrameMismatch, FrameSpec, GenClass, bits, koszul_sign
-from .calculus import HOLO_SPLIT, SymplecticData
+from .coeffring import ONE, GaussianRational, Poly, _accumulate, _poly, exponents, group_terms, monomials, total_degree
+from .exterior import BasisChangeError, Form, FrameSpec, GenClass
+from .calculus import HOLO_SPLIT, SymplecticData, d_rule, d_term, lambda_term
 from .reports import CheckReport
 
 Key = tuple[int, int]  # a basis monomial: (generator mask, coefficient monomial)
@@ -109,13 +109,11 @@ class MonomialBasis:
         return {e: k for k, e in enumerate(self.exps)}
 
     @cached_property
-    def lowerings(self) -> list[list[tuple[int, int, int]]]:
-        """For each monomial x^e of `exps`, the triples (k, e_k, x^e / v_k)
-        over the variables v_k of `vars` that it uses."""
-        units = [variable_monomial(v) for v in self.vars]
-        return [
-            [(k, ek, e - units[k]) for k, ek in enumerate(exponents(e, self.vars)) if ek] for e in self.exps
-        ]
+    def exponent_vectors(self) -> list[tuple[int, ...]]:
+        """The exponents of each monomial of `exps` over the frame's base
+        variables, in the order `calculus.d_term` reads them."""
+        vars = self.frame.base_vars
+        return [exponents(e, vars) for e in self.exps]
 
     def __len__(self) -> int:
         return self.size
@@ -184,10 +182,7 @@ class MonomialBasis:
         return vec
 
     def form(self, coeffs: Mapping[Key, GaussianRational]) -> Form:
-        terms: dict[int, dict[int, GaussianRational]] = {}
-        for (mask, e), c in coeffs.items():
-            terms.setdefault(mask, {})[e] = c
-        return Form(self.frame, {mask: _poly(t) for mask, t in terms.items()})
+        return Form(self.frame, group_terms(coeffs))
 
 
 # -- columns built on first read ----------------------------------------------
@@ -208,75 +203,22 @@ class Columns(dict):
         return {at}
 
 
-class DColumns(Columns):
-    """d(x^e mono) = sum_v e_v x^(e - 1_v) dv ^ mono
-    + sum_(i in mono) (-1)^(legs of mono below i) x^e d(gen_i) ^ (mono - i)."""
+class PrimitiveColumns(Columns):
+    """The columns of a primitive operator, d or Lambda: column i is its
+    per-term kernel (`calculus.d_term` or `calculus.lambda_term`) applied to
+    basis element i, (mask, x^e), with coefficient 1."""
 
-    def __init__(self, basis: MonomialBasis):
+    def __init__(self, basis: MonomialBasis, op: str, kernel: Callable, rule: tuple, steps: Iterable[Bidegree]):
         super().__init__()
-        frame = basis.frame
-        self.basis = basis
-        self.dvar = []
-        for v in basis.vars:
-            dv = frame.base_one_form(v)
-            self.dvar.append(None if dv is None else _flatten(basis, dv))
-        self.dgen = []
-        for i in range(len(frame)):
-            dg = frame.d_of_generator(i)
-            self.dgen.append(() if dg is None else _flatten(basis, dg))
-        step = basis.step
-        steps = {step(m) for terms in self.dvar if terms for m, _, _ in terms}
-        for i, terms in enumerate(self.dgen):
-            p, q = step(1 << i)
-            steps.update((a - p, b - q) for a, b in (step(m) for m, _, _ in terms))
+        self.basis, self.op, self.kernel, self.rule = basis, op, kernel, rule
         self.steps = frozenset(steps)
 
     def __missing__(self, idx: int) -> linalg.Vec:
         basis = self.basis
         mask, e = basis[idx]
         acc: dict[Key, GaussianRational] = {}
-        for k, ek, low in basis.lowerings[idx % basis.E]:
-            terms = self.dvar[k]
-            if terms is None:
-                raise FrameMismatch(f"no one-form paired with base variable {basis.vars[k]!r}")
-            for m, f, c in terms:
-                if m & mask:
-                    continue
-                key = (m | mask, low + f)
-                _accumulate(acc, key, c * ek if koszul_sign(m, mask) > 0 else c * -ek)
-        for i in bits(mask):
-            terms = self.dgen[i]
-            rest = mask ^ (1 << i)
-            sign = koszul_sign(1 << i, rest)
-            for m, f, c in terms:
-                if m & rest:
-                    continue
-                key = (m | rest, e + f)
-                _accumulate(acc, key, c if koszul_sign(m, rest) == sign else -c)
-        col = self[idx] = basis.vector(acc, "d", idx)
-        return col
-
-
-class LambdaColumns(Columns):
-    """Lambda(x^e mono) = sum of a x^e i_legs mono over the blocks (legs, (a, -a))."""
-
-    def __init__(self, basis: MonomialBasis, symp: SymplecticData):
-        super().__init__()
-        self.basis = basis
-        self.blocks = [(legs, basis.terms(a, None)) for legs, (a, _) in symp.blocks]
-        self.steps = frozenset((-p, -q) for p, q in (basis.step(legs) for legs, _ in self.blocks))
-
-    def __missing__(self, idx: int) -> linalg.Vec:
-        mask, e = self.basis[idx]
-        acc: dict[Key, GaussianRational] = {}
-        for legs, terms in self.blocks:
-            if mask & legs != legs:
-                continue
-            rest = mask ^ legs
-            positive = koszul_sign(legs, rest) > 0
-            for f, c in terms:
-                _accumulate(acc, (rest, e + f), c if positive else -c)
-        col = self[idx] = self.basis.vector(acc, "lambda", idx)
+        self.kernel(acc, self.rule, mask, e, basis.exponent_vectors[idx % basis.E], ONE)
+        col = self[idx] = basis.vector(acc, self.op, idx)
         return col
 
 
@@ -285,7 +227,7 @@ class RowsOfD(Columns):
     and (0, 1) for dbar.  A row at any other step than those two means d
     leaves the adjacent bidegrees, so the basis is not integrable."""
 
-    def __init__(self, d: DColumns, step: Bidegree):
+    def __init__(self, d: PrimitiveColumns, step: Bidegree):
         super().__init__()
         self.d, self.step = d, step
         self.steps = frozenset([step])
@@ -337,11 +279,6 @@ class ProductColumns(Columns):
         return out
 
 
-def _flatten(basis: MonomialBasis, form: Form) -> list[tuple[int, int, GaussianRational]]:
-    """The terms of a frame-data form as (mask, coefficient monomial, coefficient)."""
-    return [(mask, e, c) for mask, poly in form.terms.items() for e, c in basis.terms(poly, form)]
-
-
 class FiniteComplex:
     """Monomial basis of invariant forms with coefficient degree <= D, with
     the columns of d on it.
@@ -357,12 +294,30 @@ class FiniteComplex:
         self.frame = frame
         self.D = D
         self.split = split
-        self.basis = MonomialBasis(frame, D, split)
-        self.vars = self.basis.vars
-        self.images: dict[str, Columns] = {"d": DColumns(self.basis)}
+        self.basis = basis = MonomialBasis(frame, D, split)
+        self.vars = basis.vars
+        # the frame data that d reads, each form with the generator it
+        # replaces: every term gives a bidegree step of d, and a variable
+        # outside the basis is a SpanEscape here, with the form as its witness
+        frame_data = [(0, frame.base_one_form(v)) for v in self.vars]
+        frame_data += [(1 << i, frame.d_of_generator(i)) for i in range(len(frame))]
+        step = basis.step
+        steps = set()
+        for bit, form in frame_data:
+            if form:
+                p, q = step(bit)
+                for mask, poly in form.terms.items():
+                    basis.terms(poly, form)
+                    a, b = step(mask)
+                    steps.add((a - p, b - q))
+        self.images: dict[str, Columns] = {"d": PrimitiveColumns(basis, "d", d_term, d_rule(frame), steps)}
 
-    def lambda_columns(self, symp: SymplecticData) -> LambdaColumns:
-        return LambdaColumns(self.basis, symp)
+    def lambda_columns(self, symp: SymplecticData) -> PrimitiveColumns:
+        basis = self.basis
+        for _, terms in symp.blocks:
+            basis.terms(_poly(dict(terms)), None)
+        steps = ((-p, -q) for p, q in (basis.step(legs) for legs, _ in symp.blocks))
+        return PrimitiveColumns(basis, "lambda", lambda_term, symp.blocks, steps)
 
     def admit(self, reads: Iterable[tuple[str, Bidegree]]) -> int:
         """The number of basis elements whose columns are built to read the

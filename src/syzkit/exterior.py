@@ -38,6 +38,10 @@ class GenClass(enum.Enum):
     FIBER_MIRROR = "fiber-mirror" # torus-fiber directions of the dual/complex side
     BASE = "base"                 # base directions (paired with coefficient variables)
 
+    # members are singletons, so the identity hash agrees with == and runs in
+    # C, where Enum's hashes the name in Python on every frame-table lookup
+    __hash__ = object.__hash__
+
 
 class Generator:
     """A labeled one-form generator of a frame: its leg class, and for a
@@ -101,6 +105,9 @@ class FrameSpec:
             if g.leg_class is not None:
                 self._class_masks[g.leg_class] = self._class_masks.get(g.leg_class, 0) | 1 << i
         self._collect_images: Optional[dict[str, Form]] = None
+        # the base one-forms and structure equations flattened for d
+        # (`calculus.d_rule`), built on first use
+        self._d_rule: Optional[tuple] = None
         self._pair_tables: dict[tuple[str, FrameSpec], dict] = {}
 
     def __len__(self):
@@ -143,9 +150,11 @@ class FrameSpec:
     # `calculus.coframe` calls these once, before the frame is shared
     def _set_structure(self, label: str, d_form: "Form") -> None:
         self._d_gen[self.index[label]] = d_form
+        self._d_rule = None
 
     def _set_base_one_form(self, var: str, form: "Form") -> None:
         self._base_one_forms[var] = form
+        self._d_rule = None
 
 
 def bits(mask: int):
@@ -480,17 +489,14 @@ def _wedge_into(out: dict[int, Poly], a: Mapping[int, Poly], b: Mapping[int, Pol
     return out
 
 
-def _contract_into(
-    out: dict[int, Poly], terms: Mapping[int, Poly], legs: int, scale: tuple[Poly, Poly] = (P_ONE, -P_ONE)
-) -> dict[int, Poly]:
+def _contract_into(out: dict[int, Poly], terms: Mapping[int, Poly], legs: int) -> dict[int, Poly]:
     """out += the interior product of `terms` with the ascending block of
     generators `legs`; returns out.  A term legs ^ rest gives its coefficient
-    at rest, times scale[0] when koszul_sign(legs, rest) is +1, else scale[1]."""
-    pos, neg = scale
+    at rest, negated when koszul_sign(legs, rest) is -1."""
     for m, c in terms.items():
         if m & legs == legs:
             rest = m ^ legs
-            _accumulate(out, rest, c * (pos if koszul_sign(legs, rest) > 0 else neg))
+            _accumulate(out, rest, c if koszul_sign(legs, rest) > 0 else -c)
     return out
 
 

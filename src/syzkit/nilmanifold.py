@@ -46,7 +46,7 @@ from .sustruct import (
 
 
 # the largest matrix size: the 2n-generator algebra grows as 4^n with
-# n = K(K-1)/2, and `nil --K 5` (n = 10) takes 14-21 s on a 2-vCPU machine
+# n = K(K-1)/2, and `nil --K 5` (n = 10) takes 7-10 s on a 2-vCPU machine
 MAX_K = 5
 
 

@@ -130,12 +130,8 @@ def _masks_of_degrees(size: int, degrees: frozenset[int]) -> tuple[int, ...]:
     return tuple(m for m in range(1 << size) if m.bit_count() in degrees)
 
 
-def random_complex_side_form(
-    rng: random.Random,
-    pair: SemiflatPair,
-    max_terms: int = 3,
-    max_degree: int = 2,
-) -> Form:
-    """Random form on the dz/dzb monomial frame of the pair."""
-    return random_form(rng, pair.holo_frame, max_terms, max_degree)
+def random_complex_side_form(rng: random.Random, pair: SemiflatPair) -> Form:
+    """Random form on the dz/dzb monomial frame of the pair: up to 3 terms,
+    coefficients of degree at most 2."""
+    return random_form(rng, pair.holo_frame, 3, 2)
 

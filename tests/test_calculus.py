@@ -9,6 +9,7 @@ from syzkit.calculus import (
     BasisChangeError,
     MissingPairing,
     SymplecticData,
+    coframe,
     d_lambda,
     dolbeault,
     dual_lefschetz,
@@ -17,7 +18,7 @@ from syzkit.calculus import (
     polarization_switch,
     polarization_unswitch,
 )
-from syzkit.coeffring import GaussianRational, I, P_ONE, Poly, _accumulate, exponents
+from syzkit.coeffring import DEGREE_BOUND, GaussianRational, I, P_ONE, Poly, _accumulate, exponents
 from syzkit.exterior import (
     Form,
     FrameMismatch,
@@ -115,9 +116,9 @@ def exterior_d_by_wedging(form):
 
 
 def exterior_d_by_variable(form):
-    """Oracle for exterior_d's one-pass differentiation: every coefficient
-    differentiated again for each base variable, one wedge per variable, the
-    route it took before `Poly.partials`."""
+    """Oracle for exterior_d's per-term kernel: every coefficient
+    differentiated by `Poly.diff` for each base variable, one Poly-level
+    wedge per variable and per structure equation."""
     frame = form.frame
     terms = form.terms.items()
     out = {}
@@ -639,6 +640,27 @@ class TestKernelsMatchOracles:
                 d(a)
         # a constant coefficient needs no pairing
         assert exterior_d(Form.gen(frame, "a")).is_zero()
+
+    def test_degree_bound_refused_as_by_the_oracles(self, pair2):
+        # the kernels add monomials, so a term that reaches the total degree
+        # bound is an OverflowError, as it is in the oracles' Poly products
+        x = pair2.frame_x
+        r1 = Poly.variable("r1")
+        top = r1 ** (DEGREE_BOUND - 1)
+        # g1 = dth1 + r1^2 dr2, so d g1 = 2 r1 dr1 ^ dr2
+        exps = [Form.gen(x, "dth1") + Form.gen(x, "dr2") * (r1 * r1)] + [
+            Form.gen(x, lab) for lab in ("dth2", "dr1", "dr2")
+        ]
+        frame = coframe([Generator(f"g{k + 1}", coord_expansion=f) for k, f in enumerate(exps)], x)
+        for d in (exterior_d, exterior_d_by_wedging, exterior_d_by_variable):
+            with pytest.raises(OverflowError, match="total degree bound"):
+                d(Form.monomial(frame, ["g1"], top))
+        pairing = [[Poly() for _ in range(len(x))] for _ in range(len(x))]
+        pairing[x.index["dth1"]][x.index["dr1"]] = r1
+        s = SymplecticData(x, Form.zero(x), pairing)
+        for lam in (dual_lefschetz, dual_lefschetz_by_contraction, dual_lefschetz_by_halved_entries):
+            with pytest.raises(OverflowError, match="total degree bound"):
+                lam(Form.monomial(x, ["dth1", "dr1"], top), s)
 
 
 class TestLefschetzFrameCheck:

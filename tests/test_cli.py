@@ -516,6 +516,22 @@ class TestCohomologyCommand:
         assert res.exit_code == 2
         assert "--degree" in res.output
 
+    @pytest.mark.parametrize("degree", ["32768", "40000"])
+    def test_degree_past_the_monomial_bound_usage_error(self, runner, monkeypatch, degree):
+        # a K = 2 query reads few slots, so its size admitted these degrees,
+        # and listing the monomials once ended in a ValueError traceback;
+        # they are refused before the pair is built
+        from syzkit import nilmanifold
+
+        monkeypatch.setattr(nilmanifold, "semiflat_pair", lambda k: pytest.fail("the pair was built"))
+        res = runner.invoke(
+            main,
+            ["cohomology", "--K", "2", "--which", "bc", "--p", "0", "--q", "0", "--degree", degree],
+        )
+        assert res.exit_code == 2, res.output
+        assert "0<=x<=32767" in res.output
+        assert isinstance(res.exception, SystemExit)
+
     @pytest.mark.parametrize("p, q", [(9, 9), (4, 0), (1, -1)])
     def test_bidegree_out_of_range_usage_error(self, runner, p, q):
         # K=3 has n=3: (9, 9) once reported PASS with dim 0

@@ -679,12 +679,3 @@ class TestKernelsMatchOracles:
             assert got == want, (p, sub)
             assert got.to_json() == want.to_json(), (p, sub)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_partials(self, seed):
-        rng = random.Random(9200 + seed)
-        for p in self.polys(rng):
-            got = p.partials()
-            want = {v: p.diff(v) for v in sorted(p.used_vars())}
-            assert list(got) == list(want)
-            for v, d in got.items():
-                assert d.to_json() == want[v].to_json()

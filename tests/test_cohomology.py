@@ -9,7 +9,7 @@ import pytest
 from syzkit import cohomology as coh
 from syzkit import nilmanifold as nil
 from syzkit import calculus
-from syzkit.calculus import HOLO_SPLIT, SymplecticData, d_lambda, dolbeault, dual_lefschetz, exterior_d
+from syzkit.calculus import HOLO_SPLIT, SymplecticData, dolbeault, exterior_d
 from syzkit.coeffring import GaussianRational, I, ONE, Poly, _accumulate, exponents
 from syzkit.exterior import BasisChangeError, Form, FrameMismatch, GenClass, Generator, bits, koszul_sign
 from syzkit.fourier import SemiflatPair
@@ -129,7 +129,7 @@ def fail_to_build(self, idx):
 
 def no_column_builds(monkeypatch):
     """Make every column builder, and the monomial listing, fail."""
-    for cls in (coh.DColumns, coh.LambdaColumns, coh.RowsOfD, coh.ProductColumns):
+    for cls in (coh.PrimitiveColumns, coh.RowsOfD, coh.ProductColumns):
         monkeypatch.setattr(cls, "__missing__", fail_to_build)
     monkeypatch.setattr(coh, "monomials", lambda *a: pytest.fail("the monomials were listed"))
 
@@ -188,9 +188,9 @@ def flat_pair(case):
 
 # the wedge-built d and the contraction-built Lambda of test_calculus, and the
 # halved-entry double contraction that Lambda's columns once made, are the
-# oracles for the columns that the complexes build from the frame data (the
-# package's exterior_d and dual_lefschetz apply the same Leibniz formula and
-# per-pair block contraction as the columns do)
+# oracles for the columns of d and Lambda (the columns and the package's
+# exterior_d and dual_lefschetz run the same per-term kernels, d_term and
+# lambda_term, so these oracles check both)
 
 
 def assert_columns_match_oracle(frame, D, split, symp):
@@ -280,7 +280,7 @@ class EagerComplex:
         return cols
 
     def lambda_columns(self, symp):
-        blocks = [(legs, self.exponents(a)) for legs, (a, _) in symp.blocks]
+        blocks = [(legs, [(exponents(f, self.vars), c) for f, c in terms]) for legs, terms in symp.blocks]
         cols = []
         for mask, e in self.basis:
             acc = {}
@@ -504,8 +504,10 @@ class TestComposedOperators:
             assert bc.images["deldbar"][i] == bc.vectorize(oracle_deldbar(f, pair.holo_frame))
 
     def test_only_primitives_applied_to_the_basis(self, pair2, monkeypatch):
-        # the columns come from the frame data: no Form-level operator runs
-        calls = {"exterior_d": 0, "dual_lefschetz": 0, "d_lambda": 0, "dolbeault": 0}
+        # no Form-level operator runs on the basis: each column of d and
+        # Lambda is one call of the per-term kernel that the Form operators
+        # share, on the basis element with coefficient 1
+        calls = {name: 0 for name in ("exterior_d", "dual_lefschetz", "d_lambda", "dolbeault", "d_term", "lambda_term")}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -514,10 +516,8 @@ class TestComposedOperators:
 
             return wrapped
 
-        for name, fn in (
-            ("exterior_d", exterior_d), ("dual_lefschetz", dual_lefschetz),
-            ("d_lambda", d_lambda), ("dolbeault", dolbeault),
-        ):
+        for name in calls:
+            fn = getattr(calculus, name)
             monkeypatch.setattr(calculus, name, counting(name, fn))
             monkeypatch.setattr(coh, name, counting(name, fn), raising=False)
         # the queries build the columns they read
@@ -525,7 +525,10 @@ class TestComposedOperators:
         bc = coh.bc_complex(pair2.holo_frame, 1)
         coh.mirror_compare(ty, bc, 1, 1, pair2.fm_forward)
         assert all(ty.images.values()) and all(bc.images.values())
-        assert calls == {"exterior_d": 0, "dual_lefschetz": 0, "d_lambda": 0, "dolbeault": 0}
+        assert calls == {
+            "exterior_d": 0, "dual_lefschetz": 0, "d_lambda": 0, "dolbeault": 0,
+            "d_term": len(ty.images["d"]) + len(bc.images["d"]), "lambda_term": len(ty.images["lambda"]),
+        }
 
     def test_split_rejects_non_adjacent_bidegree(self, pair1):
         # a column of d planted before it is built: del and dbar split it
