@@ -49,12 +49,10 @@ def d_rule(frame: FrameSpec) -> tuple:
     `frame.base_vars` (its name, its monomial, and the triples of its one-form
     or None when it has none), then for each generator the triples of its
     structure equation."""
-    rule = frame._d_rule
-    if rule is None:
-        dvar = tuple((v, variable_monomial(v), _triples(frame.base_one_form(v))) for v in frame.base_vars)
-        dgen = tuple(_triples(frame.d_of_generator(i)) or () for i in range(len(frame)))
-        rule = frame._d_rule = (dvar, dgen)
-    return rule
+    return frame.table("d", lambda: (
+        tuple((v, variable_monomial(v), _triples(frame.base_one_form(v))) for v in frame.base_vars),
+        tuple(_triples(frame.d_of_generator(i)) or () for i in range(len(frame))),
+    ))
 
 
 def _triples(form: Form | None) -> tuple | None:
@@ -247,14 +245,25 @@ def holo_coframe(real_frame: FrameSpec, holo_forms: Sequence[tuple[str, Form]]) 
     return frame
 
 
+def dolbeault_part(src: tuple[int, int], dst: tuple[int, int] | None) -> int:
+    """The part of d that a term from bidegree `src` to `dst` belongs to: 0
+    for del, at (p+1, q), and 1 for dbar, at (p, q+1).  A term at any other
+    bidegree means the basis is not integrable."""
+    p, q = src
+    if dst == (p + 1, q):
+        return 0
+    if dst == (p, q + 1):
+        return 1
+    raise BasisChangeError("d leaves the adjacent bidegrees; basis not integrable")
+
+
 def dolbeault(form: Form, holo_frame: FrameSpec) -> tuple[Form, Form]:
     """Split d into its (1,0) and (0,1) parts on the dz/dzb frame
     `holo_frame` (a form on its real frame is collected onto it first).
 
-    Returns (del, dbar).  Each term of d of a (p, q) component goes to del
-    at (p+1, q) or to dbar at (p, q+1), so the components write disjoint
-    terms of each part; a term at any other bidegree means the basis is not
-    integrable.
+    Returns (del, dbar).  Each term of d of a (p, q) component goes to the
+    part `dolbeault_part` names, so the components write disjoint terms of
+    each part.
     """
     if form.frame is not holo_frame:
         exp = holo_frame.generators[0].coord_expansion
@@ -262,25 +271,18 @@ def dolbeault(form: Form, holo_frame: FrameSpec) -> tuple[Form, Form]:
             raise BasisChangeError("form lives on neither the real nor the complex frame")
         form = frame_collect(form, holo_frame)
     bidegree = holo_frame.bidegree
-    del_terms: dict[int, Poly] = {}
-    dbar_terms: dict[int, Poly] = {}
-    for (p, q), comp in form.bidegree_components(HOLO_SPLIT).items():
+    parts: tuple[dict[int, Poly], dict[int, Poly]] = ({}, {})
+    for pq, comp in form.bidegree_components(HOLO_SPLIT).items():
         for mask, c in exterior_d(comp).terms.items():
-            at = bidegree(mask, HOLO_SPLIT)
-            if at == (p + 1, q):
-                del_terms[mask] = c
-            elif at == (p, q + 1):
-                dbar_terms[mask] = c
-            else:
-                raise BasisChangeError("d leaves the adjacent bidegrees; basis not integrable")
-    return _form(holo_frame, del_terms), _form(holo_frame, dbar_terms)
+            parts[dolbeault_part(pq, bidegree(mask, HOLO_SPLIT))][mask] = c
+    return _form(holo_frame, parts[0]), _form(holo_frame, parts[1])
 
 
 def _switch_index(holo_frame: FrameSpec, target: FrameSpec) -> dict[int, int]:
     """dz_k -> the k-th mirror-fiber generator and dzb_k -> the k-th base
     generator of `target`, as generator positions; built once per pair of
     frames."""
-    return holo_frame.pair_table("switch", target, lambda: _build_switch_index(holo_frame, target))
+    return holo_frame.table(("switch", target), lambda: _build_switch_index(holo_frame, target))
 
 
 def _build_switch_index(holo_frame: FrameSpec, target: FrameSpec) -> dict[int, int]:
@@ -304,7 +306,7 @@ def polarization_switch(form: Form, target: FrameSpec) -> Form:
 def polarization_unswitch(form: Form, holo_frame: FrameSpec) -> Form:
     """Inverse switch: k-th mirror-fiber generator to dz_k, k-th base
     generator to dzb_k."""
-    index = holo_frame.pair_table(
-        "unswitch", form.frame, lambda: {t: h for h, t in _switch_index(holo_frame, form.frame).items()}
+    index = holo_frame.table(
+        ("unswitch", form.frame), lambda: {t: h for h, t in _switch_index(holo_frame, form.frame).items()}
     )
     return form.relabel(holo_frame, index)

@@ -48,8 +48,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import linalg
 from .coeffring import ONE, GaussianRational, Poly, _accumulate, _poly, exponents, group_terms, monomials, total_degree
-from .exterior import BasisChangeError, Form, FrameSpec, GenClass
-from .calculus import HOLO_SPLIT, SymplecticData, d_rule, d_term, lambda_term
+from .exterior import Form, FrameSpec, GenClass
+from .calculus import HOLO_SPLIT, SymplecticData, d_rule, d_term, dolbeault_part, lambda_term
 from .reports import CheckReport
 
 Key = tuple[int, int]  # a basis monomial: (generator mask, coefficient monomial)
@@ -223,32 +223,22 @@ class PrimitiveColumns(Columns):
 
 
 class RowsOfD(Columns):
-    """The rows of each column of d one bidegree step away, (1, 0) for del
-    and (0, 1) for dbar.  A row at any other step than those two means d
-    leaves the adjacent bidegrees, so the basis is not integrable."""
+    """The rows of each column of d in one part of the Dolbeault split, 0 for
+    del and 1 for dbar, as `calculus.dolbeault_part` assigns them; it refuses
+    a row in neither part, where the basis is not integrable."""
 
-    def __init__(self, d: PrimitiveColumns, step: Bidegree):
+    def __init__(self, d: PrimitiveColumns, part: int):
         super().__init__()
-        self.d, self.step = d, step
-        self.steps = frozenset([step])
+        self.d, self.part = d, part
+        self.steps = frozenset([(1 - part, part)])
 
     def __missing__(self, idx: int) -> linalg.Vec:
         bidegree = self.d.basis.bidegree
-        p, q = bidegree(idx)
-        want = (p + self.step[0], q + self.step[1])
-        adjacent = ((p + 1, q), (p, q + 1))
-        col: linalg.Vec = {}
-        for r, c in self.d[idx].items():
-            at = bidegree(r)
-            if at == want:
-                col[r] = c
-            elif at not in adjacent:
-                raise BasisChangeError("d leaves the adjacent bidegrees; basis not integrable")
-        self[idx] = col
+        src = bidegree(idx)
+        col = self[idx] = {
+            r: c for r, c in self.d[idx].items() if dolbeault_part(src, bidegree(r)) == self.part
+        }
         return col
-
-    def reads(self, at: Bidegree) -> set[Bidegree]:
-        return self.d.reads(at)
 
 
 class ProductColumns(Columns):
@@ -437,7 +427,7 @@ def bc_complex(holo_frame: FrameSpec, D: int) -> FiniteComplex:
     rows, and del-dbar = del . dbar."""
     cpx = FiniteComplex(holo_frame, D, HOLO_SPLIT)
     d = cpx.images["d"]
-    dl, db = RowsOfD(d, (1, 0)), RowsOfD(d, (0, 1))
+    dl, db = RowsOfD(d, 0), RowsOfD(d, 1)
     cpx.images.update({"del": dl, "dbar": db, "deldbar": ProductColumns((1, dl, db))})
     return cpx
 

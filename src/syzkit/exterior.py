@@ -104,11 +104,7 @@ class FrameSpec:
                 self._base_one_forms[g.paired_base_var] = Form.gen(self, g.label)
             if g.leg_class is not None:
                 self._class_masks[g.leg_class] = self._class_masks.get(g.leg_class, 0) | 1 << i
-        self._collect_images: Optional[dict[str, Form]] = None
-        # the base one-forms and structure equations flattened for d
-        # (`calculus.d_rule`), built on first use
-        self._d_rule: Optional[tuple] = None
-        self._pair_tables: dict[tuple[str, FrameSpec], dict] = {}
+        self._tables: dict = {}
 
     def __len__(self):
         return len(self.generators)
@@ -137,24 +133,23 @@ class FrameSpec:
     def d_of_generator(self, i: int) -> Optional["Form"]:
         return self._d_gen[i]
 
-    def pair_table(self, job: str, other: "FrameSpec", build: Callable[[], dict]) -> dict:
-        """The table `build()` that `job` keeps for this frame and `other`,
-        built on first use.  It is keyed by the frame object itself, never by
-        its id(), which a freed frame hands on to the next one."""
-        key = (job, other)
-        table = self._pair_tables.get(key)
+    def table(self, key, build: Callable[[], object]):
+        """The data `build()` derives from this frame, kept under `key` from
+        its first use on.  The key of a table for this frame and another one
+        holds the other frame object itself, never its id(), which a freed
+        frame hands on to the next one."""
+        table = self._tables.get(key)
         if table is None:
-            table = self._pair_tables[key] = build()
+            table = self._tables[key] = build()
         return table
 
-    # `calculus.coframe` calls these once, before the frame is shared
+    # `calculus.coframe` calls these once, before the frame is shared and
+    # before d is applied on it, so no table holds what they replace
     def _set_structure(self, label: str, d_form: "Form") -> None:
         self._d_gen[self.index[label]] = d_form
-        self._d_rule = None
 
     def _set_base_one_form(self, var: str, form: "Form") -> None:
         self._base_one_forms[var] = form
-        self._d_rule = None
 
 
 def bits(mask: int):
@@ -275,9 +270,6 @@ class Form:
             return False
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.frame, frozenset(self.terms.items())))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -369,7 +361,7 @@ class Form:
     def transport(self, frame: FrameSpec) -> "Form":
         """Re-express on another frame by matching generator labels (the
         index map is built once per pair of frames)."""
-        index = self.frame.pair_table("transport", frame, lambda: {
+        index = self.frame.table(("transport", frame), lambda: {
             i: frame.index[g.label] for i, g in enumerate(self.frame.generators) if g.label in frame.index
         })
         return self.relabel(frame, index)
@@ -556,12 +548,12 @@ def frame_expand(form: Form, coord_frame: FrameSpec) -> Form:
     """Replace every generator by its expansion on `coord_frame` (a used
     generator with no expansion there is a FrameMismatch).  The image of
     each monomial is built once per pair of frames and kept."""
-    images = form.frame.pair_table("expand-images", coord_frame, lambda: {
+    images = form.frame.table(("expand-images", coord_frame), lambda: {
         i: g.coord_expansion
         for i, g in enumerate(form.frame.generators)
         if g.coord_expansion is not None and g.coord_expansion.frame is coord_frame
     })
-    monomials = form.frame.pair_table("expand-monomials", coord_frame, dict)
+    monomials = form.frame.table(("expand-monomials", coord_frame), dict)
     return substitute_generators(form, coord_frame, images, monomials)
 
 
@@ -599,9 +591,7 @@ def _collect_images(frame: FrameSpec) -> dict[str, Form]:
 
 def frame_collect(form: Form, frame: FrameSpec) -> Form:
     """Inverse of frame_expand: rewrite a coordinate form in a frame basis."""
-    if frame._collect_images is None:
-        frame._collect_images = _collect_images(frame)
-    solved = frame._collect_images
+    solved = frame.table("collect", lambda: _collect_images(frame))
     images = {}
     for i, g in enumerate(form.frame.generators):
         if g.label in solved:

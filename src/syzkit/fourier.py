@@ -109,7 +109,9 @@ class SemiflatPair:
             return frame_collect(form, self.holo_frame)
         raise FrameMismatch("form does not live on the complex side of this pair")
 
-    def _check_invariant(self, form: Form) -> None:
+    def check_invariant(self, form: Form) -> None:
+        """A ValueError naming the variables of `form`'s coefficients that
+        are not base variables of the pair, if there are any."""
         bad = form.used_coeff_vars() - set(self.base_vars)
         if bad:
             raise ValueError(f"coefficients depend on non-base variables {sorted(bad)}")
@@ -119,7 +121,7 @@ class SemiflatPair:
     def fm_forward(self, form: Form) -> Form:
         """Transform a complex-side invariant form to the symplectic side."""
         phi = self.to_complex_side(form)
-        self._check_invariant(phi)
+        self.check_invariant(phi)
         out = Form.zero(self.frame_x)
         for (p, q), comp in phi.bidegree_components(HOLO_SPLIT).items():
             lifted = polarization_switch(comp, self.frame_corr)
@@ -137,7 +139,7 @@ class SemiflatPair:
         (returned on the dz/dzb monomial frame)."""
         if form.frame is not self.frame_x:
             raise FrameMismatch("form does not live on the symplectic side of this pair")
-        self._check_invariant(form)
+        self.check_invariant(form)
         lifted = form.transport(self.frame_corr)
         integrated = lifted.wedge_pushforward(self._exp_minus, GenClass.FIBER_X)
         return polarization_unswitch(integrated, self.holo_frame)

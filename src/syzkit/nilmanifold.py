@@ -1,5 +1,6 @@
 """Upper-unitriangular nilmanifold family: frames, both supersymmetry sides,
-lattice-invariance certificates, and the mirror pipeline.
+lattice-invariance certificates, and the mirror pipeline.  `check_family`
+runs every check of a family, in the order `syzkit nil` reports them.
 
 For size K the base has coordinates r_ij (i < j, dictionary order, n =
 K(K-1)/2 of them).  The tangent-bundle side carries the complex structure
@@ -256,17 +257,10 @@ def semiflat_pair(K: int) -> SemiflatPair:
     )
 
 
-@dataclass
-class MirrorArtifacts:
-    su_iib: SUStructure
-    su_mirror: SUStructure
-    rho_a: Form
-    rho_b: Form
-
-
-def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
+def check_mirror_pair(nd: NilData) -> tuple[CheckReport, SUStructure, SUStructure]:
     """Full transform pipeline on the pair: volume-form match, conformal
-    product, both supersymmetry systems, and the flux correspondence."""
+    product, both supersymmetry systems, and the flux correspondence.
+    Returns the report, the IIB structure and its mirror IIA structure."""
     rep = CheckReport()
     n = nd.n
     pair = nd.pair
@@ -300,7 +294,7 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, MirrorArtifacts]:
     got, want = flux_correspondence(pair, flux_a, flux_b)
     rep.add("flux-correspondence", got == want, got - want)
 
-    return rep, MirrorArtifacts(su_iib=su_b, su_mirror=su_a, rho_a=flux_a, rho_b=flux_b)
+    return rep, su_b, su_a
 
 
 def dual_pairing_matrix(nd: NilData) -> list[list[Poly]]:
@@ -319,3 +313,22 @@ def dual_pairing_matrix(nd: NilData) -> list[list[Poly]]:
             row.append(acc)
         out.append(row)
     return out
+
+
+def check_family(nd: NilData) -> tuple[CheckReport, SUStructure, SUStructure]:
+    """Every check that `syzkit nil` reports, in its order: the structure
+    equations, Gamma-invariance, the dual pairing, d(omega^(n-2)) != 0 (a
+    claim only for n >= 3) and the mirror pipeline.  Returns the report, the
+    IIB structure and its mirror IIA structure."""
+    rep = CheckReport()
+    rep.extend(structure_equations(nd))
+    rep.extend(check_gamma_invariance(nd))
+    pairing = dual_pairing_matrix(nd)
+    rep.add("dual-pairing-identity", all(
+        pairing[i][j] == (1 if i == j else 0) for i in range(nd.n) for j in range(nd.n)
+    ))
+    mirror_rep, su_b, su_a = check_mirror_pair(nd)
+    if nd.n >= 3:
+        rep.add("d-omega-power-n-minus-2-nonzero", not exterior_d(su_b.omega_power(nd.n - 2)).is_zero())
+    rep.extend(mirror_rep)
+    return rep, su_b, su_a

@@ -43,7 +43,9 @@ class SUStructure:
     """A pair (omega, Omega) with optional polarization data.
 
     Omega is `prefactor` times the wedge of `Omega_factors`, its decomposition
-    into complex one-forms; the product is formed once, here.  omega must be
+    into complex one-forms; the product is formed once, on first read, so a
+    structure read from a fixture can be refused by its size before it is
+    formed.  omega must be
     a two-form.  The induced dz/dzb frame, with the factors named dz1..dzn, is
     built on the first read of `holo_frame`, and is None when the transition
     is not exactly invertible.  `omega_power(k)` reads omega^k off one
@@ -65,14 +67,17 @@ class SUStructure:
         self.frame = frame
         self.omega = omega
         self.Omega_factors = list(Omega_factors)
-        Omega = Form.scalar(frame, prefactor)
-        for f in self.Omega_factors:
-            Omega = Omega.wedge(f)
-        self.Omega = Omega
         self.prefactor = prefactor
         self.polarization = polarization
         self._conformal: Optional[GaussianRational] = None
         self._omega_powers = {0: Form.scalar(frame, 1), 1: omega}
+
+    @cached_property
+    def Omega(self) -> Form:
+        Omega = Form.scalar(self.frame, self.prefactor)
+        for f in self.Omega_factors:
+            Omega = Omega.wedge(f)
+        return Omega
 
     @cached_property
     def holo_frame(self) -> Optional[FrameSpec]:

@@ -12,6 +12,7 @@ from syzkit.calculus import (
     coframe,
     d_lambda,
     dolbeault,
+    dolbeault_part,
     dual_lefschetz,
     exterior_d,
     holo_coframe,
@@ -383,6 +384,13 @@ class TestDolbeault:
         dbl, dbb = dolbeault(db, hf)
         assert dll.is_zero() and dbb.is_zero()
         assert dlb == -dbl
+
+    def test_one_rule_names_the_part_of_each_step(self):
+        assert dolbeault_part((1, 2), (2, 2)) == 0
+        assert dolbeault_part((1, 2), (1, 3)) == 1
+        for dst in ((2, 3), (1, 2), (0, 3), None):
+            with pytest.raises(BasisChangeError, match="not integrable"):
+                dolbeault_part((1, 2), dst)
 
     def test_non_adjacent_term_rejected(self, pair1, monkeypatch):
         # a d whose image of a function has a (1,1) term leaves the adjacent

@@ -7,6 +7,7 @@ import re
 import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -62,6 +63,20 @@ class TestNilCommand:
         assert runner.invoke(main, ["nil", "--K", "3", "--out", str(b)]).exit_code == 0
         for name in ("nil-K3-report.json", "iib-K3.json", "iia-K3.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_outputs_match_the_benchmark_digests(self, runner, tmp_path):
+        # the `nil-mirror` benchmark jobs; a change in the order or content
+        # of any check changes a digest
+        digests = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())["sha256"]
+        for k in ("3", "4"):
+            assert runner.invoke(main, ["nil", "--K", k, "--out", str(tmp_path)]).exit_code == 0
+        for system in ("iib", "iia"):
+            argv = ["verify", "--system", system, "--input", str(tmp_path / f"{system}-K4.json"),
+                    "--out", str(tmp_path / f"verify-{system}-K4.json")]
+            assert runner.invoke(main, argv).exit_code == 0
+        for name in ("nil-K3-report.json", "iib-K3.json", "iia-K3.json", "nil-K4-report.json",
+                     "iib-K4.json", "iia-K4.json", "verify-iib-K4.json", "verify-iia-K4.json"):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digests[name], name
 
 
 class TestVerifyCommand:
@@ -303,6 +318,34 @@ class TestVerifyCommand:
         assert "label.json" in res.output
         assert "unknown generator 'bogus'" in res.output
         assert "missing key" not in res.output
+
+    @pytest.mark.parametrize("case, size", [("rank", "n = 11 on 2 generators"),
+                                            ("generators", "n = 1 on 22 generators")])
+    def test_size_past_the_cap_usage_error(self, runner, tmp_path, monkeypatch, case, size):
+        # past the size that `nil --K 5` writes, a fixture is refused before
+        # any work on it
+        assert runner.invoke(main, ["nil", "--K", "2", "--out", str(tmp_path)]).exit_code == 0
+        doc = json.loads((tmp_path / "iib-K2.json").read_text())
+        if case == "rank":
+            doc["n"] = 11
+        else:
+            fr = doc["frame"]
+            fr["labels"] += [f"dx{k}" for k in range(20)]
+            fr["classes"] += ["base"] * 20
+            fr["paired"] += [None] * 20
+            for form in [doc["omega"], *doc["Omega_factors"]]:
+                form["frame"] = fr["labels"]
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "check_iib", lambda su: pytest.fail("a check ran"))
+        # nor is the volume form wedged from its factors, which alone took
+        # 2.7 s on a dense fixture at n = 13
+        monkeypatch.setattr(Form, "wedge", lambda a, b: pytest.fail("a wedge ran"))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"big.json: {size} is past the cap of n <= 10 on at most 20 generators" in res.output
+        assert "Traceback" not in res.output
 
 
 class TestFmCommand:

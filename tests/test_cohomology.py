@@ -375,6 +375,15 @@ class TestLazyColumns:
                 for i in range(len(eager.basis)):
                     assert lazy.images[op][i] == eager.images[op][i], (op, eager.basis[i])
 
+    @pytest.mark.parametrize("op", ["del", "dbar"])
+    def test_non_adjacent_row_rejected(self, op):
+        # a column of d from the function 1 (index 0) to dz1 ^ dz1b (index 3)
+        # leaves the adjacent bidegrees, whichever part reads it
+        bc = coh.bc_complex(SemiflatPair(1).holo_frame, 0)
+        bc.images["d"][0] = {3: ONE}
+        with pytest.raises(BasisChangeError, match="not integrable"):
+            bc.images[op][0]
+
     def test_mirror_query_builds_only_what_it_planned(self, flat_k3_setting):
         # K = 3 at D = 2 has 640 basis elements on each side; the (1,1)
         # comparison reads a few slots of each

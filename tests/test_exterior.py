@@ -723,9 +723,12 @@ class TestFrameTables:
         x = Form.gen(a.frame_x, "dth1")
         assert x.transport(a.frame_corr).frame is a.frame_corr
         assert x.transport(b.frame_corr).frame is b.frame_corr
-        keys = list(a.frame_x._pair_tables)
+        keys = list(a.frame_x._tables)
         assert keys == [("transport", a.frame_corr), ("transport", b.frame_corr)]
-        assert all(type(other) is FrameSpec for _, other in a.holo_frame._pair_tables)
+        # a table of the frame alone has a name for its key, one for a pair
+        # of frames the other frame object
+        assert "collect" in a.holo_frame._tables
+        assert all(type(key) is str or type(key[1]) is FrameSpec for key in a.holo_frame._tables)
 
     def test_tables_outlive_no_frame(self):
         # frames freed and rebuilt with the same labels: every result lands on

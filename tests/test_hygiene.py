@@ -106,13 +106,6 @@ def test_reachability_scan_sees_an_unreached_definition():
     assert unreached(sources) == ["a.lone", "a.shadowed", "a.f"]
 
 
-# stored attributes that no package module reads, each with the reason it stays
-UNREAD_ALLOWED = {
-    "MirrorArtifacts.rho_a": "the tests read the IIA flux of a mirror pair through it",
-    "MirrorArtifacts.rho_b": "the tests read the IIB flux of a mirror pair through it",
-}
-
-
 def is_dataclass(node) -> bool:
     """Whether a class is decorated with `@dataclass` or `@dataclass(...)`."""
     return any(
@@ -162,9 +155,7 @@ def unread(sources: dict[str, str]) -> list[str]:
 
 
 def test_every_stored_attribute_is_read():
-    found = unread({p.stem: p.read_text() for p in MODULES})
-    # an allowlist entry whose attribute is gone or now read is stale
-    assert [f.split(".", 1)[1] for f in found] == sorted(UNREAD_ALLOWED)
+    assert unread({p.stem: p.read_text() for p in MODULES}) == []
 
 
 def test_unread_scan_sees_an_unread_attribute():

@@ -6,7 +6,7 @@ from syzkit.calculus import exterior_d
 from syzkit.coeffring import GaussianRational, Poly
 from syzkit.exterior import Form
 from syzkit import nilmanifold as nil
-from syzkit.sustruct import check_iia, check_iib
+from syzkit.sustruct import check_iia, check_iib, flux_iia, flux_iib
 
 from conftest import iwasawa_omega_check
 
@@ -220,41 +220,54 @@ class TestK3MatchesThreeDimensionalExample:
         assert relabeled == iwasawa_omega_check(pair3)
 
     def test_fluxes_match(self, nd3):
-        rep, arts = nil.check_mirror_pair(nd3)
+        rep, su_b, su_a = nil.check_mirror_pair(nd3)
         assert rep.passed
+        rho_a, _ = flux_iia(su_a)
+        rho_b, _ = flux_iib(su_b)
         # rho_A ~ dr(12) ^ dr(23) ^ (fiber form dual to r13) with constant 16;
         # rho_B ~ the Poincare-dual four-form with constant -1/4
-        assert arts.rho_a == Form.monomial(
+        assert rho_a == Form.monomial(
             nd3.xc_coord, ["dthc13", "dr12", "dr23"], GaussianRational(16)
-        ).transport(arts.rho_a.frame)
-        assert arts.rho_b == Form.monomial(
+        ).transport(rho_a.frame)
+        assert rho_b == Form.monomial(
             nd3.x_coord, ["dth12", "dth23", "dr12", "dr23"],
             GaussianRational.promote(-1) / 4,
-        ).transport(arts.rho_b.frame)
+        ).transport(rho_b.frame)
 
 
 class TestMirrorPair:
     @pytest.mark.parametrize("K", [2, 3])
     def test_pipeline_passes(self, K):
-        rep, _ = nil.check_mirror_pair(nil.build(K))
+        rep, _, _ = nil.check_mirror_pair(nil.build(K))
         assert rep.passed
 
     def test_k2_fluxes_vanish(self):
-        rep, arts = nil.check_mirror_pair(nil.build(2))
-        assert arts.rho_a.is_zero() and arts.rho_b.is_zero()
+        rep, su_b, su_a = nil.check_mirror_pair(nil.build(2))
+        assert flux_iia(su_a)[0].is_zero() and flux_iib(su_b)[0].is_zero()
 
     def test_k3_conformal_product(self, nd3):
-        rep, arts = nil.check_mirror_pair(nd3)
-        fa = arts.su_mirror.conformal_factor()
-        fb = arts.su_iib.conformal_factor()
+        rep, su_b, su_a = nil.check_mirror_pair(nd3)
+        fa = su_a.conformal_factor()
+        fb = su_b.conformal_factor()
         assert fa * fb == GaussianRational(64)
 
     def test_volume_form_constant(self, nd3):
-        rep, arts = nil.check_mirror_pair(nd3)
+        rep, su_b, su_a = nil.check_mirror_pair(nd3)
         omega_nil = nil.build_iia_side(nd3).Omega
         from syzkit.sustruct import proportional_to
 
-        c = proportional_to(
-            arts.su_mirror.Omega, omega_nil.transport(arts.su_mirror.frame)
-        )
+        c = proportional_to(su_a.Omega, omega_nil.transport(su_a.frame))
         assert c == GaussianRational(-1)  # (-1)^{n(n-1)/2} for n = 3
+
+
+class TestCheckFamily:
+    def test_k2_passes_without_the_omega_power_claim(self):
+        # n = 1: omega^(n-2) would be a negative power, so no item claims it
+        nd = nil.build(2)
+        rep, su_b, su_a = nil.check_family(nd)
+        assert rep.passed
+        parts = (nil.structure_equations(nd), nil.check_gamma_invariance(nd))
+        want = [i.id for part in parts for i in part.items] + ["dual-pairing-identity"]
+        want += [i.id for i in nil.check_mirror_pair(nd)[0].items]
+        assert [i.id for i in rep.items] == want
+        assert su_b.n == su_a.n == 1
