@@ -6,7 +6,8 @@ the base variables (each paired with a one-form), and frame generators
 contribute their structure equations.  d and Lambda are each written once, as
 a kernel on one scalar term (`d_term`, `lambda_term`), which the Form
 operators sum over a form's terms and the cohomology columns apply to one
-basis element.  `coframe` is the one builder of a frame
+basis element; Lambda reads a scalar pairing, held as one block (legs,
+scalar) per pair of legs.  `coframe` is the one builder of a frame
 of one-forms over another frame: it derives the frame's base one-forms and
 structure equations from the generators' expansions.  A complex basis is such
 a frame (`holo_coframe`), so the change of basis is `frame_collect` in and
@@ -20,7 +21,9 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .coeffring import ONE, GaussianRational, Poly, P_ONE, _accumulate, exponents, group_terms, variable_monomial
+from .coeffring import (
+    ONE, GaussianRational, Poly, P_ONE, Scalarish, _accumulate, exponents, group_terms, variable_monomial,
+)
 from .exterior import (
     BasisChangeError,
     Form,
@@ -128,23 +131,21 @@ def coframe(generators: Sequence[Generator], coord: FrameSpec) -> FrameSpec:
 
 class SymplecticData:
     """A symplectic form together with the exact inverse pairing used by the
-    dual Lefschetz operator."""
+    dual Lefschetz operator; the pairing's entries are scalars."""
 
-    def __init__(self, frame: FrameSpec, omega: Form, pairing: Sequence[Sequence[Poly]]):
+    def __init__(self, frame: FrameSpec, omega: Form, pairing: Sequence[Sequence[Scalarish]]):
         self.frame = frame
         self.omega = omega
-        self.pairing = tuple(tuple(row) for row in pairing)
+        self.pairing = tuple(tuple(map(GaussianRational.promote, row)) for row in pairing)
         # i_(x_i) i_(x_j) = -i_(x_j) i_(x_i) = -i_(x_i ^ x_j) for i < j, and
         # i_(x_i) i_(x_i) = 0, so Lambda = sum_(i<j) a i_(x_i ^ x_j) with
-        # a = (p^ji - p^ij) / 2: one block (bit_i | bit_j, the (monomial,
-        # scalar) terms of a) per nonzero a
+        # a = (p^ji - p^ij) / 2: one block (bit_i | bit_j, a) per nonzero a
         p = self.pairing
         blocks = []
         for i, j in combinations(range(len(p)), 2):
-            if p[i][j] or p[j][i]:
-                a = (p[j][i] - p[i][j]) * Fraction(1, 2)
-                if a:
-                    blocks.append((1 << i | 1 << j, tuple(a.terms.items())))
+            a = (p[j][i] - p[i][j]) * Fraction(1, 2)
+            if a:
+                blocks.append((1 << i | 1 << j, a))
         self.blocks = tuple(blocks)
 
     @staticmethod
@@ -176,23 +177,20 @@ class SymplecticData:
             inv = linalg.invert(rows)
         except ArithmeticError as e:
             raise MissingPairing(f"omega is degenerate: {e}") from None
-        pairing = [[Poly.constant(x) for x in row] for row in inv]
-        return SymplecticData(frame, omega, pairing)
+        return SymplecticData(frame, omega, inv)
 
 
 def lambda_term(acc: dict, blocks: tuple, mask: int, e: int, exps: Sequence[int], c: GaussianRational) -> None:
     """acc += Lambda(c x^e mono) as (mask, monomial) -> scalar terms, one
-    signed block contraction per block (legs, terms of a) of
+    signed block contraction per block (legs, scalar a) of
     `SymplecticData.blocks`: a c x^e i_legs mono.  It has the signature of
     `d_term`; `exps` is not read.  A `c` that is the object ONE is not
     multiplied."""
-    for legs, terms in blocks:
+    for legs, a in blocks:
         if mask & legs == legs:
             rest = mask ^ legs
-            positive = koszul_sign(legs, rest) > 0
-            for f, a in terms:
-                x = a if c is ONE else a * c
-                _accumulate(acc, (rest, e + f), x if positive else -x)
+            x = a if c is ONE else a * c
+            _accumulate(acc, (rest, e), x if koszul_sign(legs, rest) > 0 else -x)
 
 
 def dual_lefschetz(form: Form, s: SymplecticData) -> Form:

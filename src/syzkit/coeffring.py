@@ -135,16 +135,6 @@ class GaussianRational:
             return self._b == 0 and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
-    def __hash__(self):
-        # a real value equals an int or Fraction (see __eq__), so it hashes as one
-        a, b, d = self._a, self._b, self._d
-        if b == 0:
-            return hash(a) if d == 1 else hash(Fraction(a, d))
-        # hash(Fraction(n, 1)) == hash(n), so both branches hash (re, im)
-        if d == 1:
-            return hash((a, b))
-        return hash((self.re, self.im))
-
     def __bool__(self):
         return self._a != 0 or self._b != 0
 
@@ -286,7 +276,8 @@ def monomials(vars: Sequence[str], max_total: int) -> list[int]:
 class Poly:
     """Sparse multivariate polynomial over Q(i): `terms` maps monomials (see
     `variable_monomial`) to nonzero coefficients, and nothing else is stored,
-    so `==` and `hash` read the terms alone.
+    so `==` reads the terms alone.  Like `GaussianRational` and `Form`, a
+    `Poly` is not hashable.
 
     Variable names come back only for rendering and JSON, where the terms
     are ordered by degree and then by their exponents over the sorted
@@ -401,12 +392,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        # a constant equals its scalar (see __eq__), so it hashes as one
-        if self.is_constant():
-            return hash(self.constant_value())
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)

@@ -18,7 +18,8 @@ the dual Lefschetz operator Lambda on the symplectic side.  Column i of each
 is one call of the per-term kernel that `exterior_d` and `dual_lefschetz`
 also sum over a form's terms (`calculus.d_term`: the Leibniz rule on the
 frame's base one-forms and structure equations; `calculus.lambda_term`: one
-signed block contraction per pair of legs i < j), on basis element i with
+signed block contraction per block (legs, scalar) of the pairing, so Lambda
+keeps each coefficient monomial), on basis element i with
 coefficient 1, so each rule is written once (the tests check the columns
 against a wedge-built d and two contraction-built Lambdas).  The
 composites are exact sparse products of the primitive columns:
@@ -47,7 +48,7 @@ from math import comb
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import linalg
-from .coeffring import ONE, GaussianRational, Poly, _accumulate, _poly, exponents, group_terms, monomials, total_degree
+from .coeffring import ONE, GaussianRational, Poly, _accumulate, exponents, group_terms, monomials, total_degree
 from .exterior import Form, FrameSpec, GenClass
 from .calculus import HOLO_SPLIT, SymplecticData, d_rule, d_term, dolbeault_part, lambda_term
 from .reports import CheckReport
@@ -155,7 +156,7 @@ class MonomialBasis:
         m1, m2 = self.class_masks
         return m1 | m2 == (1 << len(self.frame)) - 1
 
-    def terms(self, poly: Poly, witness: Optional[Form]):
+    def terms(self, poly: Poly, witness: Form):
         """The terms of `poly`; a variable outside `self.vars` that they use
         is a SpanEscape."""
         if not poly.used_vars().issubset(self.vars):
@@ -283,7 +284,6 @@ class FiniteComplex:
             raise ValueError("degree bound must be nonnegative")
         self.frame = frame
         self.D = D
-        self.split = split
         self.basis = basis = MonomialBasis(frame, D, split)
         self.vars = basis.vars
         # the frame data that d reads, each form with the generator it
@@ -304,8 +304,6 @@ class FiniteComplex:
 
     def lambda_columns(self, symp: SymplecticData) -> PrimitiveColumns:
         basis = self.basis
-        for _, terms in symp.blocks:
-            basis.terms(_poly(dict(terms)), None)
         steps = ((-p, -q) for p, q in (basis.step(legs) for legs, _ in symp.blocks))
         return PrimitiveColumns(basis, "lambda", lambda_term, symp.blocks, steps)
 

@@ -137,6 +137,11 @@ class SUStructure:
 
     @staticmethod
     def from_json(obj) -> "SUStructure":
+        """The structure a fixture document describes; a malformed document
+        raises KeyError, TypeError or ValueError.  Its `polarization` is
+        null, or names `fiber_class` 'fiber-x' or 'fiber-mirror' (a class
+        with generators in the frame) and `phase_quarter` null or an integer
+        in 0..3."""
         fr = obj["frame"]
         lists = fr["labels"], fr["classes"], fr["paired"]
         if len({len(v) for v in lists}) != 1:
@@ -148,12 +153,16 @@ class SUStructure:
             raise ValueError(f"n must be at least 1 and an integer, got {n!r}")
         frame = FrameSpec(gens, fr["base_vars"], n)
         omega = Form.from_json(obj["omega"], frame)
-        pol = None
-        if obj.get("polarization"):
-            pol = Polarization(
-                GenClass(obj["polarization"]["fiber_class"]),
-                obj["polarization"].get("phase_quarter"),
-            )
+        pol = obj.get("polarization")
+        if pol is not None:
+            fiber, phase = pol["fiber_class"], pol.get("phase_quarter")
+            if fiber not in ("fiber-x", "fiber-mirror"):
+                raise ValueError(f"polarization fiber_class must be 'fiber-x' or 'fiber-mirror', got {fiber!r}")
+            if not frame.gens_of_class(GenClass(fiber)):
+                raise ValueError(f"polarization fiber_class {fiber!r} names no generator of the frame")
+            if phase is not None and (type(phase) is not int or not 0 <= phase <= 3):
+                raise ValueError(f"polarization phase_quarter must be null or an integer in 0..3, got {phase!r}")
+            pol = Polarization(GenClass(fiber), phase)
         factors = [Form.from_json(f, frame) for f in obj["Omega_factors"]]
         return SUStructure(
             n,

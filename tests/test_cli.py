@@ -55,7 +55,9 @@ class TestNilCommand:
         monkeypatch.setattr(cli.nil, "build", no_build)
         res = runner.invoke(main, ["nil", "--K", "6"])
         assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
         assert "2<=x<=5" in res.output
+        assert "Traceback" not in res.output
 
     def test_reports_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -148,6 +150,7 @@ class TestVerifyCommand:
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)
         assert "first non-passing check: conformal-factor-nonvanishing (undetermined)" in res.output
+        assert "Traceback" not in res.output
 
     def test_wrong_schema_rejected(self, runner, tmp_path):
         f = tmp_path / "x.json"
@@ -200,7 +203,7 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
-        assert f"exponents must be nonnegative integers, got {exp!r}" in res.output
+        assert f"exp.json: malformed fixture: ValueError: exponents must be nonnegative integers, got {exp!r}" in res.output
         assert "Traceback" not in res.output
 
     def test_exponent_past_the_bound_usage_error(self, runner, fixtures, tmp_path):
@@ -283,6 +286,31 @@ class TestVerifyCommand:
         assert f"dropped.json: malformed fixture: ValueError: {message}" in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("phase_quarter", 2.0, "phase_quarter must be null or an integer in 0..3, got 2.0"),
+        ("phase_quarter", "2", "phase_quarter must be null or an integer in 0..3, got '2'"),
+        ("phase_quarter", "x", "phase_quarter must be null or an integer in 0..3, got 'x'"),
+        ("phase_quarter", 7, "phase_quarter must be null or an integer in 0..3, got 7"),
+        ("phase_quarter", -1, "phase_quarter must be null or an integer in 0..3, got -1"),
+        ("phase_quarter", True, "phase_quarter must be null or an integer in 0..3, got True"),
+        ("fiber_class", "base", "fiber_class must be 'fiber-x' or 'fiber-mirror', got 'base'"),
+        ("fiber_class", "fiber-mirror", "fiber_class 'fiber-mirror' names no generator of the frame"),
+    ], ids=["float", "digit-string", "letter", "seven", "negative", "true", "base", "absent-class"])
+    def test_malformed_polarization_usage_error(self, runner, fixtures, tmp_path, key, value, message):
+        # each was once read as a check result: 2.0 passed every check, "2"
+        # failed special-phase with "declared 2, computed 2", and the others
+        # failed a check too (exit 1)
+        doc = json.loads((fixtures / "iia-K3.json").read_text())
+        assert doc["polarization"] == {"fiber_class": "fiber-x", "phase_quarter": 2}
+        doc["polarization"][key] = value
+        f = tmp_path / "pol.json"
+        f.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--system", "iia", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"pol.json: malformed fixture: ValueError: polarization {message}" in res.output
+        assert "Traceback" not in res.output
+
     def test_fixture_missing_key_usage_error(self, runner, tmp_path):
         # once a KeyError traceback
         f = tmp_path / "nofr.json"
@@ -318,6 +346,7 @@ class TestVerifyCommand:
         assert "label.json" in res.output
         assert "unknown generator 'bogus'" in res.output
         assert "missing key" not in res.output
+        assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("case, size", [("rank", "n = 11 on 2 generators"),
                                             ("generators", "n = 1 on 22 generators")])
@@ -364,8 +393,12 @@ class TestFmCommand:
         assert "fiber legs [3]" in res.output
 
     def test_round_trip_sign(self, runner, tmp_path):
+        # forward then back on a dz/dzb form of mixed degree with a polynomial
+        # coefficient: (-1)^(n(n-1)/2) = -1 times the input at n = 2
         pair = SemiflatPair(2)
-        m = pair.holo_monomial([1], [2])
+        f = pair.holo_frame
+        m = Form.monomial(f, ["dz1", "dz2b"], Poly.variable("r1")) + Form.monomial(f, ["dz2"], 3)
+        assert not m.is_zero()
         src = tmp_path / "m.json"
         src.write_text(json.dumps(m.to_json()))
         mid = tmp_path / "mid.json"
@@ -377,7 +410,7 @@ class TestFmCommand:
             main, ["fm", "--input", str(mid), "--direction", "back", "--n", "2", "--out", str(back)]
         ).exit_code == 0
         got = Form.from_json(json.loads(back.read_text()), pair.holo_frame)
-        assert got == m * pair.fm_roundtrip_sign()
+        assert got == -m
 
     def test_fiber_dependent_input_rejected(self, runner, tmp_path):
         pair = SemiflatPair(2)
@@ -449,6 +482,7 @@ class TestFmCommand:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert "--n" in res.output and "1<=x<=16" in res.output
+        assert "Traceback" not in res.output
         assert built == []
 
     def test_wrong_side_rejected(self, runner, tmp_path):
@@ -493,14 +527,18 @@ class TestCohomologyCommand:
         assert "would build the columns of 2232100 basis elements" in res.output
         assert "past the bound 131072" in res.output
 
-    def test_k5_refused_by_its_basis_size(self, runner):
+    def test_k5_refused_by_its_basis_size(self, runner, monkeypatch):
         # K = 5 at D = 0: the (5,5) query reads the columns of more basis
-        # elements than the bound (the (1,1) one is admitted)
+        # elements than the bound (the (1,1) one is admitted), and is refused
+        # before it builds one
+        for columns in (cohmod.PrimitiveColumns, cohmod.RowsOfD, cohmod.ProductColumns):
+            monkeypatch.setattr(columns, "__missing__", lambda self, idx: pytest.fail("a column was built"))
         res = runner.invoke(
             main,
             ["cohomology", "--K", "5", "--which", "mirror", "--p", "5", "--q", "5", "--degree", "0"],
         )
         assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
         assert "would build the columns of 340704 basis elements" in res.output
         assert "past the bound 131072" in res.output
         assert "Traceback" not in res.output
@@ -574,6 +612,7 @@ class TestCohomologyCommand:
         assert res.exit_code == 2, res.output
         assert "0<=x<=32767" in res.output
         assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("p, q", [(9, 9), (4, 0), (1, -1)])
     def test_bidegree_out_of_range_usage_error(self, runner, p, q):
@@ -591,7 +630,9 @@ class TestCohomologyCommand:
             ["cohomology", "--K", "1", "--which", "bc", "--p", "0", "--q", "0", "--degree", "0"],
         )
         assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
         assert "2<=x<=5" in res.output
+        assert "Traceback" not in res.output
 
     def test_k_above_cap_usage_error(self, runner):
         res = runner.invoke(
