@@ -9,9 +9,13 @@ operators sum over a form's terms and the cohomology columns apply to one
 basis element; Lambda reads a scalar pairing, held as one block (legs,
 scalar) per pair of legs.  `coframe` is the one builder of a frame
 of one-forms over another frame: it derives the frame's base one-forms and
-structure equations from the generators' expansions.  A complex basis is such
-a frame (`holo_coframe`), so the change of basis is `frame_collect` in and
-`frame_expand` out.
+structure equations from the generators' expansions, and it is the one place
+a change of basis is checked: it refuses a generator count or an expansion
+that does not fit the coordinate frame, and its first collect inverts the
+transition matrix, exactly and verified.  A complex basis is such a frame
+(`holo_coframe`, the dz/dzb generators handed to `coframe`), so the change
+of basis is `frame_collect` in and `frame_expand` out; `dolbeault` reads
+forms on the dz/dzb frame only.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .exterior import (
     _form,
     bits,
     frame_collect,
-    frame_expand,
     koszul_sign,
 )
 
@@ -113,12 +116,26 @@ def exterior_d(form: Form) -> Form:
 
 
 def coframe(generators: Sequence[Generator], coord: FrameSpec) -> FrameSpec:
-    """The frame of the one-forms `generators`, each expanded on `coord`.
+    """The frame of the one-forms `generators`, each expanded on `coord`:
+    the one place a change of basis is checked.
 
-    Each base one-form of `coord` and each generator's d (the derivative of
-    its expansion) are collected into the frame, so d on the frame agrees
-    with d on `coord`; `coord` may itself be such a frame.
+    A generator count other than len(coord), or a generator whose expansion
+    is missing or is not a one-form on `coord` itself, is a
+    BasisChangeError.  The first collect inverts the transition matrix,
+    exactly and verified, so a frame is built only when the change of basis
+    is invertible, and `frame_collect` and `frame_expand` are then inverse to
+    each other.  Each base one-form of `coord` and each generator's d (the
+    derivative of its expansion) are collected into the frame, so d on the
+    frame agrees with d on `coord`; `coord` may itself be such a frame.
     """
+    if len(generators) != len(coord):
+        raise BasisChangeError(f"{len(generators)} generators expand on the {len(coord)} of {coord!r}")
+    for g in generators:
+        exp = g.coord_expansion
+        if exp is None:
+            raise BasisChangeError(f"{g.label!r} has no coordinate expansion")
+        if exp.frame is not coord or exp.degrees() not in ({1}, set()):
+            raise BasisChangeError(f"the expansion of {g.label!r} is not a one-form on {coord!r}")
     frame = FrameSpec(generators, coord.base_vars, coord.n)
     for v in coord.base_vars:
         dv = coord.base_one_form(v)
@@ -213,34 +230,14 @@ def d_lambda(form: Form, s: SymplecticData) -> Form:
 
 def holo_coframe(real_frame: FrameSpec, holo_forms: Sequence[tuple[str, Form]]) -> FrameSpec:
     """The dz/dzb frame of the holomorphic one-forms `holo_forms` (label,
-    form) on `real_frame`, with the conjugates labeled `<label>b`.
-
-    It is a `coframe` over the real frame, so `frame_collect` (through the
-    verified polynomial inverse) and `frame_expand` change basis; a round
-    trip of every generator of both frames checks the two here.
-    """
-    labels = [lab for lab, _ in holo_forms]
-    holo = [f for _, f in holo_forms]
-    anti = [f.conjugate() for f in holo]
-    for f in holo + anti:
-        if f.frame is not real_frame:
-            raise BasisChangeError("basis forms must live on the real frame")
-        if f.degrees() not in ({1}, set()):
-            raise BasisChangeError("basis forms must be one-forms")
-    frame = coframe(
-        [Generator(lab, GenClass.FIBER_MIRROR, f) for lab, f in zip(labels, holo)]
-        + [Generator(lab + "b", GenClass.BASE, f) for lab, f in zip(labels, anti)],
+    form) on `real_frame`: the `coframe` of the forms (class FIBER_MIRROR)
+    and their conjugates (labeled `<label>b`, class BASE), which checks the
+    change of basis."""
+    return coframe(
+        [Generator(lab, GenClass.FIBER_MIRROR, f) for lab, f in holo_forms]
+        + [Generator(lab + "b", GenClass.BASE, f.conjugate()) for lab, f in holo_forms],
         real_frame,
     )
-    for g in real_frame.generators:
-        probe = Form.gen(real_frame, g.label)
-        if frame_expand(frame_collect(probe, frame), real_frame) != probe:
-            raise BasisChangeError("round trip through the complex basis failed")
-    for g in frame.generators:
-        probe = Form.gen(frame, g.label)
-        if frame_collect(frame_expand(probe, real_frame), frame) != probe:
-            raise BasisChangeError("round trip through the complex basis failed")
-    return frame
 
 
 def dolbeault_part(src: tuple[int, int], dst: tuple[int, int] | None) -> int:
@@ -257,17 +254,15 @@ def dolbeault_part(src: tuple[int, int], dst: tuple[int, int] | None) -> int:
 
 def dolbeault(form: Form, holo_frame: FrameSpec) -> tuple[Form, Form]:
     """Split d into its (1,0) and (0,1) parts on the dz/dzb frame
-    `holo_frame` (a form on its real frame is collected onto it first).
+    `holo_frame`, on which `form` lives (a FrameMismatch otherwise: a form
+    on the real frame is collected onto it with `frame_collect` first).
 
     Returns (del, dbar).  Each term of d of a (p, q) component goes to the
     part `dolbeault_part` names, so the components write disjoint terms of
     each part.
     """
     if form.frame is not holo_frame:
-        exp = holo_frame.generators[0].coord_expansion
-        if exp is None or form.frame is not exp.frame:
-            raise BasisChangeError("form lives on neither the real nor the complex frame")
-        form = frame_collect(form, holo_frame)
+        raise FrameMismatch("dolbeault reads forms on its dz/dzb frame only")
     bidegree = holo_frame.bidegree
     parts: tuple[dict[int, Poly], dict[int, Poly]] = ({}, {})
     for pq, comp in form.bidegree_components(HOLO_SPLIT).items():

@@ -195,7 +195,7 @@ def cmd_fm(input_path: str, direction: str, n: int, out: str | None):
     except MALFORMED as e:
         raise _malformed(input_path, "form", e) from None
     try:
-        pair.check_invariant(form)
+        form.check_invariant()
     except ValueError as e:
         raise click.UsageError(str(e)) from None
     try:

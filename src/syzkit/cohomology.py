@@ -150,12 +150,6 @@ class MonomialBasis:
         a, b = self.classes
         return comb(len(a), p) * comb(len(b), q) * self.E
 
-    def covered(self) -> bool:
-        """Whether every generator lies in a class of the split, so that the
-        slots partition the basis."""
-        m1, m2 = self.class_masks
-        return m1 | m2 == (1 << len(self.frame)) - 1
-
     def terms(self, poly: Poly, witness: Form):
         """The terms of `poly`; a variable outside `self.vars` that they use
         is a SpanEscape."""
@@ -277,7 +271,9 @@ class FiniteComplex:
     Every vector, column and kernel is keyed by basis index: `images[op][i]`
     is the sparse vector of op applied to basis element i, built when it is
     first read.  The concrete complexes add Lambda (`lambda_columns`) and the
-    composites, and `apply` reads the columns."""
+    composites, and `apply` reads the columns.  Every generator lies in a
+    class of the split (a ValueError otherwise), so the bidegree slots
+    partition the basis and `admit` counts a query by its slots."""
 
     def __init__(self, frame: FrameSpec, D: int, split: tuple[GenClass, GenClass]):
         if D < 0:
@@ -285,6 +281,9 @@ class FiniteComplex:
         self.frame = frame
         self.D = D
         self.basis = basis = MonomialBasis(frame, D, split)
+        m1, m2 = basis.class_masks
+        if m1 | m2 != (1 << len(frame)) - 1:
+            raise ValueError("the split leaves a generator out, so its slots do not cover the basis")
         self.vars = basis.vars
         # the frame data that d reads, each form with the generator it
         # replaces: every term gives a bidegree step of d, and a variable
@@ -311,14 +310,10 @@ class FiniteComplex:
         """The number of basis elements whose columns are built to read the
         columns of each (op, bidegree) slot in `reads`; past MAX_BASIS it is
         a ComplexTooLarge, raised before any column is built."""
-        basis = self.basis
-        if basis.covered():
-            at: set[Bidegree] = set()
-            for op, pq in reads:
-                at |= self.images[op].reads(pq)
-            count = sum(basis.slot_size(*pq) for pq in at)
-        else:
-            count = len(basis)
+        at: set[Bidegree] = set()
+        for op, pq in reads:
+            at |= self.images[op].reads(pq)
+        count = sum(self.basis.slot_size(*pq) for pq in at)
         if count > MAX_BASIS:
             raise ComplexTooLarge(
                 f"the query would build the columns of {count} basis elements of the degree-{self.D} "
@@ -434,8 +429,9 @@ def ty_complex(frame: FrameSpec, D: int) -> FiniteComplex:
     """Symplectic-side complex: d and Lambda (Darboux pairing of the x-fiber
     and base legs), d^Lambda = d . Lambda - Lambda . d and
     d d^Lambda = d . d^Lambda."""
+    symp = SymplecticData.darboux(frame, GenClass.FIBER_X)
     cpx = FiniteComplex(frame, D, (GenClass.FIBER_X, GenClass.BASE))
-    d, lam = cpx.images["d"], cpx.lambda_columns(SymplecticData.darboux(frame, GenClass.FIBER_X))
+    d, lam = cpx.images["d"], cpx.lambda_columns(symp)
     dl = ProductColumns((1, d, lam), (-1, lam, d))
     cpx.images.update({"lambda": lam, "dlambda": dl, "ddlambda": ProductColumns((1, d, dl))})
     return cpx

@@ -84,16 +84,23 @@ class FrameSpec:
 
     The generator order is the canonical ordering for bitmask monomials, for
     Koszul signs, and for fiber integration.  `n` is the fiber rank.  A frame
-    equals only itself, so forms on two frames built apart never mix.
+    equals only itself, so forms on two frames built apart never mix.  The
+    labels and the base variables are unique strings, and a generator's
+    paired base variable is one of the base variables, paired with no other
+    generator; anything else is a ValueError.
     """
 
     def __init__(self, generators: Sequence[Generator], base_vars: Sequence[str], n: int):
         gens = tuple(generators)
-        labels = [g.label for g in gens]
-        if len(set(labels)) != len(labels):
-            raise ValueError("generator labels must be unique within a frame")
+        base_vars = tuple(base_vars)
+        paired = [g.paired_base_var for g in gens if g.paired_base_var is not None]
+        for what, names in (("generator labels", [g.label for g in gens]), ("base variables", base_vars)):
+            if any(type(x) is not str for x in names) or len(set(names)) != len(names):
+                raise ValueError(f"{what} must be unique strings, got {list(names)}")
+        if not all(v in base_vars for v in paired) or len(set(paired)) != len(paired):
+            raise ValueError(f"paired variables {paired} must be distinct base variables of {list(base_vars)}")
         self.generators = gens
-        self.base_vars = tuple(base_vars)
+        self.base_vars = base_vars
         self.n = n
         self.index = {g.label: i for i, g in enumerate(gens)}
         self._d_gen: list[Optional[Form]] = [None] * len(gens)
@@ -396,11 +403,13 @@ class Form:
             m |= 1 << i
         return self.terms.get(m, Poly())
 
-    def used_coeff_vars(self) -> set[str]:
-        out: set[str] = set()
-        for p in self.terms.values():
-            out |= p.used_vars()
-        return out
+    def check_invariant(self) -> None:
+        """A ValueError naming the variables of the coefficients that are not
+        base variables of the frame, if there are any: the one invariance
+        test of a form, which `fm` and `verify` both read."""
+        bad = set().union(*(p.used_vars() for p in self.terms.values())) - set(self.frame.base_vars)
+        if bad:
+            raise ValueError(f"coefficients depend on non-base variables {sorted(bad)}")
 
     def map_coefficients(self, fn: Callable[[Poly], Poly]) -> "Form":
         return Form(self.frame, {m: fn(p) for m, p in self.terms.items()})
@@ -558,26 +567,20 @@ def frame_expand(form: Form, coord_frame: FrameSpec) -> Form:
 
 
 def _collect_images(frame: FrameSpec) -> dict[str, Form]:
-    """Each coordinate generator as a combination of the frame's generators.
+    """Each coordinate generator as a combination of the coframe's generators.
 
-    The frame's one-form expansions give a square transition matrix (rows:
-    frame generators, columns: the coordinate frame's generators); its
-    polynomial inverse is exact and verified, so a coframe whose determinant
-    is not a nonzero constant is rejected.
+    `calculus.coframe`, which builds every coframe, has checked that the
+    generators' expansions are one-forms on one coordinate frame of the same
+    size, so they give a square transition matrix (rows: frame generators,
+    columns: the coordinate frame's generators).  Its polynomial inverse is
+    exact and verified, so a coframe whose determinant is not a nonzero
+    constant is rejected.  A frame whose generators have no expansions, such
+    as a coordinate frame, is a BasisChangeError.
     """
-    expansions = []
-    for g in frame.generators:
-        exp = g.coord_expansion
-        if exp is None:
-            raise BasisChangeError(f"{g.label!r} has no coordinate expansion")
-        if exp.degrees() not in ({1}, set()):
-            raise BasisChangeError(f"the expansion of {g.label!r} is not a one-form")
-        expansions.append(exp)
+    expansions = [g.coord_expansion for g in frame.generators]
+    if any(exp is None for exp in expansions):
+        raise BasisChangeError(f"{frame!r} is not a coframe: a generator has no coordinate expansion")
     coord = expansions[0].frame if expansions else frame
-    if any(exp.frame is not coord for exp in expansions) or len(coord) != len(frame):
-        raise BasisChangeError(
-            f"{len(frame)} frame generators do not expand on one coordinate frame of the same size"
-        )
     trans = [[exp.terms.get(1 << c, Poly()) for c in range(len(coord))] for exp in expansions]
     try:
         inv = linalg.poly_matrix_inverse_unit_det(trans)

@@ -109,19 +109,12 @@ class SemiflatPair:
             return frame_collect(form, self.holo_frame)
         raise FrameMismatch("form does not live on the complex side of this pair")
 
-    def check_invariant(self, form: Form) -> None:
-        """A ValueError naming the variables of `form`'s coefficients that
-        are not base variables of the pair, if there are any."""
-        bad = form.used_coeff_vars() - set(self.base_vars)
-        if bad:
-            raise ValueError(f"coefficients depend on non-base variables {sorted(bad)}")
-
     # -- the transform -------------------------------------------------------
 
     def fm_forward(self, form: Form) -> Form:
         """Transform a complex-side invariant form to the symplectic side."""
         phi = self.to_complex_side(form)
-        self.check_invariant(phi)
+        phi.check_invariant()
         out = Form.zero(self.frame_x)
         for (p, q), comp in phi.bidegree_components(HOLO_SPLIT).items():
             lifted = polarization_switch(comp, self.frame_corr)
@@ -139,7 +132,7 @@ class SemiflatPair:
         (returned on the dz/dzb monomial frame)."""
         if form.frame is not self.frame_x:
             raise FrameMismatch("form does not live on the symplectic side of this pair")
-        self.check_invariant(form)
+        form.check_invariant()
         lifted = form.transport(self.frame_corr)
         integrated = lifted.wedge_pushforward(self._exp_minus, GenClass.FIBER_X)
         return polarization_unswitch(integrated, self.holo_frame)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import SymplecticData, coframe, exterior_d
+from .calculus import coframe, exterior_d
 from .coeffring import GaussianRational, I, Poly
 from .exterior import (
     Form,
@@ -237,7 +237,7 @@ def build_iia_side(nd: NilData) -> SUStructure:
     return SUStructure(
         nd.n,
         nd.xc_coord,
-        SymplecticData.darboux(nd.xc_coord, GenClass.FIBER_X).omega,
+        nd.pair.darboux_x.omega,
         Omega_factors=factors,
         polarization=Polarization(GenClass.FIBER_X, None),
     )

@@ -26,7 +26,7 @@ from .calculus import (
     holo_coframe,
 )
 from .coeffring import GaussianRational, I, ONE, Poly, ZERO
-from .exterior import Form, FrameSpec, GenClass, Generator, _form, bits, frame_expand, reversal_sign
+from .exterior import Form, FrameSpec, GenClass, Generator, _form, bits, frame_collect, frame_expand, reversal_sign
 from .fourier import SemiflatPair
 from .reports import PASS, UNDETERMINED, CheckReport
 
@@ -138,10 +138,14 @@ class SUStructure:
     @staticmethod
     def from_json(obj) -> "SUStructure":
         """The structure a fixture document describes; a malformed document
-        raises KeyError, TypeError or ValueError.  Its `polarization` is
-        null, or names `fiber_class` 'fiber-x' or 'fiber-mirror' (a class
-        with generators in the frame) and `phase_quarter` null or an integer
-        in 0..3."""
+        raises KeyError, TypeError or ValueError.  Its frame is a coordinate
+        frame: the `FrameSpec` rules hold (unique string labels and base
+        variables, each paired variable a base variable paired once) and
+        every base variable is paired with a generator.  The coefficients of
+        omega and of each Omega factor use base variables only
+        (`Form.check_invariant`).  Its `polarization` is null, or names
+        `fiber_class` 'fiber-x' or 'fiber-mirror' (a class with generators in
+        the frame) and `phase_quarter` null or an integer in 0..3."""
         fr = obj["frame"]
         lists = fr["labels"], fr["classes"], fr["paired"]
         if len({len(v) for v in lists}) != 1:
@@ -152,6 +156,9 @@ class SUStructure:
         if type(n) is not int or n < 1:
             raise ValueError(f"n must be at least 1 and an integer, got {n!r}")
         frame = FrameSpec(gens, fr["base_vars"], n)
+        unpaired = [v for v in frame.base_vars if frame.base_one_form(v) is None]
+        if unpaired:
+            raise ValueError(f"base variables {unpaired} are paired with no generator")
         omega = Form.from_json(obj["omega"], frame)
         pol = obj.get("polarization")
         if pol is not None:
@@ -164,6 +171,8 @@ class SUStructure:
                 raise ValueError(f"polarization phase_quarter must be null or an integer in 0..3, got {phase!r}")
             pol = Polarization(GenClass(fiber), phase)
         factors = [Form.from_json(f, frame) for f in obj["Omega_factors"]]
+        for form in (omega, *factors):
+            form.check_invariant()
         return SUStructure(
             n,
             frame,
@@ -334,7 +343,7 @@ def flux_iib(s: SUStructure) -> tuple[Form, CheckReport]:
     cf = s.conformal_factor()
     if not cf:
         raise ValueError("conformal factor vanishes")
-    arg = s.omega * (ONE / cf)
+    arg = frame_collect(s.omega * (ONE / cf), hf)
     _, dbar = dolbeault(arg, hf)
     ddbar, _ = dolbeault(dbar, hf)
     rho = frame_expand(ddbar, s.frame) * (I * 2)
@@ -428,7 +437,7 @@ def mirror_transform(pair: SemiflatPair, omega_check: Form) -> SUStructure:
                 f = f + Form.gen(pair.frame_x, f"d{pair.base_vars[b]}") * (mu[a][b] * I)
         factors.append(f)
 
-    omega = SymplecticData.darboux(pair.frame_x, GenClass.FIBER_X).omega
+    omega = pair.darboux_x.omega
     sign = reversal_sign(n)
     phase = 0 if sign > 0 else 2
     return SUStructure(

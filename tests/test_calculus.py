@@ -409,6 +409,14 @@ class TestDolbeault:
         with pytest.raises(BasisChangeError, match="not integrable"):
             dolbeault(Form.scalar(hf, 1), hf)
 
+    def test_real_frame_form_refused(self, pair2):
+        # a real form is collected onto the dz/dzb frame before it is split
+        a = Form.monomial(pair2.frame_xc, ["dtc1"], Poly.variable("r2"))
+        with pytest.raises(FrameMismatch, match="dz/dzb frame only"):
+            dolbeault(a, pair2.holo_frame)
+        dl, db = dolbeault(frame_collect(a, pair2.holo_frame), pair2.holo_frame)
+        assert frame_expand(dl + db, pair2.frame_xc) == exterior_d(a)
+
     def test_round_trip_guard(self, pair2):
         # a non-invertible candidate basis must be rejected at construction
         f = pair2.frame_xc
@@ -491,17 +499,78 @@ class TestRelabelMatchesOracles:
             polarization_unswitch(a, pair2.holo_frame)
 
 
+def invariant_holo_frame(nd):
+    """The dz/dzb frame of dz_ij = f_ij + i e_ij over the nilmanifold's x_frame."""
+    x = nd.x_frame
+    return holo_coframe(x, [(f"dz{i}{j}", Form.gen(x, f"f{i}{j}") + Form.gen(x, f"e{i}{j}") * I) for i, j in nd.pairs])
+
+
+def mirror_holo_frame():
+    """The dz/dzb frame of a mirror_transform structure: its factors
+    dth_a + i mu_a.dr have a polynomial transition matrix."""
+    from syzkit.sustruct import mirror_transform
+
+    pair = SemiflatPair(3)
+    return mirror_transform(pair, iwasawa_omega_check(pair)).holo_frame
+
+
+# dz/dzb frames by name, each built on demand
+ROUND_TRIP_FRAMES = {
+    **{f"flat-n{n}": (lambda n=n: SemiflatPair(n).holo_frame) for n in (1, 2, 3, 4)},
+    **{f"nil-pair-K{K}": (lambda K=K: nil.semiflat_pair(K).holo_frame) for K in (2, 3, 4)},
+    "nil-iib-K3": lambda: nil.build_iib_side(nil.build(3)).holo_frame,
+    "mirror-transform": mirror_holo_frame,
+    "invariant-K3": lambda: invariant_holo_frame(nil.build(3)),
+}
+
+
 class TestCoframe:
+    @pytest.mark.parametrize("case", list(ROUND_TRIP_FRAMES))
+    def test_every_generator_round_trips(self, case):
+        # the oracle for the certificate that `coframe` gives: the verified
+        # inverse X of the transition matrix M has M X = I, so X M = I, and
+        # no round trip between the two frames can fail
+        hf = ROUND_TRIP_FRAMES[case]()
+        real = hf.generators[0].coord_expansion.frame
+        for g in real.generators:
+            probe = Form.gen(real, g.label)
+            assert frame_expand(frame_collect(probe, hf), real) == probe, g.label
+        for g in hf.generators:
+            probe = Form.gen(hf, g.label)
+            assert frame_collect(frame_expand(probe, real), hf) == probe, g.label
+
+    def test_generator_count_refused(self, pair1):
+        x = pair1.frame_xc
+        with pytest.raises(BasisChangeError, match="1 generators expand on the 2 of"):
+            coframe([Generator("w", coord_expansion=Form.gen(x, "dtc1"))], x)
+
+    def test_generator_without_expansion_refused(self, pair1):
+        x = pair1.frame_xc
+        with pytest.raises(BasisChangeError, match="'wb' has no coordinate expansion"):
+            coframe([Generator("w", coord_expansion=Form.gen(x, "dtc1")), Generator("wb", GenClass.BASE)], x)
+
+    def test_expansion_on_another_frame_refused(self):
+        # a frame with the same labels: such a coframe was once built, with
+        # its structure equations derived by label, and its frame_expand
+        # onto `coord` failed later with "no image for generator 'g0'"
+        coord, other = SemiflatPair(2).frame_xc, SemiflatPair(2).frame_xc
+        gens = [Generator(f"g{k}", coord_expansion=Form.gen(other, g.label)) for k, g in enumerate(other.generators)]
+        with pytest.raises(BasisChangeError, match="'g0' is not a one-form on"):
+            coframe(gens, coord)
+
+    @pytest.mark.parametrize("extra", [["dtc1", "dr1"], []], ids=["two-form-term", "scalar-term"])
+    def test_expansion_not_a_one_form_refused(self, pair1, extra):
+        x = pair1.frame_xc
+        w = Form.gen(x, "dtc1") + Form.monomial(x, extra)
+        with pytest.raises(BasisChangeError, match="'w' is not a one-form on"):
+            coframe([Generator("w", GenClass.FIBER_MIRROR, w), Generator("wb", GenClass.BASE, Form.gen(x, "dr1"))], x)
+
     def test_complex_basis_over_the_invariant_frame(self):
         # dz_ij = f_ij + i e_ij is a coframe over the nilmanifold's coframe:
         # its derived structure equations make d commute with frame_expand
         nd = nil.build(3)
         x = nd.x_frame
-        holo = [
-            (f"dz{i}{j}", Form.gen(x, f"f{i}{j}") + Form.gen(x, f"e{i}{j}") * I)
-            for i, j in nd.pairs
-        ]
-        hf = holo_coframe(x, holo)
+        hf = invariant_holo_frame(nd)
         rng = random.Random(1900)
         for _ in range(10):
             a = random_form(rng, hf, max_terms=2, complex_ok=False)
@@ -624,14 +693,7 @@ class TestKernelsMatchOracles:
 
     @pytest.mark.parametrize("case", HOLO_FRAMES, ids=[f"{size}-{side}" for size, side in HOLO_FRAMES])
     def test_dolbeault(self, case):
-        if case[1] == "invariant":
-            nd = nil.build(3)
-            x = nd.x_frame
-            frame = holo_coframe(
-                x, [(f"dz{i}{j}", Form.gen(x, f"f{i}{j}") + Form.gen(x, f"e{i}{j}") * I) for i, j in nd.pairs]
-            )
-        else:
-            frame = oracle_frame(case)
+        frame = invariant_holo_frame(nil.build(3)) if case[1] == "invariant" else oracle_frame(case)
         for a in kernel_forms(frame, 2600 + self.HOLO_FRAMES.index(case)):
             got, want = dolbeault(a, frame), dolbeault_by_projection(a, frame)
             assert_same_form(got[0], want[0])

@@ -97,12 +97,20 @@ class TestComplexConstruction:
     @staticmethod
     def coframe_over(pair, coeff):
         """The frame g1 = dth1 + coeff dr2, g2 = dth2, g3 = dr1, g4 = dr2 over
-        the flat frame_x."""
+        the flat frame_x; g1 has a base leg but is given the x-fiber class,
+        so the split covers every generator."""
         x = pair.frame_x
         exps = [Form.gen(x, "dth1") + Form.gen(x, "dr2") * coeff] + [
             Form.gen(x, lab) for lab in ("dth2", "dr1", "dr2")
         ]
-        return calculus.coframe([Generator(f"g{k + 1}", coord_expansion=f) for k, f in enumerate(exps)], x)
+        classes = [GenClass.FIBER_X, None, None, None]
+        return calculus.coframe([Generator(f"g{k + 1}", cls, f) for k, (cls, f) in enumerate(zip(classes, exps))], x)
+
+    def test_split_that_leaves_a_generator_out_refused(self, pair2):
+        # the x-fiber legs of the correspondence frame lie in neither class
+        # of the complex side's split, so its slots would not cover the basis
+        with pytest.raises(ValueError, match="leaves a generator out"):
+            coh.FiniteComplex(pair2.frame_corr, 0, HOLO_SPLIT)
 
     def test_negative_degree_rejected(self, pair2):
         with pytest.raises(ValueError):

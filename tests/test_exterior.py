@@ -426,6 +426,29 @@ class TestFrameExpandCollect:
         assert calculus.BasisChangeError is BasisChangeError
 
 
+class TestFrameRules:
+    @pytest.mark.parametrize("labels, base_vars, paired, message", [
+        (["a", "a"], ["r1"], [None, None], r"generator labels must be unique strings, got \['a', 'a'\]"),
+        (["a", 5], ["r1"], [None, None], "generator labels must be unique strings"),
+        (["a", "b"], ["r1", "r1"], [None, None], "base variables must be unique strings"),
+        (["a", "b"], ["r1", None], [None, None], "base variables must be unique strings"),
+        (["a", "b"], "r1r2", [None, None], "base variables must be unique strings"),
+        (["a", "b"], ["r1"], ["r2", None], r"paired variables \['r2'\] must be distinct base variables of \['r1'\]"),
+        (["a", "b"], ["r1"], ["r1", "r1"], r"paired variables \['r1', 'r1'\] must be distinct"),
+        (["a", "b"], ["r1"], [["r1"], None], "paired variables"),
+    ], ids=["repeated-label", "int-label", "repeated-variable", "null-variable", "string-of-variables", "unknown-pairing",
+            "variable-paired-twice", "list-pairing"])
+    def test_malformed_frame_refused(self, labels, base_vars, paired, message):
+        gens = [Generator(lab, paired_base_var=v) for lab, v in zip(labels, paired)]
+        with pytest.raises(ValueError, match=message):
+            FrameSpec(gens, base_vars, 1)
+
+    def test_collect_onto_a_coordinate_frame_refused(self, pair1):
+        # frame_collect reads the expansions of a coframe's generators
+        with pytest.raises(BasisChangeError, match="is not a coframe"):
+            frame_collect(Form.gen(pair1.frame_x, "dth1"), pair1.frame_xc)
+
+
 class TestTransportAndJson:
     def test_transport_roundtrip(self, pair3):
         a = Form.monomial(pair3.frame_x, ["dth2", "dr1"], Poly.variable("r3"))

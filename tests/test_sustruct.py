@@ -267,6 +267,53 @@ class TestNonConstantFactor:
             flux_iia(tweaked)
 
 
+class TestConformalFactorUndefined:
+    def test_frame_without_2n_generators_fails(self, pair2):
+        # n = 1 on the four generators of the rank-2 complex side
+        f = pair2.frame_xc
+        su = SUStructure(1, f, Form.monomial(f, ["dtc1", "dr1"]), [Form.gen(f, "dtc1") + Form.gen(f, "dr1") * I])
+        assert [i.to_json() for i in check_su(su).items] == [
+            {"id": "Omega-wedge-omega-vanishes", "status": "pass"},
+            {"id": "conformal-factor-defined", "status": "fail",
+             "witness": "frame must have exactly 2n one-form generators"},
+        ]
+
+    def test_volume_square_not_a_top_form_fails(self, pair2):
+        # one factor for n = 2: Omega ^ conj(Omega) is a two-form
+        su = flat_su_iib(pair2)
+        short = SUStructure(2, su.frame, su.omega, su.Omega_factors[:1])
+        assert check_su(short).items[-1].to_json() == {
+            "id": "conformal-factor-defined", "status": "fail", "witness": "form is not a top form"
+        }
+
+
+class TestSpecialPhase:
+    @staticmethod
+    def flat_iia(pair1, first_factor, prefactor=ONE):
+        f = pair1.frame_x
+        return SUStructure(
+            1, f, Form.monomial(f, ["dth1", "dr1"]), [first_factor + Form.gen(f, "dr1") * I],
+            prefactor=prefactor, polarization=Polarization(GenClass.FIBER_X, None),
+        )
+
+    def special_phase(self, su):
+        items = [i.to_json() for i in check_iia(su).items if i.id == "special-phase"]
+        assert len(items) == 1
+        return items[0]
+
+    def test_nonconstant_pure_fiber_coefficient_undetermined(self, pair1):
+        su = self.flat_iia(pair1, Form.monomial(pair1.frame_x, ["dth1"], 1 + Poly.variable("r1")))
+        assert self.special_phase(su) == {
+            "id": "special-phase", "status": "undetermined", "witness": "non-constant coefficient 1 + r1"
+        }
+
+    def test_no_quarter_turn_phase_fails(self, pair1):
+        su = self.flat_iia(pair1, Form.gen(pair1.frame_x, "dth1"), prefactor=GaussianRational(1, 1))
+        assert self.special_phase(su) == {
+            "id": "special-phase", "status": "fail", "witness": "coefficient 1+i has no quarter-turn phase"
+        }
+
+
 class TestConstantRatio:
     def test_constant_detection(self):
         den = 1 + Poly.variable("r1")
@@ -468,6 +515,13 @@ class TestMirrorTransform:
             .wedge(Form.gen(f, "dth3") + (Form.gen(f, "dr3") - Form.gen(f, "dr2") * r1) * I)
         )
         assert su.Omega == -disp
+
+    def test_symplectic_form_is_the_pairs_darboux_form(self, pair3):
+        # one Darboux form per pair: mirror_transform and build_iia_side read
+        # the pair's instead of inverting their own
+        assert mirror_transform(pair3, iwasawa_omega_check(pair3)).omega is pair3.darboux_x.omega
+        nd = nil.build(3)
+        assert nil.build_iia_side(nd).omega is nd.pair.darboux_x.omega
 
     def test_matches_transform_of_exponential(self, pair3):
         w = iwasawa_omega_check(pair3)
