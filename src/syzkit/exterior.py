@@ -393,16 +393,6 @@ class Form:
             out[nm] = c
         return _form(frame, out)
 
-    def coefficient(self, labels: Sequence[str]) -> Poly:
-        """Coefficient of the ascending monomial on the named generators."""
-        idxs = [self.frame.index[lab] for lab in labels]
-        if idxs != sorted(idxs):
-            raise ValueError("labels must be in frame order")
-        m = 0
-        for i in idxs:
-            m |= 1 << i
-        return self.terms.get(m, Poly())
-
     def check_invariant(self) -> None:
         """A ValueError naming the variables of the coefficients that are not
         base variables of the frame, if there are any: the one invariance
@@ -566,37 +556,35 @@ def frame_expand(form: Form, coord_frame: FrameSpec) -> Form:
     return substitute_generators(form, coord_frame, images, monomials)
 
 
-def _collect_images(frame: FrameSpec) -> dict[str, Form]:
-    """Each coordinate generator as a combination of the coframe's generators.
+def _collect_images(frame: FrameSpec) -> tuple[FrameSpec, dict[int, Form]]:
+    """The coframe's coordinate frame, and each of its generators (by
+    position) as a combination of the coframe's generators.
 
     `calculus.coframe`, which builds every coframe, has checked that the
     generators' expansions are one-forms on one coordinate frame of the same
     size, so they give a square transition matrix (rows: frame generators,
-    columns: the coordinate frame's generators).  Its polynomial inverse is
-    exact and verified, so a coframe whose determinant is not a nonzero
-    constant is rejected.  A frame whose generators have no expansions, such
-    as a coordinate frame, is a BasisChangeError.
+    columns: the coordinate frame's generators), read as sparse rows.  Its
+    polynomial inverse is exact and verified, so a coframe whose determinant
+    is not a nonzero constant is rejected.  A frame whose generators have no
+    expansions, such as a coordinate frame, is a BasisChangeError.
     """
     expansions = [g.coord_expansion for g in frame.generators]
     if any(exp is None for exp in expansions):
         raise BasisChangeError(f"{frame!r} is not a coframe: a generator has no coordinate expansion")
     coord = expansions[0].frame if expansions else frame
-    trans = [[exp.terms.get(1 << c, Poly()) for c in range(len(coord))] for exp in expansions]
+    trans = [{m.bit_length() - 1: p for m, p in exp.terms.items()} for exp in expansions]
     try:
         inv = linalg.poly_matrix_inverse_unit_det(trans)
     except ArithmeticError as e:
         raise BasisChangeError(f"cannot invert the expansions of {frame!r}: {e}") from None
-    return {
-        g.label: Form(frame, {1 << k: p for k, p in enumerate(row)})
-        for g, row in zip(coord.generators, inv)
-    }
+    return coord, {k: _form(frame, {1 << j: row[j] for j in sorted(row)}) for k, row in enumerate(inv)}
 
 
 def frame_collect(form: Form, frame: FrameSpec) -> Form:
-    """Inverse of frame_expand: rewrite a coordinate form in a frame basis."""
-    solved = frame.table("collect", lambda: _collect_images(frame))
-    images = {}
-    for i, g in enumerate(form.frame.generators):
-        if g.label in solved:
-            images[i] = solved[g.label]
+    """Inverse of frame_expand: rewrite a form on the coordinate frame of the
+    coframe `frame` in the coframe's basis.  A form on any other frame, even
+    one with the same labels, is a FrameMismatch."""
+    coord, images = frame.table("collect", lambda: _collect_images(frame))
+    if form.frame is not coord:
+        raise FrameMismatch(f"{form.frame!r} is not the coordinate frame of {frame!r}")
     return substitute_generators(form, frame, images)

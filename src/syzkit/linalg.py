@@ -10,8 +10,12 @@ back-substitution then gives the reduced row echelon form.  The reduced form
 is unique, so ranks, pivots and kernels do not depend on the order in which
 rows arrive.
 
-Polynomial matrices get a division-free determinant and a Newton-lifted,
-verified inverse for unit determinants.
+Polynomial matrices get a division-free determinant (dense rows) and a
+Newton-lifted, verified inverse for unit determinants.  The inverse reads
+sparse rows (column -> nonzero `Poly`), as `invert` does, and returns sparse
+rows; its products (`poly_row_product`) sum x * row_k over the nonzero
+entries x only, so a transition matrix with a few nonzero entries per row
+costs that many row combinations, not n^3 entry products.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Mapping, Sequence
 
-from .coeffring import GaussianRational, ONE, ZERO, Poly, _accumulate
+from .coeffring import GaussianRational, ONE, P_ONE, ZERO, Poly, _accumulate
 
 Vec = dict[int, GaussianRational]
 
@@ -166,23 +170,26 @@ def poly_det(m: Sequence[Sequence[Poly]]) -> Poly:
     return prev.get((1 << n) - 1, Poly())
 
 
-def _poly_mat_mul(a: Sequence[Sequence[Poly]], b: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
+PolyRow = dict[int, Poly]
+
+
+def poly_row_product(a: Sequence[Mapping[int, Poly]], b: Sequence[Mapping[int, Poly]]) -> list[PolyRow]:
+    """The product of two Poly matrices given by sparse rows (column ->
+    nonzero entry): row i is the sum of x * b[k] over the nonzero entries
+    x = a[i][k] only."""
     out = []
     for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            acc = Poly()
-            for x, brow in zip(row, b):
-                y = brow[j]
-                if x and y:
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
+        acc: PolyRow = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                _accumulate(acc, j, x * y)
+        out.append(acc)
     return out
 
 
-def poly_matrix_inverse_unit_det(m: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
-    """Inverse of a Poly matrix whose determinant is a nonzero constant.
+def poly_matrix_inverse_unit_det(m: Sequence[Mapping[int, Poly]]) -> list[PolyRow]:
+    """Inverse of a square Poly matrix whose determinant is a nonzero
+    constant, both given by sparse rows (column -> nonzero entry).
 
     Newton-lifted, verified.  X starts at the exact inverse of the constant
     term m(0) and is lifted over the ideal of the variables by the Newton-Schulz
@@ -193,17 +200,19 @@ def poly_matrix_inverse_unit_det(m: Sequence[Sequence[Poly]]) -> list[list[Poly]
     a constant, of degree at most (n - 1) * (max entry degree); once X holds
     every degree up to that bound and the test still fails, no polynomial
     inverse exists.  Raises ArithmeticError then, and when m(0) is singular.
+    Every product is a `poly_row_product`, so its cost follows the nonzero
+    entries, not n^3.
     """
     n = len(m)
     if n == 0:
         return []
-    const = [{j: c for j, p in enumerate(row) if (c := p.constant_term())} for row in m]
-    x = [[Poly.constant(v) for v in row] for row in invert(const)]
-    bound = (n - 1) * max(p.degree() for row in m for p in row)
-    eye = [[Poly.constant(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    const = [{j: c for j, p in row.items() if (c := p.constant_term())} for row in m]
+    x = [{j: Poly.constant(v) for j, v in enumerate(row) if v} for row in invert(const)]
+    bound = (n - 1) * max((p.degree() for row in m for p in row.values()), default=0)
+    eye = [{i: P_ONE} for i in range(n)]
     d = 1  # x agrees with the power-series inverse below total degree d
     while True:
-        mx = _poly_mat_mul(m, x)
+        mx = poly_row_product(m, x)
         if mx == eye:
             return x
         if d > bound:
@@ -212,5 +221,12 @@ def poly_matrix_inverse_unit_det(m: Sequence[Sequence[Poly]]) -> list[list[Poly]
                 f"past the adjugate bound {bound}"
             )
         d *= 2
-        err = [[(eye[i][j] - mx[i][j]).below(d) for j in range(n)] for i in range(n)]
-        x = [[p + q.below(d) for p, q in zip(xr, cr)] for xr, cr in zip(x, _poly_mat_mul(x, err))]
+        err = []
+        for i, row in enumerate(mx):
+            r = {j: -p for j, p in row.items()}
+            _accumulate(r, i, P_ONE)
+            err.append({j: q for j, p in r.items() if (q := p.below(d))})
+        for xr, cr in zip(x, poly_row_product(x, err)):
+            for j, p in cr.items():
+                if q := p.below(d):
+                    _accumulate(xr, j, q)

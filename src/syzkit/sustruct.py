@@ -25,8 +25,19 @@ from .calculus import (
     exterior_d,
     holo_coframe,
 )
-from .coeffring import GaussianRational, I, ONE, Poly, ZERO
-from .exterior import Form, FrameSpec, GenClass, Generator, _form, bits, frame_collect, frame_expand, reversal_sign
+from .coeffring import GaussianRational, I, ONE, Poly, ZERO, _accumulate, _poly
+from .exterior import (
+    Form,
+    FrameSpec,
+    GenClass,
+    Generator,
+    _form,
+    bits,
+    frame_collect,
+    frame_expand,
+    koszul_sign,
+    reversal_sign,
+)
 from .fourier import SemiflatPair
 from .reports import PASS, UNDETERMINED, CheckReport
 
@@ -43,13 +54,14 @@ class SUStructure:
     """A pair (omega, Omega) with optional polarization data.
 
     Omega is `prefactor` times the wedge of `Omega_factors`, its decomposition
-    into complex one-forms; the product is formed once, on first read, so a
-    structure read from a fixture can be refused by its size before it is
-    formed.  omega must be
-    a two-form.  The induced dz/dzb frame, with the factors named dz1..dzn, is
-    built on the first read of `holo_frame`, and is None when the transition
-    is not exactly invertible.  `omega_power(k)` reads omega^k off one
-    exponential of omega, formed on first use, and keeps it.
+    into exactly n complex one-forms, so Omega is pure of degree n (other
+    factors are a ValueError); the product is formed once, on first read, so
+    a structure read from a fixture can be refused by its size before it is
+    formed.  omega must be a two-form.  The induced dz/dzb frame, with the
+    factors named dz1..dzn, is built on the first read of `holo_frame`, and
+    is None when the transition is not exactly invertible.  `omega_power(k)`
+    reads omega^k off one exponential of omega, formed on first use, and
+    keeps it.
     """
 
     def __init__(
@@ -63,6 +75,8 @@ class SUStructure:
     ):
         if any(m.bit_count() != 2 for m in omega.terms):
             raise ValueError("omega must be a two-form")
+        if len(Omega_factors) != n or any(m.bit_count() != 1 for f in Omega_factors for m in f.terms):
+            raise ValueError(f"Omega needs exactly n = {n} factors, each a one-form")
         self.n = n
         self.frame = frame
         self.omega = omega
@@ -145,7 +159,8 @@ class SUStructure:
         omega and of each Omega factor use base variables only
         (`Form.check_invariant`).  Its `polarization` is null, or names
         `fiber_class` 'fiber-x' or 'fiber-mirror' (a class with generators in
-        the frame) and `phase_quarter` null or an integer in 0..3."""
+        the frame) and `phase_quarter` null or an integer in 0..3.  There are
+        exactly n Omega factors, each a one-form (`SUStructure`)."""
         fr = obj["frame"]
         lists = fr["labels"], fr["classes"], fr["paired"]
         if len({len(v) for v in lists}) != 1:
@@ -183,14 +198,6 @@ class SUStructure:
         )
 
 
-def _top_coefficient(frame: FrameSpec, form: Form) -> Poly:
-    top = (1 << len(frame)) - 1
-    for mask, c in form.terms.items():
-        if mask != top:
-            raise ValueError("form is not a top form")
-    return form.terms.get(top, Poly())
-
-
 class NonConstantFactor(ValueError):
     """The conformal factor is a ratio of polynomials that is not a constant;
     the message is the ratio, its denominator scaled to leading coefficient 1."""
@@ -217,12 +224,12 @@ def conformal_factor(s: SUStructure) -> GaussianRational:
     """
     if len(s.frame) != 2 * s.n:
         raise ValueError("frame must have exactly 2n one-form generators")
-    oo = _volume_square(s)
-    # omega^n / n! is the degree-2n part of exp(omega)
-    den = _top_coefficient(s.frame, _form(s.frame, s._exp_omega_parts.get(s.n, {})))
-    if den.is_zero():
+    top = (1 << 2 * s.n) - 1
+    # omega^n / n! is the degree-2n part of exp(omega), its top coefficient
+    den = s._exp_omega_parts.get(s.n, {}).get(top)
+    if den is None:
         raise ValueError("omega is degenerate: omega^n = 0")
-    num = _top_coefficient(s.frame, oo)
+    num = _volume_square_top(s)
     den = den * I ** s.n
     c = constant_ratio(num, den)
     if c is None:
@@ -232,13 +239,27 @@ def conformal_factor(s: SUStructure) -> GaussianRational:
     return c
 
 
-def _volume_square(s: SUStructure) -> Form:
-    """Omega ^ conj(Omega), as Omega times conj(prefactor) wedged with the
-    conjugate of one factor at a time."""
-    out = s.Omega * s.prefactor.conjugate()
-    for f in s.Omega_factors:
-        out = out.wedge(f.conjugate())
-    return out
+def _volume_square_top(s: SUStructure) -> Poly:
+    """The top coefficient of Omega ^ conj(Omega), in one pass over the terms
+    of Omega (pure of degree n, on 2n generators):
+    sum_m koszul_sign(m, ~m) * Omega_m * conj(Omega_~m).  The terms at m and
+    at ~m are conjugate up to koszul_sign(~m, m) = (-1)^n koszul_sign(m, ~m),
+    so each pair {m, ~m} costs one product P, which adds
+    koszul_sign(m, ~m) * (P + (-1)^n conj(P))."""
+    terms = s.Omega.terms
+    top = (1 << 2 * s.n) - 1
+    odd = s.n & 1
+    acc: dict[int, GaussianRational] = {}
+    for m, c in terms.items():
+        rest = top ^ m
+        if m < rest and (d := terms.get(rest)) is not None:
+            sign = koszul_sign(m, rest)
+            # the variables are real, so conj(P) has conj(v) at each monomial
+            for e, v in (c * d.conjugate()).terms.items():
+                w = v - v.conjugate() if odd else v + v.conjugate()
+                if w:
+                    _accumulate(acc, e, w if sign > 0 else -w)
+    return _poly(acc)
 
 
 def proportional_to(form: Form, candidate: Form) -> Optional[GaussianRational]:

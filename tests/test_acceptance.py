@@ -132,9 +132,7 @@ def test_criterion_6_nilmanifold_structure():
         ok &= nil.structure_equations(nd).passed
         ok &= nil.check_gamma_invariance(nd).passed
         m = nil.dual_pairing_matrix(nd)
-        ok &= all(
-            m[i][j] == (1 if i == j else 0) for i in range(nd.n) for j in range(nd.n)
-        )
+        ok &= m == [{i: 1} for i in range(nd.n)]
         omega = nil.omega_hermitian(nd)
         wk = Form.scalar(nd.x_coord, 1)
         for _ in range(nd.n - 2):

@@ -372,6 +372,23 @@ class TestVerifyCommand:
         assert f"frame.json: malformed fixture: ValueError: {message}" in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("case", ["last-factor-dropped", "two-form-term"])
+    def test_omega_factors_not_n_one_forms_usage_error(self, runner, tmp_path, case):
+        # both once ran every check and exited 1 with a verdict
+        doc = self.failing_flat_fixture()
+        factors = doc["Omega_factors"]
+        if case == "last-factor-dropped":
+            factors.pop()
+        else:
+            factors[1]["terms"].append({"gens": ["dtc1", "dr2"], "coeff": factors[1]["terms"][0]["coeff"]})
+        f = tmp_path / "factors.json"
+        f.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--system", "iib", "--input", str(f)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "factors.json: malformed fixture: ValueError: Omega needs exactly n = 3 factors, each a one-form" in res.output
+        assert "Traceback" not in res.output
+
     def test_failing_flat_fixture_fails(self, runner, tmp_path):
         # the well-formed fixture behind test_malformed_frame_usage_error
         f = tmp_path / "flat.json"
@@ -425,7 +442,9 @@ class TestVerifyCommand:
         assert runner.invoke(main, ["nil", "--K", "2", "--out", str(tmp_path)]).exit_code == 0
         doc = json.loads((tmp_path / "iib-K2.json").read_text())
         if case == "rank":
+            # n factors, so only the size is wrong with the fixture
             doc["n"] = 11
+            doc["Omega_factors"] *= 11
         else:
             fr = doc["frame"]
             fr["labels"] += [f"dx{k}" for k in range(20)]

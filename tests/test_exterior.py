@@ -348,6 +348,23 @@ class TestFrameExpandCollect:
         with pytest.raises(FrameMismatch, match="e12"):
             frame_expand(Form.gen(nd.x_frame, "e12"), nd.xc_coord)
 
+    def test_collect_needs_the_coordinate_frame_of_the_coframe(self):
+        # generators are matched by label only once the form's frame is
+        # checked: a's dz/dzb frame has b's labels dr1 and dtc1 on its
+        # coordinate frame, and once read b's symplectic-side dr1 as
+        # -1/2 i dz1 + 1/2 i dz1b
+        a, b = SemiflatPair(2), SemiflatPair(2)
+        for form in (Form.gen(b.frame_x, "dr1"), Form.gen(b.frame_xc, "dtc1"), Form.gen(a.frame_x, "dr1")):
+            with pytest.raises(FrameMismatch, match="is not the coordinate frame of"):
+                frame_collect(form, a.holo_frame)
+        # a coordinate frame is no coframe, and a coframe no coordinate frame
+        with pytest.raises(calculus.BasisChangeError, match="is not a coframe"):
+            frame_collect(Form.gen(a.frame_xc, "dr1"), a.frame_xc)
+        with pytest.raises(FrameMismatch, match="is not the coordinate frame of"):
+            frame_collect(Form.gen(a.holo_frame, "dz1"), a.holo_frame)
+        got = frame_collect(Form.gen(a.frame_xc, "dr1"), a.holo_frame)
+        assert got == (Form.gen(a.holo_frame, "dz1") - Form.gen(a.holo_frame, "dz1b")) * (-I / 2)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_expand_collect_roundtrip(self, seed):
         nd = nil.build(3)

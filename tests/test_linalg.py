@@ -182,6 +182,51 @@ def random_unit_det_matrix(rng, n):
     return out
 
 
+def random_sparse_unit_det_matrix(rng, n, kind):
+    """A sparse matrix with a nonzero constant determinant: "unipotent" is
+    I + N for a strictly upper-triangular N with a few polynomial entries,
+    its rows and columns permuted alike; "constant" is a sparse invertible
+    scalar matrix."""
+    if kind == "constant":
+        while True:
+            c = [[random_scalar(rng) if rng.random() < 0.35 else ZERO for _ in range(n)] for _ in range(n)]
+            if linalg.rank([sparse(row) for row in c]) == n:
+                return [[Poly.constant(x) for x in row] for row in c]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    m = poly_identity(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.3:
+                m[i][j] = random_poly(rng, ("r1", "r2"), 2, 2) or Poly.variable("r1")
+    return [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def dense_poly(rows, n):
+    """Sparse Poly rows (column -> nonzero entry) as dense rows."""
+    assert all(all(row.values()) for row in rows), "a sparse row holds only nonzero entries"
+    return [[row.get(j, Poly()) for j in range(n)] for row in rows]
+
+
+def inverse(m):
+    """`poly_matrix_inverse_unit_det` on the sparse rows of a dense Poly
+    matrix, read back as dense rows."""
+    return dense_poly(linalg.poly_matrix_inverse_unit_det([sparse(row) for row in m]), len(m))
+
+
+def assert_two_sided_inverse(m, inv):
+    n = len(m)
+    assert poly_mat_mul(m, inv) == poly_identity(n)
+    assert poly_mat_mul(inv, m) == poly_identity(n)
+
+
+def frame_transition(frame):
+    """The transition matrix of a coframe: its generators' expansions
+    against the coordinate frame's generators."""
+    coord = frame.generators[0].coord_expansion.frame
+    return [[g.coord_expansion.terms.get(1 << c, Poly()) for c in range(len(coord))] for g in frame.generators]
+
+
 def flat_pair_with_nil_labels(k):
     nd = nil.build(k)
     return nd, nil.semiflat_pair(k)
@@ -319,7 +364,7 @@ class TestPolyMatrices:
         zero = Poly()
         m = [[one, zero, zero], [zero, one, -r12], [zero, -r12, one + r12 * r12]]
         assert linalg.poly_det(m) == one
-        inv = linalg.poly_matrix_inverse_unit_det(m)
+        inv = inverse(m)
         assert poly_mat_mul(m, inv) == poly_identity(3)
         assert inv == inverse_by_adjugate(m)
 
@@ -328,37 +373,67 @@ class TestPolyMatrices:
         rng = random.Random(400 + n)
         m = random_unit_det_matrix(rng, n)
         assert linalg.poly_det(m).is_constant()
-        assert linalg.poly_matrix_inverse_unit_det(m) == inverse_by_adjugate(m)
+        assert inverse(m) == inverse_by_adjugate(m)
+
+    @pytest.mark.parametrize("kind", ["unipotent", "constant"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sparse_inverse_vs_adjugate_oracle(self, kind, seed):
+        rng = random.Random(4500 + seed)
+        n = 1 + seed % 6
+        m = random_sparse_unit_det_matrix(rng, n, kind)
+        inv = inverse(m)
+        assert inv == inverse_by_adjugate(m)
+        assert_two_sided_inverse(m, inv)
 
     def test_inverse_without_constant_entries(self):
         x = Poly.variable("x")
         m = [[1 + x, x], [-x, 1 - x]]
-        inv = linalg.poly_matrix_inverse_unit_det(m)
+        inv = inverse(m)
         assert inv == inverse_by_adjugate(m)
         assert inv == [[1 - x, -x], [x, 1 + x]]
 
     def test_inverse_of_k3_mirror_transition(self):
         m = mirror_transition(3)
         assert any(not p.is_constant() for row in m for p in row)
-        assert linalg.poly_matrix_inverse_unit_det(m) == inverse_by_adjugate(m)
+        assert inverse(m) == inverse_by_adjugate(m)
 
     def test_inverse_of_k4_mirror_transition(self):
         # the adjugate oracle takes seconds on this 12 x 12 matrix: check both products
         m = mirror_transition(4)
-        inv = linalg.poly_matrix_inverse_unit_det(m)
-        assert poly_mat_mul(m, inv) == poly_identity(12)
-        assert poly_mat_mul(inv, m) == poly_identity(12)
+        assert_two_sided_inverse(m, inverse(m))
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_inverse_of_frame_transitions(self, K):
+        # every change of basis that `nil --K` inverts: both invariant
+        # coframes, and the dz/dzb frames of the flat pair and of the mirror
+        nd, pair = flat_pair_with_nil_labels(K)
+        for m in (frame_transition(nd.x_frame), frame_transition(nd.xc_frame),
+                  frame_transition(pair.holo_frame), mirror_transition(K)):
+            assert_two_sided_inverse(m, inverse(m))
 
     def test_non_unit_det_rejected(self):
         r1 = Poly.variable("r1")
         with pytest.raises(ArithmeticError):
-            linalg.poly_matrix_inverse_unit_det([[r1]])
+            linalg.poly_matrix_inverse_unit_det([{0: r1}])
+        with pytest.raises(ArithmeticError, match="singular"):
+            linalg.poly_matrix_inverse_unit_det([{0: r1}, {}])
 
     def test_invertible_constant_term_non_unit_det_rejected(self):
         # m(0) = [[1]] is invertible, but 1 + r1 has no polynomial inverse:
         # the lift runs out of degrees and stops at the adjugate bound
         r1 = Poly.variable("r1")
         with pytest.raises(ArithmeticError, match="no polynomial inverse"):
-            linalg.poly_matrix_inverse_unit_det([[1 + r1]])
+            linalg.poly_matrix_inverse_unit_det([{0: 1 + r1}])
         with pytest.raises(ArithmeticError, match="no polynomial inverse"):
-            linalg.poly_matrix_inverse_unit_det([[1 + r1, r1], [r1, Poly.constant(1)]])
+            linalg.poly_matrix_inverse_unit_det([{0: 1 + r1, 1: r1}, {0: r1, 1: Poly.constant(1)}])
+
+    def test_row_product_vs_dense_product(self):
+        rng = random.Random(4600)
+        for _ in range(10):
+            n, k, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            a = [[random_poly(rng, ("r1", "r2"), 1, 2) if rng.random() < 0.4 else Poly() for _ in range(k)]
+                 for _ in range(n)]
+            b = [[random_poly(rng, ("r1", "r2"), 1, 2) if rng.random() < 0.4 else Poly() for _ in range(p)]
+                 for _ in range(k)]
+            got = linalg.poly_row_product([sparse(row) for row in a], [sparse(row) for row in b])
+            assert dense_poly(got, p) == poly_mat_mul(a, b)

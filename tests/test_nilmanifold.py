@@ -129,14 +129,46 @@ class TestStructureEquations:
             assert exterior_d(nd4.e_forms[(i, i + 1)]).is_zero()
 
 
+def fiber_coefficient(form, label):
+    """The coefficient of the generator `label` in a one-form."""
+    return form.terms.get(1 << form.frame.index[label], Poly())
+
+
+def pairing(nd, f, fc):
+    """<f, fc>: the fiber coefficients of f and fc summed in pairs over every
+    position, each read by its label."""
+    return sum(
+        (fiber_coefficient(f, f"dth{i}{j}") * fiber_coefficient(fc, f"dthc{i}{j}") for i, j in nd.pairs),
+        Poly(),
+    )
+
+
 class TestDualPairing:
     @pytest.mark.parametrize("K", [2, 3, 4])
     def test_identity_matrix(self, K):
+        # the sparse row product against the pairing of each f with each fc
         nd = nil.build(K)
         m = nil.dual_pairing_matrix(nd)
-        for i in range(nd.n):
-            for j in range(nd.n):
-                assert m[i][j] == (1 if i == j else 0), (nd.pairs[i], nd.pairs[j])
+        assert len(m) == nd.n
+        for i, p in enumerate(nd.pairs):
+            for j, q in enumerate(nd.pairs):
+                want = pairing(nd, nd.f_forms[p], nd.fc_forms[q])
+                assert want == (1 if i == j else 0), (p, q)
+                assert m[i].get(j, Poly()) == want, (p, q)
+            assert all(m[i].values()), "a sparse row holds only nonzero entries"
+
+    def test_perturbed_coframe_is_not_dual(self):
+        # fc_23 = dthc23 + r12 * dthc13 moved to r12 * dthc12: <f_12, fc_23>
+        # and <f_13, fc_23> become r12 and -r12, and the row product agrees
+        # with the pairing of each f with each fc off the diagonal too
+        nd = nil.build(3)
+        x = nd.xc_coord
+        nd.fc_forms[(2, 3)] = Form.gen(x, "dthc23") + Form.gen(x, "dthc12") * Poly.variable("r12")
+        m = nil.dual_pairing_matrix(nd)
+        assert m != [{i: 1} for i in range(nd.n)]
+        for i, p in enumerate(nd.pairs):
+            for j, q in enumerate(nd.pairs):
+                assert m[i].get(j, Poly()) == pairing(nd, nd.f_forms[p], nd.fc_forms[q]), (p, q)
 
     def test_nested_recursion_is_not_dual_at_k4(self, nd4):
         # nesting the dual coframe in its own recursion looks symmetric but
@@ -148,13 +180,8 @@ class TestDualPairing:
             for i in range(1, j):
                 fc = fc + nested[(i, k)] * Poly.variable(f"r{i}{j}")
             nested[(j, k)] = fc
-        f14 = nd4.f_forms[(1, 4)]
-        pairing = Poly()
-        for p in nd4.pairs:
-            a = f14.coefficient([f"dth{p[0]}{p[1]}"])
-            b = nested[(3, 4)].coefficient([f"dthc{p[0]}{p[1]}"])
-            pairing = pairing + a * b
-        assert pairing == Poly.variable("r12") * Poly.variable("r23")
+        got = pairing(nd4, nd4.f_forms[(1, 4)], nested[(3, 4)])
+        assert got == Poly.variable("r12") * Poly.variable("r23")
 
 
 class TestSides:

@@ -12,7 +12,7 @@ from syzkit.randgen import trial_rng
 from syzkit.reports import FAIL
 from syzkit.sustruct import (
     NonConstantFactor,
-    _volume_square,
+    _volume_square_top,
     Polarization,
     SUStructure,
     check_iia,
@@ -151,14 +151,43 @@ class TestOmegaMustBeTwoForm:
         assert su.omega_power(2).is_zero()
 
 
+def volume_square_by_factors(su):
+    """Omega ^ conj(Omega), as Omega times conj(prefactor) wedged with the
+    conjugate of one factor at a time: the route `conformal_factor` once
+    took, kept as an oracle for the one-pass top pairing."""
+    out = su.Omega * su.prefactor.conjugate()
+    for f in su.Omega_factors:
+        out = out.wedge(f.conjugate())
+    return out
+
+
+def top_coefficient(form):
+    """The coefficient of the top monomial of a form that has no other term."""
+    top = (1 << len(form.frame)) - 1
+    assert set(form.terms) <= {top}
+    return form.terms.get(top, Poly())
+
+
 class TestVolumeSquareByFactors:
-    """`_volume_square` against the single wedge Omega ^ conj(Omega)."""
+    """The one-pass top pairing `_volume_square_top` against two slow
+    routes: the single wedge Omega ^ conj(Omega), and the wedge with one
+    conjugate factor at a time."""
 
     def check(self, su):
-        got = _volume_square(su)
+        by_factors = volume_square_by_factors(su)
         want = su.Omega.wedge(su.Omega.conjugate())
-        assert got == want
-        assert got.to_json() == want.to_json()
+        assert by_factors == want
+        assert by_factors.to_json() == want.to_json()
+        got = _volume_square_top(su)
+        assert got == top_coefficient(want)
+        assert got.to_json() == top_coefficient(want).to_json()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_flat_pairs_odd_and_even_rank(self, n):
+        pair = SemiflatPair(n)
+        su_b = flat_su_iib(pair)
+        for su in (su_b, mirror_transform(pair, su_b.omega), unimodular_su_iib(pair, trial_rng(6200, n))):
+            self.check(su)
 
     @pytest.mark.parametrize("K", [2, 3, 4])
     def test_nilmanifold_sides(self, K):
@@ -279,12 +308,14 @@ class TestConformalFactorUndefined:
         ]
 
     def test_volume_square_not_a_top_form_fails(self, pair2):
-        # one factor for n = 2: Omega ^ conj(Omega) is a two-form
+        # one factor for n = 2, or a factor with a two-form term: Omega is not
+        # pure of degree n, so Omega ^ conj(Omega) would not be a top form,
+        # and the structure is refused before any check runs
         su = flat_su_iib(pair2)
-        short = SUStructure(2, su.frame, su.omega, su.Omega_factors[:1])
-        assert check_su(short).items[-1].to_json() == {
-            "id": "conformal-factor-defined", "status": "fail", "witness": "form is not a top form"
-        }
+        bent = su.Omega_factors[1] + Form.monomial(su.frame, ["dtc1", "dr2"])
+        for factors in (su.Omega_factors[:1], su.Omega_factors * 2, [su.Omega_factors[0], bent]):
+            with pytest.raises(ValueError, match="Omega needs exactly n = 2 factors, each a one-form"):
+                SUStructure(2, su.frame, su.omega, factors)
 
 
 class TestSpecialPhase:
