@@ -1,14 +1,15 @@
 """Command-line driver: fixtures, verification campaigns, machine reports.
 
 Each command parses and bounds its input, calls the package for the checks
-and writes the outputs; `nil` builds the family and runs
+and writes the outputs; `nil` builds the nilmanifold of U_K and runs
 `nilmanifold.check_family`, which makes every check it reports.
 
-Human-readable lines (including wall-clock timings) go to stdout: the
-non-passing checks, at most MAX_SHOWN of them, then a status line with a count
-per status.  Report and fixture files are canonical JSON with every check and
-no timing data, so a rerun with the same configuration and seed is
-byte-identical.  Exit code 0 means every check passed.
+Human-readable lines go to stdout: the non-passing checks, at most MAX_SHOWN
+of them, then a status line with a count per status and the elapsed time, read
+on `time.perf_counter` so that a step of the system clock cannot skew it.
+Report and fixture files are canonical JSON with every check and no timing
+data, so a rerun with the same configuration and seed is byte-identical.  Exit
+code 0 means every check passed.
 
 Every `click.echo` names `sys.stdout` as its file: without one, click caches a
 wrapper per stream that holds the stream alive, so each in-process `main` call
@@ -136,7 +137,7 @@ def _emit(
     tally = Counter(i.status for i in report.items)
     counts = ", ".join(f"{tally[name]} {name}" for name in sorted(tally))
     click.echo(
-        f"{command}: {status} ({len(report.items)} checks: {counts}; {time.time() - t0:.2f}s)",
+        f"{command}: {status} ({len(report.items)} checks: {counts}; {time.perf_counter() - t0:.2f}s)",
         file=sys.stdout,
     )
     if failing:
@@ -157,8 +158,8 @@ def main():
 def cmd_nil(k: int, out: str | None):
     """Build the size-K family and verify structure, invariance, balancedness,
     duality pairing, and the full mirror pipeline."""
-    t0 = time.time()
-    nd = nil.build(k)
+    t0 = time.perf_counter()
+    nd = nil.build(nil.upper_triangular(k))
     rep, su_b, su_a = nil.check_family(nd)
     if out:
         outdir = Path(out)
@@ -180,7 +181,7 @@ def cmd_nil(k: int, out: str | None):
 @click.option("--out", **OUT_FILE)
 def cmd_fm(input_path: str, direction: str, n: int, out: str | None):
     """Transform a form (JSON) across the standard rank-n pair."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     obj = _read_object(input_path)
     pair = SemiflatPair(n)
     frames = {
@@ -213,7 +214,7 @@ def cmd_fm(input_path: str, direction: str, n: int, out: str | None):
         Path(out).write_text(text)
     else:
         click.echo(text, nl=False, file=sys.stdout)
-    click.echo(f"fm: ok ({time.time() - t0:.2f}s)", file=sys.stdout)
+    click.echo(f"fm: ok ({time.perf_counter() - t0:.2f}s)", file=sys.stdout)
 
 
 @main.command("verify")
@@ -222,7 +223,7 @@ def cmd_fm(input_path: str, direction: str, n: int, out: str | None):
 @click.option("--out", **OUT_FILE)
 def cmd_verify(system: str, input_path: str, out: str | None):
     """Run the supersymmetry-system checks on a structure fixture."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     obj = _read_object(input_path)
     if obj.get("schema") != FIXTURE_SCHEMA:
         raise click.UsageError(f"expected schema {FIXTURE_SCHEMA}")
@@ -262,8 +263,8 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
     columns of the few bidegree slots it reads; past 2^17 of them it is a
     usage error, as is a degree past 32767, the largest total degree of a
     monomial."""
-    t0 = time.time()
-    pair = nil.semiflat_pair(k)
+    t0 = time.perf_counter()
+    pair = nil.semiflat_pair(nil.upper_triangular(k))
     for name, v in (("--p", p), ("--q", q)):
         if not 0 <= v <= pair.n:
             raise click.UsageError(f"{name} {v} is outside 0..{pair.n} (n = {pair.n} at K={k})")
@@ -306,7 +307,7 @@ def cmd_cohomology(k: int, which: str, p: int, q: int, degree: int, out: str | N
 @click.option("--out", **OUT_FILE)
 def cmd_proptest(suite: str, trials: int, seed: int, out: str | None):
     """Run a named randomized campaign with per-trial derived seeds."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = SUITES[suite](trials, seed)
     _emit(rep, out, "proptest", {"suite": suite, "trials": trials, "seed": seed}, t0)
 

@@ -1,18 +1,30 @@
-"""Upper-unitriangular nilmanifold family: frames, both supersymmetry sides,
-lattice-invariance certificates, and the mirror pipeline.  `check_family`
-runs every check of a family, in the order `syzkit nil` reports them.
+"""Nilmanifolds of nilpotent associative algebras: frames, both
+supersymmetry sides, lattice-invariance certificates, and the mirror pipeline.
+`check_family` runs every check of a nilmanifold, in the order `syzkit nil`
+reports them.
 
-For size K the base has coordinates r_ij (i < j, dictionary order, n =
-K(K-1)/2 of them).  The tangent-bundle side carries the complex structure
-(fiber coordinates th_ij, engine class FIBER_MIRROR, since it is the side
-that gets dualized); the cotangent-bundle side carries the canonical
-symplectic form (fiber coordinates thc_ij, engine class FIBER_X).  The
-lattice acts by affine maps whose coefficients are the symbols a_ij; frame
-invariance is checked as a polynomial identity in both r and a.  The two
-coordinate frames are those of the flat pair with the family's labels
-(`semiflat_pair`).  Both invariant frames are `calculus.coframe`s over them,
-so their structure equations are derived; `structure_equations` checks the
-closed forms de = -e^e and df = -e^f against d of the expansions.
+A nilpotent associative algebra J (`NilAlgebra`) has basis b_1..b_n and
+structure constants b_p b_q = sum_s c_pq^s b_s.  Its group 1 + J acts on
+itself by left multiplication, affinely in the coordinates:
+(1 + a)(1 + r) = 1 + a + r + a r (Isaacs, J. Algebra 177, 1995).  So the
+semi-flat construction applies with one base coordinate r_s per basis
+element.  The tangent-bundle side carries the complex structure (fiber
+coordinates th_s, engine class FIBER_MIRROR, since it is the side that gets
+dualized); the cotangent-bundle side carries the canonical symplectic form
+(fiber coordinates thc_s, engine class FIBER_X).  The invariant coframes are
+e = (1 + r)^-1 dr, f = (1 + r)^-1 dth and fc = L(r)^T dthc, where L(r) is the
+matrix of left multiplication by 1 + r, so <f_p, fc_q> = delta_pq.  The
+lattice acts by r -> a + r + a r and moves dr and dth by 1 + a, with symbols
+a_s; frame invariance is checked as a polynomial identity in both r and a.
+The two coordinate frames are those of the flat pair with the algebra's
+labels (`semiflat_pair`).  Both invariant frames are `calculus.coframe`s over
+them, so their structure equations are derived; `structure_equations` checks
+the closed forms de_s = -sum c_pq^s e_p ^ e_q and df_s = -sum c_pq^s e_p ^ f_q
+against d of the expansions.
+
+`upper_triangular(K)` is the upper-unitriangular family: J = U_K, the
+strictly upper-triangular K x K matrices, with basis E_ij (i < j, dictionary
+order, n = K(K-1)/2, labels "ij").
 """
 
 from __future__ import annotations
@@ -48,23 +60,65 @@ from .sustruct import (
 
 
 # the largest matrix size: the 2n-generator algebra grows as 4^n with
-# n = K(K-1)/2, and `nil --K 5` (n = 10) takes 8-13 s on a shared 2-vCPU
-# machine
+# n = K(K-1)/2, and `nil --K 5` (n = 10) took 6.7-11.2 s in four runs on a
+# shared 2-vCPU machine
 MAX_K = 5
+
+
+@dataclass(frozen=True)
+class NilAlgebra:
+    """A nilpotent associative algebra: its basis labels, and its structure
+    constants b_p b_q = sum_s c_pq^s b_s as the nonzero (p, q, s, c_pq^s).
+    An element is the list of its n coefficients."""
+
+    labels: tuple[str, ...]
+    constants: tuple[tuple[int, int, int, Poly], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    def times(self, x: list[Poly], y: list, zero) -> list:
+        """The product x y, for y with polynomial or form coefficients; every
+        entry of the product starts at `zero`."""
+        out = [zero] * self.n
+        for p, q, s, c in self.constants:
+            out[s] = out[s] + y[q] * (x[p] * c)
+        return out
+
+
+def upper_triangular(K: int) -> NilAlgebra:
+    """U_K: the strictly upper-triangular K x K matrices, with basis E_ij
+    (i < j) in dictionary order labelled "ij" and E_ij E_jk = E_ik, after the
+    size check every size-K construction makes (2 <= K <= MAX_K)."""
+    if not 2 <= K <= MAX_K:
+        raise ValueError(
+            f"matrix size K={K} is outside 2..{MAX_K}; "
+            f"the 2n-generator algebra grows as 4^n with n = K(K-1)/2"
+        )
+    pairs = [(i, j) for i in range(1, K + 1) for j in range(i + 1, K + 1)]
+    index = {p: s for s, p in enumerate(pairs)}
+    return NilAlgebra(
+        tuple(f"{i}{j}" for i, j in pairs),
+        tuple((index[p], index[q], index[p[0], q[1]], P_ONE) for p in pairs for q in pairs if p[1] == q[0]),
+    )
 
 
 @dataclass
 class NilData:
-    n: int
-    pairs: list[tuple[int, int]]
-    pair: SemiflatPair         # the flat pair with the family's labels
+    algebra: NilAlgebra
+    pair: SemiflatPair         # the flat pair with the algebra's labels
     x_frame: FrameSpec         # f, e: a coframe over x_coord
     xc_frame: FrameSpec        # fc, e: a coframe over xc_coord
-    e_forms: dict[tuple[int, int], Form]
-    f_forms: dict[tuple[int, int], Form]
-    fc_forms: dict[tuple[int, int], Form]
+    e_forms: list[Form]        # one per basis element, like f_forms and fc_forms
+    f_forms: list[Form]
+    fc_forms: list[Form]
     gamma_var_subst: dict[str, Poly]
     gamma_x_images: dict[int, Form]
+
+    @property
+    def n(self) -> int:
+        return self.algebra.n
 
     @property
     def x_coord(self) -> FrameSpec:
@@ -77,91 +131,55 @@ class NilData:
         return self.pair.frame_x
 
 
-def _family_pairs(K: int) -> list[tuple[int, int]]:
-    """The index pairs i < j of matrix size K in dictionary order, after the
-    size check every size-K construction makes (2 <= K <= MAX_K)."""
-    if not 2 <= K <= MAX_K:
-        raise ValueError(
-            f"matrix size K={K} is outside 2..{MAX_K}; "
-            f"the 2n-generator algebra grows as 4^n with n = K(K-1)/2"
-        )
-    return [(i, j) for i in range(1, K + 1) for j in range(i + 1, K + 1)]
-
-
-def build(K: int) -> NilData:
-    """Construct all frames and the lattice action for matrix size K."""
-    pairs = _family_pairs(K)
-    pair = semiflat_pair(K)
-    n = len(pairs)
+def build(algebra: NilAlgebra) -> NilData:
+    """Construct both invariant coframes and the lattice action of 1 + J."""
+    pair = semiflat_pair(algebra)
     x_coord = pair.frame_xc
     xc_coord = pair.frame_x
+    labels = algebra.labels
+    zero = Form.zero(x_coord)
+    r = [Poly.variable(f"r{s}") for s in labels]
+    a = [Poly.variable(f"a{s}") for s in labels]
+    dr = [Form.gen(x_coord, f"dr{s}") for s in labels]
+    dth = [Form.gen(x_coord, f"dth{s}") for s in labels]
+    dthc = [Form.gen(xc_coord, f"dthc{s}") for s in labels]
 
-    # e_{ik} = dr_{ik} - sum_{i<j<k} r_{ij} e_{jk}; f same over dth;
-    # fc_{jk} = dthc_{jk} + sum_{i<j} r_{ij} fc_{ik}
-    e_forms: dict[tuple[int, int], Form] = {}
-    f_forms: dict[tuple[int, int], Form] = {}
-    for gap in range(1, K):
-        for i, k in pairs:
-            if k - i != gap:
-                continue
-            e = Form.gen(x_coord, f"dr{i}{k}")
-            f = Form.gen(x_coord, f"dth{i}{k}")
-            for j in range(i + 1, k):
-                rij = Poly.variable(f"r{i}{j}")
-                e = e - e_forms[(j, k)] * rij
-                f = f - f_forms[(j, k)] * rij
-            e_forms[(i, k)] = e
-            f_forms[(i, k)] = f
-    # the tangent-side recursion linearizes to dth_{ik} = f_{ik} + sum_j r_{ij} f_{jk},
-    # so the dual coframe has the one-step closed form below (nesting the dual
-    # forms instead of the coordinate forms breaks duality once K >= 4)
-    fc_forms: dict[tuple[int, int], Form] = {}
-    for j, k in pairs:
-        fc = Form.gen(xc_coord, f"dthc{j}{k}")
-        for i in range(1, j):
-            fc = fc + Form.gen(xc_coord, f"dthc{i}{k}") * Poly.variable(f"r{i}{j}")
-        fc_forms[(j, k)] = fc
+    def solve(rhs: list[Form]) -> list[Form]:
+        # (1 + r) v = rhs as v = rhs - r v: r is nilpotent, so n steps reach
+        # the fixed point
+        v = rhs
+        for _ in range(algebra.n):
+            v = [b - rv for b, rv in zip(rhs, algebra.times(r, v, zero))]
+        return v
+
+    e_forms = solve(dr)
+    f_forms = solve(dth)
+    # fc = L(r)^T dthc against f = L(r)^-1 dth (nesting fc in its own
+    # recursion instead breaks duality on U_K once K >= 4)
+    fc_forms = list(dthc)
+    for p, q, s, c in algebra.constants:
+        fc_forms[q] = fc_forms[q] + dthc[s] * (r[p] * c)
 
     x_frame = coframe(
-        [Generator(f"f{i}{j}", coord_expansion=f_forms[(i, j)]) for i, j in pairs]
-        + [Generator(f"e{i}{j}", coord_expansion=e_forms[(i, j)]) for i, j in pairs],
+        [Generator(f"f{s}", coord_expansion=f) for s, f in zip(labels, f_forms)]
+        + [Generator(f"e{s}", coord_expansion=e) for s, e in zip(labels, e_forms)],
         x_coord,
     )
     xc_frame = coframe(
-        [Generator(f"fc{i}{j}", coord_expansion=fc_forms[(i, j)]) for i, j in pairs]
-        + [Generator(f"e{i}{j}", coord_expansion=e_forms[(i, j)].transport(xc_coord)) for i, j in pairs],
+        [Generator(f"fc{s}", coord_expansion=fc) for s, fc in zip(labels, fc_forms)]
+        + [Generator(f"e{s}", coord_expansion=e.transport(xc_coord)) for s, e in zip(labels, e_forms)],
         xc_coord,
     )
 
-    # lattice action r'_{ik} = r_{ik} + sum_{i<j<k} a_{ij} r_{jk} + a_{ik},
-    # th'_{ik} = th_{ik} + sum a_{ij} th_{jk}
-    var_subst: dict[str, Poly] = {}
-    x_images: dict[int, Form] = {}
-    for i, k in pairs:
-        img = Poly.variable(f"r{i}{k}") + Poly.variable(f"a{i}{k}")
-        dr_img = Form.gen(x_coord, f"dr{i}{k}")
-        dth_img = Form.gen(x_coord, f"dth{i}{k}")
-        for j in range(i + 1, k):
-            a = Poly.variable(f"a{i}{j}")
-            img = img + a * Poly.variable(f"r{j}{k}")
-            dr_img = dr_img + Form.gen(x_coord, f"dr{j}{k}") * a
-            dth_img = dth_img + Form.gen(x_coord, f"dth{j}{k}") * a
-        var_subst[f"r{i}{k}"] = img
-        x_images[x_coord.index[f"dr{i}{k}"]] = dr_img
-        x_images[x_coord.index[f"dth{i}{k}"]] = dth_img
+    # the lattice element 1 + a: r -> a + r + a r, dr -> (1 + a) dr, dth -> (1 + a) dth
+    def moved(v: list, start) -> list:
+        return [w + av for w, av in zip(v, algebra.times(a, v, start))]
 
-    return NilData(
-        n=n,
-        pairs=pairs,
-        pair=pair,
-        x_frame=x_frame,
-        xc_frame=xc_frame,
-        e_forms=e_forms,
-        f_forms=f_forms,
-        fc_forms=fc_forms,
-        gamma_var_subst=var_subst,
-        gamma_x_images=x_images,
-    )
+    var_subst = {f"r{s}": img + b for s, img, b in zip(labels, moved(r, Poly()), a)}
+    x_images = {x_coord.index[f"{d}{s}"]: img for d, v in (("dr", dr), ("dth", dth))
+                for s, img in zip(labels, moved(v, zero))}
+
+    return NilData(algebra, pair, x_frame, xc_frame, e_forms, f_forms, fc_forms, var_subst, x_images)
 
 
 def gamma_pullback(nd: NilData, form: Form) -> Form:
@@ -174,8 +192,8 @@ def gamma_pullback(nd: NilData, form: Form) -> Form:
 def check_gamma_invariance(nd: NilData) -> CheckReport:
     """Every frame one-form equals its own pullback, identically in r and a."""
     rep = CheckReport()
-    for i, j in nd.pairs:
-        for name, form in ((f"e{i}{j}", nd.e_forms[(i, j)]), (f"f{i}{j}", nd.f_forms[(i, j)])):
+    for s, e, f in zip(nd.algebra.labels, nd.e_forms, nd.f_forms):
+        for name, form in ((f"e{s}", e), (f"f{s}", f)):
             diff = gamma_pullback(nd, form) - form
             rep.add(f"invariant-{name}", diff.is_zero(), diff)
     return rep
@@ -183,46 +201,50 @@ def check_gamma_invariance(nd: NilData) -> CheckReport:
 
 def structure_equations(nd: NilData) -> CheckReport:
     """Differentiate the coordinate expansions and compare with the structure
-    equations de_ij = -sum_k e_ik ^ e_kj and df_ij = -sum_k e_ik ^ f_kj, and
-    with the derived dfc_ij stored on the symplectic-side frame."""
+    equations de_s = -sum c_pq^s e_p ^ e_q and df_s = -sum c_pq^s e_p ^ f_q,
+    read from the algebra's structure constants, and with the derived dfc_s
+    stored on the symplectic-side frame."""
     rep = CheckReport()
     x = nd.x_frame
-    for i, j in nd.pairs:
-        de = Form.zero(x)
-        df = Form.zero(x)
-        for k in range(i + 1, j):
-            de = de - Form.gen(x, f"e{i}{k}").wedge(Form.gen(x, f"e{k}{j}"))
-            df = df - Form.gen(x, f"e{i}{k}").wedge(Form.gen(x, f"f{k}{j}"))
+    labels = nd.algebra.labels
+    e = [Form.gen(x, f"e{s}") for s in labels]
+    f = [Form.gen(x, f"f{s}") for s in labels]
+    de = [Form.zero(x)] * nd.n
+    df = list(de)
+    for p, q, s, c in nd.algebra.constants:
+        de[s] = de[s] - e[p].wedge(e[q]) * c
+        df[s] = df[s] - e[p].wedge(f[q]) * c
+    for s, label in enumerate(labels):
         for name, coord, claimed in (
-            (f"e{i}{j}", nd.e_forms[(i, j)], de),
-            (f"f{i}{j}", nd.f_forms[(i, j)], df),
+            (f"e{label}", nd.e_forms[s], de[s]),
+            (f"f{label}", nd.f_forms[s], df[s]),
         ):
             got = exterior_d(coord)
             want = frame_expand(claimed, nd.x_coord)
             rep.add(f"d-{name}", got == want, got - want)
-        name = f"fc{i}{j}"
+        name = f"fc{label}"
         claimed = nd.xc_frame.d_of_generator(nd.xc_frame.index[name])
-        got = exterior_d(nd.fc_forms[(i, j)])
+        got = exterior_d(nd.fc_forms[s])
         want = frame_expand(claimed, nd.xc_coord)
         rep.add(f"d-{name}-derived", got == want, got - want)
     return rep
 
 
 def omega_hermitian(nd: NilData) -> Form:
-    """The Hermitian (1,1)-form sum f_ij ^ e_ij on the complex side,
-    expanded in coordinates."""
+    """The Hermitian (1,1)-form sum f_s ^ e_s on the complex side, expanded
+    in coordinates."""
     w = Form.zero(nd.x_coord)
-    for p in nd.pairs:
-        w = w + nd.f_forms[p].wedge(nd.e_forms[p])
+    for f, e in zip(nd.f_forms, nd.e_forms):
+        w = w + f.wedge(e)
     return w
 
 
 def build_iib_side(nd: NilData) -> SUStructure:
-    """Complex side: holomorphic volume form in the coordinates z_ij =
-    th_ij + i r_ij, Hermitian form sum f ^ e."""
+    """Complex side: holomorphic volume form in the coordinates z_s =
+    th_s + i r_s, Hermitian form sum f ^ e."""
     factors = [
-        Form.gen(nd.x_coord, f"dth{i}{j}") + Form.gen(nd.x_coord, f"dr{i}{j}") * I
-        for i, j in nd.pairs
+        Form.gen(nd.x_coord, f"dth{s}") + Form.gen(nd.x_coord, f"dr{s}") * I
+        for s in nd.algebra.labels
     ]
     return SUStructure(
         nd.n,
@@ -234,8 +256,8 @@ def build_iib_side(nd: NilData) -> SUStructure:
 
 def build_iia_side(nd: NilData) -> SUStructure:
     """Symplectic side: canonical symplectic form, volume form wedge of the
-    factors fc_jk + i e_jk (dictionary order), fiber polarization."""
-    factors = [nd.fc_forms[p] + nd.e_forms[p].transport(nd.xc_coord) * I for p in nd.pairs]
+    factors fc_s + i e_s (basis order), fiber polarization."""
+    factors = [fc + e.transport(nd.xc_coord) * I for fc, e in zip(nd.fc_forms, nd.e_forms)]
     return SUStructure(
         nd.n,
         nd.xc_coord,
@@ -245,17 +267,17 @@ def build_iia_side(nd: NilData) -> SUStructure:
     )
 
 
-def semiflat_pair(K: int) -> SemiflatPair:
-    """The flat semi-flat pair of rank n = K(K-1)/2 written with the size-K
-    family's labels: fibers dthc_ij / dth_ij over the base r_ij, holomorphic
-    one-forms dz_ij.  It needs only the labels, not the nilmanifold frames."""
-    pairs = _family_pairs(K)
+def semiflat_pair(algebra: NilAlgebra) -> SemiflatPair:
+    """The flat semi-flat pair of rank n written with the algebra's labels:
+    fibers dthc_s / dth_s over the base r_s, holomorphic one-forms dz_s.  It
+    needs only the labels, not the nilmanifold frames."""
+    labels = algebra.labels
     return SemiflatPair(
-        len(pairs),
-        base_vars=[f"r{i}{j}" for i, j in pairs],
-        fiber_x_labels=[f"dthc{i}{j}" for i, j in pairs],
-        fiber_mirror_labels=[f"dth{i}{j}" for i, j in pairs],
-        holo_labels=[f"dz{i}{j}" for i, j in pairs],
+        algebra.n,
+        base_vars=[f"r{s}" for s in labels],
+        fiber_x_labels=[f"dthc{s}" for s in labels],
+        fiber_mirror_labels=[f"dth{s}" for s in labels],
+        holo_labels=[f"dz{s}" for s in labels],
     )
 
 
@@ -303,15 +325,16 @@ def dual_pairing_matrix(nd: NilData) -> list[dict[int, Poly]]:
     """<f_p, fc_q> with the tangent/cotangent fibers paired positionally, as
     sparse rows (q -> nonzero entry): the product of the f fiber rows and the
     transposed fc fiber rows, each form read once."""
-    fibers = {nd.x_coord.index[f"dth{i}{j}"]: r for r, (i, j) in enumerate(nd.pairs)}
-    dual = {nd.xc_coord.index[f"dthc{i}{j}"]: r for r, (i, j) in enumerate(nd.pairs)}
+    labels = nd.algebra.labels
+    fibers = {nd.x_coord.index[f"dth{s}"]: r for r, s in enumerate(labels)}
+    dual = {nd.xc_coord.index[f"dthc{s}"]: r for r, s in enumerate(labels)}
     f_rows = [
-        {fibers[i]: c for m, c in nd.f_forms[p].terms.items() if (i := m.bit_length() - 1) in fibers}
-        for p in nd.pairs
+        {fibers[i]: c for m, c in f.terms.items() if (i := m.bit_length() - 1) in fibers}
+        for f in nd.f_forms
     ]
-    fc_cols: list[dict[int, Poly]] = [{} for _ in nd.pairs]
-    for q, p in enumerate(nd.pairs):
-        for m, c in nd.fc_forms[p].terms.items():
+    fc_cols: list[dict[int, Poly]] = [{} for _ in labels]
+    for q, fc in enumerate(nd.fc_forms):
+        for m, c in fc.terms.items():
             if (i := m.bit_length() - 1) in dual:
                 fc_cols[dual[i]][q] = c
     return linalg.poly_row_product(f_rows, fc_cols)

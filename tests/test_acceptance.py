@@ -83,8 +83,8 @@ def test_criterion_4_mirror_su_structures():
     t0 = time.perf_counter()
     ok = True
     for K in (3, 4):
-        nd = nil.build(K)
-        pair = nil.semiflat_pair(K)
+        nd = nil.build(nil.upper_triangular(K))
+        pair = nil.semiflat_pair(nil.upper_triangular(K))
         su_b = nil.build_iib_side(nd)
         su_a = mirror_transform(pair, nil.omega_hermitian(nd).transport(pair.frame_xc))
         ok &= check_iib(su_b).passed
@@ -128,7 +128,7 @@ def test_criterion_6_nilmanifold_structure():
     t0 = time.perf_counter()
     ok = True
     for K in (3, 4):
-        nd = nil.build(K)
+        nd = nil.build(nil.upper_triangular(K))
         ok &= nil.structure_equations(nd).passed
         ok &= nil.check_gamma_invariance(nd).passed
         m = nil.dual_pairing_matrix(nd)
@@ -191,7 +191,7 @@ def test_criterion_8_cohomology_mirror():
                 rep, bcr, tyr = coh.mirror_compare(ty, bc, p, q, pair.fm_forward)
                 expect = comb(n, p) * comb(n, q)
                 ok &= rep.passed and bcr.dim == expect and tyr.dim == expect
-    pair = nil.semiflat_pair(3)
+    pair = nil.semiflat_pair(nil.upper_triangular(3))
     baselines = {(0, 1, 1): 9, (0, 2, 2): 9, (1, 1, 1): 19, (1, 2, 2): 30,
                  (2, 1, 1): 28, (2, 2, 2): 58}
     for D in (0, 1, 2):

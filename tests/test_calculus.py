@@ -234,7 +234,7 @@ class TestExteriorD:
         )
 
     def test_structure_equation_e13(self):
-        nd = nil.build(3)
+        nd = nil.build(nil.upper_triangular(3))
         got = exterior_d(Form.gen(nd.x_frame, "e13"))
         want = -Form.gen(nd.x_frame, "e12").wedge(Form.gen(nd.x_frame, "e23"))
         assert got == want
@@ -252,7 +252,7 @@ class TestExteriorD:
 
     @pytest.mark.parametrize("seed", range(15))
     def test_d_squared_zero_frame(self, seed):
-        nd = nil.build(3)
+        nd = nil.build(nil.upper_triangular(3))
         rng = random.Random(40 + seed)
         a = random_form(rng, nd.x_frame, max_terms=3)
         assert exterior_d(exterior_d(a)).is_zero()
@@ -270,7 +270,7 @@ class TestExteriorD:
     @pytest.mark.parametrize("seed", range(10))
     def test_frame_d_matches_coordinate_d(self, seed):
         # structure-equation route vs expand-first route
-        nd = nil.build(4)
+        nd = nil.build(nil.upper_triangular(4))
         rng = random.Random(120 + seed)
         a = random_form(rng, nd.x_frame, max_terms=2, complex_ok=False)
         lhs = frame_expand(exterior_d(a), nd.x_coord)
@@ -502,7 +502,7 @@ class TestRelabelMatchesOracles:
 def invariant_holo_frame(nd):
     """The dz/dzb frame of dz_ij = f_ij + i e_ij over the nilmanifold's x_frame."""
     x = nd.x_frame
-    return holo_coframe(x, [(f"dz{i}{j}", Form.gen(x, f"f{i}{j}") + Form.gen(x, f"e{i}{j}") * I) for i, j in nd.pairs])
+    return holo_coframe(x, [(f"dz{s}", Form.gen(x, f"f{s}") + Form.gen(x, f"e{s}") * I) for s in nd.algebra.labels])
 
 
 def mirror_holo_frame():
@@ -517,10 +517,10 @@ def mirror_holo_frame():
 # dz/dzb frames by name, each built on demand
 ROUND_TRIP_FRAMES = {
     **{f"flat-n{n}": (lambda n=n: SemiflatPair(n).holo_frame) for n in (1, 2, 3, 4)},
-    **{f"nil-pair-K{K}": (lambda K=K: nil.semiflat_pair(K).holo_frame) for K in (2, 3, 4)},
-    "nil-iib-K3": lambda: nil.build_iib_side(nil.build(3)).holo_frame,
+    **{f"nil-pair-K{K}": (lambda K=K: nil.semiflat_pair(nil.upper_triangular(K)).holo_frame) for K in (2, 3, 4)},
+    "nil-iib-K3": lambda: nil.build_iib_side(nil.build(nil.upper_triangular(3))).holo_frame,
     "mirror-transform": mirror_holo_frame,
-    "invariant-K3": lambda: invariant_holo_frame(nil.build(3)),
+    "invariant-K3": lambda: invariant_holo_frame(nil.build(nil.upper_triangular(3))),
 }
 
 
@@ -568,7 +568,7 @@ class TestCoframe:
     def test_complex_basis_over_the_invariant_frame(self):
         # dz_ij = f_ij + i e_ij is a coframe over the nilmanifold's coframe:
         # its derived structure equations make d commute with frame_expand
-        nd = nil.build(3)
+        nd = nil.build(nil.upper_triangular(3))
         x = nd.x_frame
         hf = invariant_holo_frame(nd)
         rng = random.Random(1900)
@@ -579,7 +579,7 @@ class TestCoframe:
             assert dl + db == exterior_d(a)
 
     def test_leg_classes_read_through_the_expansion(self):
-        nd = nil.build(3)
+        nd = nil.build(nil.upper_triangular(3))
         x = nd.x_frame
         assert Generator("g", coord_expansion=Form.gen(x, "e12")).leg_class is GenClass.BASE
         assert Generator("h", coord_expansion=Form.gen(x, "f12")).leg_class is GenClass.FIBER_MIRROR
@@ -592,7 +592,7 @@ def oracle_frame(case):
     """(size, side): a frame of SemiflatPair(size), or of the K=3
     nilmanifold for size "K3"."""
     size, side = case
-    return getattr(nil.build(3) if size == "K3" else SemiflatPair(size), side)
+    return getattr(nil.build(nil.upper_triangular(3)) if size == "K3" else SemiflatPair(size), side)
 
 
 KERNEL_FRAMES = [(n, side) for n in (1, 2, 3) for side in ("frame_x", "frame_xc", "frame_corr", "holo_frame")] + [
@@ -693,7 +693,7 @@ class TestKernelsMatchOracles:
 
     @pytest.mark.parametrize("case", HOLO_FRAMES, ids=[f"{size}-{side}" for size, side in HOLO_FRAMES])
     def test_dolbeault(self, case):
-        frame = invariant_holo_frame(nil.build(3)) if case[1] == "invariant" else oracle_frame(case)
+        frame = invariant_holo_frame(nil.build(nil.upper_triangular(3))) if case[1] == "invariant" else oracle_frame(case)
         for a in kernel_forms(frame, 2600 + self.HOLO_FRAMES.index(case)):
             got, want = dolbeault(a, frame), dolbeault_by_projection(a, frame)
             assert_same_form(got[0], want[0])

@@ -81,6 +81,19 @@ class TestNilCommand:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digests[name], name
 
 
+    def test_k2_outputs_match_the_pinned_digests(self, runner, tmp_path):
+        # nil-digests.sha256 (sha256sum format) pins the K = 2 and K = 5
+        # outputs, which the benchmark does not run; CI checks the K = 5 ones
+        # on the installed package, since K = 5 takes seconds
+        lines = (Path(__file__).parent / "nil-digests.sha256").read_text().splitlines()
+        digests = dict(reversed(line.split()) for line in lines)
+        outputs = {k: (f"nil-K{k}-report.json", f"iib-K{k}.json", f"iia-K{k}.json") for k in (2, 5)}
+        assert sorted(digests) == sorted(outputs[2] + outputs[5])
+        assert runner.invoke(main, ["nil", "--K", "2", "--out", str(tmp_path)]).exit_code == 0
+        for name in outputs[2]:
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digests[name], name
+
+
 class TestVerifyCommand:
     @pytest.fixture
     def fixtures(self, runner, tmp_path):
@@ -794,6 +807,15 @@ class TestReportConfig:
 
 
 class TestEmit:
+    def test_elapsed_time_survives_a_backward_clock_step(self, runner, monkeypatch):
+        # the system clock steps back an hour at every read; an elapsed time
+        # read on it printed about -3600 s
+        clock = iter(range(10**9, 0, -3600))
+        monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+        res = runner.invoke(main, ["nil", "--K", "2"])
+        assert res.exit_code == 0, res.output
+        assert re.fullmatch(r"nil: ok \(26 checks: 26 pass; [0-9]+\.[0-9]{2}s\)", res.output.splitlines()[-1])
+
     def test_non_passing_checks_capped(self, capsys):
         rep = CheckReport()
         for k in range(cli.MAX_SHOWN + 5):
@@ -801,7 +823,7 @@ class TestEmit:
         rep.add("good", True)
         rep.add_status("open", UNDETERMINED)
         with pytest.raises(SystemExit) as err:
-            cli._emit(rep, None, "many", {}, time.time())
+            cli._emit(rep, None, "many", {}, time.perf_counter())
         assert err.value.code == 1
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == cli.MAX_SHOWN + 3

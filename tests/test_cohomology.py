@@ -30,7 +30,7 @@ def basis_form(cpx, idx):
 
 @pytest.fixture(scope="module")
 def flat_k3_setting():
-    return nil.build(3), nil.semiflat_pair(3)
+    return nil.build(nil.upper_triangular(3)), nil.semiflat_pair(nil.upper_triangular(3))
 
 
 class TestComplexConstruction:
@@ -161,7 +161,7 @@ class TestBasisBound:
         # K = 5 (n = 10) at D = 0: the (5,5) mirror query is refused before
         # any column is built or any monomial listed, and the refusal names
         # the count of basis elements whose columns it would build
-        pair = nil.semiflat_pair(5)
+        pair = nil.semiflat_pair(nil.upper_triangular(5))
         no_column_builds(monkeypatch)
         ty, bc = coh.ty_complex(pair.frame_x, 0), coh.bc_complex(pair.holo_frame, 0)
         with pytest.raises(coh.ComplexTooLarge) as err:
@@ -176,13 +176,13 @@ class TestBasisBound:
     def test_count_is_the_union_of_the_slots_read(self, monkeypatch):
         # Bott-Chern (1,1) on the K = 5 dz/dzb frame reads d on (1,1) and
         # del-dbar on (0,0); del-dbar reads d on (0,0) and, through dbar, on (0,1)
-        pair = nil.semiflat_pair(5)
+        pair = nil.semiflat_pair(nil.upper_triangular(5))
         no_column_builds(monkeypatch)
         bc = coh.bc_complex(pair.holo_frame, 0)
         assert bc.admit(coh.quotient_reads(coh.BOTT_CHERN, 1, 1)) == 10 * 10 + 1 + 10
 
     def test_k5_mirror_passes(self):
-        pair = nil.semiflat_pair(5)
+        pair = nil.semiflat_pair(nil.upper_triangular(5))
         ty, bc = coh.ty_complex(pair.frame_x, 0), coh.bc_complex(pair.holo_frame, 0)
         rep, bcr, tyr = coh.mirror_compare(ty, bc, 1, 1, pair.fm_forward)
         assert rep.passed
@@ -191,7 +191,7 @@ class TestBasisBound:
 
 def flat_pair(case):
     kind, size = case
-    return SemiflatPair(size) if kind == "n" else nil.semiflat_pair(size)
+    return SemiflatPair(size) if kind == "n" else nil.semiflat_pair(nil.upper_triangular(size))
 
 
 # the wedge-built d and the contraction-built Lambda of test_calculus, and the
@@ -216,7 +216,7 @@ def holo_of_nil_frame(nd):
     """The dz/dzb frame of f_ij + i e_ij over the nilmanifold's x_frame."""
     x = nd.x_frame
     return calculus.holo_coframe(
-        x, [(f"dz{i}{j}", Form.gen(x, f"f{i}{j}") + Form.gen(x, f"e{i}{j}") * I) for i, j in nd.pairs]
+        x, [(f"dz{s}", Form.gen(x, f"f{s}") + Form.gen(x, f"e{s}") * I) for s in nd.algebra.labels]
     )
 
 

@@ -228,8 +228,8 @@ def frame_transition(frame):
 
 
 def flat_pair_with_nil_labels(k):
-    nd = nil.build(k)
-    return nd, nil.semiflat_pair(k)
+    nd = nil.build(nil.upper_triangular(k))
+    return nd, nil.semiflat_pair(nil.upper_triangular(k))
 
 
 def mirror_transition(k):
