@@ -38,7 +38,7 @@ from .exterior import (
     _form,
     bits,
     frame_collect,
-    koszul_sign,
+    koszul_mask,
 )
 
 # the (p, q) split of the dz/dzb frame: p legs on dz, q legs on dzb
@@ -50,22 +50,25 @@ class MissingPairing(ValueError):
 
 
 def d_rule(frame: FrameSpec) -> tuple:
-    """The frame data that d reads, flattened to (mask, monomial, scalar)
-    triples once per frame, on first use: for each base variable in
-    `frame.base_vars` (its name, its monomial, and the triples of its one-form
-    or None when it has none), then for each generator the triples of its
+    """The frame data that d reads, flattened to (mask, koszul_mask(mask),
+    monomial, scalar) terms once per frame, on first use: for each base variable in
+    `frame.base_vars` (its name, its monomial, and the terms of its one-form
+    or None when it has none), then for each generator the terms of its
     structure equation."""
     return frame.table("d", lambda: (
-        tuple((v, variable_monomial(v), _triples(frame.base_one_form(v))) for v in frame.base_vars),
-        tuple(_triples(frame.d_of_generator(i)) or () for i in range(len(frame))),
+        tuple((v, variable_monomial(v), _rule_terms(frame.base_one_form(v))) for v in frame.base_vars),
+        tuple(_rule_terms(frame.d_of_generator(i)) or () for i in range(len(frame))),
     ))
 
 
-def _triples(form: Form | None) -> tuple | None:
-    """The terms of `form` as (mask, monomial, scalar) triples; None for None."""
+def _rule_terms(form: Form | None) -> tuple | None:
+    """The scalar terms of `form` as (mask, koszul_mask(mask), monomial,
+    scalar); None for None."""
     if form is None:
         return None
-    return tuple((mask, f, c) for mask, poly in form.terms.items() for f, c in poly.terms.items())
+    return tuple(
+        (mask, koszul_mask(mask), f, c) for mask, poly in form.terms.items() for f, c in poly.terms.items()
+    )
 
 
 def d_term(acc: dict, rule: tuple, mask: int, e: int, exps: Sequence[int], c: GaussianRational) -> None:
@@ -77,7 +80,8 @@ def d_term(acc: dict, rule: tuple, mask: int, e: int, exps: Sequence[int], c: Ga
         + sum_(i in mono) (-1)^(legs of mono below i) c x^e d(gen_i) ^ (mono - i).
 
     The d of every form and every column of d in `cohomology` is this sum.
-    A `c` that is the object ONE is not multiplied.
+    Each sign is a popcount against the rule term's Koszul mask.  A `c` that
+    is the object ONE is not multiplied.
     """
     dvar, dgen = rule
     for ek, (v, unit, terms) in zip(exps, dvar):
@@ -87,19 +91,20 @@ def d_term(acc: dict, rule: tuple, mask: int, e: int, exps: Sequence[int], c: Ga
             raise FrameMismatch(f"no one-form paired with base variable {v!r}")
         low = e - unit
         k = c if ek == 1 else c * ek
-        for m, f, a in terms:
+        for m, q, f, a in terms:
             if not m & mask:
                 x = a if k is ONE else a * k
-                _accumulate(acc, (m | mask, low + f), x if koszul_sign(m, mask) > 0 else -x)
+                _accumulate(acc, (m | mask, low + f), -x if (mask & q).bit_count() & 1 else x)
     for i in bits(mask):
         terms = dgen[i]
         if terms:
             rest = mask ^ (1 << i)
-            sign = koszul_sign(1 << i, rest)
-            for m, f, a in terms:
+            # koszul_sign(1 << i, rest) is -1 to the number of legs of rest below i
+            below = (rest & ((1 << i) - 1)).bit_count()
+            for m, q, f, a in terms:
                 if not m & rest:
                     x = a if c is ONE else a * c
-                    _accumulate(acc, (m | rest, e + f), x if koszul_sign(m, rest) == sign else -x)
+                    _accumulate(acc, (m | rest, e + f), -x if ((rest & q).bit_count() + below) & 1 else x)
 
 
 def exterior_d(form: Form) -> Form:
@@ -156,13 +161,15 @@ class SymplecticData:
         self.pairing = tuple(tuple(map(GaussianRational.promote, row)) for row in pairing)
         # i_(x_i) i_(x_j) = -i_(x_j) i_(x_i) = -i_(x_i ^ x_j) for i < j, and
         # i_(x_i) i_(x_i) = 0, so Lambda = sum_(i<j) a i_(x_i ^ x_j) with
-        # a = (p^ji - p^ij) / 2: one block (bit_i | bit_j, a) per nonzero a
+        # a = (p^ji - p^ij) / 2: one block (legs, koszul_mask(legs), a) per
+        # nonzero a, where legs = bit_i | bit_j
         p = self.pairing
         blocks = []
         for i, j in combinations(range(len(p)), 2):
             a = (p[j][i] - p[i][j]) * Fraction(1, 2)
             if a:
-                blocks.append((1 << i | 1 << j, a))
+                legs = 1 << i | 1 << j
+                blocks.append((legs, koszul_mask(legs), a))
         self.blocks = tuple(blocks)
 
     @staticmethod
@@ -199,15 +206,15 @@ class SymplecticData:
 
 def lambda_term(acc: dict, blocks: tuple, mask: int, e: int, exps: Sequence[int], c: GaussianRational) -> None:
     """acc += Lambda(c x^e mono) as (mask, monomial) -> scalar terms, one
-    signed block contraction per block (legs, scalar a) of
-    `SymplecticData.blocks`: a c x^e i_legs mono.  It has the signature of
+    signed block contraction per block (legs, Koszul mask of legs, scalar a)
+    of `SymplecticData.blocks`: a c x^e i_legs mono.  It has the signature of
     `d_term`; `exps` is not read.  A `c` that is the object ONE is not
     multiplied."""
-    for legs, a in blocks:
+    for legs, q, a in blocks:
         if mask & legs == legs:
             rest = mask ^ legs
             x = a if c is ONE else a * c
-            _accumulate(acc, (rest, e), x if koszul_sign(legs, rest) > 0 else -x)
+            _accumulate(acc, (rest, e), -x if (rest & q).bit_count() & 1 else x)
 
 
 def dual_lefschetz(form: Form, s: SymplecticData) -> Form:

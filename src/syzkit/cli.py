@@ -44,8 +44,8 @@ REPORT_SCHEMA = "syzkit-report-v1"
 MAX_FM_RANK = 16
 
 # the largest fixture `verify` reads: n = 10 on 20 generators, the size that
-# `nil --K 5` writes, whose fixtures verify in 1.4 s (iib) and 2.3 s (iia) on
-# a 2-vCPU machine; the algebra of 2n generators grows as 4^n
+# `nil --K 5` writes, whose fixtures verify in 0.8-0.9 s (iib) and 1.2-1.3 s
+# (iia) on a 2-vCPU machine; the algebra of 2n generators grows as 4^n
 MAX_VERIFY_RANK = nil.MAX_K * (nil.MAX_K - 1) // 2
 
 # the most non-passing checks printed; passing ones go to the report file only,

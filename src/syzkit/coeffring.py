@@ -351,26 +351,7 @@ class Poly:
     def __mul__(self, other):
         if type(other) is not Poly:
             other = Poly.promote(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return _poly({})
-        # a constant operand scales the other one; Q(i) is a field, so a
-        # nonzero scalar keeps every term nonzero, and 1 keeps the operand
-        if len(b) == 1 and 0 in b:
-            c = b[0]
-            return self if c == ONE else _poly({m: v * c for m, v in a.items()})
-        if len(a) == 1 and 0 in a:
-            c = a[0]
-            return other if c == ONE else _poly({m: c * v for m, v in b.items()})
-        terms: dict[int, GaussianRational] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                _accumulate(terms, m1 + m2, c1 * c2)
-        # the sum of two stored monomials never carries out of the degree
-        # field, so a degree past the bound shows in the field's top bit
-        if any(map(DEGREE_BOUND.__and__, terms)):
-            raise OverflowError(f"a product reaches the total degree bound {DEGREE_BOUND}")
-        return _poly(terms)
+        return _signed_product(self, other, 0)
 
     __rmul__ = __mul__
 
@@ -579,6 +560,108 @@ def group_terms(terms: Mapping[tuple, GaussianRational]) -> dict:
             t = out[key] = {}
         t[m] = c
     return {key: _poly(t) for key, t in out.items()}
+
+
+def _mul_into(acc: dict, a: Mapping[int, GaussianRational], b: Mapping[int, GaussianRational], negate: int) -> None:
+    """acc[m1 + m2] += a[m1] * b[m2] (minus it when `negate` is odd) for every
+    pair of terms of the two polynomials' term dicts: the one multiply-add
+    of every sparse product.  The accumulator holds unnormalized
+    Gaussian-integer triples [re, im, den], summed over a common
+    denominator with no gcd, and `_settle` normalizes each sum once."""
+    for m1, x in a.items():
+        xa, xb, xd = x._a, x._b, x._d
+        if negate & 1:
+            xa, xb = -xa, -xb
+        for m2, y in b.items():
+            ya, yb = y._a, y._b
+            re = xa * ya - xb * yb
+            im = xa * yb + xb * ya
+            d = xd * y._d
+            m = m1 + m2
+            t = acc.get(m)
+            if t is None:
+                acc[m] = [re, im, d]
+            elif t[2] == d:
+                t[0] += re
+                t[1] += im
+            else:
+                # over the lcm of the two denominators
+                td = t[2]
+                g = gcd(td, d)
+                u, v = d // g, td // g
+                t[0] = t[0] * u + re * v
+                t[1] = t[1] * u + im * v
+                t[2] = td * u
+
+
+def _settle(acc: dict) -> "Poly":
+    """The Poly of a `_mul_into` accumulator: one gcd per nonzero sum, and
+    zero sums dropped.  The sum of two stored monomials never carries out of
+    the degree field, so a surviving term past the degree bound shows in the
+    field's top bit, and is an OverflowError."""
+    terms: dict[int, GaussianRational] = {}
+    for m, (a, b, d) in acc.items():
+        if a or b:
+            if m & DEGREE_BOUND:
+                raise OverflowError(f"a product reaches the total degree bound {DEGREE_BOUND}")
+            if d != 1:
+                g = gcd(a, b, d)
+                if g != 1:
+                    a //= g
+                    b //= g
+                    d //= g
+            terms[m] = _gr(a, b, d)
+    return _poly(terms)
+
+
+def _signed_product(p: "Poly", q: "Poly", negate: int) -> "Poly":
+    """p * q, or -(p * q) when `negate` is odd: every product of two Polys.
+    A constant operand scales the other one term by term (Q(i) is a field,
+    so a nonzero scalar keeps every term nonzero, and 1 keeps the operand);
+    any other pair runs the `_mul_into` kernel and is settled once."""
+    a, b = p.terms, q.terms
+    if not a or not b:
+        return _poly({})
+    if len(b) == 1 and 0 in b:
+        c = b[0]
+    elif len(a) == 1 and 0 in a:
+        c, p = a[0], q
+    else:
+        acc: dict = {}
+        _mul_into(acc, a, b, negate)
+        return _settle(acc)
+    if negate & 1:
+        c = -c
+    return p if c == ONE else _poly({m: v * c for m, v in p.terms.items()})
+
+
+def _add_product(sums: dict, key, p: "Poly", q: "Poly", negate: int) -> None:
+    """sums[key] += p * q (minus it when `negate` is odd).  A key's first
+    product is kept as the pair, which needs no sum; a second one opens the
+    key's `_mul_into` accumulator."""
+    acc = sums.get(key)
+    if acc is None:
+        sums[key] = (p, q, negate)
+        return
+    if type(acc) is tuple:
+        f, g, neg = acc
+        acc = sums[key] = {}
+        _mul_into(acc, f.terms, g.terms, neg)
+    _mul_into(acc, p.terms, q.terms, negate)
+
+
+def _settle_into(out: dict, sums: dict) -> dict:
+    """out[key] += each sum of `_add_product`; returns out.  A lone pair is
+    its `_signed_product`, an accumulator is settled, and a zero sum adds
+    nothing."""
+    for key, acc in sums.items():
+        if type(acc) is tuple:
+            _accumulate(out, key, _signed_product(*acc))
+        else:
+            p = _settle(acc)
+            if p.terms:
+                _accumulate(out, key, p)
+    return out
 
 
 def _accumulate(terms: dict, key, value) -> None:

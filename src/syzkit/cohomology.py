@@ -303,7 +303,7 @@ class FiniteComplex:
 
     def lambda_columns(self, symp: SymplecticData) -> PrimitiveColumns:
         basis = self.basis
-        steps = ((-p, -q) for p, q in (basis.step(legs) for legs, _ in symp.blocks))
+        steps = ((-p, -q) for p, q in (basis.step(legs) for legs, _, _ in symp.blocks))
         return PrimitiveColumns(basis, "lambda", lambda_term, symp.blocks, steps)
 
     def admit(self, reads: Iterable[tuple[str, Bidegree]]) -> int:

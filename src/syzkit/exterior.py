@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import linalg
-from .coeffring import GaussianRational, Poly, P_ONE, _accumulate
+from .coeffring import GaussianRational, Poly, P_ONE, _accumulate, _add_product, _settle_into, _signed_product
 
 Coefflike = Union[int, Fraction, GaussianRational, Poly]
 
@@ -179,6 +179,20 @@ def koszul_sign(mask_a: int, mask_b: int) -> int:
         swaps += (mask_b & (low - 1)).bit_count()
         a ^= low
     return -1 if swaps & 1 else 1
+
+
+def koszul_mask(mask_a: int) -> int:
+    """The mask with bit j set when `mask_a` has an odd number of bits above
+    j: for b disjoint from a, koszul_sign(a, b) is -1 exactly when
+    (b & koszul_mask(a)).bit_count() is odd.  Built once per left operand, it
+    turns each sign into an AND and a popcount."""
+    q = 0
+    a = mask_a
+    while a:
+        low = a & -a
+        q ^= low - 1
+        a ^= low
+    return q
 
 
 def reversal_sign(k: int) -> int:
@@ -342,20 +356,30 @@ class Form:
         self only with the terms of other whose fiber legs complete it."""
         self._check(other)
         top = self.frame.class_mask(fiber_class)
+        qtop = koszul_mask(top)
         by_fiber: dict[int, list[tuple[int, Poly]]] = {}
         for m2, p2 in other.terms.items():
             by_fiber.setdefault(m2 & top, []).append((m2, p2))
-        negs: dict[int, Poly] = {}
+        # as in `_wedge_into`, one term on either side means no two pairs
+        # share a remaining monomial
+        lone = len(self.terms) == 1 or len(other.terms) == 1
         out: dict[int, Poly] = {}
+        sums: dict = {}
         for m1, p1 in self.terms.items():
-            for m2, p2 in by_fiber.get(top ^ (m1 & top), ()):
-                if m1 & m2:
-                    continue
-                rest = (m1 | m2) & ~top
-                if koszul_sign(m1, m2) != koszul_sign(top, rest):
-                    p2 = negs.get(m2) or negs.setdefault(m2, -p2)
-                _accumulate(out, rest, p1 * p2)
-        return _form(self.frame, out)
+            partners = by_fiber.get(top ^ (m1 & top))
+            if not partners:
+                continue
+            q = koszul_mask(m1)
+            for m2, p2 in partners:
+                if not m1 & m2:
+                    rest = (m1 | m2) & ~top
+                    # the sign koszul_sign(m1, m2) * koszul_sign(top, rest)
+                    sign = (m2 & q).bit_count() + (rest & qtop).bit_count()
+                    if lone:
+                        out[rest] = _signed_product(p1, p2, sign)
+                    else:
+                        _add_product(sums, rest, p1, p2, sign)
+        return _form(self.frame, _settle_into(out, sums))
 
     def contract(self, label: str) -> "Form":
         """Interior product with the dual vector of the named generator."""
@@ -466,18 +490,25 @@ def _form(frame: FrameSpec, terms: dict[int, Poly]) -> Form:
 
 
 def _wedge_into(out: dict[int, Poly], a: Mapping[int, Poly], b: Mapping[int, Poly]) -> dict[int, Poly]:
-    """out += a ^ b over term dicts; returns out.  A negative Koszul sign
-    takes a negated copy of b's coefficient, made at most once per term of b
-    (a coefficient is never zero, so a cached copy is truthy)."""
-    negs: dict[int, Poly] = {}
+    """out += a ^ b over term dicts; returns out.  A disjoint pair of terms
+    is signed by the `koszul_mask` of its left term, built once per left term
+    that has one.  When a or b has one term, no two pairs share an output
+    monomial, so each pair adds its one `_signed_product`; otherwise the
+    products of each output monomial are summed by `_add_product` and
+    settled once."""
+    lone = len(a) == 1 or len(b) == 1
+    sums: dict = {}
     for m1, p1 in a.items():
+        q = -1
         for m2, p2 in b.items():
-            if m1 & m2:
-                continue
-            if koszul_sign(m1, m2) < 0:
-                p2 = negs.get(m2) or negs.setdefault(m2, -p2)
-            _accumulate(out, m1 | m2, p1 * p2)
-    return out
+            if not m1 & m2:
+                if q < 0:
+                    q = koszul_mask(m1)
+                if lone:
+                    _accumulate(out, m1 | m2, _signed_product(p1, p2, (m2 & q).bit_count()))
+                else:
+                    _add_product(sums, m1 | m2, p1, p2, (m2 & q).bit_count())
+    return _settle_into(out, sums)
 
 
 def _contract_into(out: dict[int, Poly], terms: Mapping[int, Poly], legs: int) -> dict[int, Poly]:
@@ -513,17 +544,21 @@ def substitute_generators(
             raise FrameMismatch("operands live on different frame objects")
     if monomials is None:
         monomials = {}
-    out: dict[int, Poly] = {}
+    sums: dict = {}
     for m, c in form.terms.items():
         if not m:
-            _accumulate(out, 0, c)
-            continue
-        image = monomials.get(m)
-        if image is None:
-            image = _monomial_image(monomials, images, m)
+            image = _UNIT_IMAGE
+        else:
+            image = monomials.get(m)
+            if image is None:
+                image = _monomial_image(monomials, images, m)
         for tm, tp in image.items():
-            _accumulate(out, tm, c * tp)
-    return _form(target, out)
+            _add_product(sums, tm, c, tp, 0)
+    return _form(target, _settle_into({}, sums))
+
+
+# the image of the empty monomial under every algebra map
+_UNIT_IMAGE = {0: P_ONE}
 
 
 def _monomial_image(monomials: dict, images: Mapping[int, Form], m: int) -> dict[int, Poly]:

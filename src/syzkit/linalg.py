@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Mapping, Sequence
 
-from .coeffring import GaussianRational, ONE, P_ONE, ZERO, Poly, _accumulate
+from .coeffring import GaussianRational, ONE, P_ONE, ZERO, Poly, _accumulate, _add_product, _settle_into
 
 Vec = dict[int, GaussianRational]
 
@@ -179,11 +179,11 @@ def poly_row_product(a: Sequence[Mapping[int, Poly]], b: Sequence[Mapping[int, P
     x = a[i][k] only."""
     out = []
     for row in a:
-        acc: PolyRow = {}
+        sums: dict = {}
         for k, x in row.items():
             for j, y in b[k].items():
-                _accumulate(acc, j, x * y)
-        out.append(acc)
+                _add_product(sums, j, x, y, 0)
+        out.append(_settle_into({}, sums))
     return out
 
 

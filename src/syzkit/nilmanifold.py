@@ -60,8 +60,8 @@ from .sustruct import (
 
 
 # the largest matrix size: the 2n-generator algebra grows as 4^n with
-# n = K(K-1)/2, and `nil --K 5` (n = 10) took 6.7-11.2 s in four runs on a
-# shared 2-vCPU machine
+# n = K(K-1)/2, and `nil --K 5` (n = 10) took 4.5-5.0 s in four whole-process
+# runs on a shared 2-vCPU machine
 MAX_K = 5
 
 

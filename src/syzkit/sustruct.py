@@ -25,7 +25,7 @@ from .calculus import (
     exterior_d,
     holo_coframe,
 )
-from .coeffring import GaussianRational, I, ONE, Poly, ZERO, _accumulate, _poly
+from .coeffring import GaussianRational, I, ONE, Poly, ZERO, _mul_into, _settle
 from .exterior import (
     Form,
     FrameSpec,
@@ -244,22 +244,18 @@ def _volume_square_top(s: SUStructure) -> Poly:
     of Omega (pure of degree n, on 2n generators):
     sum_m koszul_sign(m, ~m) * Omega_m * conj(Omega_~m).  The terms at m and
     at ~m are conjugate up to koszul_sign(~m, m) = (-1)^n koszul_sign(m, ~m),
-    so each pair {m, ~m} costs one product P, which adds
-    koszul_sign(m, ~m) * (P + (-1)^n conj(P))."""
+    so each pair {m, ~m} costs one product P, and the sum Q of
+    koszul_sign(m, ~m) * P over the pairs gives Q + (-1)^n conj(Q)."""
     terms = s.Omega.terms
     top = (1 << 2 * s.n) - 1
-    odd = s.n & 1
-    acc: dict[int, GaussianRational] = {}
+    acc: dict = {}
     for m, c in terms.items():
         rest = top ^ m
         if m < rest and (d := terms.get(rest)) is not None:
-            sign = koszul_sign(m, rest)
-            # the variables are real, so conj(P) has conj(v) at each monomial
-            for e, v in (c * d.conjugate()).terms.items():
-                w = v - v.conjugate() if odd else v + v.conjugate()
-                if w:
-                    _accumulate(acc, e, w if sign > 0 else -w)
-    return _poly(acc)
+            _mul_into(acc, c.terms, d.conjugate().terms, koszul_sign(m, rest) < 0)
+    q = _settle(acc)
+    # the variables are real, so conj(Q) has conj(v) at each monomial of Q
+    return q - q.conjugate() if s.n & 1 else q + q.conjugate()
 
 
 def proportional_to(form: Form, candidate: Form) -> Optional[GaussianRational]:

@@ -291,7 +291,7 @@ class EagerComplex:
         cols = []
         for mask, e in self.basis:
             acc = {}
-            for legs, c in symp.blocks:
+            for legs, _, c in symp.blocks:
                 if mask & legs != legs:
                     continue
                 rest = mask ^ legs

@@ -1,6 +1,7 @@
 """Package hygiene: no unused imports in the package or the tests, nothing
 defined that nothing reaches, nothing stored that nothing reads, no
-environment reads, every export resolves, and every traced function exists.
+environment reads, no scalar slot read outside `coeffring`, every export
+resolves, and every traced function exists.
 
 The benchmark's span table (`perfbench/spans.py` `SPANS`) names functions by
 module and attribute path.  A missing class is recorded as zero calls, but a
@@ -201,6 +202,32 @@ def test_environment_scan_sees_each_read():
     assert environment_reads(source) == [
         "line 2: from os import getenv", "line 3: os.environ", "line 4: os.getenv",
     ]
+
+
+SCALAR_SLOTS = {"_a", "_b", "_d"}
+
+
+def scalar_slot_reads(source: str) -> list[str]:
+    """Each use of a `GaussianRational` slot (`._a`, `._b`, `._d`), in line order."""
+    found = sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in SCALAR_SLOTS
+    )
+    return [f"line {line}: .{attr}" for line, attr in found]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "coeffring"], ids=lambda p: p.stem
+)
+def test_scalar_slots_are_read_in_coeffring_only(path):
+    # every product of scalar triples is the fused kernel's, inside coeffring
+    assert scalar_slot_reads(path.read_text()) == []
+
+
+def test_scalar_slot_scan_sees_each_read():
+    source = "x = z._a\nz._b = 1\nprint(z._d, z.a, _a)\n"
+    assert scalar_slot_reads(source) == ["line 1: ._a", "line 2: ._b", "line 3: ._d"]
 
 
 def test_every_export_resolves():
