@@ -1,9 +1,11 @@
 """Graded exterior algebra of invariant forms over polynomial coefficients.
 
 Generator subsets are stored as bitmasks over a fixed frame ordering; every
-reordering sign comes from `koszul_sign`, by transposition counting.  Products
-go through `_wedge_into` (`wedge_pushforward` keeps its fiber-filtered loop),
-interior products with a block of legs through `_contract_into`.  Forms may
+reordering sign is the parity of a popcount against `koszul_mask`, the one
+rule behind `koszul_sign`, and loops that sign many terms against one left
+term build its mask once.  Products go through `_wedge_into`
+(`wedge_pushforward` keeps its fiber-filtered loop), interior products with a
+block of legs through `_contract_into`.  Forms may
 have mixed degree (needed for exponentials), are immutable by convention, and
 all operations are pure.
 Operations whose results already hold only nonzero `Poly` coefficients wrap
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import linalg
-from .coeffring import GaussianRational, Poly, P_ONE, _accumulate, _add_product, _settle_into, _signed_product
+from .coeffring import GaussianRational, Poly, P_ONE, _accumulate, _add_product, _settle_into
 
 Coefflike = Union[int, Fraction, GaussianRational, Poly]
 
@@ -167,25 +169,18 @@ def bits(mask: int):
 
 
 def koszul_sign(mask_a: int, mask_b: int) -> int:
-    """Sign of merging the ascending blocks a, b into one ascending monomial.
-
-    Counts pairs (i in a, j in b) with i > j; each is one transposition of
-    odd generators.
-    """
-    swaps = 0
-    a = mask_a
-    while a:
-        low = a & -a
-        swaps += (mask_b & (low - 1)).bit_count()
-        a ^= low
-    return -1 if swaps & 1 else 1
+    """Sign of merging the ascending blocks a, b into one ascending monomial:
+    (-1) to the number of pairs (i in a, j in b) with i > j, each one
+    transposition of odd generators, read as a popcount against
+    `koszul_mask(a)`."""
+    return -1 if (mask_b & koszul_mask(mask_a)).bit_count() & 1 else 1
 
 
 def koszul_mask(mask_a: int) -> int:
     """The mask with bit j set when `mask_a` has an odd number of bits above
-    j: for b disjoint from a, koszul_sign(a, b) is -1 exactly when
-    (b & koszul_mask(a)).bit_count() is odd.  Built once per left operand, it
-    turns each sign into an AND and a popcount."""
+    j, so (b & koszul_mask(a)).bit_count() has the parity of the pairs
+    (i in a, j in b) with i > j.  Built once per left operand, it turns each
+    sign into an AND and a popcount."""
     q = 0
     a = mask_a
     while a:
@@ -360,10 +355,6 @@ class Form:
         by_fiber: dict[int, list[tuple[int, Poly]]] = {}
         for m2, p2 in other.terms.items():
             by_fiber.setdefault(m2 & top, []).append((m2, p2))
-        # as in `_wedge_into`, one term on either side means no two pairs
-        # share a remaining monomial
-        lone = len(self.terms) == 1 or len(other.terms) == 1
-        out: dict[int, Poly] = {}
         sums: dict = {}
         for m1, p1 in self.terms.items():
             partners = by_fiber.get(top ^ (m1 & top))
@@ -374,12 +365,8 @@ class Form:
                 if not m1 & m2:
                     rest = (m1 | m2) & ~top
                     # the sign koszul_sign(m1, m2) * koszul_sign(top, rest)
-                    sign = (m2 & q).bit_count() + (rest & qtop).bit_count()
-                    if lone:
-                        out[rest] = _signed_product(p1, p2, sign)
-                    else:
-                        _add_product(sums, rest, p1, p2, sign)
-        return _form(self.frame, _settle_into(out, sums))
+                    _add_product(sums, rest, p1, p2, (m2 & q).bit_count() + (rest & qtop).bit_count())
+        return _form(self.frame, _settle_into({}, sums))
 
     def contract(self, label: str) -> "Form":
         """Interior product with the dual vector of the named generator."""
@@ -492,11 +479,8 @@ def _form(frame: FrameSpec, terms: dict[int, Poly]) -> Form:
 def _wedge_into(out: dict[int, Poly], a: Mapping[int, Poly], b: Mapping[int, Poly]) -> dict[int, Poly]:
     """out += a ^ b over term dicts; returns out.  A disjoint pair of terms
     is signed by the `koszul_mask` of its left term, built once per left term
-    that has one.  When a or b has one term, no two pairs share an output
-    monomial, so each pair adds its one `_signed_product`; otherwise the
-    products of each output monomial are summed by `_add_product` and
-    settled once."""
-    lone = len(a) == 1 or len(b) == 1
+    that has one; the products of each output monomial are summed by
+    `_add_product` and settled once."""
     sums: dict = {}
     for m1, p1 in a.items():
         q = -1
@@ -504,10 +488,7 @@ def _wedge_into(out: dict[int, Poly], a: Mapping[int, Poly], b: Mapping[int, Pol
             if not m1 & m2:
                 if q < 0:
                     q = koszul_mask(m1)
-                if lone:
-                    _accumulate(out, m1 | m2, _signed_product(p1, p2, (m2 & q).bit_count()))
-                else:
-                    _add_product(sums, m1 | m2, p1, p2, (m2 & q).bit_count())
+                _add_product(sums, m1 | m2, p1, p2, (m2 & q).bit_count())
     return _settle_into(out, sums)
 
 
@@ -544,21 +525,18 @@ def substitute_generators(
             raise FrameMismatch("operands live on different frame objects")
     if monomials is None:
         monomials = {}
+    out: dict[int, Poly] = {}
     sums: dict = {}
     for m, c in form.terms.items():
         if not m:
-            image = _UNIT_IMAGE
-        else:
-            image = monomials.get(m)
-            if image is None:
-                image = _monomial_image(monomials, images, m)
+            _accumulate(out, 0, c)
+            continue
+        image = monomials.get(m)
+        if image is None:
+            image = _monomial_image(monomials, images, m)
         for tm, tp in image.items():
             _add_product(sums, tm, c, tp, 0)
-    return _form(target, _settle_into({}, sums))
-
-
-# the image of the empty monomial under every algebra map
-_UNIT_IMAGE = {0: P_ONE}
+    return _form(target, _settle_into(out, sums))
 
 
 def _monomial_image(monomials: dict, images: Mapping[int, Form], m: int) -> dict[int, Poly]:

@@ -3,8 +3,9 @@
 replaced, `GaussianRational` products summed by `_accumulate`, stays here as
 the oracle for each caller, compared in == and in to_json(), on seeded
 operands whose coefficients have denominators 1, 2 and 3 and nonzero
-imaginary parts.  The Koszul masks that sign the wedge loops are checked
-against `koszul_sign` on every disjoint pair of masks.
+imaginary parts.  The Koszul masks that sign the wedge loops (and define
+`koszul_sign`) are checked against a selection-sort permutation sign on every
+disjoint pair of masks.
 """
 
 import random
@@ -27,7 +28,7 @@ from syzkit.exterior import (
 from syzkit.fourier import SemiflatPair
 from syzkit.sustruct import _volume_square_top
 
-from conftest import subsets
+from conftest import brute_perm_sign, subsets
 from test_calculus import oracle_frame
 
 VARS = ("r1", "r2", "r3")
@@ -316,14 +317,16 @@ def test_volume_square_top(n):
 
 
 def test_koszul_mask_sign_on_every_disjoint_pair():
-    # every pair of disjoint masks over 8 generators, so over at most 8
+    # every pair of disjoint masks over 8 generators, so over at most 8,
+    # against the sign of sorting a's legs followed by b's
     full = (1 << 8) - 1
     for a in range(full + 1):
         q = koszul_mask(a)
         rest = full ^ a
         b = rest
         while True:
-            assert (-1 if (b & q).bit_count() & 1 else 1) == koszul_sign(a, b), (a, b)
+            want = brute_perm_sign(list(bits(a)) + list(bits(b)))
+            assert (-1 if (b & q).bit_count() & 1 else 1) == koszul_sign(a, b) == want, (a, b)
             if not b:
                 break
             b = (b - 1) & rest
