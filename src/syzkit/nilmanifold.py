@@ -219,14 +219,11 @@ def structure_equations(nd: NilData) -> CheckReport:
             (f"e{label}", nd.e_forms[s], de[s]),
             (f"f{label}", nd.f_forms[s], df[s]),
         ):
-            got = exterior_d(coord)
-            want = frame_expand(claimed, nd.x_coord)
-            rep.add(f"d-{name}", got == want, got - want)
+            rep.add_equal(f"d-{name}", exterior_d(coord), frame_expand(claimed, nd.x_coord))
         name = f"fc{label}"
         claimed = nd.xc_frame.d_of_generator(nd.xc_frame.index[name])
-        got = exterior_d(nd.fc_forms[s])
-        want = frame_expand(claimed, nd.xc_coord)
-        rep.add(f"d-{name}-derived", got == want, got - want)
+        rep.add_equal(f"d-{name}-derived", exterior_d(nd.fc_forms[s]),
+                      frame_expand(claimed, nd.xc_coord))
     return rep
 
 
@@ -297,8 +294,7 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, SUStructure, SUStructur
 
     exp_2w = frame_collect(w * 2, pair.holo_frame).exp_nilpotent()
     omega_fm = pair.fm_forward(exp_2w)
-    rep.add("volume-form-integral-vs-closed-form", omega_fm == su_a.Omega,
-            omega_fm - su_a.Omega)
+    rep.add_equal("volume-form-integral-vs-closed-form", omega_fm, su_a.Omega)
 
     c = proportional_to(omega_fm, build_iia_side(nd).Omega)
     pref = GaussianRational(reversal_sign(n))
@@ -315,8 +311,7 @@ def check_mirror_pair(nd: NilData) -> tuple[CheckReport, SUStructure, SUStructur
     flux_b, rep_b = flux_iib(su_b)
     rep.extend(rep_b)
 
-    got, want = flux_correspondence(pair, flux_a, flux_b)
-    rep.add("flux-correspondence", got == want, got - want)
+    rep.add_equal("flux-correspondence", *flux_correspondence(pair, flux_a, flux_b))
 
     return rep, su_b, su_a
 

@@ -36,6 +36,12 @@ class CheckReport:
         self.items.append(item)
         return item
 
+    def add_equal(self, id: str, got, want) -> CheckItem:
+        """One item for got == want, witnessed by got - want, which is built
+        only when the two differ."""
+        ok = got == want
+        return self.add(id, ok, None if ok else got - want)
+
     def add_status(self, id: str, status: str, witness=None) -> CheckItem:
         item = CheckItem(id, status, _render(witness))
         self.items.append(item)

@@ -38,7 +38,7 @@ from .exterior import (
     koszul_sign,
     reversal_sign,
 )
-from .fourier import SemiflatPair
+from .fourier import SemiflatPair, intertwining_constant
 from .reports import PASS, UNDETERMINED, CheckReport
 
 QUARTER_UNITS = (GaussianRational(1), I, GaussianRational(-1), -I)
@@ -385,7 +385,9 @@ def flux_iia(s: SUStructure) -> tuple[Form, CheckReport]:
 
 
 def flux_constant(n: int) -> GaussianRational:
-    """The k with fm_backward(rho_A) = k * rho_B: -reversal_sign(n) * 2^(2n+2).
+    """The k with fm_backward(rho_A) = k * rho_B: reversal_sign(n) * 2^(2n) / c^2
+    with c = `intertwining_constant(n)`; as c^2 = -1/4, that is
+    -reversal_sign(n) * 2^(2n+2).
 
     Write FT for `fm_forward`, w for the complex-side omega with conformal
     factor Fc, and Omega_A = FT(exp(2w)) for the mirror volume form with
@@ -393,15 +395,15 @@ def flux_constant(n: int) -> GaussianRational:
     - FT carries the degree-2 and top-degree parts of exp(2w) to the
       (n-1,1) and (0,n) parts of Omega_A, so their sum, the argument of
       `flux_iia`, is F * FT(2w + (2w)^n / n!).
-    - del-dbar kills the top-degree term, and the intertwining laws with
-      c = (-1)^n i/2 (`check_intertwining`) give
-      d d^Lambda FT(phi) = FT(dbar del phi) / c^2 = -4 FT(dbar del phi).
-    - So rho_A = -i F d d^Lambda FT(2w) = 8i F FT(dbar del w), and
+    - del-dbar kills the top-degree term, and the intertwining laws
+      FT(dbar phi) = c d FT(phi) and FT(del phi) = c d^Lambda FT(phi)
+      (`check_intertwining`) give d d^Lambda FT(phi) = FT(dbar del phi) / c^2.
+    - So rho_A = -i F d d^Lambda FT(2w) = -2i F FT(dbar del w) / c^2, and
       rho_B = 2i del dbar (w / Fc) = -2i dbar del w / Fc gives
-      rho_A = -4 F Fc FT(rho_B) = -2^(2n+2) FT(rho_B).
+      rho_A = F Fc FT(rho_B) / c^2 = 2^(2n) FT(rho_B) / c^2.
     - `fm_backward` after `fm_forward` is reversal_sign(n), which gives k.
     """
-    return GaussianRational(-reversal_sign(n) * 2 ** (2 * n + 2))
+    return GaussianRational(reversal_sign(n) * 2 ** (2 * n)) / intertwining_constant(n) ** 2
 
 
 def flux_correspondence(pair: SemiflatPair, rho_a: Form, rho_b: Form) -> tuple[Form, Form]:

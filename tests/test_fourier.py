@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from syzkit import fourier
-from syzkit.calculus import dolbeault, exterior_d
+from syzkit.calculus import HOLO_SPLIT, dolbeault, exterior_d, polarization_switch
 from syzkit.coeffring import GaussianRational, I, Poly
 from syzkit.exterior import Form, FrameMismatch, GenClass, frame_collect, reversal_sign
 from syzkit.fourier import SemiflatPair
-from syzkit.randgen import random_complex_side_form
+from syzkit.randgen import random_complex_side_form, random_form
 
-from conftest import brute_perm_sign, wedge_chain
+from conftest import brute_perm_sign, series_exp, wedge_chain
 
 
 def index_subsets(n):
@@ -58,6 +58,38 @@ def backward_monomial_oracle(pair, theta_set, r_set):
     e = p + p * (p - 1) // 2 + n * p
     coeff = GaussianRational(s if e % 2 == 0 else -s)
     return pair.holo_monomial(I_set, r_set, coeff)
+
+
+def forward_by_components(pair, form):
+    """The per-bidegree route `fm_forward` once took: each (p, q) component of
+    the complex-side form is switched onto the fiber product, wedged with
+    exp(sum dtc_i ^ dth_i) (summed as a series here) and integrated over the
+    mirror fibers, then read on the symplectic frame.  Returns the sum of the
+    images and the image of each component."""
+    corr = pair.frame_corr
+    mirror = [g.label for g in corr.generators if g.leg_class is GenClass.FIBER_MIRROR]
+    curvature = Form.zero(corr)
+    for tc, tx in zip(mirror, pair.fiber_x_labels):
+        curvature = curvature + Form.monomial(corr, [tc, tx])
+    exp_curvature = series_exp(curvature)
+    images = {}
+    for pq, comp in pair.to_complex_side(form).bidegree_components(HOLO_SPLIT).items():
+        lifted = polarization_switch(comp, corr)
+        integrated = lifted.wedge_pushforward(exp_curvature, GenClass.FIBER_MIRROR)
+        images[pq] = integrated.transport(pair.frame_x)
+    return sum(images.values(), Form.zero(pair.frame_x)), images
+
+
+def mixed_bidegree_forms(pair, frame, seed, count=6):
+    """`count` seeded random forms on `frame` whose complex-side reading has
+    at least two (p, q) components."""
+    rng = random.Random(seed)
+    forms = []
+    while len(forms) < count:
+        form = random_form(rng, frame, 6, 2)
+        if len(pair.to_complex_side(form).bidegree_components(HOLO_SPLIT)) > 1:
+            forms.append(form)
+    return forms
 
 
 class TestSignOfConcatenation:
@@ -120,6 +152,32 @@ class TestForwardTransform:
                 out = pair.fm_forward(pair.holo_monomial(I_set, J_set))
                 assert out.leg_count(GenClass.FIBER_X) == {n - len(I_set)}
                 assert out.leg_count(GenClass.BASE) == {len(J_set)}
+
+
+class TestOnePassAgainstComponents:
+    """`fm_forward` runs the whole form through one pass; the route it
+    replaced, one pass per (p, q) component, is the oracle."""
+
+    @pytest.mark.parametrize("side", ["holo_frame", "frame_xc"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_the_component_sum(self, n, side):
+        pair = SemiflatPair(n)
+        for form in mixed_bidegree_forms(pair, getattr(pair, side), 100 * n):
+            got = pair.fm_forward(form)
+            want, images = forward_by_components(pair, form)
+            assert got == want and got.to_json() == want.to_json()
+            # a (p, q) component lands on n - p fiber legs and q base legs
+            for (p, q), image in images.items():
+                assert image.leg_count(GenClass.FIBER_X) == {n - p}, (p, q)
+                assert image.leg_count(GenClass.BASE) == {q}, (p, q)
+
+    def test_a_mutated_pass_fails_it(self):
+        # exp(-F) in place of exp(F) flips the sign of each component with
+        # n - p odd
+        pair = SemiflatPair(3)
+        pair._exp_plus = pair._exp_minus
+        forms = mixed_bidegree_forms(pair, pair.holo_frame, 300)
+        assert any(pair.fm_forward(f) != forward_by_components(pair, f)[0] for f in forms)
 
 
 class TestClosedFormRule:
@@ -208,6 +266,10 @@ class TestBackwardTransform:
 
 
 class TestIntertwining:
+    def test_intertwining_constant(self):
+        for n in range(1, 13):
+            assert fourier.intertwining_constant(n) == I * Fraction((-1) ** n, 2), n
+
     def test_gr_dzb1_n1(self, pair1):
         # both sides vanish identically for a (0,1) form in rank one
         g = Poly.variable("r1")

@@ -1,11 +1,12 @@
 """Package hygiene: no unused imports in the package or the tests, nothing
 defined that nothing reaches, nothing stored that nothing reads, no
 environment reads, no scalar slot read outside `coeffring`, every export
-resolves, and every traced function exists.
+resolves, and every traced function and method exists.
 
 The benchmark's span table (`perfbench/spans.py` `SPANS`) names functions by
 module and attribute path.  A missing class is recorded as zero calls, but a
-missing module-level function stops a traced run, so each one must resolve.
+missing module-level function, or a method missing from a class that exists,
+stops a traced run, so each one must resolve.
 """
 
 import ast
@@ -242,13 +243,59 @@ def load_spans():
     return module
 
 
+def untraceable(paths) -> list[str]:
+    """`module.path` of each traced (module, attribute path) that a traced run
+    cannot wrap: a module-level function that is not callable there, or a
+    method that its class does not define itself (the tracer reads a method
+    from the class's `__dict__`).  A class that is gone is skipped: the tracer
+    records zero calls for it."""
+    out = []
+    for module, path in paths:
+        owner = importlib.import_module(module)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if owner is None:
+            continue
+        if isinstance(owner, type):
+            found = attr in vars(owner)
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            out.append(f"{module}.{path}")
+    return out
+
+
+def traced_paths(methods: bool) -> list[tuple[str, str]]:
+    """The (module, attribute path) of each traced method, or of each traced
+    module-level function."""
+    return [(module, path) for _, module, path, _ in load_spans().SPANS if ("." in path) == methods]
+
+
 def test_traced_module_functions_resolve():
-    spans = load_spans()
-    functions = [(module, path) for _, module, path, _ in spans.SPANS if "." not in path]
+    functions = traced_paths(methods=False)
     assert functions
-    missing = [
-        f"{module}.{path}"
-        for module, path in functions
-        if not callable(getattr(importlib.import_module(module), path, None))
+    assert untraceable(functions) == []
+
+
+def test_traced_methods_resolve():
+    methods = traced_paths(methods=True)
+    assert methods
+    assert untraceable(methods) == []
+
+
+def test_traced_name_scan_sees_a_missing_method():
+    paths = [
+        ("syzkit.fourier", "SemiflatPair.fm_forward"),
+        ("syzkit.fourier", "SemiflatPair.fm_gone"),
+        # inherited from object, so not in the class's own `__dict__`
+        ("syzkit.fourier", "SemiflatPair.__repr__"),
+        ("syzkit.fourier", "NoSuchClass.fm_forward"),
+        ("syzkit.linalg", "rank"),
+        ("syzkit.linalg", "no_such_function"),
     ]
-    assert missing == []
+    assert untraceable(paths) == [
+        "syzkit.fourier.SemiflatPair.fm_gone",
+        "syzkit.fourier.SemiflatPair.__repr__",
+        "syzkit.linalg.no_such_function",
+    ]

@@ -4,7 +4,7 @@ import pytest
 
 from syzkit.calculus import exterior_d
 from syzkit.coeffring import P_ONE, GaussianRational, Poly
-from syzkit.exterior import Form
+from syzkit.exterior import Form, frame_expand
 from syzkit import nilmanifold as nil
 from syzkit.sustruct import check_iia, check_iib, flux_correspondence, flux_iia, flux_iib, proportional_to
 
@@ -356,6 +356,18 @@ class TestOtherAlgebras:
         alg = nil.NilAlgebra(("1", "2", "3", "4"), ((0, 1, 2, P_ONE), (2, 0, 3, P_ONE)))
         b1, b2 = ([Poly.constant(int(s == k)) for s in range(4)] for k in (0, 1))
         assert alg.times(alg.times(b1, b2, Poly()), b1, Poly()) != alg.times(b1, alg.times(b2, b1, Poly()), Poly())
-        rep, _, _ = nil.check_family(nil.build(alg))
+        nd = nil.build(alg)
+        rep, _, _ = nil.check_family(nd)
         failing = [i.id for i in rep.items if i.status != "pass"]
         assert failing == ["d-e4", "d-f4", "invariant-e4", "invariant-f4"]
+        # a failing structure equation is witnessed by d(coordinate form)
+        # minus the expanded claim de4 = -e3 ^ e1, df4 = -e3 ^ f1
+        x = nd.x_frame
+        e3 = Form.gen(x, "e3")
+        witness = {i.id: i.witness for i in rep.items}
+        for name, coord, claimed in (
+            ("e4", nd.e_forms[3], -e3.wedge(Form.gen(x, "e1"))),
+            ("f4", nd.f_forms[3], -e3.wedge(Form.gen(x, "f1"))),
+        ):
+            diff = exterior_d(coord) - frame_expand(claimed, nd.x_coord)
+            assert not diff.is_zero() and witness[f"d-{name}"] == str(diff)

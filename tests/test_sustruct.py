@@ -6,7 +6,7 @@ import pytest
 from syzkit import nilmanifold as nil
 from syzkit.calculus import MissingPairing, exterior_d
 from syzkit.coeffring import GaussianRational, I, ONE, Poly
-from syzkit.exterior import Form, GenClass, frame_collect, frame_expand
+from syzkit.exterior import Form, GenClass, frame_collect, frame_expand, reversal_sign
 from syzkit.fourier import SemiflatPair
 from syzkit.randgen import trial_rng
 from syzkit.reports import FAIL
@@ -19,6 +19,7 @@ from syzkit.sustruct import (
     check_iib,
     check_su,
     constant_ratio,
+    flux_constant,
     flux_correspondence,
     flux_iia,
     flux_iib,
@@ -493,6 +494,12 @@ class TestFluxes:
         rho_b, _ = flux_iib(su_b)
         ft = frame_expand(pair3.fm_backward(rho_a), pair3.frame_xc)
         assert ft == rho_b * (GaussianRational(2) ** 8)
+
+    def test_flux_constant_is_the_closed_form(self):
+        # computed from the intertwining constant, it must equal the closed
+        # form -(-1)^(n(n-1)/2) 2^(2n+2) that the README states
+        for n in range(1, 13):
+            assert flux_constant(n) == GaussianRational(-reversal_sign(n) * 2 ** (2 * n + 2)), n
 
     # fm_backward(rho_A) / rho_B on one seeded unimodular draw per n: the
     # sign is -(-1)^(n(n-1)/2), so it turns at n = 4, which U_K (n = 1, 3, 6,
